@@ -33,8 +33,6 @@ from .surface import DeviceSurface
 _RNG_BLOCK = 8192
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
-SELECTION_UNIFORM = "uniform"
-SELECTION_ROUND_ROBIN = "round-robin"
 ACTIVATION_DEVICE = "device"
 ACTIVATION_LOGISTIC = "logistic"
 
@@ -59,12 +57,10 @@ class BoltzmannConfig:
     calibrate: bool = False
     calibration_precision: float = 0.2
     convergence_fraction: float = 0.9
-    selection: str = SELECTION_UNIFORM
     activation: str = ACTIVATION_DEVICE
     u_scale_percentile: float = 95.0
     stop_on_convergence: bool = False
     energy_stride: Optional[int] = None  # None: 1 if n <= 512 else n
-    gain_final: Optional[float] = None   # optional linear gain schedule, off
     jobs: int = 1
 
     def __post_init__(self):
@@ -76,8 +72,6 @@ class BoltzmannConfig:
             raise ValueError("convergence_fraction must be in (0, 1]")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.selection not in (SELECTION_UNIFORM, SELECTION_ROUND_ROBIN):
-            raise ValueError(f"unknown selection {self.selection!r}")
         if self.activation not in (ACTIVATION_DEVICE, ACTIVATION_LOGISTIC):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -149,7 +143,15 @@ def settling_energy_of(series, window: Optional[int] = None) -> float:
 
 
 class RunState:
-    """Mutable state of one run; `step` advances it one iteration."""
+    """Mutable state of one run; `step` advances it one iteration.
+
+    `ptab` maps a local field u_i to its switching probability. `make_state`
+    sets it to a dict only when that probability depends on u_i alone: under
+    the logistic activation, or under the `ideal` scheme with every device at
+    one (HRS, offset) pair. Otherwise it is None. It is decided once, from the
+    initial `hrs` and `offs`, so a caller who edits those by hand must build a
+    new state.
+    """
 
     __slots__ = (
         "n", "x", "u", "energy", "indptr", "indices", "wts",
@@ -157,20 +159,17 @@ class RunState:
         "scheme_code", "m_hrs", "s_rw", "tol", "r_lo", "r_hi",
         "mc00", "mc10", "mc01", "mc20", "mc02", "mc11",
         "sc00", "sc10", "sc01", "sc20", "sc02", "sc11", "floor",
-        "vc", "vmin", "vmax", "gain", "gain_final", "inv_uscale", "log_tpw",
-        "logistic", "round_robin",
+        "vc", "vmin", "vmax", "gain", "inv_uscale", "log_tpw",
+        "logistic", "ptab",
         "rng_loop", "rng_scheme", "nodes", "unifs", "noise", "cursor", "block",
-        "t", "max_iters", "trace", "stride",
+        "t", "trace", "stride",
         "best_energy", "best_x", "converged_at", "threshold", "stop_on_conv",
         "u_scale", "t_pw", "calib_failures", "mu_eff_spread",
     )
 
     def _refill(self) -> None:
         b = self.block
-        if self.round_robin:
-            self.nodes = None
-        else:
-            self.nodes = self.rng_loop.integers(0, self.n, b).tolist()
+        self.nodes = self.rng_loop.integers(0, self.n, b).tolist()
         self.unifs = self.rng_loop.random(b).tolist()
         if self.scheme_code == 1:
             self.noise = self.rng_scheme.standard_normal(b).tolist()
@@ -191,6 +190,10 @@ def _advance(state: RunState, steps: int) -> int:
 
     Stops early when the convergence threshold is hit and the run was asked
     to. This is the only place the sampling dynamics are written down.
+
+    When `state.ptab` is a dict (see `RunState`), the switching probability
+    of each distinct local field is computed once, by the same expression,
+    and looked up after that, so results are identical either way.
     """
     x, u = state.x, state.u
     indptr, indices, wts = state.indptr, state.indices, state.wts
@@ -205,98 +208,108 @@ def _advance(state: RunState, steps: int) -> int:
     sc20, sc02, sc11 = state.sc20, state.sc02, state.sc11
     floor = state.floor
     vc, vmin, vmax = state.vc, state.vmin, state.vmax
-    inv_uscale, log_tpw = state.inv_uscale, state.log_tpw
+    gain, inv_uscale, log_tpw = state.gain, state.inv_uscale, state.log_tpw
     logistic = state.logistic
-    round_robin = state.round_robin
-    gain = state.gain
-    sched = state.gain_final is not None
+    ptab = state.ptab
     stride = state.stride
     trace = state.trace
     erf, exp = math.erf, math.exp
     threshold = state.threshold
+    stop_on_conv = state.stop_on_conv
     energy = state.energy
     best_energy = state.best_energy
-    t = state.t
-    n = state.n
-    max_iters = state.max_iters
-    executed = 0
+    best_x = state.best_x
+    converged_at = state.converged_at
+    clamps = state.clamps
+    t0 = t = state.t
+    tend = t0 + steps
+    block = state.block
+    nodes, unifs, noise = state.nodes, state.unifs, state.noise
+    k = state.cursor
 
-    while executed < steps:
-        k = state.cursor
-        if state.unifs is None or k >= state.block:
+    while t < tend:
+        if unifs is None or k >= block:
+            nodes = unifs = noise = None  # free the spent block before drawing the next
             state._refill()
+            nodes, unifs, noise = state.nodes, state.unifs, state.noise
             k = 0
-        if round_robin:
-            i = t % n
-        else:
-            i = state.nodes[k]
-        u_i = u[i]
+        kend = min(block, k + tend - t)
+        for k in range(k, kend):
+            i = nodes[k]
+            u_i = u[i]
 
-        if logistic:
-            p = 1.0 / (1.0 + exp(-u_i)) if u_i > -500 else 0.0
-        else:
-            if sched:
-                gain = state.gain + (state.gain_final - state.gain) * (t / max_iters)
-            v = vc + gain * u_i * inv_uscale
-            if v < vmin:
-                v = vmin
-            elif v > vmax:
-                v = vmax
-            r = hrs[i]
-            mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + offs[i]
-            sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00
-            if sg < floor:
-                sg = floor
-            p = 0.5 * (1.0 + erf((log_tpw - mu) * _SQRT1_2 / sg))
+            p = ptab.get(u_i) if ptab is not None else None
+            if p is None:
+                if logistic:
+                    p = 1.0 / (1.0 + exp(-u_i)) if u_i > -500 else 0.0
+                else:
+                    v = vc + gain * u_i * inv_uscale
+                    if v < vmin:
+                        v = vmin
+                    elif v > vmax:
+                        v = vmax
+                    r = hrs[i]
+                    mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + offs[i]
+                    sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00
+                    if sg < floor:
+                        sg = floor
+                    p = 0.5 * (1.0 + erf((log_tpw - mu) * _SQRT1_2 / sg))
+                if ptab is not None:
+                    ptab[u_i] = p
 
-        new = 1 if state.unifs[k] < p else 0
-        old = x[i]
-        if new != old:
-            delta = new - old
-            x[i] = new
-            for kk in range(indptr[i], indptr[i + 1]):
-                u[indices[kk]] += wts[kk] * delta
-            energy -= u_i * delta
-            if energy < best_energy:
-                best_energy = energy
-                state.best_x = x.copy()
-                if threshold is not None and state.converged_at is None:
-                    if -energy >= threshold:
-                        state.converged_at = t + 1
+            new = 1 if unifs[k] < p else 0
+            old = x[i]
+            if new != old:
+                delta = new - old
+                x[i] = new
+                for kk in range(indptr[i], indptr[i + 1]):
+                    u[indices[kk]] += wts[kk] * delta
+                energy -= u_i * delta
+                if energy < best_energy:
+                    best_energy = energy
+                    best_x = x.copy()
+                    if threshold is not None and converged_at is None:
+                        if -energy >= threshold:
+                            converged_at = t + 1
 
-        # one Reset-Set per sampling
-        cyc[i] += 1
-        if scheme == 1:
-            nh = hrs[i] + m_hrs + s_rw * state.noise[k]
-            if nh < r_lo:
-                nh = r_lo
-                state.clamps += 1
-            elif nh > r_hi:
-                nh = r_hi
-                state.clamps += 1
-            hrs[i] = nh
-        elif scheme == 2:
-            nh = targets[i] * (1.0 + state.noise[k])
-            if nh < r_lo:
-                nh = r_lo
-                state.clamps += 1
-            elif nh > r_hi:
-                nh = r_hi
-                state.clamps += 1
-            hrs[i] = nh
+            # one Reset-Set per sampling
+            cyc[i] += 1
+            if scheme == 1:
+                nh = hrs[i] + m_hrs + s_rw * noise[k]
+                if nh < r_lo:
+                    nh = r_lo
+                    clamps += 1
+                elif nh > r_hi:
+                    nh = r_hi
+                    clamps += 1
+                hrs[i] = nh
+            elif scheme == 2:
+                nh = targets[i] * (1.0 + noise[k])
+                if nh < r_lo:
+                    nh = r_lo
+                    clamps += 1
+                elif nh > r_hi:
+                    nh = r_hi
+                    clamps += 1
+                hrs[i] = nh
 
-        state.cursor = k + 1
-        t += 1
-        executed += 1
-        if t % stride == 0:
-            trace.append(energy)
-        if state.stop_on_conv and state.converged_at is not None:
+            t += 1
+            if t % stride == 0:
+                trace.append(energy)
+            if stop_on_conv and converged_at is not None:
+                break
+        k += 1
+        if stop_on_conv and converged_at is not None:
             break
 
+    state.cursor = k
     state.energy = energy
     state.best_energy = best_energy
+    state.best_x = best_x
+    state.converged_at = converged_at
+    state.clamps = clamps
     state.t = t
-    return executed
+    return t - t0
 
 
 def _nominal_hrs(surface: DeviceSurface, cfg: BoltzmannConfig) -> float:
@@ -418,18 +431,17 @@ def make_state(
     st.floor = surface.sigma_floor
     st.vc, st.vmin, st.vmax = cfg.v_center, cfg.v_min, cfg.v_max
     st.gain = cfg.gain
-    st.gain_final = cfg.gain_final
     st.inv_uscale = 1.0 / u_scale
     st.log_tpw = math.log10(t_pw)
     st.logistic = cfg.activation == ACTIVATION_LOGISTIC
-    st.round_robin = cfg.selection == SELECTION_ROUND_ROBIN
+    uniform_devices = len(set(hrs)) == 1 and len(set(offs)) == 1
+    st.ptab = {} if st.logistic or (cfg.scheme == SCHEME_IDEAL and uniform_devices) else None
     st.rng_loop = np.random.default_rng(ss_loop)
     st.rng_scheme = np.random.default_rng(ss_scheme)
     st.nodes = st.unifs = st.noise = None
     st.cursor = 0
     st.block = _RNG_BLOCK
     st.t = 0
-    st.max_iters = cfg.max_iters
     st.trace = []
     st.stride = stride
     e0 = energy_of(form, x)
