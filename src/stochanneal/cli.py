@@ -181,7 +181,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
     write_manifest(
         out_path + ".manifest.json", "solve",
         {**_config_dict(cfg), "instance": str(instance_path)},
-        seed, params_path,
+        seed, params_path, kernel=",".join(sorted({t.kernel for t in traces})),
     )
     click.echo(f"best cut {summary.best_cut_max} over {summary.runs} runs -> {out_path}")
 

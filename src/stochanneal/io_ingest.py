@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import platform
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -322,20 +323,28 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, command: str, config: dict, seed: int, params_path=None) -> dict:
+def write_manifest(path, command: str, config: dict, seed: int, params_path=None,
+                   kernel: Optional[str] = None) -> dict:
     """Record everything needed to reproduce a run byte-for-byte.
 
-    The timestamp is manifest-only; result CSVs never embed it.
+    `params_path` None stands for the packaged reference parameter file,
+    whose hash is recorded too. `kernel` names the sampling loop that ran
+    ("c", "python"), where the caller knows it. The timestamp is
+    manifest-only; result CSVs never embed it.
     """
     from . import __version__
+    from .reference import reference_sha256
 
     manifest = {
         "command": command,
         "config": config,
         "seed": int(seed),
         "params_file": None if params_path is None else str(params_path),
-        "params_sha256": None if params_path is None else file_sha256(params_path),
+        "params_sha256": reference_sha256() if params_path is None else file_sha256(params_path),
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "kernel": kernel,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     try:

@@ -19,6 +19,7 @@ the provenance of every shipped number is a seeded, auditable fit.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from functools import lru_cache
 from importlib import resources
@@ -104,10 +105,19 @@ def reference_params_json(seed: int = REFERENCE_SEED) -> str:
     return json.dumps(build_reference_params(seed), indent=2, sort_keys=True) + "\n"
 
 
+def _reference_file():
+    return resources.files("stochanneal").joinpath("data/reference_params.json")
+
+
+def reference_sha256() -> str:
+    """sha256 of the shipped parameter file, for manifests."""
+    return hashlib.sha256(_reference_file().read_bytes()).hexdigest()
+
+
 @lru_cache(maxsize=1)
 def get_reference() -> tuple[DeviceSurface, DriftModel]:
     """Load the shipped parameter file."""
-    text = resources.files("stochanneal").joinpath("data/reference_params.json").read_text()
+    text = _reference_file().read_text()
     d = json.loads(text)
     surface = DeviceSurface.from_dict(d)
     dd = d["drift"]

@@ -16,10 +16,21 @@ drifting, calibrated vs not) see identical loop dynamics.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import logging
 import math
+import os
+import platform
+import shutil
+import stat
+import subprocess
+import sys
+import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +40,8 @@ from .errors import MissingBestKnown, NonMonotone, Unattainable
 from .maxcut import BoltzmannForm, MaxCutInstance, build_form, init_fields
 from .maxcut import energy as energy_of
 from .surface import DeviceSurface
+
+log = logging.getLogger(__name__)
 
 _RNG_BLOCK = 8192
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -74,6 +87,8 @@ class BoltzmannConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.activation not in (ACTIVATION_DEVICE, ACTIVATION_LOGISTIC):
             raise ValueError(f"unknown activation {self.activation!r}")
+        if self.energy_stride is not None and self.energy_stride < 1:
+            raise ValueError("energy_stride must be >= 1")
 
 
 @dataclass
@@ -94,6 +109,7 @@ class RunTrace:
     u_scale: float
     seed: int
     run_index: int
+    kernel: str = "python"          # the loop that ran: "c" or "python"
 
 
 @dataclass
@@ -143,15 +159,7 @@ def settling_energy_of(series, window: Optional[int] = None) -> float:
 
 
 class RunState:
-    """Mutable state of one run; `step` advances it one iteration.
-
-    `ptab` maps a local field u_i to its switching probability. `make_state`
-    sets it to a dict only when that probability depends on u_i alone: under
-    the logistic activation, or under the `ideal` scheme with every device at
-    one (HRS, offset) pair. Otherwise it is None. It is decided once, from the
-    initial `hrs` and `offs`, so a caller who edits those by hand must build a
-    new state.
-    """
+    """Mutable state of one run; `step` advances it one iteration."""
 
     __slots__ = (
         "n", "x", "u", "energy", "indptr", "indices", "wts",
@@ -160,7 +168,7 @@ class RunState:
         "mc00", "mc10", "mc01", "mc20", "mc02", "mc11",
         "sc00", "sc10", "sc01", "sc20", "sc02", "sc11", "floor",
         "vc", "vmin", "vmax", "gain", "inv_uscale", "log_tpw",
-        "logistic", "ptab",
+        "logistic",
         "rng_loop", "rng_scheme", "nodes", "unifs", "noise", "cursor", "block",
         "t", "trace", "stride",
         "best_energy", "best_x", "converged_at", "threshold", "stop_on_conv",
@@ -169,12 +177,12 @@ class RunState:
 
     def _refill(self) -> None:
         b = self.block
-        self.nodes = self.rng_loop.integers(0, self.n, b).tolist()
-        self.unifs = self.rng_loop.random(b).tolist()
+        self.nodes = self.rng_loop.integers(0, self.n, b)
+        self.unifs = self.rng_loop.random(b)
         if self.scheme_code == 1:
-            self.noise = self.rng_scheme.standard_normal(b).tolist()
+            self.noise = self.rng_scheme.standard_normal(b)
         elif self.scheme_code == 2:
-            self.noise = self.rng_scheme.uniform(-self.tol, self.tol, b).tolist()
+            self.noise = self.rng_scheme.uniform(-self.tol, self.tol, b)
         else:
             self.noise = None
         self.cursor = 0
@@ -189,11 +197,10 @@ def _advance(state: RunState, steps: int) -> int:
     """Run up to `steps` iterations; returns the number executed.
 
     Stops early when the convergence threshold is hit and the run was asked
-    to. This is the only place the sampling dynamics are written down.
-
-    When `state.ptab` is a dict (see `RunState`), the switching probability
-    of each distinct local field is computed once, by the same expression,
-    and looked up after that, so results are identical either way.
+    to. This is the reference form of the sampling dynamics. `_kernel.c`
+    mirrors it expression for expression and `run` uses that when it loads
+    (see `load_kernel`); `TestKernel` and `TestBitIdentity` in
+    tests/test_sampler.py hold the two equal bit for bit.
     """
     x, u = state.x, state.u
     indptr, indices, wts = state.indptr, state.indices, state.wts
@@ -210,7 +217,6 @@ def _advance(state: RunState, steps: int) -> int:
     vc, vmin, vmax = state.vc, state.vmin, state.vmax
     gain, inv_uscale, log_tpw = state.gain, state.inv_uscale, state.log_tpw
     logistic = state.logistic
-    ptab = state.ptab
     stride = state.stride
     trace = state.trace
     erf, exp = math.erf, math.exp
@@ -224,40 +230,39 @@ def _advance(state: RunState, steps: int) -> int:
     t0 = t = state.t
     tend = t0 + steps
     block = state.block
-    nodes, unifs, noise = state.nodes, state.unifs, state.noise
     k = state.cursor
 
     while t < tend:
-        if unifs is None or k >= block:
-            nodes = unifs = noise = None  # free the spent block before drawing the next
+        nodes = unifs = noise = None  # free the spent lists before making the next
+        if state.unifs is None or k >= block:
             state._refill()
-            nodes, unifs, noise = state.nodes, state.unifs, state.noise
             k = 0
         kend = min(block, k + tend - t)
-        for k in range(k, kend):
-            i = nodes[k]
+        # the draws this pass consumes, as lists: indexing them is the fast path
+        nodes = state.nodes[k:kend].tolist()
+        unifs = state.unifs[k:kend].tolist()
+        if state.noise is not None:
+            noise = state.noise[k:kend].tolist()
+        for j in range(kend - k):
+            i = nodes[j]
             u_i = u[i]
 
-            p = ptab.get(u_i) if ptab is not None else None
-            if p is None:
-                if logistic:
-                    p = 1.0 / (1.0 + exp(-u_i)) if u_i > -500 else 0.0
-                else:
-                    v = vc + gain * u_i * inv_uscale
-                    if v < vmin:
-                        v = vmin
-                    elif v > vmax:
-                        v = vmax
-                    r = hrs[i]
-                    mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + offs[i]
-                    sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00
-                    if sg < floor:
-                        sg = floor
-                    p = 0.5 * (1.0 + erf((log_tpw - mu) * _SQRT1_2 / sg))
-                if ptab is not None:
-                    ptab[u_i] = p
+            if logistic:
+                p = 1.0 / (1.0 + exp(-u_i)) if u_i > -500 else 0.0
+            else:
+                v = vc + gain * u_i * inv_uscale
+                if v < vmin:
+                    v = vmin
+                elif v > vmax:
+                    v = vmax
+                r = hrs[i]
+                mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + offs[i]
+                sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00
+                if sg < floor:
+                    sg = floor
+                p = 0.5 * (1.0 + erf((log_tpw - mu) * _SQRT1_2 / sg))
 
-            new = 1 if unifs[k] < p else 0
+            new = 1 if unifs[j] < p else 0
             old = x[i]
             if new != old:
                 delta = new - old
@@ -275,7 +280,7 @@ def _advance(state: RunState, steps: int) -> int:
             # one Reset-Set per sampling
             cyc[i] += 1
             if scheme == 1:
-                nh = hrs[i] + m_hrs + s_rw * noise[k]
+                nh = hrs[i] + m_hrs + s_rw * noise[j]
                 if nh < r_lo:
                     nh = r_lo
                     clamps += 1
@@ -284,7 +289,7 @@ def _advance(state: RunState, steps: int) -> int:
                     clamps += 1
                 hrs[i] = nh
             elif scheme == 2:
-                nh = targets[i] * (1.0 + noise[k])
+                nh = targets[i] * (1.0 + noise[j])
                 if nh < r_lo:
                     nh = r_lo
                     clamps += 1
@@ -298,7 +303,7 @@ def _advance(state: RunState, steps: int) -> int:
                 trace.append(energy)
             if stop_on_conv and converged_at is not None:
                 break
-        k += 1
+        k += j + 1
         if stop_on_conv and converged_at is not None:
             break
 
@@ -310,6 +315,191 @@ def _advance(state: RunState, steps: int) -> int:
     state.clamps = clamps
     state.t = t
     return t - t0
+
+
+# -- compiled kernel ------------------------------------------------------------------
+
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_COMPILE_TIMEOUT_S = 60
+# local fields and energies below this are exact as doubles, so int64 and
+# Python ints agree, and so does every int/float comparison
+_EXACT_INT_LIMIT = 2 ** 53
+_P = ctypes.c_void_p
+_KERNEL_ARGTYPES = (ctypes.c_int64, _P, _P, _P, ctypes.c_int64) + (_P,) * 14
+# the self-check grid: erf over the range the device activation reaches,
+# exp at the integer arguments the logistic activation passes it
+_ERF_GRID = tuple(k * 0.011718 + 1e-9 * k * k for k in range(-700, 701))
+_EXP_GRID = tuple(float(k) for k in range(-800, 500)) + _ERF_GRID
+
+_kernel = None  # the loaded sa_advance; False once loading has failed
+
+
+def load_kernel():
+    """The compiled sampling kernel, or None when `run` must use `_advance`.
+
+    The first call compiles `_kernel.c` with the system `cc` into a private
+    per-user cache (a temporary directory if that cache is not private),
+    loads it with ctypes and checks that its `erf` and `exp` equal
+    `math.erf` and `math.exp` bit for bit. Any failure (no compiler, a
+    compile error, a failed self-check) is logged once and gives None.
+    """
+    global _kernel
+    if _kernel is None:
+        try:
+            _kernel = _build_kernel()
+        except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
+            log.warning("compiled sampling kernel unavailable, using the Python loop: %s", exc)
+            _kernel = False
+    return _kernel or None
+
+
+def _build_kernel():
+    cc = shutil.which("cc")
+    if cc is None:
+        raise RuntimeError("no C compiler `cc` on PATH")
+    source = _KERNEL_SOURCE.read_bytes()
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(_KERNEL_FLAGS).encode(), sys.platform.encode(),
+         platform.machine().encode()]
+    )).hexdigest()[:24]
+    so_name = f"_kernel-{key}.so"
+    cache = _private_cache_dir()
+    if cache is not None:
+        lib = _compile_and_load(cc, source, cache / so_name)
+    else:
+        # the loaded library stays mapped after its file is removed
+        with tempfile.TemporaryDirectory(prefix="stochanneal-") as tmp:
+            lib = _compile_and_load(cc, source, Path(tmp) / so_name)
+    for fn in (lib.sa_erf, lib.sa_exp):
+        fn.restype = ctypes.c_double
+        fn.argtypes = (ctypes.c_double,)
+    checks = (("erf", lib.sa_erf, math.erf, _ERF_GRID), ("exp", lib.sa_exp, math.exp, _EXP_GRID))
+    for name, ours, ref, grid in checks:
+        for z in grid:
+            if ours(z).hex() != ref(z).hex():
+                raise RuntimeError(f"self-check failed: C {name}({z!r}) = {ours(z)!r}, "
+                                   f"Python gives {ref(z)!r}")
+    fn = lib.sa_advance
+    fn.restype = ctypes.c_int64
+    fn.argtypes = _KERNEL_ARGTYPES
+    return fn
+
+
+def _private_cache_dir() -> Optional[Path]:
+    """`${XDG_CACHE_HOME:-~/.cache}/stochanneal` if it is private to this user."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = Path(base, "stochanneal")
+    try:
+        path.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = path.lstat()
+    except OSError as exc:
+        log.warning("kernel cache %s unusable (%s); compiling into a temporary directory",
+                    path, exc)
+        return None
+    if not (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+            and stat.S_IMODE(st.st_mode) == 0o700):
+        log.warning("kernel cache %s is not a directory of mode 0700 owned by this user; "
+                    "compiling into a temporary directory", path)
+        return None
+    return path
+
+
+def _compile_and_load(cc: str, source: bytes, so: Path):
+    if not so.exists():
+        # compile beside the target and rename, so concurrent workers never
+        # load a half-written library
+        fd, tmp = tempfile.mkstemp(dir=so.parent, prefix=".build-", suffix=".so")
+        os.close(fd)
+        try:
+            proc = subprocess.run(
+                [cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                input=source, capture_output=True, timeout=_COMPILE_TIMEOUT_S,
+            )
+            if proc.returncode != 0:
+                err = proc.stderr.decode(errors="replace").strip()
+                raise RuntimeError(f"{cc} exited with {proc.returncode}: {err[:500]}")
+            os.replace(tmp, so)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return ctypes.CDLL(str(so))
+
+
+def _fits_in_53_bits(form: BoltzmannForm) -> bool:
+    """Whether every local field and energy of the instance is below 2**53."""
+    total = sum(map(abs, form.b.tolist())) + sum(map(abs, form.weights.tolist()))
+    return total < _EXACT_INT_LIMIT
+
+
+def _advance_kernel(kernel, state: RunState, steps: int) -> np.ndarray:
+    """`_advance(state, steps)` run by the compiled kernel, with equal results.
+
+    It consumes the same pre-drawn blocks. The state's lists become flat
+    arrays for the call and are written back at the end. The energies it
+    records are returned as an int64 array instead of being appended to
+    `state.trace`. The caller checks `_fits_in_53_bits` first.
+    """
+    x = np.array(state.x, dtype=np.int8)
+    best_x = np.array(state.best_x, dtype=np.int8)
+    u = np.array(state.u, dtype=np.int64)
+    cyc = np.array(state.cyc, dtype=np.int64)
+    indptr = np.array(state.indptr, dtype=np.int64)
+    indices = np.array(state.indices, dtype=np.int64)
+    wts = np.array(state.wts, dtype=np.int64)
+    hrs = np.array(state.hrs, dtype=np.float64)
+    offs = np.array(state.offs, dtype=np.float64)
+    targets = np.array(state.targets, dtype=np.float64)
+    n = state.n
+    if not (x.size == best_x.size == u.size == cyc.size == hrs.size == offs.size
+            == targets.size == indptr.size - 1 == n and indices.size == wts.size == indptr[-1]):
+        raise ValueError("run state arrays disagree in size with the instance")
+    has_threshold = state.threshold is not None
+    par = np.array([
+        state.vc, state.vmin, state.vmax, state.gain, state.inv_uscale, state.log_tpw, _SQRT1_2,
+        state.mc00, state.mc10, state.mc01, state.mc20, state.mc02, state.mc11,
+        state.sc00, state.sc10, state.sc01, state.sc20, state.sc02, state.sc11, state.floor,
+        state.m_hrs, state.s_rw, state.r_lo, state.r_hi,
+        state.threshold if has_threshold else 0.0,
+    ], dtype=np.float64)
+    opt = np.array([state.scheme_code, state.logistic, state.stride, state.stop_on_conv,
+                    has_threshold], dtype=np.int64)
+    io = np.array([state.t, state.energy, state.best_energy,
+                   -1 if state.converged_at is None else state.converged_at,
+                   state.clamps], dtype=np.int64)
+    arrays = (n, x.ctypes.data, u.ctypes.data, cyc.ctypes.data, best_x.ctypes.data,
+              indptr.ctypes.data, indices.ctypes.data, wts.ctypes.data,
+              hrs.ctypes.data, offs.ctypes.data, targets.ctypes.data,
+              par.ctypes.data, opt.ctypes.data, io.ctypes.data)
+    stride = state.stride
+    t = state.t
+    tend = t + steps
+    k = state.cursor
+    chunks = []  # the energies recorded by each call, sized for its iterations
+    while t < tend:
+        if state.unifs is None or k >= state.block:
+            state._refill()
+            k = 0
+        m = min(state.block - k, tend - t)
+        chunk = np.empty((t + m) // stride - t // stride, dtype=np.int64)
+        noise = None if state.noise is None else state.noise.ctypes.data + 8 * k
+        ran = kernel(m, state.nodes.ctypes.data + 8 * k, state.unifs.ctypes.data + 8 * k,
+                     noise, *arrays, chunk.ctypes.data)
+        chunks.append(chunk[:(t + ran) // stride - t // stride])
+        k += ran
+        t += ran
+        if state.stop_on_conv and io[3] >= 0:
+            break
+
+    state.t, state.energy, state.best_energy, converged_at, state.clamps = io.tolist()
+    state.converged_at = None if converged_at < 0 else converged_at
+    state.cursor = k
+    state.x = x.tolist()
+    state.u = u.tolist()
+    state.cyc = cyc.tolist()
+    state.hrs = hrs.tolist()
+    state.best_x = best_x.tolist()
+    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
 def _nominal_hrs(surface: DeviceSurface, cfg: BoltzmannConfig) -> float:
@@ -434,8 +624,6 @@ def make_state(
     st.inv_uscale = 1.0 / u_scale
     st.log_tpw = math.log10(t_pw)
     st.logistic = cfg.activation == ACTIVATION_LOGISTIC
-    uniform_devices = len(set(hrs)) == 1 and len(set(offs)) == 1
-    st.ptab = {} if st.logistic or (cfg.scheme == SCHEME_IDEAL and uniform_devices) else None
     st.rng_loop = np.random.default_rng(ss_loop)
     st.rng_scheme = np.random.default_rng(ss_scheme)
     st.nodes = st.unifs = st.noise = None
@@ -473,10 +661,23 @@ def run(
     surface: DeviceSurface,
     run_index: int = 0,
 ) -> RunTrace:
-    """Execute one seeded run; fully reproducible from (cfg.seed, run_index)."""
-    state = make_state(inst, cfg, surface, run_index)
-    _advance(state, cfg.max_iters)
-    energies = np.asarray(state.trace, dtype=np.int64)
+    """Execute one seeded run; fully reproducible from (cfg.seed, run_index).
+
+    The compiled kernel runs the loop when it loads and the instance's fields
+    fit in 53 bits; `_advance` runs it otherwise. Results are the same.
+    """
+    form = build_form(inst)
+    state = make_state(inst, cfg, surface, run_index, form)
+    kernel = None
+    if _fits_in_53_bits(form):
+        kernel = load_kernel()
+    else:
+        log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
+    if kernel is None:
+        _advance(state, cfg.max_iters)
+        energies = np.asarray(state.trace, dtype=np.int64)
+    else:
+        energies = _advance_kernel(kernel, state, cfg.max_iters)
     return RunTrace(
         energies=energies,
         stride=state.stride,
@@ -492,6 +693,7 @@ def run(
         u_scale=state.u_scale,
         seed=cfg.seed,
         run_index=run_index,
+        kernel="python" if kernel is None else "c",
     )
 
 

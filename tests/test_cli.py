@@ -33,6 +33,25 @@ class TestSolve:
         assert all(row["best_cut"] == "2" for row in rows)
         assert (tmp_path / "res.csv.manifest.json").exists()
 
+    def test_manifest_pins_environment(self, runner, tmp_path):
+        import hashlib
+        import platform
+        from importlib import resources
+
+        inst = tmp_path / "k3.rudy"
+        inst.write_text(K3_TEXT)
+        out = tmp_path / "res.csv"
+        r = invoke(runner, ["solve", "--instance", str(inst), "--iters", "200",
+                            "--out", str(out)])
+        assert r.exit_code == 0
+        manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+        packaged = resources.files("stochanneal").joinpath("data/reference_params.json")
+        assert manifest["params_file"] is None
+        assert manifest["params_sha256"] == hashlib.sha256(packaged.read_bytes()).hexdigest()
+        assert manifest["kernel"] in ("c", "python")
+        assert manifest["python"] == platform.python_version()
+        assert manifest["numpy"] == np.__version__
+
     def test_missing_instance_exits_3(self, runner, tmp_path):
         r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "nope.rudy"),
                                  "--out", str(tmp_path / "o.csv")])

@@ -1,5 +1,10 @@
+import dataclasses
 import hashlib
+import logging
 import math
+import os
+import shutil
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +13,11 @@ import pytest
 from stochanneal.device import DriftModel, NeuronDevice
 from stochanneal.errors import MissingBestKnown
 from stochanneal.io_ingest import generate_instance
+from stochanneal import sampler
 from stochanneal.maxcut import MaxCutInstance
 from stochanneal.sampler import (
     BoltzmannConfig,
+    RunTrace,
     ensemble,
     make_state,
     map_field_to_voltage,
@@ -303,6 +310,166 @@ class TestBitIdentity:
     def test_results_pinned(self, cell, ref_surface):
         assert _grid_digest(*cell, ref_surface) == _PINNED[cell]
 
+    @pytest.mark.filterwarnings("ignore:.*outside the tunable window")
+    @pytest.mark.parametrize(
+        "cell", list(_PINNED), ids=lambda c: f"{c[0]}-{c[1]}-{'d2d' if c[2] else 'nod2d'}"
+    )
+    def test_reference_pinned(self, cell, ref_surface, monkeypatch):
+        monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+        assert _grid_digest(*cell, ref_surface) == _PINNED[cell]
+
+
+def _kernel_or_skip():
+    kernel = sampler.load_kernel()
+    if kernel is None:
+        pytest.skip("the compiled kernel did not load here (see the logged reason)")
+    return kernel
+
+
+def _assert_traces_equal(ref, fast):
+    for f in dataclasses.fields(RunTrace):
+        if f.name == "kernel":
+            continue
+        a, b = getattr(ref, f.name), getattr(fast, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), f.name
+        else:
+            assert repr(a) == repr(b), f.name
+
+
+_STATE_SLOTS = ("x", "u", "hrs", "cyc", "best_x", "energy", "best_energy",
+                "converged_at", "clamps", "t", "cursor")
+
+
+class TestKernel:
+    """The compiled kernel against `_advance`, the reference it mirrors."""
+
+    @pytest.mark.filterwarnings("ignore:.*outside the tunable window")
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["nod2d", "d2d"])
+    @pytest.mark.parametrize("activation", ["device", "logistic"])
+    @pytest.mark.parametrize("scheme", ["ideal", "fixed-input", "monitored"])
+    def test_every_run_field_matches_reference(self, scheme, activation, calibrated,
+                                               ref_surface, monkeypatch):
+        _kernel_or_skip()
+        # 20k iterations cross two 8192-draw blocks; the first instance meets
+        # its threshold (0.9 * 20, a whole number, so `>=` is tested at
+        # equality) early, the second never does
+        instances = (
+            replace(generate_instance(40, 4.0, seed=41), best_known=20),
+            replace(generate_instance(30, 4.0, weight_set=(-3, 2), seed=43), best_known=10**6),
+        )
+        for inst in instances:
+            for stop in (False, True):
+                for stride in (1, 7):
+                    cfg = BoltzmannConfig(
+                        max_iters=20_000, seed=5, drift=_PINNED_DRIFT, scheme=scheme,
+                        activation=activation, d2d_cv=0.1 if calibrated else 0.0,
+                        calibrate=calibrated, stop_on_convergence=stop,
+                        energy_stride=stride,
+                    )
+                    fast = run(inst, cfg, ref_surface)
+                    with monkeypatch.context() as m:
+                        m.setattr(sampler, "load_kernel", lambda: None)
+                        ref = run(inst, cfg, ref_surface)
+                    assert (fast.kernel, ref.kernel) == ("c", "python")
+                    _assert_traces_equal(ref, fast)
+
+    @pytest.mark.parametrize("scheme", ["ideal", "fixed-input", "monitored"])
+    def test_state_matches_reference_mid_block(self, scheme, ref_surface):
+        kernel = _kernel_or_skip()
+        inst = replace(generate_instance(30, 4.0, weight_set=(-3, 2), seed=43), best_known=28)
+        # a gentle drift keeps HRS off the window ends, so its last bits stay
+        # visible instead of being reset by a clamp
+        cfg = BoltzmannConfig(seed=8, drift=DriftModel(m_hrs=0.01, s_rw=0.5), scheme=scheme,
+                              d2d_cv=0.1, energy_stride=3)
+        ref = make_state(inst, cfg, ref_surface)
+        fast = make_state(inst, cfg, ref_surface)
+        for state in (ref, fast):
+            for _ in range(100):
+                step(state)
+        recorded = list(fast.trace)
+        sampler._advance(ref, 20_000)
+        recorded += sampler._advance_kernel(kernel, fast, 20_000).tolist()
+        for name in _STATE_SLOTS:
+            assert getattr(ref, name) == getattr(fast, name), name
+        assert ref.trace == recorded
+        # the reference carries on from the state the kernel wrote back
+        sampler._advance(ref, 5_000)
+        sampler._advance(fast, 5_000)
+        for name in _STATE_SLOTS:
+            assert getattr(ref, name) == getattr(fast, name), name
+
+    def test_weight_beyond_53_bits_takes_reference_path(self, ref_surface, ref_drift,
+                                                        monkeypatch):
+        inst = MaxCutInstance(n=4, edges=((0, 1, 2**60), (1, 2, -1), (2, 3, 1)), best_known=1)
+        assert not sampler._fits_in_53_bits(sampler.build_form(inst))
+        cfg = BoltzmannConfig(max_iters=3000, seed=2, drift=ref_drift, scheme="fixed-input")
+        got = run(inst, cfg, ref_surface)
+        monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+        ref = run(inst, cfg, ref_surface)
+        assert got.kernel == ref.kernel == "python"
+        _assert_traces_equal(ref, got)
+        assert got.best_cut == 2**60 + 1
+
+
+class TestKernelLoader:
+    @pytest.fixture(autouse=True)
+    def fresh_loader(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(sampler, "_kernel", None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+    def test_compiles_into_private_cache(self, tmp_path):
+        _kernel_or_skip()
+        cache = tmp_path / "cache" / "stochanneal"
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        built = sorted(os.listdir(cache))
+        assert len(built) == 1 and built[0].startswith("_kernel-") and built[0].endswith(".so")
+        sampler._kernel = None
+        assert sampler.load_kernel() is not None
+        assert sorted(os.listdir(cache)) == built
+
+    def test_unsafe_cache_dir_uses_temp_dir(self, tmp_path, caplog):
+        cache = tmp_path / "cache" / "stochanneal"
+        cache.mkdir(parents=True)
+        cache.chmod(0o755)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+            _kernel_or_skip()
+        assert "not a directory of mode 0700" in caplog.text
+        assert os.listdir(cache) == []
+
+    def test_no_compiler_falls_back_and_logs_once(self, k3, ref_surface, ref_drift,
+                                                  monkeypatch, caplog):
+        monkeypatch.setattr(sampler.shutil, "which", lambda name: None)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+            assert sampler.load_kernel() is None
+            trace = run(k3, BoltzmannConfig(max_iters=50, drift=ref_drift), ref_surface)
+        assert trace.kernel == "python"
+        assert [r.getMessage() for r in caplog.records] == [
+            "compiled sampling kernel unavailable, using the Python loop: "
+            "no C compiler `cc` on PATH"
+        ]
+
+    def test_compile_error_falls_back(self, tmp_path, monkeypatch, caplog):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        bad = tmp_path / "_kernel.c"
+        bad.write_text("this is not C\n")
+        monkeypatch.setattr(sampler, "_KERNEL_SOURCE", bad)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+            assert sampler.load_kernel() is None
+        assert "exited with" in caplog.text
+        assert os.listdir(tmp_path / "cache" / "stochanneal") == []
+
+    def test_failed_self_check_falls_back(self, monkeypatch, caplog):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        erf = math.erf
+        monkeypatch.setattr(math, "erf", lambda z: erf(z) + 1e-12)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+            assert sampler.load_kernel() is None
+        assert "self-check failed: C erf" in caplog.text
+
 
 class TestGibbsConsistency:
     def test_logistic_activation_small_instance(self, ref_surface, ref_drift):
@@ -371,6 +538,11 @@ class TestConfigValidation:
     def test_gain_positive(self):
         with pytest.raises(ValueError):
             BoltzmannConfig(gain=0.0)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_energy_stride_positive(self, stride):
+        with pytest.raises(ValueError, match="energy_stride"):
+            BoltzmannConfig(energy_stride=stride)
 
     def test_voltage_window_inside_surface(self, ref_surface):
         cfg = BoltzmannConfig(v_min=1.0, v_center=1.8, v_max=2.2)
