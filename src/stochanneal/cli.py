@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 usage, 3 input error, 4 runtime error.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import functools
 import os
@@ -104,11 +105,6 @@ def handle_errors(module_on_input: str):
     return decorate
 
 
-def _config_dict(cfg: BoltzmannConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    return d
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -180,7 +176,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
                     fh.write(f"{t.run_index},{(k + 1) * t.stride},{e}\n")
     write_manifest(
         out_path + ".manifest.json", "solve",
-        {**_config_dict(cfg), "instance": str(instance_path)},
+        {**dataclasses.asdict(cfg), "instance": str(instance_path)},
         seed, params_path, kernel=",".join(sorted({t.kernel for t in traces})),
     )
     click.echo(f"best cut {summary.best_cut_max} over {summary.runs} runs -> {out_path}")
@@ -207,10 +203,8 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
     click.echo(f"seed = {seed}")
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, jobs=jobs)
     ladder = build_size_ladder(size_list, cfg, surface, avg_degree=degree, seed=seed)
-    import csv as _csv
-
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scheme", "m_hrs", "size", "t_conv_median", "t_meaningful",
                     "solvable", "max_solvable"])
         for m in m_list:
@@ -255,10 +249,8 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
     inst = generate_instance(nodes, degree, seed=seed)
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, drift=drift, jobs=jobs)
     result = d2d_experiment(inst, cv_list, cfg, surface)
-    import csv as _csv
-
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["cv", "error_uncalibrated", "error_calibrated",
                     "spread_uncalibrated", "spread_calibrated", "calib_failures",
                     "settling_uncalibrated", "settling_calibrated", "settling_ideal"])

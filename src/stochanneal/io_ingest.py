@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import platform
 import warnings
 from dataclasses import dataclass, field
@@ -94,8 +95,6 @@ def serialize_rudy(inst: MaxCutInstance) -> str:
 def read_instance(path, name: Optional[str] = None) -> MaxCutInstance:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    import os
-
     return parse_rudy(text, name=name or os.path.splitext(os.path.basename(path))[0])
 
 
@@ -134,6 +133,9 @@ def read_measurements(path) -> np.ndarray:
 
 # -- generation ------------------------------------------------------------------
 
+# uniform draws per block of rows in generate_instance (8 MiB of doubles)
+_GEN_BLOCK = 1 << 20
+
 
 def generate_instance(
     n: int,
@@ -144,7 +146,13 @@ def generate_instance(
 ) -> MaxCutInstance:
     """Erdos-Renyi instance: edge probability avg_degree/(n-1), seeded.
 
-    Zeros in weight_set are treated as absent edges and ignored.
+    Node pairs (i, j), i < j, are visited in row-major upper-triangle order
+    (the order of `np.triu_indices(n, k=1)`): one uniform draw per pair
+    decides the edge, then one `integers` call picks every edge's weight.
+    The draws are taken in blocks of whole rows, which yields the same
+    stream as drawing them all at once, so memory is O(block + n + m)
+    rather than O(n^2). Zeros in weight_set are treated as absent edges
+    and ignored.
     """
     if n < 2:
         raise InvalidDegree(f"need n >= 2, got {n}")
@@ -155,14 +163,26 @@ def generate_instance(
         raise ValueError("weight_set must contain a nonzero weight")
     p = avg_degree / (n - 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < p
-    wi = rng.integers(0, len(weights), size=int(mask.sum()))
-    table = np.array(weights, dtype=np.int64)
-    edges = tuple(
-        (int(a), int(b), int(table[k]))
-        for a, b, k in zip(iu[mask], ju[mask], wi)
-    )
+    # row_start[i]: flat index of pair (i, i+1); row_start[n-1] = n(n-1)/2
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (2 * n - rows - 1) // 2
+    heads, tails = [], []
+    i = 0
+    while i < n - 1:
+        # whole rows i..e-1, at least one, within one block of draws
+        e = int(np.searchsorted(row_start, row_start[i] + _GEN_BLOCK, side="right")) - 1
+        e = max(e, i + 1)
+        starts = row_start[i:e] - row_start[i]
+        hits = np.flatnonzero(rng.random(int(row_start[e] - row_start[i])) < p)
+        r = np.searchsorted(starts, hits, side="right") - 1
+        heads.append(i + r)
+        tails.append(i + 1 + r + (hits - starts[r]))
+        i = e
+    a = np.concatenate(heads)
+    b = np.concatenate(tails)
+    wi = rng.integers(0, len(weights), size=a.size)
+    w = np.array(weights, dtype=np.int64)[wi]
+    edges = tuple(zip(a.tolist(), b.tolist(), w.tolist()))
     return MaxCutInstance(
         n=n,
         edges=edges,

@@ -590,7 +590,9 @@ def make_state(
                 "calibrated-spread statistic"
             )
     else:
-        spread_pop = [float(surface.eval_mu(cfg.v_center, hrs[i])) + offs[i] for i in range(n)]
+        # every device sits at the nominal HRS
+        mu0 = float(surface.eval_mu(cfg.v_center, nominal))
+        spread_pop = [mu0 + o for o in offs]
     mu_eff_spread = float(np.std(spread_pop)) if len(spread_pop) > 1 else 0.0
 
     t_pw = cfg.t_pw if cfg.t_pw is not None else surface.center_pulse_width(cfg.v_center, nominal)

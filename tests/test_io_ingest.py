@@ -1,9 +1,15 @@
+import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stochanneal
+from stochanneal import io_ingest
 from stochanneal.errors import (
     DuplicateEdge,
     InvalidDegree,
@@ -106,6 +112,75 @@ class TestGenerateInstance:
             generate_instance(10, 10.0)
         with pytest.raises(InvalidDegree):
             generate_instance(1, 0.5)
+
+
+def _dense_generate_instance(n, avg_degree, weight_set=(-1, 1), seed=0, name=None):
+    """Reference: one uniform per pair of the full np.triu_indices(n, k=1)."""
+    weights = sorted({int(w) for w in weight_set} - {0})
+    p = avg_degree / (n - 1)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < p
+    wi = rng.integers(0, len(weights), size=int(mask.sum()))
+    table = np.array(weights, dtype=np.int64)
+    edges = tuple(
+        (int(a), int(b), int(table[k]))
+        for a, b, k in zip(iu[mask], ju[mask], wi)
+    )
+    return MaxCutInstance(
+        n=n, edges=edges, name=name or f"rand_n{n}_d{avg_degree:g}_s{seed}"
+    )
+
+
+class TestBlockedGeneration:
+    @pytest.mark.parametrize("block", [None, 5])
+    @pytest.mark.parametrize("n", [2, 3, 7, 125, 2000])
+    def test_matches_dense_draw(self, n, block, monkeypatch):
+        if block is not None:
+            # blocks end mid-triangle, and rows longer than a block stand alone
+            monkeypatch.setattr(io_ingest, "_GEN_BLOCK", block)
+        degrees = {0.5, min(4.0, n - 1)}
+        if n <= 125:
+            # near-complete and complete graphs
+            degrees |= {0.98 * (n - 1), float(n - 1)}
+        else:
+            degrees.add(12.0)
+        for degree, wset, seed in itertools.product(
+            sorted(degrees), [(-1, 1), (1,), (-3, 0, 2)], [0, 1, 17]
+        ):
+            got = generate_instance(n, degree, weight_set=wset, seed=seed)
+            want = _dense_generate_instance(n, degree, weight_set=wset, seed=seed)
+            assert got.name == want.name
+            assert got.edges == want.edges, (n, degree, wset, seed)
+
+    def test_pinned_file_digest(self):
+        # digest of the file written by the whole-triangle draw
+        text = serialize_rudy(generate_instance(2000, 4.0, seed=1))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "29ce49af45ec101fa76f3e2152de045a80783e080e18fb6849cf25ed4caf9198"
+        )
+
+    def test_gen_in_bounded_address_space(self, tmp_path):
+        resource = pytest.importorskip("resource")
+        limit = 512 * 1024 * 1024
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        out = tmp_path / "g.rudy"
+        src = os.path.dirname(os.path.dirname(stochanneal.__file__))
+        # BLAS thread buffers would count against the cap on many-core hosts
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        code = (
+            "from stochanneal import cli; "
+            f"cli.main(['gen', '--nodes', '20000', '--seed', '1', '--out', {str(out)!r}])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, preexec_fn=cap,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert f"wrote {out} (20000 nodes," in proc.stdout
 
 
 class TestBruteForce:
