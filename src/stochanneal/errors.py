@@ -55,7 +55,8 @@ class SelfLoop(Malformed):
 
 
 class TooLarge(StochAnnealError, ValueError):
-    """Instance too big for exhaustive enumeration."""
+    """Instance too big: for exhaustive enumeration, or with edge weights
+    that put a b_i or W_B entry of its Boltzmann form outside int64."""
 
 
 class InvalidDegree(StochAnnealError, ValueError):

@@ -15,12 +15,20 @@ bookkeeping never sees float drift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateEdge, IndexOutOfRange, SelfLoop
+from .errors import DimensionMismatch, DuplicateEdge, IndexOutOfRange, SelfLoop, TooLarge
+
+# local fields and energies below this are exact as doubles, so int64 and
+# Python ints agree, and so does every int/float comparison
+_EXACT_INT_LIMIT = 2 ** 53
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+# the edge weights w for which W_B = -2 w fits in int64
+_W_MIN, _W_MAX = -(2 ** 62 - 1), 2 ** 62
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,11 @@ class MaxCutInstance:
     def m(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
+    def form(self) -> "BoltzmannForm":
+        """The instance's Boltzmann form, built on first use and freed with it."""
+        return build_form(self)
+
 
 @dataclass(frozen=True)
 class BoltzmannForm:
@@ -71,30 +84,56 @@ class BoltzmannForm:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
+    @functools.cached_property
+    def fits_in_53_bits(self) -> bool:
+        """Whether every local field and energy is below 2**53 in magnitude.
+
+        Only then do `init_fields`, `energy` and the compiled sampling kernel
+        compute in int64: the sums stay exact, and so do doubles of them.
+        """
+        total = sum(map(abs, self.b.tolist())) + sum(map(abs, self.weights.tolist()))
+        return total < _EXACT_INT_LIMIT
+
 
 def build_form(inst: MaxCutInstance) -> BoltzmannForm:
-    """Assemble b_i = -sum_j w_ij and W_B_ij = -2 w_ij from the edge list."""
-    n = inst.n
-    b = np.zeros(n, dtype=np.int64)
-    deg = np.zeros(n, dtype=np.int64)
-    for i, j, w in inst.edges:
-        b[i] -= w
-        b[j] -= w
-        deg[i] += 1
-        deg[j] += 1
+    """Assemble b_i = -sum_j w_ij and W_B_ij = -2 w_ij from the edge list.
+
+    Row i of the CSR lists the neighbours of i in increasing order. The
+    arrays are read-only. Raises TooLarge when a b_i or a W_B_ij would not
+    fit in int64.
+    """
+    n, m = inst.n, inst.m
+    try:
+        edges = np.array(inst.edges, dtype=np.int64).reshape(m, 3)
+    except OverflowError:
+        raise TooLarge("an edge weight does not fit in int64") from None
+    w = edges[:, 2]
+    if m and not (_W_MIN <= int(w.min()) and int(w.max()) <= _W_MAX):
+        raise TooLarge(f"an edge weight outside [{_W_MIN}, {_W_MAX}]: -2 w does not fit in int64")
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    w2 = np.concatenate([w, w])
+    deg = np.bincount(src, minlength=n)
+    if int(deg.max(initial=0)) * int(np.abs(w).max(initial=0)) <= _INT64_MAX:
+        b = np.zeros(n, dtype=np.int64)
+        np.subtract.at(b, src, w2)
+    else:
+        # the partial sums at a node could leave int64: add exact ints instead
+        acc = [0] * n
+        for i, j, wij in inst.edges:
+            acc[i] -= wij
+            acc[j] -= wij
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in acc):
+            raise TooLarge("a node's summed edge weight does not fit in int64")
+        b = np.array(acc, dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
-    indices = np.zeros(inst.m * 2, dtype=np.int64)
-    weights = np.zeros(inst.m * 2, dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for i, j, w in inst.edges:
-        indices[cursor[i]] = j
-        weights[cursor[i]] = -2 * w
-        cursor[i] += 1
-        indices[cursor[j]] = i
-        weights[cursor[j]] = -2 * w
-        cursor[j] += 1
-    total = int(sum(w for _, _, w in inst.edges))
+    order = np.lexsort((dst, src))
+    indices = dst[order]
+    weights = -2 * w2[order]
+    for a in (b, indptr, indices, weights):
+        a.flags.writeable = False
+    total = int(sum(wij for _, _, wij in inst.edges))
     return BoltzmannForm(n=n, b=b, indptr=indptr, indices=indices, weights=weights,
                          total_weight=total)
 
@@ -110,9 +149,21 @@ def cut_value(inst: MaxCutInstance, x: Sequence[int]) -> int:
     return sum(w for i, j, w in inst.edges if x[i] != x[j])
 
 
+def _field_sums(form: BoltzmannForm, x: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(x != 0, W_B.x) in int64; the caller checks `form.fits_in_53_bits`."""
+    on = np.asarray(x) != 0
+    csum = np.zeros(form.indices.size + 1, dtype=np.int64)
+    np.cumsum(np.where(on[form.indices], form.weights, 0), out=csum[1:])
+    return on, csum[form.indptr[1:]] - csum[form.indptr[:-1]]
+
+
 def energy(form: BoltzmannForm, x: Sequence[int]) -> int:
     """E(x) = b.x - 1/2 x.W_B.x, exact integer arithmetic."""
     _check_x(form.n, x)
+    if form.fits_in_53_bits:
+        on, wx = _field_sums(form, x)
+        # every W_B entry is even, so the quadratic term halves exactly
+        return int(form.b[on].sum()) - int(wx[on].sum()) // 2
     e = 0
     b = form.b
     indptr, indices, weights = form.indptr, form.indices, form.weights
@@ -144,6 +195,8 @@ def local_field(form: BoltzmannForm, x: Sequence[int], i: int) -> int:
 def init_fields(form: BoltzmannForm, x: Sequence[int]) -> list[int]:
     """All local fields for configuration x (scratch O(n + E) build)."""
     _check_x(form.n, x)
+    if form.fits_in_53_bits:
+        return (_field_sums(form, x)[1] - form.b).tolist()
     u = [-int(bi) for bi in form.b]
     indptr, indices, weights = form.indptr, form.indices, form.weights
     for j in range(form.n):

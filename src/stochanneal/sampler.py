@@ -27,7 +27,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,9 +36,10 @@ import numpy as np
 
 from .device import SCHEME_FIXED, SCHEME_IDEAL, SCHEME_MONITORED, SCHEMES, DriftModel
 from .errors import MissingBestKnown, NonMonotone, Unattainable
-from .maxcut import BoltzmannForm, MaxCutInstance, build_form, init_fields
+from .maxcut import MaxCutInstance, init_fields
+from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
 from .maxcut import energy as energy_of
-from .surface import DeviceSurface
+from .surface import DeviceSurface, poly6
 
 log = logging.getLogger(__name__)
 
@@ -322,9 +322,6 @@ def _advance(state: RunState, steps: int) -> int:
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 60
-# local fields and energies below this are exact as doubles, so int64 and
-# Python ints agree, and so does every int/float comparison
-_EXACT_INT_LIMIT = 2 ** 53
 _P = ctypes.c_void_p
 _KERNEL_ARGTYPES = (ctypes.c_int64, _P, _P, _P, ctypes.c_int64) + (_P,) * 14
 # the self-check grid: erf over the range the device activation reaches,
@@ -426,19 +423,13 @@ def _compile_and_load(cc: str, source: bytes, so: Path):
     return ctypes.CDLL(str(so))
 
 
-def _fits_in_53_bits(form: BoltzmannForm) -> bool:
-    """Whether every local field and energy of the instance is below 2**53."""
-    total = sum(map(abs, form.b.tolist())) + sum(map(abs, form.weights.tolist()))
-    return total < _EXACT_INT_LIMIT
-
-
 def _advance_kernel(kernel, state: RunState, steps: int) -> np.ndarray:
     """`_advance(state, steps)` run by the compiled kernel, with equal results.
 
     It consumes the same pre-drawn blocks. The state's lists become flat
     arrays for the call and are written back at the end. The energies it
     records are returned as an int64 array instead of being appended to
-    `state.trace`. The caller checks `_fits_in_53_bits` first.
+    `state.trace`. The caller checks the form's `fits_in_53_bits` first.
     """
     x = np.array(state.x, dtype=np.int8)
     best_x = np.array(state.best_x, dtype=np.int8)
@@ -518,7 +509,6 @@ def make_state(
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
     run_index: int = 0,
-    form: Optional[BoltzmannForm] = None,
 ) -> RunState:
     """Build the initial RunState for (instance, config, surface, run_index)."""
     if inst.n < 1:
@@ -528,8 +518,7 @@ def make_state(
             f"voltage window [{cfg.v_min}, {cfg.v_max}] escapes the fitted "
             f"surface range {surface.v_range}"
         )
-    if form is None:
-        form = build_form(inst)
+    form = inst.form
     n = inst.n
     root = np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))
     ss_init, ss_dev, ss_cal, ss_loop, ss_scheme = root.spawn(5)
@@ -545,54 +534,43 @@ def make_state(
     nominal = surface.clamp_hrs(nominal)
     rng_dev = np.random.default_rng(ss_dev)
     if cfg.d2d_cv > 0:
-        offs = (rng_dev.standard_normal(n) * (cfg.d2d_cv * abs(cfg.mu_target))).tolist()
+        offs = rng_dev.standard_normal(n) * (cfg.d2d_cv * abs(cfg.mu_target))
     else:
-        offs = [0.0] * n
+        offs = np.zeros(n)
 
-    hrs = [nominal] * n
-    targets = [nominal] * n
     clamps = 0
     calib_failures = 0
     if cfg.calibrate:
         rng_cal = np.random.default_rng(ss_cal)
         jitter = rng_cal.uniform(-cfg.calibration_precision, cfg.calibration_precision, n)
-        calibrated_mu = []
-        for i in range(n):
-            want = cfg.mu_target - offs[i]
-            try:
-                r_star = surface.hrs_for_mu(want, cfg.v_center)
-                ok = True
-            except Unattainable:
-                # best effort: park at the window end whose mu is closest
-                lo_mu = float(surface.eval_mu(cfg.v_center, surface.r_range[0]))
-                hi_mu = float(surface.eval_mu(cfg.v_center, surface.r_range[1]))
-                r_star = (
-                    surface.r_range[0]
-                    if abs(lo_mu - want) <= abs(hi_mu - want)
-                    else surface.r_range[1]
-                )
-                calib_failures += 1
-                ok = False
-            realized = r_star * (1.0 + jitter[i])
-            clamped = surface.clamp_hrs(realized)
-            if clamped != realized:
-                clamps += 1
-            hrs[i] = targets[i] = clamped
-            if ok:
-                calibrated_mu.append(float(surface.eval_mu(cfg.v_center, clamped)) + offs[i])
-        spread_pop = calibrated_mu if calibrated_mu else [
-            float(surface.eval_mu(cfg.v_center, hrs[i])) + offs[i] for i in range(n)
-        ]
+        want = cfg.mu_target - offs
+        r_star = surface.hrs_for_mu(want, cfg.v_center)
+        missed = np.isnan(r_star)
+        calib_failures = int(missed.sum())
         if calib_failures:
-            warnings.warn(
-                f"{calib_failures}/{n} devices have offsets outside the tunable "
-                "window; parked at the nearest HRS bound and excluded from the "
-                "calibrated-spread statistic"
-            )
+            # best effort: park at the window end whose mu is closest
+            r_lo, r_hi = surface.r_range
+            lo_mu = float(surface.eval_mu(cfg.v_center, r_lo))
+            hi_mu = float(surface.eval_mu(cfg.v_center, r_hi))
+            park = np.where(np.abs(lo_mu - want) <= np.abs(hi_mu - want), r_lo, r_hi)
+            r_star = np.where(missed, park, r_star)
+            log.info("%d/%d devices have offsets outside the tunable window; parked at the "
+                     "nearest HRS bound and excluded from the calibrated-spread statistic",
+                     calib_failures, n)
+        realized = r_star * (1.0 + jitter)
+        clamped = np.clip(realized, *surface.r_range)
+        clamps = int((clamped != realized).sum())
+        # the calibrated devices, or all of them when none calibrated
+        pop = ~missed if calib_failures < n else np.ones(n, dtype=bool)
+        spread_pop = poly6(surface.mu_coeffs, cfg.v_center, clamped[pop]) + offs[pop]
+        hrs = clamped.tolist()
+        targets = clamped.tolist()
     else:
         # every device sits at the nominal HRS
         mu0 = float(surface.eval_mu(cfg.v_center, nominal))
-        spread_pop = [mu0 + o for o in offs]
+        spread_pop = mu0 + offs
+        hrs = [nominal] * n
+        targets = [nominal] * n
     mu_eff_spread = float(np.std(spread_pop)) if len(spread_pop) > 1 else 0.0
 
     t_pw = cfg.t_pw if cfg.t_pw is not None else surface.center_pulse_width(cfg.v_center, nominal)
@@ -609,7 +587,7 @@ def make_state(
     st.indices = form.indices.tolist()
     st.wts = form.weights.tolist()
     st.hrs = hrs
-    st.offs = offs
+    st.offs = offs.tolist()
     st.targets = targets
     st.cyc = [0] * n
     st.clamps = clamps
@@ -668,10 +646,9 @@ def run(
     The compiled kernel runs the loop when it loads and the instance's fields
     fit in 53 bits; `_advance` runs it otherwise. Results are the same.
     """
-    form = build_form(inst)
-    state = make_state(inst, cfg, surface, run_index, form)
+    state = make_state(inst, cfg, surface, run_index)
     kernel = None
-    if _fits_in_53_bits(form):
+    if inst.form.fits_in_53_bits:
         kernel = load_kernel()
     else:
         log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)

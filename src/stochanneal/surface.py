@@ -106,12 +106,17 @@ class DeviceSurface:
 
     # -- inverse ------------------------------------------------------------
 
-    def hrs_for_mu(self, mu_target: float, v_ref: float, tol: float = HRS_SOLVE_TOL) -> float:
+    def hrs_for_mu(self, mu_target, v_ref: float, tol: float = HRS_SOLVE_TOL):
         """Solve eval_mu(v_ref, r) == mu_target for r by bisection.
 
         mu(v_ref, .) is a quadratic in r; it must be monotone over r_range
         (NonMonotone otherwise) and bracket the target (Unattainable
         otherwise). Converges to |mu - mu_target| <= tol decades.
+
+        mu_target may be an array: one bisection then solves every target
+        and returns an array of roots, NaN where a target is unattainable
+        instead of raising. Each root equals, bit for bit, what a scalar call
+        returns; a scalar target gives a Python float.
         """
         r_lo, r_hi = self.r_range
         self.check_domain(v_ref, r_lo)
@@ -123,29 +128,42 @@ class DeviceSurface:
             raise NonMonotone(
                 f"mu(v={v_ref}, .) is not monotone over r_range={self.r_range}"
             )
-        f_lo = poly6(self.mu_coeffs, v_ref, r_lo) - mu_target
-        f_hi = poly6(self.mu_coeffs, v_ref, r_hi) - mu_target
-        if f_lo == 0.0:
-            return r_lo
-        if f_hi == 0.0:
-            return r_hi
-        if f_lo * f_hi > 0:
+        target = np.asarray(mu_target, dtype=float)
+        shape = target.shape
+        f_lo = poly6(self.mu_coeffs, v_ref, r_lo) - target
+        f_hi = poly6(self.mu_coeffs, v_ref, r_hi) - target
+        at_lo = f_lo == 0.0
+        at_hi = ~at_lo & (f_hi == 0.0)
+        missed = ~at_lo & ~at_hi & (f_lo * f_hi > 0)
+        if not shape and missed:
+            f_lo, f_hi = float(f_lo), float(f_hi)
             raise Unattainable(
                 f"mu_target={mu_target} not reachable at v={v_ref}: "
                 f"mu spans [{min(f_lo, f_hi) + mu_target:.4f}, "
                 f"{max(f_lo, f_hi) + mu_target:.4f}] over r_range={self.r_range}"
             )
-        lo, hi = r_lo, r_hi
+        roots = np.where(at_lo, r_lo, np.where(at_hi, r_hi, np.nan)).ravel()
+        # the targets still bisecting, with their brackets
+        idx = np.flatnonzero(~(at_lo | at_hi | missed))
+        target, f_lo = target.ravel()[idx], f_lo.ravel()[idx]
+        lo, hi = np.full(idx.size, r_lo), np.full(idx.size, r_hi)
         for _ in range(200):
+            if not idx.size:
+                break
             mid = 0.5 * (lo + hi)
-            f_mid = poly6(self.mu_coeffs, v_ref, mid) - mu_target
-            if abs(f_mid) <= tol:
-                return mid
-            if f_lo * f_mid <= 0:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-        return 0.5 * (lo + hi)
+            f_mid = poly6(self.mu_coeffs, v_ref, mid) - target
+            done = np.abs(f_mid) <= tol
+            if np.count_nonzero(done):
+                roots[idx[done]] = mid[done]
+                go = ~done
+                idx, target, f_lo, lo, hi, mid, f_mid = (
+                    a[go] for a in (idx, target, f_lo, lo, hi, mid, f_mid))
+            left = f_lo * f_mid <= 0
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            f_lo = np.where(left, f_lo, f_mid)
+        roots[idx] = 0.5 * (lo + hi)
+        return roots.reshape(shape) if shape else float(roots[0])
 
     # -- audits ---------------------------------------------------------------
 

@@ -52,6 +52,14 @@ class TestSolve:
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
 
+    def test_weights_beyond_int64_exit_3(self, runner, tmp_path):
+        # b_0 = -3 * 2**62 does not fit in int64
+        inst = tmp_path / "big.rudy"
+        inst.write_text(f"4 3\n1 2 {2**62}\n1 3 {2**62}\n1 4 {2**62}\n")
+        r = runner.invoke(main, ["solve", "--instance", str(inst), "--iters", "10",
+                                 "--out", str(tmp_path / "o.csv")])
+        assert r.exit_code == 3, r.output
+
     def test_missing_instance_exits_3(self, runner, tmp_path):
         r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "nope.rudy"),
                                  "--out", str(tmp_path / "o.csv")])

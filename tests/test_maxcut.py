@@ -1,15 +1,22 @@
+import gc
 import itertools
+import warnings
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochanneal import maxcut, sampler
 from stochanneal.errors import (
     DimensionMismatch,
     DuplicateEdge,
     IndexOutOfRange,
     SelfLoop,
+    TooLarge,
 )
+from stochanneal.io_ingest import generate_instance
 from stochanneal.maxcut import (
     MaxCutInstance,
     build_form,
@@ -200,3 +207,164 @@ def test_energy_identity_property(inst, pyrandom):
     x = [pyrandom.randint(0, 1) for _ in range(inst.n)]
     assert energy(form, x) == -cut_value(inst, x)
     assert cut_value(inst, x) == cut_value(inst, [1 - b for b in x])
+
+
+# -- the vectorized form against the loops it replaced ---------------------------
+
+
+def loop_build_form(inst):
+    """The edge-by-edge assembly `build_form` used before it was vectorized."""
+    n = inst.n
+    b = np.zeros(n, dtype=np.int64)
+    deg = np.zeros(n, dtype=np.int64)
+    for i, j, w in inst.edges:
+        b[i] -= w
+        b[j] -= w
+        deg[i] += 1
+        deg[j] += 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=indptr[1:])
+    indices = np.zeros(inst.m * 2, dtype=np.int64)
+    weights = np.zeros(inst.m * 2, dtype=np.int64)
+    cursor = indptr[:-1].copy()
+    for i, j, w in inst.edges:
+        indices[cursor[i]] = j
+        weights[cursor[i]] = -2 * w
+        cursor[i] += 1
+        indices[cursor[j]] = i
+        weights[cursor[j]] = -2 * w
+        cursor[j] += 1
+    return b, indptr, indices, weights
+
+
+def loop_init_fields(form, x):
+    u = [-int(bi) for bi in form.b]
+    for j in range(form.n):
+        if x[j]:
+            for k in range(form.indptr[j], form.indptr[j + 1]):
+                u[form.indices[k]] += int(form.weights[k])
+    return u
+
+
+def loop_energy(form, x):
+    e = 0
+    for i in range(form.n):
+        if x[i]:
+            acc = 0
+            for k in range(form.indptr[i], form.indptr[i + 1]):
+                if x[form.indices[k]]:
+                    acc += int(form.weights[k])
+            e += int(form.b[i]) - acc // 2
+    return e
+
+
+BIG = MaxCutInstance(n=4, edges=((0, 1, 2**60), (1, 2, -1), (2, 3, 1)), best_known=1)
+
+
+def vector_cases():
+    rng = np.random.default_rng(7)
+    yield MaxCutInstance(n=0, edges=())
+    yield MaxCutInstance(n=1, edges=())
+    yield MaxCutInstance(n=5, edges=())
+    # isolated nodes at both ends and in the middle
+    yield MaxCutInstance(n=8, edges=((1, 2, 3), (2, 5, -4), (1, 5, 1)))
+    yield MaxCutInstance(n=4, edges=((3, 0, -2), (2, 1, -7)))
+    for _ in range(15):
+        yield random_instance(rng, n=int(rng.integers(2, 30)), p=0.3, wmax=9)
+    yield generate_instance(60, 5.0, weight_set=(-3, 2), seed=3)
+    yield generate_instance(200, 4.0, seed=9)
+    yield BIG
+
+
+class TestVectorizedForm:
+    @pytest.mark.parametrize("inst", list(vector_cases()), ids=lambda i: f"n{i.n}m{i.m}")
+    def test_csr_equals_loop(self, inst):
+        form = build_form(inst)
+        for got, want in zip((form.b, form.indptr, form.indices, form.weights),
+                             loop_build_form(inst)):
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert form.n == inst.n
+        assert form.total_weight == sum(w for _, _, w in inst.edges)
+
+    @pytest.mark.parametrize("inst", list(vector_cases()), ids=lambda i: f"n{i.n}m{i.m}")
+    def test_fields_and_energy_equal_loops(self, inst):
+        form = build_form(inst)
+        rng = np.random.default_rng(inst.n)
+        xs = [[0] * inst.n, [1] * inst.n] + [rng.integers(0, 2, inst.n).tolist()
+                                             for _ in range(5)]
+        for x in xs:
+            u = init_fields(form, x)
+            assert u == loop_init_fields(form, x)
+            assert all(type(v) is int for v in u)
+            e = energy(form, x)
+            assert type(e) is int and e == loop_energy(form, x)
+
+    def test_big_weights_stay_exact(self):
+        form = build_form(BIG)
+        assert not form.fits_in_53_bits
+        x = [1, 0, 0, 1]
+        assert energy(form, x) == -cut_value(BIG, x) == -(2**60 + 1)
+        assert init_fields(form, x) == loop_init_fields(form, x)
+
+
+class TestFormOverflow:
+    def test_wrapping_b_raises(self):
+        # b_0 = -3 * 2**62 is below int64; int64 sums would wrap it to +2**62
+        inst = MaxCutInstance(n=4, edges=((0, 1, 2**62), (0, 2, 2**62), (0, 3, 2**62)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge):
+                build_form(inst)
+
+    @pytest.mark.parametrize("w", [2**62 + 1, -(2**62), 2**63, -(2**70)])
+    def test_weight_beyond_int64_raises(self, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLarge):
+                build_form(MaxCutInstance(n=2, edges=((0, 1, w),)))
+
+    @pytest.mark.parametrize("w", [2**62, -(2**62 - 1)])
+    def test_extreme_weights_that_fit(self, w):
+        form = build_form(MaxCutInstance(n=2, edges=((0, 1, w),)))
+        assert form.b.tolist() == [-w, -w]
+        assert form.weights.tolist() == [-2 * w, -2 * w]
+
+    def test_large_partial_sums_that_fit(self):
+        # 3 * 2**62 bounds node 0's partial sums, but its b_0 fits in int64
+        inst = MaxCutInstance(n=4, edges=((0, 1, 2**62), (0, 2, 2**62), (0, 3, 1 - 2**62)))
+        form = build_form(inst)
+        assert form.b.tolist() == [-(2**62) - 1, -(2**62), -(2**62), 2**62 - 1]
+        assert form.weights.tolist() == [-(2**63), -(2**63), 2**63 - 2] + [-(2**63)] * 2 + [2**63 - 2]
+
+
+class TestFormCache:
+    def test_ensemble_builds_the_form_once(self, k3, ref_surface, monkeypatch):
+        calls = []
+
+        def counted(inst):
+            calls.append(inst)
+            return build_form(inst)
+
+        monkeypatch.setattr(maxcut, "build_form", counted)
+        cfg = sampler.BoltzmannConfig(max_iters=200, runs=10, seed=3)
+        traces, _ = sampler.ensemble(k3, cfg, ref_surface)
+        assert len(traces) == 10
+        assert calls == [k3]
+        assert k3.form is k3.form
+
+    def test_cached_arrays_reject_writes(self, k3):
+        form = k3.form
+        for a in (form.b, form.indptr, form.indices, form.weights):
+            with pytest.raises(ValueError):
+                a[0] = 7
+        assert form.b.tolist() == [-2, -2, -2]
+
+    def test_form_freed_with_instance(self, ref_surface):
+        inst = generate_instance(300, 4.0, seed=5)
+        sampler.ensemble(inst, sampler.BoltzmannConfig(max_iters=500, runs=2), ref_surface)
+        assert "form" in vars(inst)
+        ref_inst, ref_form = weakref.ref(inst), weakref.ref(inst.form.b)
+        del inst
+        gc.collect()
+        assert ref_inst() is None and ref_form() is None

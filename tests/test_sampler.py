@@ -5,13 +5,14 @@ import math
 import os
 import shutil
 import stat
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stochanneal.device import DriftModel, NeuronDevice
-from stochanneal.errors import MissingBestKnown
+from stochanneal.errors import MissingBestKnown, Unattainable
 from stochanneal.io_ingest import generate_instance
 from stochanneal import sampler
 from stochanneal.maxcut import MaxCutInstance
@@ -206,6 +207,71 @@ class TestRun:
         assert cal.mu_eff_spread * 5 <= uncal.mu_eff_spread
         assert cal.calib_failures > 0  # 1-decade offsets overflow the window
 
+    def test_calibration_failures_logged_not_warned(self, ref_surface, ref_drift, caplog):
+        inst = generate_instance(400, 3.0, seed=9)
+        cfg = BoltzmannConfig(max_iters=1, seed=1, d2d_cv=0.2, drift=ref_drift, calibrate=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with caplog.at_level(logging.INFO, logger="stochanneal.sampler"):
+                trace = run(inst, cfg, ref_surface)
+        lines = [r.getMessage() for r in caplog.records if "tunable window" in r.getMessage()]
+        assert lines == [f"{trace.calib_failures}/400 devices have offsets outside the "
+                         "tunable window; parked at the nearest HRS bound and excluded from "
+                         "the calibrated-spread statistic"]
+
+    @pytest.mark.parametrize("mu_target,cv,precision", [
+        (-5.0, 0.1, 0.2), (-5.0, 0.3, 0.2), (-5.0, 0.2, 0.9), (-5.0, 0.0, 0.2),
+        (-20.0, 0.01, 0.2),  # no device can calibrate: the spread covers them all
+    ])
+    def test_calibration_equals_per_device_loop(self, ref_surface, ref_drift, mu_target, cv,
+                                                precision):
+        inst = generate_instance(300, 3.0, seed=4)
+        cfg = BoltzmannConfig(seed=8, d2d_cv=cv, drift=ref_drift, calibrate=True,
+                              mu_target=mu_target, calibration_precision=precision)
+        for run_index in range(3):
+            st = make_state(inst, cfg, ref_surface, run_index)
+            want = _loop_calibration(inst.n, cfg, ref_surface, run_index)
+            got = (st.hrs, st.targets, st.offs, st.clamps, st.calib_failures, st.mu_eff_spread)
+            for g, w in zip(got[:3], want[:3]):
+                assert [float(v).hex() for v in g] == [float(v).hex() for v in w]
+            assert repr(got[3:]) == repr(want[3:])
+            assert st.hrs is not st.targets
+
+
+def _loop_calibration(n, cfg, surface, run_index):
+    """make_state's calibration as a per-device loop of scalar solves, as it was."""
+    ss = np.random.SeedSequence(cfg.seed, spawn_key=(run_index,)).spawn(5)
+    offs = (np.random.default_rng(ss[1]).standard_normal(n)
+            * (cfg.d2d_cv * abs(cfg.mu_target))).tolist() if cfg.d2d_cv > 0 else [0.0] * n
+    jitter = np.random.default_rng(ss[2]).uniform(-cfg.calibration_precision,
+                                                  cfg.calibration_precision, n)
+    hrs, targets = [0.0] * n, [0.0] * n
+    clamps = failures = 0
+    calibrated_mu = []
+    for i in range(n):
+        want = cfg.mu_target - offs[i]
+        try:
+            r_star = surface.hrs_for_mu(want, cfg.v_center)
+            ok = True
+        except Unattainable:
+            lo_mu = float(surface.eval_mu(cfg.v_center, surface.r_range[0]))
+            hi_mu = float(surface.eval_mu(cfg.v_center, surface.r_range[1]))
+            r_star = (surface.r_range[0] if abs(lo_mu - want) <= abs(hi_mu - want)
+                      else surface.r_range[1])
+            failures += 1
+            ok = False
+        realized = r_star * (1.0 + jitter[i])
+        clamped = surface.clamp_hrs(realized)
+        if clamped != realized:
+            clamps += 1
+        hrs[i] = targets[i] = clamped
+        if ok:
+            calibrated_mu.append(float(surface.eval_mu(cfg.v_center, clamped)) + offs[i])
+    pop = calibrated_mu or [float(surface.eval_mu(cfg.v_center, hrs[i])) + offs[i]
+                            for i in range(n)]
+    spread = float(np.std(pop)) if len(pop) > 1 else 0.0
+    return hrs, targets, offs, clamps, failures, spread
+
 
 class TestEnsemble:
     def test_single_run_summary_matches_trace(self, k3, ref_surface, ref_drift):
@@ -303,14 +369,12 @@ _PINNED = {
 
 
 class TestBitIdentity:
-    @pytest.mark.filterwarnings("ignore:.*outside the tunable window")
     @pytest.mark.parametrize(
         "cell", list(_PINNED), ids=lambda c: f"{c[0]}-{c[1]}-{'d2d' if c[2] else 'nod2d'}"
     )
     def test_results_pinned(self, cell, ref_surface):
         assert _grid_digest(*cell, ref_surface) == _PINNED[cell]
 
-    @pytest.mark.filterwarnings("ignore:.*outside the tunable window")
     @pytest.mark.parametrize(
         "cell", list(_PINNED), ids=lambda c: f"{c[0]}-{c[1]}-{'d2d' if c[2] else 'nod2d'}"
     )
@@ -345,7 +409,6 @@ _STATE_SLOTS = ("x", "u", "hrs", "cyc", "best_x", "energy", "best_energy",
 class TestKernel:
     """The compiled kernel against `_advance`, the reference it mirrors."""
 
-    @pytest.mark.filterwarnings("ignore:.*outside the tunable window")
     @pytest.mark.parametrize("calibrated", [False, True], ids=["nod2d", "d2d"])
     @pytest.mark.parametrize("activation", ["device", "logistic"])
     @pytest.mark.parametrize("scheme", ["ideal", "fixed-input", "monitored"])
@@ -403,7 +466,7 @@ class TestKernel:
     def test_weight_beyond_53_bits_takes_reference_path(self, ref_surface, ref_drift,
                                                         monkeypatch):
         inst = MaxCutInstance(n=4, edges=((0, 1, 2**60), (1, 2, -1), (2, 3, 1)), best_known=1)
-        assert not sampler._fits_in_53_bits(sampler.build_form(inst))
+        assert not inst.form.fits_in_53_bits
         cfg = BoltzmannConfig(max_iters=3000, seed=2, drift=ref_drift, scheme="fixed-input")
         got = run(inst, cfg, ref_surface)
         monkeypatch.setattr(sampler, "load_kernel", lambda: None)

@@ -87,6 +87,110 @@ class TestHrsForMu:
             s.hrs_for_mu(-5.0, 1.8)
 
 
+def loop_hrs_for_mu(surface, mu_target, v_ref, tol=1e-6):
+    """The scalar bisection `hrs_for_mu` ran before it took arrays; None if
+    the target is unattainable."""
+    r_lo, r_hi = surface.r_range
+    f_lo = poly6(surface.mu_coeffs, v_ref, r_lo) - mu_target
+    f_hi = poly6(surface.mu_coeffs, v_ref, r_hi) - mu_target
+    if f_lo == 0.0:
+        return r_lo
+    if f_hi == 0.0:
+        return r_hi
+    if f_lo * f_hi > 0:
+        return None
+    lo, hi = r_lo, r_hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f_mid = poly6(surface.mu_coeffs, v_ref, mid) - mu_target
+        if abs(f_mid) <= tol:
+            return mid
+        if f_lo * f_mid <= 0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+class TestHrsForMuArray:
+    """Array targets against scalar calls and the old scalar loop, by float.hex."""
+
+    V = 1.8
+
+    def scalar_or_none(self, surface, target, **kw):
+        old = loop_hrs_for_mu(surface, float(target), self.V, **kw)
+        try:
+            new = surface.hrs_for_mu(float(target), self.V, **kw)
+        except Unattainable:
+            assert old is None
+            return None
+        assert type(new) is float and new.hex() == old.hex()
+        return new
+
+    def check(self, surface, targets, **kw):
+        got = surface.hrs_for_mu(np.asarray(targets), self.V, **kw)
+        assert got.shape == np.shape(targets) and got.dtype == np.float64
+        for t, r in zip(targets, got.tolist()):
+            want = self.scalar_or_none(surface, t, **kw)
+            if want is None:
+                assert np.isnan(r), t
+            else:
+                assert type(want) is float and r.hex() == want.hex(), t
+        return got
+
+    def test_matches_scalar_over_window_and_beyond(self, ref_surface):
+        lo_mu, hi_mu = (float(ref_surface.eval_mu(self.V, r)) for r in ref_surface.r_range)
+        targets = np.linspace(lo_mu - 1.0, hi_mu + 1.0, 301)
+        got = self.check(ref_surface, targets)
+        inside = (targets > lo_mu) & (targets < hi_mu)
+        assert np.isnan(got[~inside]).all() and not np.isnan(got[inside]).any()
+
+    def test_targets_on_window_ends(self, ref_surface):
+        r_lo, r_hi = ref_surface.r_range
+        ends = [float(poly6(ref_surface.mu_coeffs, self.V, r)) for r in (r_lo, r_hi)]
+        got = self.check(ref_surface, ends + [-5.0])
+        assert got[0] == r_lo and got[1] == r_hi
+
+    def test_zero_tolerance(self, ref_surface):
+        # on this surface tol=0 still stops early: near the root, mu moves by
+        # less than one ulp per ulp of r, so f_mid reaches exactly 0
+        self.check(ref_surface, [-5.0, -4.3, -5.7, -5.123456789], tol=0.0)
+
+    def test_zero_tolerance_runs_all_steps(self, monkeypatch):
+        import stochanneal.surface as surface_mod
+
+        # mu = r - 105 is steep enough in r that these roots are never hit exactly
+        steep = make_surface((-105.0, 0, 1.0, 0, 0, 0))
+        calls = []
+
+        def counted(coeffs, v, r):
+            calls.append(np.size(r))
+            return poly6(coeffs, v, r)
+
+        monkeypatch.setattr(surface_mod, "poly6", counted)
+        targets = [-4.3, -5.7, -5.123456789, 3.3]
+        self.check(steep, targets, tol=0.0)
+        # the array call: 2 end points and 200 steps; then 202 per scalar call
+        assert calls == [1, 1] + [4] * 200 + [1] * 202 * 4
+
+    def test_scalar_in_scalar_out(self, ref_surface):
+        r = ref_surface.hrs_for_mu(-5.0, self.V)
+        assert type(r) is float
+        assert ref_surface.hrs_for_mu(np.float64(-5.0), self.V) == r
+        with pytest.raises(Unattainable):
+            ref_surface.hrs_for_mu(-20.0, self.V)
+
+    def test_array_of_unattainable_targets(self, ref_surface):
+        got = ref_surface.hrs_for_mu(np.array([-20.0, 20.0]), self.V)
+        assert np.isnan(got).all()
+        assert ref_surface.hrs_for_mu(np.empty(0), self.V).shape == (0,)
+
+    def test_non_monotone_array_rejected(self):
+        s = make_surface((-7.0, 0, 0.02, 0, -1e-4, 0))
+        with pytest.raises(NonMonotone):
+            s.hrs_for_mu(np.array([-5.0, -6.0]), 1.8)
+
+
 class TestMonotonicityAudit:
     def test_reference_surface_grid(self, ref_surface):
         assert ref_surface.mu_monotone_on_grid((50, 50))
