@@ -6,8 +6,13 @@ from .device import (
     SCHEME_MONITORED,
     SCHEMES,
     DriftModel,
-    NeuronDevice,
-    switch_probability,
+    calibrate,
+    field_to_voltage,
+    mu_sigma,
+    p_logistic,
+    p_switch,
+    reset_update,
+    sample_tset,
 )
 from .errors import StochAnnealError
 from .maxcut import (
@@ -26,7 +31,6 @@ from .sampler import (
     EnsembleSummary,
     RunTrace,
     ensemble,
-    map_field_to_voltage,
     run,
 )
 from .surface import DeviceSurface, fit_surface, load_params, save_params
@@ -40,7 +44,6 @@ __all__ = [
     "DriftModel",
     "EnsembleSummary",
     "MaxCutInstance",
-    "NeuronDevice",
     "RunTrace",
     "SCHEMES",
     "SCHEME_FIXED",
@@ -48,17 +51,22 @@ __all__ = [
     "SCHEME_MONITORED",
     "StochAnnealError",
     "build_form",
+    "calibrate",
     "cut_value",
     "energy",
     "ensemble",
+    "field_to_voltage",
     "fit_surface",
     "get_reference",
     "init_fields",
     "load_params",
     "local_field",
-    "map_field_to_voltage",
+    "mu_sigma",
+    "p_logistic",
+    "p_switch",
+    "reset_update",
     "run",
+    "sample_tset",
     "save_params",
-    "switch_probability",
     "update_fields_after_assign",
 ]

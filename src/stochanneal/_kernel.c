@@ -2,9 +2,11 @@
  *
  * One call runs up to `steps` iterations over one pre-drawn RNG block
  * (node picks, Bernoulli thresholds, Reset-actuator noise). Every
- * expression is written in the same order as in _advance, and the library
- * is built with -ffp-contract=off, so each double is rounded exactly where
- * Python rounds it and the results are bit-identical. Integers are int64;
+ * expression is written in the same order as in _advance and the device
+ * functions it calls (device.field_to_voltage, mu_sigma, p_switch,
+ * p_logistic, reset_update), and the library is built with
+ * -ffp-contract=off, so each double is rounded exactly where Python rounds
+ * it and the results are bit-identical. Integers are int64;
  * the caller only takes this path when every local field and energy of the
  * instance fits in 53 bits, where int64 and Python ints agree and each
  * int/float comparison is exact.
@@ -17,16 +19,15 @@
 #include <stdint.h>
 #include <string.h>
 
-/* par[]: doubles, in this order */
+/* par[]: the fields of sampler.Params, in its order; the integer fields
+ * at the end are exact doubles. A threshold of NaN is never met. */
 enum {
-    P_VC, P_VMIN, P_VMAX, P_GAIN, P_INV_USCALE, P_LOG_TPW, P_SQRT1_2,
+    P_VC, P_VMIN, P_VMAX, P_GAIN, P_INV_USCALE, P_LOG_TPW,
     P_MC00, P_MC10, P_MC01, P_MC20, P_MC02, P_MC11,
     P_SC00, P_SC10, P_SC01, P_SC20, P_SC02, P_SC11, P_FLOOR,
-    P_M_HRS, P_S_RW, P_R_LO, P_R_HI, P_THRESHOLD
+    P_M_HRS, P_S_RW, P_R_LO, P_R_HI, P_THRESHOLD,
+    P_SCHEME, P_LOGISTIC, P_STRIDE, P_STOP_ON_CONV
 };
-
-/* opt[]: fixed integers */
-enum { O_SCHEME, O_LOGISTIC, O_STRIDE, O_STOP_ON_CONV, O_HAS_THRESHOLD };
 
 /* io[]: integers read on entry and written back on return; converged_at
  * is -1 for "not yet" */
@@ -44,14 +45,13 @@ int64_t sa_advance(
     int64_t n, int8_t *x, int64_t *u, int64_t *cyc, int8_t *best_x,
     const int64_t *indptr, const int64_t *indices, const int64_t *wts,
     double *hrs, const double *offs, const double *targets,
-    const double *par, const int64_t *opt, int64_t *io, int64_t *trace)
+    const double *par, int64_t *io, int64_t *trace)
 {
-    const int64_t scheme = opt[O_SCHEME], logistic = opt[O_LOGISTIC];
-    const int64_t stride = opt[O_STRIDE], stop_on_conv = opt[O_STOP_ON_CONV];
-    const int64_t has_threshold = opt[O_HAS_THRESHOLD];
+    const int64_t scheme = (int64_t)par[P_SCHEME], logistic = (int64_t)par[P_LOGISTIC];
+    const int64_t stride = (int64_t)par[P_STRIDE], stop_on_conv = (int64_t)par[P_STOP_ON_CONV];
     const double vc = par[P_VC], vmin = par[P_VMIN], vmax = par[P_VMAX];
     const double gain = par[P_GAIN], inv_uscale = par[P_INV_USCALE];
-    const double log_tpw = par[P_LOG_TPW], sqrt1_2 = par[P_SQRT1_2];
+    const double log_tpw = par[P_LOG_TPW], sqrt1_2 = 1.0 / sqrt(2.0);
     const double mc00 = par[P_MC00], mc10 = par[P_MC10], mc01 = par[P_MC01];
     const double mc20 = par[P_MC20], mc02 = par[P_MC02], mc11 = par[P_MC11];
     const double sc00 = par[P_SC00], sc10 = par[P_SC10], sc01 = par[P_SC01];
@@ -97,7 +97,7 @@ int64_t sa_advance(
             if (energy < best_energy) {
                 best_energy = energy;
                 memcpy(best_x, x, (size_t)n);
-                if (has_threshold && converged_at < 0 && (double)(-energy) >= threshold)
+                if (converged_at < 0 && (double)(-energy) >= threshold)
                     converged_at = t + 1;
             }
         }

@@ -16,8 +16,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .device import DriftModel, NeuronDevice, SCHEMES, SCHEME_IDEAL
-from . import errors as _err
+from .device import SCHEME_IDEAL, SCHEMES, DriftModel, calibrate as calibrate_devices
 from .errors import StochAnnealError
 from .experiments import (
     build_size_ladder,
@@ -52,35 +51,21 @@ def _load_device_params(params_path):
     return surface, drift, params_path
 
 
-# which module each error class belongs to, for CLI messages
-_ERROR_MODULE = {
-    _err.OutOfDomain: "surface",
-    _err.NonPositiveTime: "surface",
-    _err.NonPositivePulse: "device",
-    _err.DegenerateDesign: "surface",
-    _err.Unattainable: "device",
-    _err.NonMonotone: "surface",
-    _err.DimensionMismatch: "maxcut",
-    _err.IndexOutOfRange: "maxcut",
-    _err.Malformed: "io_ingest",
-    _err.TooLarge: "io_ingest",
-    _err.InvalidDegree: "io_ingest",
-    _err.IoFailure: "io_ingest",
-    _err.MissingBestKnown: "sampler",
-    _err.InsufficientTraces: "experiments",
-}
-
-
 def _fail(code: int, module: str, exc: Exception):
     click.echo(f"error [{module}]: {exc}", err=True)
     sys.exit(code)
 
 
 def _module_of(exc: Exception) -> str:
-    for klass in type(exc).__mro__:
-        if klass in _ERROR_MODULE:
-            return _ERROR_MODULE[klass]
-    return "stochanneal"
+    """The stochanneal module that raised exc: its innermost frame in the package."""
+    module = "stochanneal"
+    tb = exc.__traceback__
+    while tb is not None:
+        name = tb.tb_frame.f_globals.get("__name__", "")
+        if name.startswith("stochanneal."):
+            module = name.rpartition(".")[2]
+        tb = tb.tb_next
+    return module
 
 
 def handle_errors(module_on_input: str):
@@ -302,7 +287,7 @@ def cycling(scheme, cycles, params_path, vref, seed, out_path):
 @click.option("--vref", type=float, default=1.8, show_default=True)
 @seed_option
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@handle_errors("device_model")
+@handle_errors("device")
 def calibrate(mu_target, precision, devices, cv, params_path, vref, seed, out_path):
     """Per-device HRS calibration demo: mu_eff before/after tuning."""
     surface, drift, params_path = _load_device_params(params_path)
@@ -310,18 +295,18 @@ def calibrate(mu_target, precision, devices, cv, params_path, vref, seed, out_pa
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     nominal = surface.hrs_for_mu(mu_target, vref)
     offsets = rng.standard_normal(devices) * (cv * abs(mu_target))
+    before = surface.eval_mu(vref, nominal) + offsets
+    cal = calibrate_devices(surface, mu_target - offsets, vref, precision, rng)
+    after = surface.eval_mu(vref, cal.hrs) + offsets
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("device,mu_offset,mu_before,mu_after,hrs_target,attained\n")
-        for d in range(devices):
-            off = float(offsets[d])
-            dev = NeuronDevice(surface=surface, hrs=nominal, mu_offset=off)
-            before = dev.mu_eff(vref)
-            try:
-                r_star = dev.calibrate(mu_target, vref, precision, rng)
-                after = dev.mu_eff(vref)
-                fh.write(f"{d},{off!r},{before!r},{after!r},{r_star!r},1\n")
-            except StochAnnealError:
-                fh.write(f"{d},{off!r},{before!r},,,0\n")
+        for d, (off, mu0, mu1, r_star, missed) in enumerate(zip(
+                offsets.tolist(), before.tolist(), after.tolist(), cal.r_star.tolist(),
+                cal.missed.tolist())):
+            if missed:
+                fh.write(f"{d},{off!r},{mu0!r},,,0\n")
+            else:
+                fh.write(f"{d},{off!r},{mu0!r},{mu1!r},{r_star!r},1\n")
     write_manifest(
         out_path + ".manifest.json", "calibrate",
         {"mu_target": mu_target, "precision": precision, "devices": devices,

@@ -1,50 +1,43 @@
-"""Single stochastic RRAM neuron: lognormal Set, deterministic Reset control.
+"""Stochastic RRAM neuron physics: lognormal Set, deterministic Reset control.
 
-A device carries the internal state that matters for switching statistics:
-its pre-Set HRS in kOhm, a fixed per-device offset of the log-time mean in
-decades (device-to-device spread), and the Reset management scheme applied
-after every sampling:
+These functions are the one statement of the device model. The sampling
+loop (`sampler._advance`) calls them, in this expression order; `_kernel.c`
+is their compiled mirror, held equal bit for bit by the tests; the cycling
+and calibration studies call them too.
+
+A device carries the state that matters for switching statistics: its
+pre-Set HRS in kOhm, a fixed offset of its log-time mean in decades
+(device-to-device spread), and the Reset management scheme applied after
+every sampling:
 
     ideal       HRS untouched each cycle (drift-free abstraction)
     fixed-input Reset with fixed electrical input only; HRS random-walks with
                 a deterministic per-cycle slope on top
-    monitored   Reset-with-verify; HRS re-targeted to target_hrs within a
+    monitored   Reset-with-verify; HRS re-targeted to its target within a
                 fractional tolerance every cycle
 
-HRS is physical state, so any update clamps into the surface's fitted range
-(and counts the clamp). Voltages and pulse widths are caller inputs and raise
-instead.
+HRS is physical state, so every update clamps into the surface's fitted
+range and reports the clamp.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositivePulse
+from .errors import InvalidParameter
 from .surface import DeviceSurface
 
 SCHEME_IDEAL = "ideal"
 SCHEME_FIXED = "fixed-input"
 SCHEME_MONITORED = "monitored"
 SCHEMES = (SCHEME_IDEAL, SCHEME_FIXED, SCHEME_MONITORED)
+_FIXED, _MONITORED = 1, 2  # the codes the sampler and the kernel compare against
 
-_SQRT2 = math.sqrt(2.0)
-
-
-def norm_cdf(z: float) -> float:
-    """Standard normal CDF via erf (good to ~1e-16)."""
-    return 0.5 * (1.0 + math.erf(z / _SQRT2))
-
-
-def switch_probability(mu_eff: float, sigma: float, t_pw: float) -> float:
-    """P(t_set <= t_pw) for log10(t_set) ~ Normal(mu_eff, sigma)."""
-    if t_pw <= 0:
-        raise NonPositivePulse(f"t_pw={t_pw} s must be > 0")
-    return norm_cdf((math.log10(t_pw) - mu_eff) / sigma)
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -62,91 +55,125 @@ class DriftModel:
 
     def __post_init__(self):
         if self.m_hrs < 0 or self.s_rw < 0:
-            raise ValueError("m_hrs and s_rw must be >= 0")
+            raise InvalidParameter("m_hrs and s_rw must be >= 0")
         if not 0.0 < self.hrs_tolerance < 1.0:
-            raise ValueError("hrs_tolerance must be in (0, 1)")
+            raise InvalidParameter("hrs_tolerance must be in (0, 1)")
 
     def to_dict(self) -> dict:
         return {"m_hrs": self.m_hrs, "s_rw": self.s_rw, "hrs_tolerance": self.hrs_tolerance}
 
 
-@dataclass
-class NeuronDevice:
-    """One RRAM instance bound to a fitted surface."""
+def scheme_code(scheme: str) -> int:
+    """The code of a scheme name, its index in SCHEMES; raises on an unknown name."""
+    if scheme not in SCHEMES:
+        raise InvalidParameter(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return SCHEMES.index(scheme)
 
-    surface: DeviceSurface
-    hrs: float
-    scheme: str = SCHEME_IDEAL
-    mu_offset: float = 0.0
-    target_hrs: Optional[float] = None
-    cycles: int = 0
-    clamp_events: int = field(default=0, repr=False)
 
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        self._set_hrs(self.hrs)
-        if self.target_hrs is None:
-            self.target_hrs = self.hrs
+# -- Set: the activation --------------------------------------------------------
 
-    def _set_hrs(self, value: float) -> None:
-        clamped = self.surface.clamp_hrs(value)
-        if clamped != value:
-            self.clamp_events += 1
-        self.hrs = clamped
 
-    # -- statistics at the current state ------------------------------------
+def field_to_voltage(u, vc, vmin, vmax, gain, inv_uscale):
+    """Set-pulse voltage for local field u: vc + gain*u/u_scale, clamped to [vmin, vmax]."""
+    v = vc + gain * u * inv_uscale
+    if v < vmin:
+        return vmin
+    if v > vmax:
+        return vmax
+    return v
 
-    def mu_eff(self, v: float) -> float:
-        """Log-time mean at input v including the per-device offset."""
-        return float(self.surface.eval_mu(v, self.hrs)) + self.mu_offset
 
-    def sigma(self, v: float) -> float:
-        return float(self.surface.eval_sigma(v, self.hrs))
+def mu_sigma(v, r, off, mc, sc, floor):
+    """(mu, sigma) of log10(t_set) at voltage v, HRS r and mu offset off.
 
-    def sample_tset(self, v: float, rng: np.random.Generator, size=None):
-        """Draw Set time(s) [s] at input v; does not mutate device state."""
-        mu = self.mu_eff(v)
-        sg = self.sigma(v)
-        z = rng.standard_normal(size)
-        t = 10.0 ** (mu + sg * z)
-        return float(t) if size is None else t
+    mc and sc are the surface's coefficient tuples (`DeviceSurface.mu_coeffs`,
+    `.sigma_coeffs`); sigma is floored at `floor`.
+    """
+    mc00, mc10, mc01, mc20, mc02, mc11 = mc
+    sc00, sc10, sc01, sc20, sc02, sc11 = sc
+    mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + off
+    sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00
+    return mu, (floor if sg < floor else sg)
 
-    def p_switch(self, v: float, t_pw: float) -> float:
-        """Probability that a Set pulse of width t_pw [s] switches the device."""
-        return switch_probability(self.mu_eff(v), self.sigma(v), t_pw)
 
-    # -- state evolution ------------------------------------------------------
+def p_switch(log_tpw, mu, sg):
+    """P(t_set <= t_pw) for log10(t_set) ~ Normal(mu, sg), given log10(t_pw)."""
+    return 0.5 * (1.0 + math.erf((log_tpw - mu) * _SQRT1_2 / sg))
 
-    def apply_cycle(self, drift: DriftModel, rng: np.random.Generator) -> None:
-        """One Reset-Set cycle under the management scheme."""
-        self.cycles += 1
-        if self.scheme == SCHEME_FIXED:
-            step = drift.m_hrs
-            if drift.s_rw > 0:
-                step += drift.s_rw * rng.standard_normal()
-            self._set_hrs(self.hrs + step)
-        elif self.scheme == SCHEME_MONITORED:
-            u = rng.uniform(-drift.hrs_tolerance, drift.hrs_tolerance)
-            self._set_hrs(self.target_hrs * (1.0 + u))
-        # ideal: state untouched
 
-    def calibrate(
-        self,
-        mu_target: float,
-        v_ref: float,
-        precision: float,
-        rng: np.random.Generator,
-    ) -> float:
-        """Tune HRS so this device's mu_eff(v_ref) hits mu_target.
+def p_logistic(u):
+    """The logistic activation 1 / (1 + e^-u), the ideal p-bit the device stands in for."""
+    return 1.0 / (1.0 + math.exp(-u)) if u > -500 else 0.0
 
-        Solves mu(v_ref, r) = mu_target - mu_offset by bisection, then writes
-        the solution back with the actuator's fractional precision:
-        hrs = target_hrs = r* (1 + u), u ~ U(-precision, +precision).
-        Returns the exact root r* [kOhm]. Raises Unattainable / NonMonotone.
-        """
-        r_star = self.surface.hrs_for_mu(mu_target - self.mu_offset, v_ref)
-        realized = r_star * (1.0 + rng.uniform(-precision, precision))
-        self._set_hrs(realized)
-        self.target_hrs = self.hrs
-        return r_star
+
+def sample_tset(mu, sg, rng: np.random.Generator, size=None):
+    """Draw Set time(s) [s] with log10(t_set) ~ Normal(mu, sg)."""
+    t = 10.0 ** (mu + sg * rng.standard_normal(size))
+    return float(t) if size is None else t
+
+
+# -- Reset: the management schemes ------------------------------------------------
+
+
+def reset_noise(scheme: int, tol: float, rng: np.random.Generator, size: int):
+    """The actuator draws `reset_update` takes under scheme code `scheme`:
+    N(0, 1) for fixed-input, U(-tol, tol) for monitored, None for ideal."""
+    if scheme == _FIXED:
+        return rng.standard_normal(size)
+    if scheme == _MONITORED:
+        return rng.uniform(-tol, tol, size)
+    return None
+
+
+def reset_update(scheme, hrs, target, z, m_hrs, s_rw, r_lo, r_hi):
+    """One Reset under scheme code `scheme` with actuator draw z.
+
+    Returns (new HRS, whether it was clamped into [r_lo, r_hi]).
+    """
+    if scheme == _FIXED:
+        nh = hrs + m_hrs + s_rw * z
+    elif scheme == _MONITORED:
+        nh = target * (1.0 + z)
+    else:
+        return hrs, False
+    if nh < r_lo:
+        return r_lo, True
+    if nh > r_hi:
+        return r_hi, True
+    return nh, False
+
+
+# -- calibration --------------------------------------------------------------------
+
+
+class Calibration(NamedTuple):
+    hrs: np.ndarray      # the written HRS per device, clamped into r_range
+    r_star: np.ndarray   # the exact roots; the parking bound where missed
+    missed: np.ndarray   # bool: the target was outside the tunable window
+    clamps: int          # devices whose written HRS was clamped
+
+
+def calibrate(surface: DeviceSurface, mu_want, v_ref: float, precision: float,
+              rng: np.random.Generator) -> Calibration:
+    """Tune each device's HRS so its mu(v_ref) hits mu_want (an array).
+
+    Solves every root with one bisection (`DeviceSurface.hrs_for_mu`), parks
+    unattainable devices at the window end whose mu is closest, then writes
+    each root with the actuator's fractional precision:
+    hrs = r* (1 + e), e ~ U(-precision, precision), clamped into r_range.
+    """
+    if not 0.0 <= precision < 1.0:
+        raise InvalidParameter(f"calibration precision {precision} must be in [0, 1)")
+    mu_want = np.asarray(mu_want, dtype=float)
+    jitter = rng.uniform(-precision, precision, mu_want.size)
+    r_star = surface.hrs_for_mu(mu_want, v_ref)
+    missed = np.isnan(r_star)
+    if missed.any():
+        r_lo, r_hi = surface.r_range
+        lo_mu = float(surface.eval_mu(v_ref, r_lo))
+        hi_mu = float(surface.eval_mu(v_ref, r_hi))
+        park = np.where(np.abs(lo_mu - mu_want) <= np.abs(hi_mu - mu_want), r_lo, r_hi)
+        r_star = np.where(missed, park, r_star)
+    realized = r_star * (1.0 + jitter)
+    hrs = np.clip(realized, *surface.r_range)
+    return Calibration(hrs, r_star, missed, int((hrs != realized).sum()))

@@ -22,6 +22,10 @@ class NonPositivePulse(StochAnnealError, ValueError):
     """Pulse width must be > 0."""
 
 
+class InvalidParameter(StochAnnealError, ValueError):
+    """A setting outside its valid range (a config field, a CLI option)."""
+
+
 class DegenerateDesign(StochAnnealError, ValueError):
     """Surface fit is under-determined (too few or collinear samples)."""
 

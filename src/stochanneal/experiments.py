@@ -14,8 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .device import SCHEME_FIXED, SCHEME_IDEAL, DriftModel, NeuronDevice
-from .errors import InsufficientTraces, MissingBestKnown
+from .device import (
+    SCHEME_FIXED,
+    SCHEME_IDEAL,
+    DriftModel,
+    mu_sigma,
+    reset_noise,
+    reset_update,
+    scheme_code,
+)
+from .errors import InsufficientTraces, InvalidParameter, MissingBestKnown
 from .io_ingest import brute_force_maxcut, generate_instance
 from .maxcut import MaxCutInstance
 from .sampler import (
@@ -55,8 +63,10 @@ def cycling_stats(
 ) -> CyclingStats:
     """Drift of the log-time distribution over repeated Reset-Set cycles.
 
-    One device is cycled `cycles` times under `scheme`, recording its exact
-    mu_eff(v_ref) after every cycle. The reported mu drift compares the mean
+    One device is cycled `cycles` times under `scheme`, with the sampler's
+    own Reset update and actuator draws (`device.reset_update`,
+    `device.reset_noise`), recording its mu at v_ref after every cycle with
+    the sampler's mu expression. The reported mu drift compares the mean
     over the first and last `window` cycles (default cycles // 5): the
     monitored scheme re-draws HRS inside the verify band every cycle, so the
     distribution's location is the windowed mean, not any single draw. The
@@ -64,16 +74,20 @@ def cycling_stats(
     series over the first window against the full record.
     """
     if cycles < 2:
-        raise ValueError("need at least 2 cycles")
+        raise InvalidParameter(f"need at least 2 cycles, got {cycles}")
     if hrs is None:
         hrs = surface.hrs_for_mu(mu_target, v_ref)
-    dev = NeuronDevice(surface=surface, hrs=hrs, scheme=scheme, target_hrs=hrs)
+    surface.check_domain(v_ref, hrs)
+    code = scheme_code(scheme)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    noise = reset_noise(code, drift.hrs_tolerance, rng, cycles)
+    coeffs = (surface.mu_coeffs, surface.sigma_coeffs, surface.sigma_floor)
+    target = hrs
     series = np.empty(cycles + 1)
-    series[0] = dev.mu_eff(v_ref)
-    for c in range(cycles):
-        dev.apply_cycle(drift, rng)
-        series[c + 1] = dev.mu_eff(v_ref)
+    series[0] = mu_sigma(v_ref, hrs, 0.0, *coeffs)[0]
+    for c, z in enumerate([None] * cycles if noise is None else noise.tolist(), 1):
+        hrs, _ = reset_update(code, hrs, target, z, drift.m_hrs, drift.s_rw, *surface.r_range)
+        series[c] = mu_sigma(v_ref, hrs, 0.0, *coeffs)[0]
     if series.max() == series.min():
         # untouched state: exactly zero, no float residue from np.std
         return CyclingStats(mu_drift=0.0, sigma_drift=0.0, mu_series=series)

@@ -16,7 +16,9 @@ drifting, calibrated vs not) see identical loop dynamics.
 
 from __future__ import annotations
 
+import collections
 import ctypes
+import functools
 import hashlib
 import logging
 import math
@@ -30,13 +32,24 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .device import SCHEME_FIXED, SCHEME_IDEAL, SCHEME_MONITORED, SCHEMES, DriftModel
-from .errors import MissingBestKnown, NonMonotone, Unattainable
-from .maxcut import MaxCutInstance, init_fields
+from .device import (
+    SCHEME_IDEAL,
+    DriftModel,
+    calibrate,
+    field_to_voltage,
+    mu_sigma,
+    p_logistic,
+    p_switch,
+    reset_noise,
+    reset_update,
+    scheme_code,
+)
+from .errors import InvalidParameter, MissingBestKnown, NonMonotone, NonPositivePulse, Unattainable
+from .maxcut import BoltzmannForm, MaxCutInstance, init_fields
 from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
 from .maxcut import energy as energy_of
 from .surface import DeviceSurface, poly6
@@ -44,7 +57,6 @@ from .surface import DeviceSurface, poly6
 log = logging.getLogger(__name__)
 
 _RNG_BLOCK = 8192
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 ACTIVATION_DEVICE = "device"
 ACTIVATION_LOGISTIC = "logistic"
@@ -71,24 +83,25 @@ class BoltzmannConfig:
     calibration_precision: float = 0.2
     convergence_fraction: float = 0.9
     activation: str = ACTIVATION_DEVICE
-    u_scale_percentile: float = 95.0
     stop_on_convergence: bool = False
     energy_stride: Optional[int] = None  # None: 1 if n <= 512 else n
     jobs: int = 1
 
     def __post_init__(self):
         if not self.v_min <= self.v_center <= self.v_max:
-            raise ValueError("need v_min <= v_center <= v_max")
+            raise InvalidParameter("need v_min <= v_center <= v_max")
         if self.gain <= 0:
-            raise ValueError("gain must be > 0")
+            raise InvalidParameter("gain must be > 0")
         if not 0.0 < self.convergence_fraction <= 1.0:
-            raise ValueError("convergence_fraction must be in (0, 1]")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise InvalidParameter("convergence_fraction must be in (0, 1]")
+        if not 0.0 <= self.calibration_precision < 1.0:
+            raise InvalidParameter("calibration_precision must be in [0, 1)")
+        scheme_code(self.scheme)  # raises on an unknown scheme
         if self.activation not in (ACTIVATION_DEVICE, ACTIVATION_LOGISTIC):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.energy_stride is not None and self.energy_stride < 1:
-            raise ValueError("energy_stride must be >= 1")
+            raise InvalidParameter(f"unknown activation {self.activation!r}")
+        # the kernel takes the stride as a double (see Params)
+        if self.energy_stride is not None and not 1 <= self.energy_stride <= 2 ** 53:
+            raise InvalidParameter("energy_stride must be in [1, 2**53]")
 
 
 @dataclass
@@ -126,14 +139,6 @@ class EnsembleSummary:
     settling_median: float
 
 
-def map_field_to_voltage(cfg: BoltzmannConfig, u_i: float, u_scale: float) -> float:
-    """Scale/shift a local field into the device input window (clamped)."""
-    if u_scale <= 0:
-        raise ValueError("u_scale must be > 0")
-    v = cfg.v_center + cfg.gain * (u_i / u_scale)
-    return min(max(v, cfg.v_min), cfg.v_max)
-
-
 def moving_average(series, window: int) -> np.ndarray:
     """Centered moving average with edge-truncated windows."""
     a = np.asarray(series, dtype=float)
@@ -158,109 +163,115 @@ def settling_energy_of(series, window: Optional[int] = None) -> float:
     return float(moving_average(a, window).min())
 
 
-class RunState:
-    """Mutable state of one run; `step` advances it one iteration."""
-
-    __slots__ = (
-        "n", "x", "u", "energy", "indptr", "indices", "wts",
-        "hrs", "offs", "targets", "cyc", "clamps",
-        "scheme_code", "m_hrs", "s_rw", "tol", "r_lo", "r_hi",
-        "mc00", "mc10", "mc01", "mc20", "mc02", "mc11",
-        "sc00", "sc10", "sc01", "sc20", "sc02", "sc11", "floor",
-        "vc", "vmin", "vmax", "gain", "inv_uscale", "log_tpw",
-        "logistic",
-        "rng_loop", "rng_scheme", "nodes", "unifs", "noise", "cursor", "block",
-        "t", "trace", "stride",
-        "best_energy", "best_x", "converged_at", "threshold", "stop_on_conv",
-        "u_scale", "t_pw", "calib_failures", "mu_eff_spread",
-    )
-
-    def _refill(self) -> None:
-        b = self.block
-        self.nodes = self.rng_loop.integers(0, self.n, b)
-        self.unifs = self.rng_loop.random(b)
-        if self.scheme_code == 1:
-            self.noise = self.rng_scheme.standard_normal(b)
-        elif self.scheme_code == 2:
-            self.noise = self.rng_scheme.uniform(-self.tol, self.tol, b)
-        else:
-            self.noise = None
-        self.cursor = 0
+# A run's constants. The field order is `par[]` in `_kernel.c`, so
+# `np.array(params, dtype=np.float64)` is the vector `sa_advance` takes; the
+# integer fields at the end (scheme: an index into device.SCHEMES) are exact
+# as doubles. The mu and sigma coefficients are in COEFF_NAMES order; a
+# threshold of NaN means that no cut counts as converged.
+Params = collections.namedtuple("Params", (
+    "vc vmin vmax gain inv_uscale log_tpw "
+    "mc00 mc10 mc01 mc20 mc02 mc11 sc00 sc10 sc01 sc20 sc02 sc11 floor "
+    "m_hrs s_rw r_lo r_hi threshold scheme logistic stride stop_on_conv"
+))
 
 
-def step(state: RunState) -> None:
+@dataclass(eq=False)
+class State:
+    """One run in progress: its parameter record, flat arrays and counters.
+
+    The arrays are the kernel's: x and best_x int8; u int64, or Python ints
+    in an object array when the instance's fields need more than 53 bits;
+    hrs, targets and offs float64; cyc int64. `step` advances the state.
+    """
+
+    params: Params
+    form: BoltzmannForm
+    x: np.ndarray
+    u: np.ndarray
+    hrs: np.ndarray
+    targets: np.ndarray
+    offs: np.ndarray
+    cyc: np.ndarray
+    best_x: np.ndarray
+    energy: int
+    best_energy: int
+    converged_at: Optional[int]
+    clamps: int
+    draws: Iterator                 # RNG blocks, see _draws
+    u_scale: float
+    t_pw: float
+    calib_failures: int
+    mu_eff_spread: float
+    t: int = 0
+    block: Optional[tuple] = None   # the RNG block in use, consumed from `cursor` on
+    cursor: int = 0
+
+
+def _draws(ss_loop, ss_scheme, n: int, scheme: int, tol: float):
+    """Endless RNG blocks: (node picks, Bernoulli thresholds, Reset noise)."""
+    rng_loop = np.random.default_rng(ss_loop)
+    rng_scheme = np.random.default_rng(ss_scheme)
+    while True:
+        yield (rng_loop.integers(0, n, _RNG_BLOCK), rng_loop.random(_RNG_BLOCK),
+               reset_noise(scheme, tol, rng_scheme, _RNG_BLOCK))
+
+
+def _next_block(state: State) -> None:
+    state.block = None  # free the spent block before drawing the next
+    state.block = next(state.draws)
+
+
+def step(state: State) -> None:
     """Advance one iteration: sample one neuron, cycle its device."""
     _advance(state, 1)
 
 
-def _advance(state: RunState, steps: int) -> int:
-    """Run up to `steps` iterations; returns the number executed.
+def _advance(state: State, steps: int) -> list:
+    """Run up to `steps` iterations; returns the energies recorded meanwhile.
 
     Stops early when the convergence threshold is hit and the run was asked
-    to. This is the reference form of the sampling dynamics. `_kernel.c`
-    mirrors it expression for expression and `run` uses that when it loads
-    (see `load_kernel`); `TestKernel` and `TestBitIdentity` in
-    tests/test_sampler.py hold the two equal bit for bit.
+    to. This is the reference form of the sampling dynamics, written with
+    the device functions. `_kernel.c` mirrors it expression for expression
+    and `run` uses that when it loads (see `load_kernel`); `TestKernel` and
+    `TestBitIdentity` in tests/test_sampler.py hold the two equal bit for bit.
+    The state's arrays are worked on as lists and written back on return.
     """
-    x, u = state.x, state.u
-    indptr, indices, wts = state.indptr, state.indices, state.wts
-    hrs, offs, cyc = state.hrs, state.offs, state.cyc
-    scheme = state.scheme_code
-    m_hrs, s_rw = state.m_hrs, state.s_rw
-    r_lo, r_hi = state.r_lo, state.r_hi
-    targets = state.targets
-    mc00, mc10, mc01 = state.mc00, state.mc10, state.mc01
-    mc20, mc02, mc11 = state.mc20, state.mc02, state.mc11
-    sc00, sc10, sc01 = state.sc00, state.sc10, state.sc01
-    sc20, sc02, sc11 = state.sc20, state.sc02, state.sc11
-    floor = state.floor
-    vc, vmin, vmax = state.vc, state.vmin, state.vmax
-    gain, inv_uscale, log_tpw = state.gain, state.inv_uscale, state.log_tpw
-    logistic = state.logistic
-    stride = state.stride
-    trace = state.trace
-    erf, exp = math.erf, math.exp
-    threshold = state.threshold
-    stop_on_conv = state.stop_on_conv
-    energy = state.energy
-    best_energy = state.best_energy
-    best_x = state.best_x
-    converged_at = state.converged_at
-    clamps = state.clamps
-    t0 = t = state.t
-    tend = t0 + steps
-    block = state.block
+    (vc, vmin, vmax, gain, inv_uscale, log_tpw, *coeffs, floor, m_hrs, s_rw, r_lo, r_hi,
+     threshold, scheme, logistic, stride, stop_on_conv) = state.params
+    mc, sc = coeffs[:6], coeffs[6:]
+    form = state.form
+    indptr, indices, wts = form.indptr.tolist(), form.indices.tolist(), form.weights.tolist()
+    x, u, cyc, hrs = state.x.tolist(), state.u.tolist(), state.cyc.tolist(), state.hrs.tolist()
+    offs, targets = state.offs.tolist(), state.targets.tolist()
+    energy, best_energy = state.energy, state.best_energy
+    converged_at, clamps = state.converged_at, state.clamps
+    best_x = None  # a copy of x at each new best
+    trace = []
+    t = state.t
+    tend = t + steps
     k = state.cursor
 
     while t < tend:
         nodes = unifs = noise = None  # free the spent lists before making the next
-        if state.unifs is None or k >= block:
-            state._refill()
+        if state.block is None or k >= _RNG_BLOCK:
+            _next_block(state)
             k = 0
-        kend = min(block, k + tend - t)
+        kend = min(_RNG_BLOCK, k + tend - t)
+        nodes, unifs, noise = state.block
         # the draws this pass consumes, as lists: indexing them is the fast path
-        nodes = state.nodes[k:kend].tolist()
-        unifs = state.unifs[k:kend].tolist()
-        if state.noise is not None:
-            noise = state.noise[k:kend].tolist()
+        nodes, unifs = nodes[k:kend].tolist(), unifs[k:kend].tolist()
+        if noise is not None:
+            noise = noise[k:kend].tolist()
         for j in range(kend - k):
             i = nodes[j]
             u_i = u[i]
 
             if logistic:
-                p = 1.0 / (1.0 + exp(-u_i)) if u_i > -500 else 0.0
+                p = p_logistic(u_i)
             else:
-                v = vc + gain * u_i * inv_uscale
-                if v < vmin:
-                    v = vmin
-                elif v > vmax:
-                    v = vmax
-                r = hrs[i]
-                mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + offs[i]
-                sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00
-                if sg < floor:
-                    sg = floor
-                p = 0.5 * (1.0 + erf((log_tpw - mu) * _SQRT1_2 / sg))
+                v = field_to_voltage(u_i, vc, vmin, vmax, gain, inv_uscale)
+                mu, sg = mu_sigma(v, hrs[i], offs[i], mc, sc, floor)
+                p = p_switch(log_tpw, mu, sg)
 
             new = 1 if unifs[j] < p else 0
             old = x[i]
@@ -273,30 +284,15 @@ def _advance(state: RunState, steps: int) -> int:
                 if energy < best_energy:
                     best_energy = energy
                     best_x = x.copy()
-                    if threshold is not None and converged_at is None:
-                        if -energy >= threshold:
-                            converged_at = t + 1
+                    if converged_at is None and -energy >= threshold:
+                        converged_at = t + 1
 
             # one Reset-Set per sampling
             cyc[i] += 1
-            if scheme == 1:
-                nh = hrs[i] + m_hrs + s_rw * noise[j]
-                if nh < r_lo:
-                    nh = r_lo
-                    clamps += 1
-                elif nh > r_hi:
-                    nh = r_hi
-                    clamps += 1
-                hrs[i] = nh
-            elif scheme == 2:
-                nh = targets[i] * (1.0 + noise[j])
-                if nh < r_lo:
-                    nh = r_lo
-                    clamps += 1
-                elif nh > r_hi:
-                    nh = r_hi
-                    clamps += 1
-                hrs[i] = nh
+            if scheme:
+                hrs[i], clamped = reset_update(scheme, hrs[i], targets[i], noise[j],
+                                               m_hrs, s_rw, r_lo, r_hi)
+                clamps += clamped
 
             t += 1
             if t % stride == 0:
@@ -307,14 +303,17 @@ def _advance(state: RunState, steps: int) -> int:
         if stop_on_conv and converged_at is not None:
             break
 
+    state.x[:] = x
+    state.u[:] = u
+    state.cyc[:] = cyc
+    if scheme:
+        state.hrs[:] = hrs
+    if best_x is not None:
+        state.best_x[:] = best_x
     state.cursor = k
-    state.energy = energy
-    state.best_energy = best_energy
-    state.best_x = best_x
-    state.converged_at = converged_at
-    state.clamps = clamps
-    state.t = t
-    return t - t0
+    state.energy, state.best_energy = energy, best_energy
+    state.converged_at, state.clamps, state.t = converged_at, clamps, t
+    return trace
 
 
 # -- compiled kernel ------------------------------------------------------------------
@@ -323,7 +322,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 60
 _P = ctypes.c_void_p
-_KERNEL_ARGTYPES = (ctypes.c_int64, _P, _P, _P, ctypes.c_int64) + (_P,) * 14
+_KERNEL_ARGTYPES = (ctypes.c_int64, _P, _P, _P, ctypes.c_int64) + (_P,) * 13
 # the self-check grid: erf over the range the device activation reaches,
 # exp at the integer arguments the logistic activation passes it
 _ERF_GRID = tuple(k * 0.011718 + 1e-9 * k * k for k in range(-700, 701))
@@ -423,81 +422,61 @@ def _compile_and_load(cc: str, source: bytes, so: Path):
     return ctypes.CDLL(str(so))
 
 
-def _advance_kernel(kernel, state: RunState, steps: int) -> np.ndarray:
+def _advance_kernel(kernel, state: State, steps: int) -> np.ndarray:
     """`_advance(state, steps)` run by the compiled kernel, with equal results.
 
-    It consumes the same pre-drawn blocks. The state's lists become flat
-    arrays for the call and are written back at the end. The energies it
-    records are returned as an int64 array instead of being appended to
-    `state.trace`. The caller checks the form's `fits_in_53_bits` first.
+    It consumes the same pre-drawn blocks and works on the state's arrays in
+    place. The energies it records are returned as an int64 array. The
+    caller checks the form's `fits_in_53_bits` first.
     """
-    x = np.array(state.x, dtype=np.int8)
-    best_x = np.array(state.best_x, dtype=np.int8)
-    u = np.array(state.u, dtype=np.int64)
-    cyc = np.array(state.cyc, dtype=np.int64)
-    indptr = np.array(state.indptr, dtype=np.int64)
-    indices = np.array(state.indices, dtype=np.int64)
-    wts = np.array(state.wts, dtype=np.int64)
-    hrs = np.array(state.hrs, dtype=np.float64)
-    offs = np.array(state.offs, dtype=np.float64)
-    targets = np.array(state.targets, dtype=np.float64)
-    n = state.n
-    if not (x.size == best_x.size == u.size == cyc.size == hrs.size == offs.size
-            == targets.size == indptr.size - 1 == n and indices.size == wts.size == indptr[-1]):
-        raise ValueError("run state arrays disagree in size with the instance")
-    has_threshold = state.threshold is not None
-    par = np.array([
-        state.vc, state.vmin, state.vmax, state.gain, state.inv_uscale, state.log_tpw, _SQRT1_2,
-        state.mc00, state.mc10, state.mc01, state.mc20, state.mc02, state.mc11,
-        state.sc00, state.sc10, state.sc01, state.sc20, state.sc02, state.sc11, state.floor,
-        state.m_hrs, state.s_rw, state.r_lo, state.r_hi,
-        state.threshold if has_threshold else 0.0,
-    ], dtype=np.float64)
-    opt = np.array([state.scheme_code, state.logistic, state.stride, state.stop_on_conv,
-                    has_threshold], dtype=np.int64)
+    form = state.form
+    n, m = form.n, form.indices.size
+    # sa_advance's array arguments, in order, with the type and size it reads
+    arrays = ((state.x, np.int8, n), (state.u, np.int64, n), (state.cyc, np.int64, n),
+              (state.best_x, np.int8, n), (form.indptr, np.int64, n + 1),
+              (form.indices, np.int64, m), (form.weights, np.int64, m),
+              (state.hrs, np.float64, n), (state.offs, np.float64, n),
+              (state.targets, np.float64, n))
+    if not all(a.dtype == dtype and a.shape == (size,) and a.flags.c_contiguous
+               for a, dtype, size in arrays):
+        raise ValueError("run state arrays disagree in type or size with the instance")
+    par = np.array(state.params, dtype=np.float64)
     io = np.array([state.t, state.energy, state.best_energy,
                    -1 if state.converged_at is None else state.converged_at,
                    state.clamps], dtype=np.int64)
-    arrays = (n, x.ctypes.data, u.ctypes.data, cyc.ctypes.data, best_x.ctypes.data,
-              indptr.ctypes.data, indices.ctypes.data, wts.ctypes.data,
-              hrs.ctypes.data, offs.ctypes.data, targets.ctypes.data,
-              par.ctypes.data, opt.ctypes.data, io.ctypes.data)
-    stride = state.stride
+    args = (n, *(a.ctypes.data for a, _, _ in arrays), par.ctypes.data, io.ctypes.data)
+    stride, stop_on_conv = state.params.stride, state.params.stop_on_conv
     t = state.t
     tend = t + steps
     k = state.cursor
     chunks = []  # the energies recorded by each call, sized for its iterations
     while t < tend:
-        if state.unifs is None or k >= state.block:
-            state._refill()
+        if state.block is None or k >= _RNG_BLOCK:
+            _next_block(state)
             k = 0
-        m = min(state.block - k, tend - t)
-        chunk = np.empty((t + m) // stride - t // stride, dtype=np.int64)
-        noise = None if state.noise is None else state.noise.ctypes.data + 8 * k
-        ran = kernel(m, state.nodes.ctypes.data + 8 * k, state.unifs.ctypes.data + 8 * k,
-                     noise, *arrays, chunk.ctypes.data)
+        todo = min(_RNG_BLOCK - k, tend - t)
+        chunk = np.empty((t + todo) // stride - t // stride, dtype=np.int64)
+        nodes, unifs, noise = state.block
+        ran = kernel(todo, nodes.ctypes.data + 8 * k, unifs.ctypes.data + 8 * k,
+                     None if noise is None else noise.ctypes.data + 8 * k,
+                     *args, chunk.ctypes.data)
         chunks.append(chunk[:(t + ran) // stride - t // stride])
         k += ran
         t += ran
-        if state.stop_on_conv and io[3] >= 0:
+        if stop_on_conv and io[3] >= 0:
             break
 
     state.t, state.energy, state.best_energy, converged_at, state.clamps = io.tolist()
     state.converged_at = None if converged_at < 0 else converged_at
     state.cursor = k
-    state.x = x.tolist()
-    state.u = u.tolist()
-    state.cyc = cyc.tolist()
-    state.hrs = hrs.tolist()
-    state.best_x = best_x.tolist()
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
-def _nominal_hrs(surface: DeviceSurface, cfg: BoltzmannConfig) -> float:
-    if cfg.nominal_hrs is not None:
-        return float(cfg.nominal_hrs)
+@functools.lru_cache
+def _nominal_hrs(surface: DeviceSurface, mu_target: float, v_center: float) -> float:
+    """The HRS that puts a device's mu at mu_target at v_center; solved once."""
     try:
-        return surface.hrs_for_mu(cfg.mu_target, cfg.v_center)
+        return surface.hrs_for_mu(mu_target, v_center)
     except (Unattainable, NonMonotone):
         # toy surfaces (constant mu etc.) have no -5 decade point; run at
         # the middle of the fitted window instead
@@ -509,8 +488,8 @@ def make_state(
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
     run_index: int = 0,
-) -> RunState:
-    """Build the initial RunState for (instance, config, surface, run_index)."""
+) -> State:
+    """Build the initial State for (instance, config, surface, run_index)."""
     if inst.n < 1:
         raise ValueError("instance must have at least one node")
     if not (surface.v_range[0] <= cfg.v_min and cfg.v_max <= surface.v_range[1]):
@@ -523,15 +502,16 @@ def make_state(
     root = np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))
     ss_init, ss_dev, ss_cal, ss_loop, ss_scheme = root.spawn(5)
 
-    rng_init = np.random.default_rng(ss_init)
-    x = rng_init.integers(0, 2, n).tolist()
-    u = init_fields(form, x)
-    u_scale = float(np.percentile(np.abs(np.asarray(u, dtype=float)), cfg.u_scale_percentile))
+    x = np.random.default_rng(ss_init).integers(0, 2, n).astype(np.int8)
+    u = np.array(init_fields(form, x), dtype=np.int64 if form.fits_in_53_bits else object)
+    u_scale = float(np.percentile(np.abs(u.astype(float)), 95))
     if u_scale <= 0:
         u_scale = 1.0
 
-    nominal = _nominal_hrs(surface, cfg)
-    nominal = surface.clamp_hrs(nominal)
+    if cfg.nominal_hrs is not None:
+        nominal = surface.clamp_hrs(float(cfg.nominal_hrs))
+    else:
+        nominal = surface.clamp_hrs(_nominal_hrs(surface, cfg.mu_target, cfg.v_center))
     rng_dev = np.random.default_rng(ss_dev)
     if cfg.d2d_cv > 0:
         offs = rng_dev.standard_normal(n) * (cfg.d2d_cv * abs(cfg.mu_target))
@@ -541,98 +521,53 @@ def make_state(
     clamps = 0
     calib_failures = 0
     if cfg.calibrate:
-        rng_cal = np.random.default_rng(ss_cal)
-        jitter = rng_cal.uniform(-cfg.calibration_precision, cfg.calibration_precision, n)
-        want = cfg.mu_target - offs
-        r_star = surface.hrs_for_mu(want, cfg.v_center)
-        missed = np.isnan(r_star)
-        calib_failures = int(missed.sum())
+        cal = calibrate(surface, cfg.mu_target - offs, cfg.v_center,
+                        cfg.calibration_precision, np.random.default_rng(ss_cal))
+        calib_failures = int(cal.missed.sum())
         if calib_failures:
-            # best effort: park at the window end whose mu is closest
-            r_lo, r_hi = surface.r_range
-            lo_mu = float(surface.eval_mu(cfg.v_center, r_lo))
-            hi_mu = float(surface.eval_mu(cfg.v_center, r_hi))
-            park = np.where(np.abs(lo_mu - want) <= np.abs(hi_mu - want), r_lo, r_hi)
-            r_star = np.where(missed, park, r_star)
             log.info("%d/%d devices have offsets outside the tunable window; parked at the "
                      "nearest HRS bound and excluded from the calibrated-spread statistic",
                      calib_failures, n)
-        realized = r_star * (1.0 + jitter)
-        clamped = np.clip(realized, *surface.r_range)
-        clamps = int((clamped != realized).sum())
+        clamps = cal.clamps
         # the calibrated devices, or all of them when none calibrated
-        pop = ~missed if calib_failures < n else np.ones(n, dtype=bool)
-        spread_pop = poly6(surface.mu_coeffs, cfg.v_center, clamped[pop]) + offs[pop]
-        hrs = clamped.tolist()
-        targets = clamped.tolist()
+        pop = ~cal.missed if calib_failures < n else np.ones(n, dtype=bool)
+        spread_pop = poly6(surface.mu_coeffs, cfg.v_center, cal.hrs[pop]) + offs[pop]
+        hrs, targets = cal.hrs, cal.hrs.copy()
     else:
         # every device sits at the nominal HRS
-        mu0 = float(surface.eval_mu(cfg.v_center, nominal))
-        spread_pop = mu0 + offs
-        hrs = [nominal] * n
-        targets = [nominal] * n
+        spread_pop = float(surface.eval_mu(cfg.v_center, nominal)) + offs
+        hrs, targets = np.full(n, nominal), np.full(n, nominal)
     mu_eff_spread = float(np.std(spread_pop)) if len(spread_pop) > 1 else 0.0
 
     t_pw = cfg.t_pw if cfg.t_pw is not None else surface.center_pulse_width(cfg.v_center, nominal)
     if t_pw <= 0:
-        raise ValueError("t_pw must be > 0")
+        raise NonPositivePulse(f"t_pw={t_pw} s must be > 0")
 
-    stride = cfg.energy_stride if cfg.energy_stride is not None else (1 if n <= 512 else n)
-
-    st = RunState()
-    st.n = n
-    st.x = x
-    st.u = u
-    st.indptr = form.indptr.tolist()
-    st.indices = form.indices.tolist()
-    st.wts = form.weights.tolist()
-    st.hrs = hrs
-    st.offs = offs.tolist()
-    st.targets = targets
-    st.cyc = [0] * n
-    st.clamps = clamps
-    st.scheme_code = {SCHEME_IDEAL: 0, SCHEME_FIXED: 1, SCHEME_MONITORED: 2}[cfg.scheme]
-    st.m_hrs = cfg.drift.m_hrs
-    st.s_rw = cfg.drift.s_rw
-    st.tol = cfg.drift.hrs_tolerance
-    st.r_lo, st.r_hi = surface.r_range
-    (st.mc00, st.mc10, st.mc01, st.mc20, st.mc02, st.mc11) = surface.mu_coeffs
-    (st.sc00, st.sc10, st.sc01, st.sc20, st.sc02, st.sc11) = surface.sigma_coeffs
-    st.floor = surface.sigma_floor
-    st.vc, st.vmin, st.vmax = cfg.v_center, cfg.v_min, cfg.v_max
-    st.gain = cfg.gain
-    st.inv_uscale = 1.0 / u_scale
-    st.log_tpw = math.log10(t_pw)
-    st.logistic = cfg.activation == ACTIVATION_LOGISTIC
-    st.rng_loop = np.random.default_rng(ss_loop)
-    st.rng_scheme = np.random.default_rng(ss_scheme)
-    st.nodes = st.unifs = st.noise = None
-    st.cursor = 0
-    st.block = _RNG_BLOCK
-    st.t = 0
-    st.trace = []
-    st.stride = stride
-    e0 = energy_of(form, x)
-    st.energy = e0
-    st.best_energy = e0
-    st.best_x = x.copy()
     if inst.best_known is not None:
-        st.threshold = cfg.convergence_fraction * inst.best_known
-        st.converged_at = 0 if -e0 >= st.threshold else None
+        threshold = cfg.convergence_fraction * inst.best_known
+    elif cfg.stop_on_convergence:
+        raise MissingBestKnown(
+            f"instance {inst.name!r} has no best-known cut; convergence "
+            "stopping needs one"
+        )
     else:
-        if cfg.stop_on_convergence:
-            raise MissingBestKnown(
-                f"instance {inst.name!r} has no best-known cut; convergence "
-                "stopping needs one"
-            )
-        st.threshold = None
-        st.converged_at = None
-    st.stop_on_conv = cfg.stop_on_convergence
-    st.u_scale = u_scale
-    st.t_pw = t_pw
-    st.calib_failures = calib_failures
-    st.mu_eff_spread = mu_eff_spread
-    return st
+        threshold = math.nan  # no cut compares >= NaN
+    params = Params(
+        cfg.v_center, cfg.v_min, cfg.v_max, cfg.gain, 1.0 / u_scale, math.log10(t_pw),
+        *surface.mu_coeffs, *surface.sigma_coeffs, surface.sigma_floor,
+        cfg.drift.m_hrs, cfg.drift.s_rw, *surface.r_range, threshold,
+        scheme_code(cfg.scheme), int(cfg.activation == ACTIVATION_LOGISTIC),
+        cfg.energy_stride if cfg.energy_stride is not None else (1 if n <= 512 else n),
+        int(cfg.stop_on_convergence),
+    )
+    e0 = energy_of(form, x)
+    return State(
+        params=params, form=form, x=x, u=u, hrs=hrs, targets=targets, offs=offs,
+        cyc=np.zeros(n, dtype=np.int64), best_x=x.copy(), energy=e0, best_energy=e0,
+        converged_at=0 if -e0 >= threshold else None, clamps=clamps,
+        draws=_draws(ss_loop, ss_scheme, n, params.scheme, cfg.drift.hrs_tolerance),
+        u_scale=u_scale, t_pw=t_pw, calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
+    )
 
 
 def run(
@@ -653,19 +588,18 @@ def run(
     else:
         log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
     if kernel is None:
-        _advance(state, cfg.max_iters)
-        energies = np.asarray(state.trace, dtype=np.int64)
+        energies = np.asarray(_advance(state, cfg.max_iters), dtype=np.int64)
     else:
         energies = _advance_kernel(kernel, state, cfg.max_iters)
     return RunTrace(
         energies=energies,
-        stride=state.stride,
+        stride=state.params.stride,
         best_cut=-state.best_energy,
-        best_x=np.asarray(state.best_x, dtype=np.uint8),
+        best_x=state.best_x.astype(np.uint8),
         converged_at=state.converged_at,
         settling_energy=settling_energy_of(energies),
         iterations=state.t,
-        cycles_per_device=np.asarray(state.cyc, dtype=np.int64),
+        cycles_per_device=state.cyc,
         clamp_events=state.clamps,
         mu_eff_spread=state.mu_eff_spread,
         calib_failures=state.calib_failures,
@@ -706,7 +640,7 @@ def ensemble(
 ) -> tuple[list[RunTrace], EnsembleSummary]:
     """cfg.runs independent runs with derived child seeds; order-stable."""
     if cfg.runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise InvalidParameter("runs must be >= 1")
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             traces = list(

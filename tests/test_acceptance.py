@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
-from stochanneal.device import DriftModel, NeuronDevice
+from stochanneal.device import DriftModel, mu_sigma, p_switch, sample_tset
 from stochanneal.experiments import (
     build_size_ladder,
     cycling_stats,
@@ -86,14 +86,19 @@ def test_c02_local_field_energy_delta():
     report("C02 field-identity", True, "u_i == -dE_i exact on 1000 random triples")
 
 
+def device_moments(surface, v, hrs):
+    """(mu, sigma) of a zero-offset device, as the sampling loop computes them."""
+    return mu_sigma(v, hrs, 0.0, surface.mu_coeffs, surface.sigma_coeffs, surface.sigma_floor)
+
+
 def test_c03_sigmoid_centering(ref_surface):
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(100):
         hrs = float(rng.uniform(*ref_surface.r_range))
-        dev = NeuronDevice(surface=ref_surface, hrs=hrs)
         t_pw = ref_surface.center_pulse_width(1.8, hrs)
-        worst = max(worst, abs(dev.p_switch(1.8, t_pw) - 0.5))
+        p = p_switch(math.log10(t_pw), *device_moments(ref_surface, 1.8, hrs))
+        worst = max(worst, abs(p - 0.5))
     report(
         "C03 sigmoid-centering",
         worst <= 1e-12,
@@ -108,13 +113,13 @@ def test_c04_distribution_fidelity(ref_surface):
     for _ in range(10):
         v = float(rng.uniform(*ref_surface.v_range))
         hrs = float(rng.uniform(*ref_surface.r_range))
-        dev = NeuronDevice(surface=ref_surface, hrs=hrs)
-        draws = dev.sample_tset(v, rng, size=100_000)
+        mu, sg = device_moments(ref_surface, v, hrs)
+        draws = sample_tset(mu, sg, rng, size=100_000)
         logs = np.log10(draws)
-        ks = scistats.kstest(logs, "norm", args=(dev.mu_eff(v), dev.sigma(v)))
+        ks = scistats.kstest(logs, "norm", args=(mu, sg))
         worst_p = min(worst_p, ks.pvalue)
-        t_pw = 10.0 ** (dev.mu_eff(v) + dev.sigma(v) * float(rng.uniform(-1.5, 1.5)))
-        gap = abs(float(np.mean(draws <= t_pw)) - dev.p_switch(v, t_pw))
+        t_pw = 10.0 ** (mu + sg * float(rng.uniform(-1.5, 1.5)))
+        gap = abs(float(np.mean(draws <= t_pw)) - p_switch(math.log10(t_pw), mu, sg))
         worst_gap = max(worst_gap, gap)
     report(
         "C04 distribution-fidelity",

@@ -59,6 +59,8 @@ class TestSolve:
         r = runner.invoke(main, ["solve", "--instance", str(inst), "--iters", "10",
                                  "--out", str(tmp_path / "o.csv")])
         assert r.exit_code == 3, r.output
+        # named after the module that raised it: maxcut.build_form
+        assert "error [maxcut]: a node's summed edge weight does not fit in int64" in r.output
 
     def test_missing_instance_exits_3(self, runner, tmp_path):
         r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "nope.rudy"),
@@ -97,6 +99,21 @@ class TestCycling:
         header, row = out.read_text().splitlines()
         assert header == "scheme,cycles,mu_drift,sigma_drift"
         assert row.split(",")[2] == "0.0"
+
+    @pytest.mark.parametrize("scheme", ["fixed-input", "monitored"])
+    def test_byte_identical_reruns(self, runner, tmp_path, scheme):
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            r = invoke(runner, ["cycling", "--scheme", scheme, "--cycles", "100",
+                                "--seed", "108", "--out", str(out)])
+            assert r.exit_code == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_single_cycle_is_input_error(self, runner, tmp_path):
+        r = runner.invoke(main, ["cycling", "--scheme", "ideal", "--cycles", "1",
+                                 "--out", str(tmp_path / "c.csv")])
+        assert r.exit_code == 3, r.output
+        assert "error [experiments]: need at least 2 cycles" in r.output
 
 
 class TestFit:
@@ -146,6 +163,13 @@ class TestGenBrute:
         assert r.exit_code == 0
         rows = read_results(out)
         assert any(row["converged_at"] != "" for row in rows)
+
+    def test_brute_too_large_exit_3(self, runner, tmp_path):
+        inst = tmp_path / "n21.rudy"
+        inst.write_text("21 1\n1 2 1\n")
+        r = runner.invoke(main, ["brute", "--instance", str(inst)])
+        assert r.exit_code == 3, r.output
+        assert "error [io_ingest]:" in r.output
 
     def test_brute_k3(self, runner, tmp_path):
         inst = tmp_path / "k3.rudy"
@@ -200,6 +224,26 @@ class TestCalibrateCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 21
         assert lines[0].startswith("device,mu_offset")
+
+    def test_byte_identical_reruns(self, runner, tmp_path):
+        # the default cv of 0.2 puts some devices outside the tunable window
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for out in outs:
+            r = invoke(runner, ["calibrate", "--devices", "50", "--seed", "4",
+                                "--out", str(out)])
+            assert r.exit_code == 0
+        rows = outs[0].read_text().splitlines()[1:]
+        assert {row[-1] for row in rows} == {"0", "1"}
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("precision", ["1.5", "1.0", "-0.1"])
+    def test_precision_outside_unit_interval_exit_3(self, runner, tmp_path, precision):
+        out = tmp_path / "cal.csv"
+        r = runner.invoke(main, ["calibrate", "--precision", precision, "--devices", "3",
+                                 "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [device]: calibration precision" in r.output
+        assert not out.exists()
 
 
 class TestParamsbyEnvVar:

@@ -1,156 +1,169 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from stochanneal.device import DriftModel, NeuronDevice, norm_cdf, switch_probability
-from stochanneal.errors import NonPositivePulse, OutOfDomain, Unattainable
+from stochanneal.device import (
+    DriftModel,
+    calibrate,
+    mu_sigma,
+    p_switch,
+    reset_noise,
+    reset_update,
+    sample_tset,
+    scheme_code,
+)
+from stochanneal.errors import InvalidParameter, NonPositivePulse, OutOfDomain
+from stochanneal.experiments import cycling_stats
+from stochanneal.maxcut import MaxCutInstance
+from stochanneal.sampler import BoltzmannConfig, make_state, step
 from stochanneal.surface import DeviceSurface
 
+FIXED, MONITORED = scheme_code("fixed-input"), scheme_code("monitored")
 
-def flat_device(mu=-5.0, sigma=0.3, floor=0.05, offset=0.0, scheme="ideal", hrs=100.0):
-    surface = DeviceSurface(
+
+def flat_surface(mu=-5.0, sigma=0.3, floor=0.05):
+    return DeviceSurface(
         mu_coeffs=(mu, 0, 0, 0, 0, 0),
         sigma_coeffs=(sigma, 0, 0, 0, 0, 0),
         v_range=(1.6, 2.2),
         r_range=(10.0, 500.0),
         sigma_floor=floor,
     )
-    return NeuronDevice(surface=surface, hrs=hrs, scheme=scheme, mu_offset=offset)
+
+
+def moments(surface, v, hrs, offset=0.0):
+    """(mu, sigma) of a device, as the sampling loop computes them."""
+    return mu_sigma(v, hrs, offset, surface.mu_coeffs, surface.sigma_coeffs,
+                    surface.sigma_floor)
+
+
+def cycle(surface, scheme, hrs, drift, rng, cycles):
+    """HRS after each of `cycles` Resets, drawn and updated as the sampler does."""
+    code = scheme_code(scheme)
+    noise = reset_noise(code, drift.hrs_tolerance, rng, cycles)
+    target, seen, clamps = hrs, [], 0
+    for z in [None] * cycles if noise is None else noise.tolist():
+        hrs, clamped = reset_update(code, hrs, target, z, drift.m_hrs, drift.s_rw,
+                                    *surface.r_range)
+        seen.append(hrs)
+        clamps += clamped
+    return seen, clamps
 
 
 class TestSampleTset:
     def test_degenerate_distribution(self, rng):
-        dev = flat_device(mu=-5.0, sigma=0.0, floor=1e-9)
-        t = dev.sample_tset(1.8, rng)
+        t = sample_tset(*moments(flat_surface(sigma=0.0, floor=1e-9), 1.8, 100.0), rng)
         assert t == pytest.approx(1e-5, rel=1e-6)
 
     def test_log_moments_and_ks(self, rng):
-        dev = flat_device(mu=-5.0, sigma=0.3)
-        logs = np.log10(dev.sample_tset(1.8, rng, size=10_000))
+        logs = np.log10(sample_tset(*moments(flat_surface(), 1.8, 100.0), rng, size=10_000))
         assert logs.mean() == pytest.approx(-5.0, abs=3 * 0.3 / 100)
         assert stats.kstest(logs, "norm", args=(-5.0, 0.3)).pvalue > 0.01
 
     def test_offset_shifts_median_one_decade(self, rng):
-        base = flat_device(offset=0.0)
-        shifted = flat_device(offset=1.0)
-        m0 = np.median(base.sample_tset(1.8, rng, size=10_000))
-        m1 = np.median(shifted.sample_tset(1.8, rng, size=10_000))
+        m0 = np.median(sample_tset(*moments(flat_surface(), 1.8, 100.0, 0.0), rng, size=10_000))
+        m1 = np.median(sample_tset(*moments(flat_surface(), 1.8, 100.0, 1.0), rng, size=10_000))
         assert m1 / m0 == pytest.approx(10.0, rel=0.2)
 
-    def test_does_not_mutate_state(self, ref_surface, rng):
-        dev = NeuronDevice(surface=ref_surface, hrs=80.0)
-        dev.sample_tset(1.9, rng, size=100)
-        assert dev.hrs == 80.0 and dev.cycles == 0
+    def test_does_not_mutate_state(self, ref_surface):
+        # the draws are the generator's only side effect: size normals, no more
+        mu, sg = moments(ref_surface, 1.9, 80.0)
+        rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+        got = sample_tset(mu, sg, rng, size=100)
+        assert np.array_equal(got, 10.0 ** (mu + sg * twin.standard_normal(100)))
+        assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_out_of_domain(self, ref_surface, rng):
-        dev = NeuronDevice(surface=ref_surface, hrs=80.0)
+    def test_out_of_domain(self, ref_surface, ref_drift):
+        # the device functions trust their inputs; the entry points check them
         with pytest.raises(OutOfDomain):
-            dev.sample_tset(2.5, rng)
+            cycling_stats(ref_surface, ref_drift, "ideal", 10, v_ref=2.5)
 
 
 class TestPSwitch:
     def test_centered_pulse_gives_half(self):
-        dev = flat_device(mu=-5.0)
-        assert dev.p_switch(1.8, 1e-5) == pytest.approx(0.5, abs=1e-12)
+        assert p_switch(math.log10(1e-5), *moments(flat_surface(), 1.8, 100.0)) == \
+            pytest.approx(0.5, abs=1e-12)
 
     def test_one_sigma_above(self):
-        dev = flat_device(mu=-5.0, sigma=0.3)
-        p = dev.p_switch(1.8, 10.0 ** (-5.0 + 0.3))
-        assert p == pytest.approx(norm_cdf(1.0), abs=1e-12)
+        p = p_switch(-5.0 + 0.3, *moments(flat_surface(sigma=0.3), 1.8, 100.0))
+        assert p == pytest.approx(stats.norm.cdf(1.0), abs=1e-12)
         assert p == pytest.approx(0.8413, abs=5e-5)
 
     def test_cdf_limits(self):
-        dev = flat_device()
-        assert dev.p_switch(1.8, 1e-30) < 1e-6
-        assert dev.p_switch(1.8, 1e30) > 1 - 1e-6
+        mu, sg = moments(flat_surface(), 1.8, 100.0)
+        assert p_switch(-30.0, mu, sg) < 1e-6
+        assert p_switch(30.0, mu, sg) > 1 - 1e-6
 
-    def test_non_positive_pulse(self):
-        dev = flat_device()
+    def test_non_positive_pulse(self, ref_surface):
+        inst = MaxCutInstance(n=2, edges=((0, 1, 1),))
         with pytest.raises(NonPositivePulse):
-            dev.p_switch(1.8, 0.0)
+            make_state(inst, BoltzmannConfig(t_pw=0.0), ref_surface)
 
     def test_monotone_cdf_in_pulse_width(self, ref_surface, rng):
         for _ in range(100):
-            dev = NeuronDevice(
-                surface=ref_surface,
-                hrs=rng.uniform(10, 500),
-                mu_offset=rng.normal(0, 0.5),
-            )
-            v = rng.uniform(1.6, 2.2)
-            tps = np.logspace(-9, -1, 40)
-            ps = [dev.p_switch(v, t) for t in tps]
+            mu, sg = moments(ref_surface, rng.uniform(1.6, 2.2), rng.uniform(10, 500),
+                             rng.normal(0, 0.5))
+            ps = [p_switch(lt, mu, sg) for lt in np.linspace(-9, -1, 40)]
             assert all(b >= a for a, b in zip(ps, ps[1:]))
 
     def test_empirical_matches_analytic(self, ref_surface):
         rng = np.random.default_rng(77)
-        dev = NeuronDevice(surface=ref_surface, hrs=120.0)
-        t_pw = 10.0 ** (dev.mu_eff(1.9) + 0.4)
-        frac = float(np.mean(dev.sample_tset(1.9, rng, size=100_000) <= t_pw))
-        assert frac == pytest.approx(dev.p_switch(1.9, t_pw), abs=0.01)
+        mu, sg = moments(ref_surface, 1.9, 120.0)
+        t_pw = 10.0 ** (mu + 0.4)
+        frac = float(np.mean(sample_tset(mu, sg, rng, size=100_000) <= t_pw))
+        assert frac == pytest.approx(p_switch(math.log10(t_pw), mu, sg), abs=0.01)
 
 
 class TestApplyCycle:
     def test_ideal_leaves_hrs_bit_identical(self, ref_surface, rng):
-        dev = NeuronDevice(surface=ref_surface, hrs=123.456)
-        drift = DriftModel(m_hrs=2.0, s_rw=3.0)
-        for _ in range(1000):
-            dev.apply_cycle(drift, rng)
-        assert dev.hrs == 123.456
-        assert dev.cycles == 1000
+        seen, clamps = cycle(ref_surface, "ideal", 123.456, DriftModel(m_hrs=2.0, s_rw=3.0),
+                             rng, 1000)
+        assert seen == [123.456] * 1000 and clamps == 0
 
     def test_fixed_slope_arithmetic(self, ref_surface, rng):
-        dev = NeuronDevice(surface=ref_surface, hrs=40.0, scheme="fixed-input")
-        drift = DriftModel(m_hrs=0.01, s_rw=0.0)
-        for _ in range(100):
-            dev.apply_cycle(drift, rng)
-        assert dev.hrs == pytest.approx(41.0, rel=1e-12)
+        seen, _ = cycle(ref_surface, "fixed-input", 40.0, DriftModel(m_hrs=0.01), rng, 100)
+        assert seen[-1] == pytest.approx(41.0, rel=1e-12)
 
     def test_monitored_stays_in_tolerance_band(self, ref_surface):
         rng = np.random.default_rng(5)
-        dev = NeuronDevice(surface=ref_surface, hrs=100.0, scheme="monitored")
-        drift = DriftModel(hrs_tolerance=0.1)
-        seen = []
-        for _ in range(10_000):
-            dev.apply_cycle(drift, rng)
-            seen.append(dev.hrs)
+        seen, _ = cycle(ref_surface, "monitored", 100.0, DriftModel(hrs_tolerance=0.1), rng,
+                        10_000)
         arr = np.asarray(seen)
         assert np.all(arr >= 0.9 * 100.0) and np.all(arr <= 1.1 * 100.0)
 
     def test_monitored_mu_range_bounded_by_band(self, ref_surface):
-        # stationarity: mu_eff never leaves the image of the tolerance band
+        # stationarity: mu never leaves the image of the tolerance band
         rng = np.random.default_rng(6)
-        dev = NeuronDevice(surface=ref_surface, hrs=100.0, scheme="monitored")
-        drift = DriftModel(hrs_tolerance=0.1)
+        seen, _ = cycle(ref_surface, "monitored", 100.0, DriftModel(hrs_tolerance=0.1), rng,
+                        10_000)
         lo = ref_surface.eval_mu(1.8, 90.0)
         hi = ref_surface.eval_mu(1.8, 110.0)
-        for _ in range(10_000):
-            dev.apply_cycle(drift, rng)
-            assert lo - 1e-12 <= dev.mu_eff(1.8) <= hi + 1e-12
+        for hrs in seen:
+            assert lo - 1e-12 <= moments(ref_surface, 1.8, hrs)[0] <= hi + 1e-12
 
     def test_fixed_with_slope_trends_upward(self, ref_surface, rng):
-        dev = NeuronDevice(surface=ref_surface, hrs=50.0, scheme="fixed-input")
-        drift = DriftModel(m_hrs=1.0, s_rw=0.0)
-        mus = [dev.mu_eff(1.8)]
-        for _ in range(100):
-            dev.apply_cycle(drift, rng)
-            mus.append(dev.mu_eff(1.8))
+        seen, _ = cycle(ref_surface, "fixed-input", 50.0, DriftModel(m_hrs=1.0), rng, 100)
+        mus = [moments(ref_surface, 1.8, hrs)[0] for hrs in [50.0] + seen]
         assert all(b > a for a, b in zip(mus, mus[1:]))
 
-    def test_clamping_counted(self, ref_surface, rng):
-        dev = NeuronDevice(surface=ref_surface, hrs=499.0, scheme="fixed-input")
-        drift = DriftModel(m_hrs=10.0, s_rw=0.0)
-        dev.apply_cycle(drift, rng)
-        assert dev.hrs == 500.0
-        assert dev.clamp_events == 1
+    def test_clamping_counted(self, ref_surface):
+        assert reset_update(FIXED, 499.0, 499.0, 0.0, 10.0, 0.0, 10.0, 500.0) == (500.0, True)
+        assert reset_update(MONITORED, 20.0, 9.0, 0.05, 0.0, 0.0, 10.0, 500.0) == (10.0, True)
+        assert reset_update(FIXED, 100.0, 100.0, 0.0, 10.0, 0.0, 10.0, 500.0) == (110.0, False)
 
-    def test_cycles_never_decrease(self, ref_surface, rng):
-        dev = NeuronDevice(surface=ref_surface, hrs=100.0, scheme="monitored")
-        drift = DriftModel()
-        last = dev.cycles
+    def test_cycles_never_decrease(self, ref_surface, ref_drift):
+        # the sampler cycles exactly the sampled device once per iteration
+        inst = MaxCutInstance(n=3, edges=((0, 1, 1), (1, 2, 1)))
+        state = make_state(inst, BoltzmannConfig(scheme="monitored", drift=ref_drift),
+                           ref_surface)
+        last = state.cyc.copy()
         for _ in range(50):
-            dev.apply_cycle(drift, rng)
-            assert dev.cycles == last + 1
-            last = dev.cycles
+            step(state)
+            grew = state.cyc - last
+            assert grew.min() == 0 and grew.sum() == 1
+            last = state.cyc.copy()
 
 
 class TestCalibrate:
@@ -163,31 +176,34 @@ class TestCalibrate:
         )
 
     def test_linear_root(self, rng):
-        dev = NeuronDevice(surface=self.linear_surface(), hrs=50.0)
-        r_star = dev.calibrate(-5.0, 1.8, precision=0.0, rng=rng)
-        assert r_star == pytest.approx(100.0, abs=1e-4)
-        assert dev.hrs == pytest.approx(100.0, abs=1e-4)
-        assert dev.target_hrs == dev.hrs
+        cal = calibrate(self.linear_surface(), np.array([-5.0]), 1.8, 0.0, rng)
+        assert cal.r_star[0] == pytest.approx(100.0, abs=1e-4)
+        assert cal.hrs[0] == cal.r_star[0]
+        assert not cal.missed[0] and cal.clamps == 0
 
     def test_offsets_centered_after_calibration(self):
         rng = np.random.default_rng(42)
         surface = self.linear_surface()
-        mus = []
-        for off in (+0.2, -0.2):
-            dev = NeuronDevice(surface=surface, hrs=50.0, mu_offset=off)
-            dev.calibrate(-5.0, 1.8, precision=0.05, rng=rng)
-            mus.append(dev.mu_eff(1.8))
+        offs = np.array([+0.2, -0.2])
+        cal = calibrate(surface, -5.0 - offs, 1.8, 0.05, rng)
+        mus = surface.eval_mu(1.8, cal.hrs) + offs
         # residual miss is the local slope times the realized HRS error
         slope = 0.02
-        for mu, off in zip(mus, (+0.2, -0.2)):
+        for mu, off in zip(mus, offs):
             r_star = ((-5.0 - off) + 7.0) / 0.02
             assert abs(mu + 5.0) <= slope * 0.05 * r_star + 1e-9
         assert abs(np.mean(mus) + 5.0) <= 0.1
 
     def test_unattainable(self, rng):
-        dev = NeuronDevice(surface=self.linear_surface(), hrs=50.0)
-        with pytest.raises(Unattainable):
-            dev.calibrate(-8.0, 1.8, precision=0.1, rng=rng)
+        # below the window's lowest mu: parked at the low end, flagged
+        cal = calibrate(self.linear_surface(), np.array([-8.0, -5.0]), 1.8, 0.1, rng)
+        assert cal.missed.tolist() == [True, False]
+        assert cal.r_star[0] == 10.0
+
+    @pytest.mark.parametrize("precision", [-0.1, 1.0, 1.5])
+    def test_precision_outside_unit_interval(self, rng, precision):
+        with pytest.raises(InvalidParameter, match="precision"):
+            calibrate(self.linear_surface(), np.array([-5.0]), 1.8, precision, rng)
 
 
 class TestDriftModelValidation:
@@ -203,9 +219,11 @@ class TestDriftModelValidation:
 
 
 def test_switch_probability_free_function():
-    assert switch_probability(-5.0, 0.3, 1e-5) == pytest.approx(0.5, abs=1e-12)
+    assert p_switch(math.log10(1e-5), -5.0, 0.3) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_unknown_scheme_rejected(ref_surface):
+def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
-        NeuronDevice(surface=ref_surface, hrs=100.0, scheme="sometimes")
+        scheme_code("sometimes")
+    with pytest.raises(ValueError):
+        BoltzmannConfig(scheme="sometimes")

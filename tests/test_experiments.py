@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochanneal.device import DriftModel
+from stochanneal import experiments
+from stochanneal.device import DriftModel, reset_update, scheme_code
 from stochanneal.errors import InsufficientTraces, MissingBestKnown
 from stochanneal.experiments import (
     build_size_ladder,
@@ -50,6 +51,19 @@ class TestCyclingStats:
     def test_series_length(self, ref_surface, ref_drift):
         st = cycling_stats(ref_surface, ref_drift, "monitored", 50, seed=1)
         assert st.mu_series.size == 51
+
+    @pytest.mark.parametrize("scheme", ["ideal", "fixed-input", "monitored"])
+    def test_runs_the_sampler_reset_update(self, ref_surface, ref_drift, scheme, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return reset_update(*args)
+
+        monkeypatch.setattr(experiments, "reset_update", spy)
+        st = cycling_stats(ref_surface, ref_drift, scheme, 30, seed=2)
+        assert calls == [scheme_code(scheme)] * 30
+        assert st.mu_series.size == 31
 
     def test_cycle_minimum(self, ref_surface, ref_drift):
         with pytest.raises(ValueError):

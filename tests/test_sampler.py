@@ -3,6 +3,7 @@ import hashlib
 import logging
 import math
 import os
+import re
 import shutil
 import stat
 import warnings
@@ -11,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stochanneal.device import DriftModel, NeuronDevice
-from stochanneal.errors import MissingBestKnown, Unattainable
+from stochanneal.device import DriftModel, field_to_voltage, mu_sigma, p_switch
+from stochanneal.errors import InvalidParameter, MissingBestKnown, Unattainable
 from stochanneal.io_ingest import generate_instance
 from stochanneal import sampler
 from stochanneal.maxcut import MaxCutInstance
@@ -21,36 +22,40 @@ from stochanneal.sampler import (
     RunTrace,
     ensemble,
     make_state,
-    map_field_to_voltage,
     moving_average,
     run,
     step,
 )
+from stochanneal.surface import DeviceSurface
+
+
+def to_voltage(cfg, u, u_scale):
+    """The sampler's field-to-voltage map under cfg's window and gain."""
+    return field_to_voltage(u, cfg.v_center, cfg.v_min, cfg.v_max, cfg.gain, 1.0 / u_scale)
 
 
 class TestMapFieldToVoltage:
     def test_zero_field_is_center(self):
-        cfg = BoltzmannConfig()
-        assert map_field_to_voltage(cfg, 0.0, 4.0) == 1.8
+        assert to_voltage(BoltzmannConfig(), 0, 4.0) == 1.8
 
     def test_clamps_at_window(self):
         cfg = BoltzmannConfig()
-        assert map_field_to_voltage(cfg, 1e9, 4.0) == 2.2
-        assert map_field_to_voltage(cfg, -1e9, 4.0) == 1.6
+        assert to_voltage(cfg, 10**9, 4.0) == 2.2
+        assert to_voltage(cfg, -10**9, 4.0) == 1.6
 
     def test_arithmetic(self):
-        cfg = BoltzmannConfig(gain=0.2)
-        assert map_field_to_voltage(cfg, 5.0, 10.0) == pytest.approx(1.9, abs=1e-12)
+        assert to_voltage(BoltzmannConfig(gain=0.2), 5, 10.0) == pytest.approx(1.9, abs=1e-12)
 
     def test_monotone(self):
         cfg = BoltzmannConfig()
-        us = np.linspace(-50, 50, 101)
-        vs = [map_field_to_voltage(cfg, u, 8.0) for u in us]
+        vs = [to_voltage(cfg, u, 8.0) for u in range(-50, 51)]
         assert all(b >= a for a, b in zip(vs, vs[1:]))
 
-    def test_u_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            map_field_to_voltage(BoltzmannConfig(), 1.0, 0.0)
+    def test_u_scale_must_be_positive(self, ref_surface):
+        # with every field 0 the 95th percentile of |u| is 0; the scale falls back to 1
+        state = make_state(MaxCutInstance(n=3, edges=()), BoltzmannConfig(), ref_surface)
+        assert state.u.tolist() == [0, 0, 0]
+        assert state.u_scale == 1.0 and state.params.inv_uscale == 1.0
 
 
 class TestStep:
@@ -59,7 +64,7 @@ class TestStep:
         state = make_state(k3, cfg, flat_surface)
         for _ in range(30):
             step(state)
-        assert state.x == [1, 1, 1]
+        assert state.x.tolist() == [1, 1, 1]
 
     def test_thresholded_first_step_on_k3(self, k3, steep_surface):
         # near-zero sigma turns the neuron into a threshold unit; from the
@@ -68,34 +73,35 @@ class TestStep:
         for seed in range(20):
             state = make_state(k3, BoltzmannConfig(t_pw=1e-5, nominal_hrs=100.0,
                                                    max_iters=1, seed=seed), steep_surface)
-            state.x = [0, 0, 0]
-            state.u = [2, 2, 2]
+            state.x[:] = 0
+            state.u[:] = 2
             state.energy = 0
             step(state)
-            assert sum(state.x) == 1
+            assert state.x.sum() == 1
 
     def test_empirical_frequency_matches_p_switch(self, ref_surface, ref_drift):
         # single isolated node: u = 0 always, so every step is an independent
         # Bernoulli draw at v_center with the configured pulse width
         inst = MaxCutInstance(n=1, edges=())
         nominal = ref_surface.hrs_for_mu(-5.0, 1.8)
-        dev = NeuronDevice(surface=ref_surface, hrs=nominal)
-        t_pw = 10.0 ** (dev.mu_eff(1.8) - 0.25)
+        mu, sg = mu_sigma(1.8, nominal, 0.0, ref_surface.mu_coeffs, ref_surface.sigma_coeffs,
+                          ref_surface.sigma_floor)
+        t_pw = 10.0 ** (mu - 0.25)
         cfg = BoltzmannConfig(t_pw=t_pw, max_iters=1, seed=3, drift=ref_drift)
         state = make_state(inst, cfg, ref_surface)
         hits = 0
         trials = 100_000
         for _ in range(trials):
             step(state)
-            hits += state.x[0]
-        assert hits / trials == pytest.approx(dev.p_switch(1.8, t_pw), abs=0.01)
+            hits += int(state.x[0])
+        assert hits / trials == pytest.approx(p_switch(math.log10(t_pw), mu, sg), abs=0.01)
 
     def test_one_cycle_per_step(self, k3, ref_surface, ref_drift):
         cfg = BoltzmannConfig(max_iters=500, seed=9, drift=ref_drift)
         state = make_state(k3, cfg, ref_surface)
         for _ in range(500):
             step(state)
-        assert sum(state.cyc) == 500
+        assert int(state.cyc.sum()) == 500
 
 
 class TestRun:
@@ -141,20 +147,20 @@ class TestRun:
         inst = generate_instance(20, 3.0, seed=6)
         cfg = BoltzmannConfig(max_iters=3000, seed=5, scheme="ideal", drift=ref_drift)
         state = make_state(inst, cfg, ref_surface)
-        initial = list(state.hrs)
+        initial = state.hrs.copy()
         for _ in range(3000):
             step(state)
-        assert state.hrs == initial
+        assert np.array_equal(state.hrs, initial)
 
     def test_monitored_and_fixed_mutate_hrs(self, ref_surface, ref_drift):
         inst = generate_instance(20, 3.0, seed=6)
         for scheme in ("fixed-input", "monitored"):
             cfg = BoltzmannConfig(max_iters=200, seed=5, scheme=scheme, drift=ref_drift)
             state = make_state(inst, cfg, ref_surface)
-            initial = list(state.hrs)
+            initial = state.hrs.copy()
             for _ in range(200):
                 step(state)
-            assert state.hrs != initial
+            assert not np.array_equal(state.hrs, initial)
 
     def test_best_cut_is_max_visited(self, ref_surface, ref_drift, k3):
         cfg = BoltzmannConfig(max_iters=500, seed=21, drift=ref_drift)
@@ -295,6 +301,21 @@ class TestEnsemble:
         cuts = {t.best_cut for t in traces}
         assert len(cuts) > 1
 
+    def test_nominal_hrs_solved_once(self, ref_surface, ref_drift, monkeypatch):
+        calls = []
+        solve = DeviceSurface.hrs_for_mu
+
+        def counting(surface, *args, **kwargs):
+            calls.append(args)
+            return solve(surface, *args, **kwargs)
+
+        monkeypatch.setattr(DeviceSurface, "hrs_for_mu", counting)
+        sampler._nominal_hrs.cache_clear()
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = BoltzmannConfig(max_iters=100, runs=10, seed=6, drift=ref_drift)
+        traces, _ = ensemble(inst, cfg, ref_surface)
+        assert len(traces) == 10 and len(calls) == 1
+
     def test_runs_validation(self, k3, ref_surface):
         with pytest.raises(ValueError):
             ensemble(k3, BoltzmannConfig(runs=0), ref_surface)
@@ -402,8 +423,19 @@ def _assert_traces_equal(ref, fast):
             assert repr(a) == repr(b), f.name
 
 
-_STATE_SLOTS = ("x", "u", "hrs", "cyc", "best_x", "energy", "best_energy",
-                "converged_at", "clamps", "t", "cursor")
+_STATE_FIELDS = ("x", "u", "hrs", "targets", "offs", "cyc", "best_x", "energy", "best_energy",
+                 "converged_at", "clamps", "t", "cursor", "params")
+
+
+def _assert_states_equal(ref, fast):
+    for name in _STATE_FIELDS:
+        a, b = getattr(ref, name), getattr(fast, name)
+        assert type(a) is type(b), name
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert [float(v).hex() for v in a] == [float(v).hex() for v in b], name
+        else:
+            assert repr(a) == repr(b), name
 
 
 class TestKernel:
@@ -448,26 +480,32 @@ class TestKernel:
                               d2d_cv=0.1, energy_stride=3)
         ref = make_state(inst, cfg, ref_surface)
         fast = make_state(inst, cfg, ref_surface)
-        for state in (ref, fast):
-            for _ in range(100):
-                step(state)
-        recorded = list(fast.trace)
-        sampler._advance(ref, 20_000)
-        recorded += sampler._advance_kernel(kernel, fast, 20_000).tolist()
-        for name in _STATE_SLOTS:
-            assert getattr(ref, name) == getattr(fast, name), name
-        assert ref.trace == recorded
+        ref_trace, fast_trace = [], []
+        for _ in range(100):
+            ref_trace += sampler._advance(ref, 1)
+            fast_trace += sampler._advance(fast, 1)
+        ref_trace += sampler._advance(ref, 20_000)
+        fast_trace += sampler._advance_kernel(kernel, fast, 20_000).tolist()
+        _assert_states_equal(ref, fast)
+        assert ref_trace == fast_trace
         # the reference carries on from the state the kernel wrote back
-        sampler._advance(ref, 5_000)
-        sampler._advance(fast, 5_000)
-        for name in _STATE_SLOTS:
-            assert getattr(ref, name) == getattr(fast, name), name
+        assert sampler._advance(ref, 5_000) == sampler._advance(fast, 5_000)
+        _assert_states_equal(ref, fast)
+
+    def test_params_order_is_the_kernel_par_enum(self):
+        source = sampler._KERNEL_SOURCE.read_text()
+        body = source[source.index("enum {"):]
+        names = re.findall(r"P_(\w+)", body[:body.index("}")])
+        assert names == [f.upper() for f in sampler.Params._fields]
 
     def test_weight_beyond_53_bits_takes_reference_path(self, ref_surface, ref_drift,
                                                         monkeypatch):
         inst = MaxCutInstance(n=4, edges=((0, 1, 2**60), (1, 2, -1), (2, 3, 1)), best_known=1)
         assert not inst.form.fits_in_53_bits
         cfg = BoltzmannConfig(max_iters=3000, seed=2, drift=ref_drift, scheme="fixed-input")
+        # the reference keeps exact Python ints for the local fields
+        u = make_state(inst, cfg, ref_surface).u
+        assert u.dtype == object and {type(v) for v in u} == {int}
         got = run(inst, cfg, ref_surface)
         monkeypatch.setattr(sampler, "load_kernel", lambda: None)
         ref = run(inst, cfg, ref_surface)
@@ -562,18 +600,16 @@ class TestMonotoneActivation:
         rng = np.random.default_rng(55)
         cfg = BoltzmannConfig()
         nominal = ref_surface.hrs_for_mu(-5.0, 1.8)
-        t_pw = ref_surface.center_pulse_width(1.8, nominal)
+        log_tpw = math.log10(ref_surface.center_pulse_width(1.8, nominal))
+        coeffs = (ref_surface.mu_coeffs, ref_surface.sigma_coeffs, ref_surface.sigma_floor)
         checked = 0
         for _ in range(1000):
-            dev = NeuronDevice(
-                surface=ref_surface,
-                hrs=float(rng.uniform(*ref_surface.r_range)),
-                mu_offset=float(rng.normal(0, 0.5)),
-            )
+            hrs = float(rng.uniform(*ref_surface.r_range))
+            off = float(rng.normal(0, 0.5))
             u_scale = float(rng.uniform(1.0, 20.0))
             u1, u2 = sorted(rng.uniform(-30, 30, 2))
-            p1 = dev.p_switch(map_field_to_voltage(cfg, u1, u_scale), t_pw)
-            p2 = dev.p_switch(map_field_to_voltage(cfg, u2, u_scale), t_pw)
+            p1 = p_switch(log_tpw, *mu_sigma(to_voltage(cfg, u1, u_scale), hrs, off, *coeffs))
+            p2 = p_switch(log_tpw, *mu_sigma(to_voltage(cfg, u2, u_scale), hrs, off, *coeffs))
             assert p2 >= p1 - 1e-12
             checked += 1
         assert checked == 1000
@@ -602,10 +638,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BoltzmannConfig(gain=0.0)
 
-    @pytest.mark.parametrize("stride", [0, -1])
+    @pytest.mark.parametrize("stride", [0, -1, 2 ** 53 + 1])
     def test_energy_stride_positive(self, stride):
         with pytest.raises(ValueError, match="energy_stride"):
             BoltzmannConfig(energy_stride=stride)
+
+    @pytest.mark.parametrize("precision", [-0.01, 1.0, 1.5])
+    def test_calibration_precision_in_unit_interval(self, precision):
+        with pytest.raises(InvalidParameter, match="calibration_precision"):
+            BoltzmannConfig(calibration_precision=precision)
 
     def test_voltage_window_inside_surface(self, ref_surface):
         cfg = BoltzmannConfig(v_min=1.0, v_center=1.8, v_max=2.2)
