@@ -11,6 +11,16 @@
  * instance fits in 53 bits, where int64 and Python ints agree and each
  * int/float comparison is exact.
  *
+ * ptab, when not NULL, caches the switching probability by local field:
+ * ptab[u_i + U] for |u_i| <= U, NaN for "not yet". A slot is filled the
+ * first time its field is met, by the loop's own expression, and reused
+ * after that. The caller passes one only when p depends on u_i alone (the
+ * logistic activation, or the ideal scheme with every device at one HRS and
+ * one offset), so a cached p is the double the loop would compute again and
+ * the results stay bit-identical. U bounds every |u_i| (BoltzmannForm.
+ * field_bound); the caller passes no table when its 2U + 1 slots would
+ * exceed 2^16 (sampler._uses_table).
+ *
  * sampler.load_kernel compiles, loads and self-checks this file; the tests
  * in tests/test_sampler.py (TestKernel, TestBitIdentity) hold it equal to
  * _advance.
@@ -45,7 +55,7 @@ int64_t sa_advance(
     int64_t n, int8_t *x, int64_t *u, int64_t *cyc, int8_t *best_x,
     const int64_t *indptr, const int64_t *indices, const int64_t *wts,
     double *hrs, const double *offs, const double *targets,
-    const double *par, int64_t *io, int64_t *trace)
+    const double *par, int64_t *io, double *ptab, int64_t U, int64_t *trace)
 {
     const int64_t scheme = (int64_t)par[P_SCHEME], logistic = (int64_t)par[P_LOGISTIC];
     const int64_t stride = (int64_t)par[P_STRIDE], stop_on_conv = (int64_t)par[P_STOP_ON_CONV];
@@ -68,22 +78,26 @@ int64_t sa_advance(
     for (k = 0; k < steps; k++) {
         const int64_t i = nodes[k];
         const int64_t u_i = u[i];
-        double p;
+        double p = ptab != NULL ? ptab[u_i + U] : NAN;
 
-        if (logistic) {
-            p = u_i > -500 ? 1.0 / (1.0 + exp(-(double)u_i)) : 0.0;
-        } else {
-            double v = vc + gain * (double)u_i * inv_uscale;
-            if (v < vmin)
-                v = vmin;
-            else if (v > vmax)
-                v = vmax;
-            const double r = hrs[i];
-            const double mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + offs[i];
-            double sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00;
-            if (sg < floor_)
-                sg = floor_;
-            p = 0.5 * (1.0 + erf((log_tpw - mu) * sqrt1_2 / sg));
+        if (isnan(p)) {
+            if (logistic) {
+                p = u_i > -500 ? 1.0 / (1.0 + exp(-(double)u_i)) : 0.0;
+            } else {
+                double v = vc + gain * (double)u_i * inv_uscale;
+                if (v < vmin)
+                    v = vmin;
+                else if (v > vmax)
+                    v = vmax;
+                const double r = hrs[i];
+                const double mu = (mc10 + mc20 * v + mc11 * r) * v + (mc01 + mc02 * r) * r + mc00 + offs[i];
+                double sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00;
+                if (sg < floor_)
+                    sg = floor_;
+                p = 0.5 * (1.0 + erf((log_tpw - mu) * sqrt1_2 / sg));
+            }
+            if (ptab != NULL)
+                ptab[u_i + U] = p;
         }
 
         const int8_t new = unifs[k] < p ? 1 : 0;

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .device import SCHEME_IDEAL, SCHEMES, DriftModel, calibrate as calibrate_devices
-from .errors import StochAnnealError
+from .errors import InvalidParameter, StochAnnealError
 from .experiments import (
     build_size_ladder,
     cycling_stats,
@@ -290,6 +290,8 @@ def cycling(scheme, cycles, params_path, vref, seed, out_path):
 @handle_errors("device")
 def calibrate(mu_target, precision, devices, cv, params_path, vref, seed, out_path):
     """Per-device HRS calibration demo: mu_eff before/after tuning."""
+    if devices < 0:
+        raise InvalidParameter(f"--devices must be >= 0, got {devices}")
     surface, drift, params_path = _load_device_params(params_path)
     click.echo(f"seed = {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -317,7 +317,7 @@ def d2d_experiment(
     """Settling-energy penalty of device-to-device spread, with and without
     per-device HRS calibration, against a cv = 0 baseline on paired seeds."""
     if cfg.runs < 10:
-        raise ValueError("d2d_experiment needs cfg.runs >= 10")
+        raise InvalidParameter(f"d2d_experiment needs cfg.runs >= 10, got {cfg.runs}")
     base = replace(cfg, stop_on_convergence=False)
     ideal_traces, _ = ensemble(inst, replace(base, d2d_cv=0.0, calibrate=False), surface)
     e_ideal = settling_energy_ensemble(ideal_traces)

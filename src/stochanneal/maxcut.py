@@ -94,6 +94,16 @@ class BoltzmannForm:
         total = sum(map(abs, self.b.tolist())) + sum(map(abs, self.weights.tolist()))
         return total < _EXACT_INT_LIMIT
 
+    @functools.cached_property
+    def field_bound(self) -> int:
+        """max_i (|b_i| + sum_j |W_B_ij|), which bounds every local field |u_i|."""
+        # exact Python ints where an |entry| or a row sum could leave int64
+        dtype = np.int64 if self.fits_in_53_bits else object
+        csum = np.zeros(self.weights.size + 1, dtype=dtype)
+        np.cumsum(np.abs(self.weights.astype(dtype)), out=csum[1:])
+        rows = csum[self.indptr[1:]] - csum[self.indptr[:-1]]
+        return int(np.max(np.abs(self.b.astype(dtype)) + rows, initial=0))
+
 
 def build_form(inst: MaxCutInstance) -> BoltzmannForm:
     """Assemble b_i = -sum_j w_ij and W_B_ij = -2 w_ij from the edge list.

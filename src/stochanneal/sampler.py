@@ -322,7 +322,9 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _COMPILE_TIMEOUT_S = 60
 _P = ctypes.c_void_p
-_KERNEL_ARGTYPES = (ctypes.c_int64, _P, _P, _P, ctypes.c_int64) + (_P,) * 13
+_KERNEL_ARGTYPES = (ctypes.c_int64, _P, _P, _P, ctypes.c_int64) + (_P,) * 13 + (ctypes.c_int64, _P)
+# the most entries a p_switch table may have (see _uses_table)
+_TABLE_CAP = 2 ** 16
 # the self-check grid: erf over the range the device activation reaches,
 # exp at the integer arguments the logistic activation passes it
 _ERF_GRID = tuple(k * 0.011718 + 1e-9 * k * k for k in range(-700, 701))
@@ -422,12 +424,42 @@ def _compile_and_load(cc: str, source: bytes, so: Path):
     return ctypes.CDLL(str(so))
 
 
+def _same_bits(a: np.ndarray) -> bool:
+    """Whether every entry of a float64 array has the first one's bit pattern."""
+    bits = a.view(np.uint64)
+    return bool((bits == bits[0]).all())
+
+
+def _uses_table(state: State) -> bool:
+    """Whether the kernel may cache p_switch by local field in a table.
+
+    Only when p depends on u_i alone: always under the logistic activation;
+    under the device activation, with the ideal scheme (no Reset moves an
+    HRS) and every device at the same HRS and the same offset, bit for bit.
+    Every |u_i| is at most the form's `field_bound` U, so the table has
+    2U + 1 slots; above _TABLE_CAP of them the kernel runs without one.
+    """
+    params = state.params
+    field_alone = params.logistic or (
+        not params.scheme and _same_bits(state.hrs) and _same_bits(state.offs))
+    return field_alone and 2 * state.form.field_bound + 1 <= _TABLE_CAP
+
+
 def _advance_kernel(kernel, state: State, steps: int) -> np.ndarray:
     """`_advance(state, steps)` run by the compiled kernel, with equal results.
 
     It consumes the same pre-drawn blocks and works on the state's arrays in
     place. The energies it records are returned as an int64 array. The
     caller checks the form's `fits_in_53_bits` first.
+
+    When `_uses_table` allows (p depends on u_i alone, and the 2U + 1 slots
+    for |u_i| <= U = `form.field_bound` are at most _TABLE_CAP = 2**16), the
+    kernel is given a table of p_switch by local field, all NaN ("not yet")
+    at the start of each call, which it fills with the loop's own
+    expression the first time it meets a field. A slot therefore holds the
+    double the loop would compute again, and the results stay
+    bit-identical; the table skips the mu/sigma polynomials and `erf` on
+    every later visit to that field.
     """
     form = state.form
     n, m = form.n, form.indices.size
@@ -444,7 +476,13 @@ def _advance_kernel(kernel, state: State, steps: int) -> np.ndarray:
     io = np.array([state.t, state.energy, state.best_energy,
                    -1 if state.converged_at is None else state.converged_at,
                    state.clamps], dtype=np.int64)
-    args = (n, *(a.ctypes.data for a, _, _ in arrays), par.ctypes.data, io.ctypes.data)
+    if _uses_table(state):
+        bound = state.form.field_bound
+        table = np.full(2 * bound + 1, np.nan)
+        tab = (table.ctypes.data, bound)
+    else:
+        tab = (None, 0)
+    args = (n, *(a.ctypes.data for a, _, _ in arrays), par.ctypes.data, io.ctypes.data, *tab)
     stride, stop_on_conv = state.params.stride, state.params.stop_on_conv
     t = state.t
     tend = t + steps

@@ -190,6 +190,14 @@ class TestSweeps:
         assert lines[0].startswith("cv,error_uncalibrated")
         assert len(lines) == 3
 
+    def test_sweep_d2d_too_few_runs_exit_3(self, runner, tmp_path):
+        out = tmp_path / "d2d.csv"
+        r = runner.invoke(main, ["sweep-d2d", "--nodes", "24", "--iters", "200", "--runs", "5",
+                                 "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [experiments]: d2d_experiment needs cfg.runs >= 10" in r.output
+        assert not out.exists()
+
     def test_sweep_drift_writes_rows(self, runner, tmp_path):
         out = tmp_path / "drift.csv"
         r = invoke(runner, ["sweep-drift", "--sizes", "10,16", "--mhrs", "0.01",
@@ -243,6 +251,13 @@ class TestCalibrateCommand:
                                  "--out", str(out)])
         assert r.exit_code == 3, r.output
         assert "error [device]: calibration precision" in r.output
+        assert not out.exists()
+
+    def test_negative_device_count_exit_3(self, runner, tmp_path):
+        out = tmp_path / "cal.csv"
+        r = runner.invoke(main, ["calibrate", "--devices", "-1", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [cli]: --devices must be >= 0" in r.output
         assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from stochanneal import experiments
 from stochanneal.device import DriftModel, reset_update, scheme_code
-from stochanneal.errors import InsufficientTraces, MissingBestKnown
+from stochanneal.errors import InsufficientTraces, InvalidParameter, MissingBestKnown
 from stochanneal.experiments import (
     build_size_ladder,
     convergence_scaling,
@@ -177,7 +177,7 @@ class TestD2DExperiment:
 
     def test_runs_floor_enforced(self, ref_surface, ref_drift, k3):
         cfg = BoltzmannConfig(runs=5, drift=ref_drift)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameter):
             d2d_experiment(k3, [0.1], cfg, ref_surface)
 
 

@@ -300,6 +300,17 @@ class TestVectorizedForm:
             e = energy(form, x)
             assert type(e) is int and e == loop_energy(form, x)
 
+    @pytest.mark.parametrize("inst", list(vector_cases()), ids=lambda i: f"n{i.n}m{i.m}")
+    def test_field_bound_equals_loop_and_bounds_fields(self, inst):
+        form = build_form(inst)
+        rows = [abs(int(form.b[i])) + sum(abs(int(w)) for w in form.neighbors(i)[1])
+                for i in range(inst.n)]
+        assert type(form.field_bound) is int and form.field_bound == max(rows, default=0)
+        rng = np.random.default_rng(inst.n)
+        for x in [[0] * inst.n, [1] * inst.n] + [rng.integers(0, 2, inst.n).tolist()
+                                                 for _ in range(5)]:
+            assert all(abs(v) <= form.field_bound for v in init_fields(form, x))
+
     def test_big_weights_stay_exact(self):
         form = build_form(BIG)
         assert not form.fits_in_53_bits
@@ -336,6 +347,8 @@ class TestFormOverflow:
         form = build_form(inst)
         assert form.b.tolist() == [-(2**62) - 1, -(2**62), -(2**62), 2**62 - 1]
         assert form.weights.tolist() == [-(2**63), -(2**63), 2**63 - 2] + [-(2**63)] * 2 + [2**63 - 2]
+        # |W_B| of -2**63 and the row sums leave int64; the bound stays exact
+        assert form.field_bound == (2**62 + 1) + 2**63 + 2**63 + 2**63 - 2
 
 
 class TestFormCache:

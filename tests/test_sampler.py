@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import logging
@@ -512,6 +513,141 @@ class TestKernel:
         assert got.kernel == ref.kernel == "python"
         _assert_traces_equal(ref, got)
         assert got.best_cut == 2**60 + 1
+
+    def test_argtypes_match_the_kernel_signature(self):
+        # a changed C signature must not load with stale argtypes
+        source = sampler._KERNEL_SOURCE.read_text()
+        head = source[source.index("int64_t sa_advance("):]
+        params = [p.strip() for p in head[head.index("(") + 1:head.index(")")].split(",")]
+        assert len(sampler._KERNEL_ARGTYPES) == len(params)
+        for param, argtype in zip(params, sampler._KERNEL_ARGTYPES):
+            if "*" in param:
+                assert argtype is ctypes.c_void_p, param
+            else:
+                assert param.startswith("int64_t ") and argtype is ctypes.c_int64, param
+
+
+# the two instances of the kernel tests; the second has weights -3 and 2
+_TABLE_INSTANCES = (
+    replace(generate_instance(40, 4.0, seed=41), best_known=20),
+    replace(generate_instance(30, 4.0, weight_set=(-3, 2), seed=43), best_known=10**6),
+)
+
+
+class TestPSwitchTable:
+    """The kernel's p_switch table: chosen only where p depends on u_i alone, and
+    results equal with it, without it and under `_advance`."""
+
+    @staticmethod
+    def _three_ways(inst, cfg, surface, monkeypatch):
+        """(table on, table off, reference) runs of one config; asserts the table ran."""
+        _kernel_or_skip()
+        chosen = []
+        uses_table = sampler._uses_table
+
+        def recording(state):
+            chosen.append(uses_table(state))
+            return chosen[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "_uses_table", recording)
+            on = run(inst, cfg, surface)
+        assert chosen == [True]
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "_uses_table", lambda s: False)
+            off = run(inst, cfg, surface)
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "load_kernel", lambda: None)
+            ref = run(inst, cfg, surface)
+        assert (on.kernel, off.kernel, ref.kernel) == ("c", "c", "python")
+        return on, off, ref
+
+    @pytest.mark.parametrize("inst", _TABLE_INSTANCES, ids=["unit", "weights-3,2"])
+    @pytest.mark.parametrize("activation", ["device", "logistic"])
+    def test_uniform_ideal_devices(self, inst, activation, ref_surface, monkeypatch):
+        for stop in (False, True):
+            cfg = BoltzmannConfig(max_iters=20_000, seed=5, activation=activation,
+                                  stop_on_convergence=stop)
+            on, off, ref = self._three_ways(inst, cfg, ref_surface, monkeypatch)
+            _assert_traces_equal(ref, on)
+            _assert_traces_equal(off, on)
+
+    @pytest.mark.parametrize("scheme", ["fixed-input", "monitored"])
+    def test_logistic_under_every_scheme(self, scheme, ref_surface, monkeypatch):
+        cfg = BoltzmannConfig(max_iters=20_000, seed=5, activation="logistic", scheme=scheme,
+                              drift=_PINNED_DRIFT, d2d_cv=0.1, calibrate=True)
+        on, off, ref = self._three_ways(_TABLE_INSTANCES[1], cfg, ref_surface, monkeypatch)
+        _assert_traces_equal(ref, on)
+        _assert_traces_equal(off, on)
+
+    @pytest.mark.parametrize("activation", ["device", "logistic"])
+    def test_continued_mid_block(self, activation, ref_surface):
+        # each kernel call starts a fresh table; the state it leaves must be
+        # the reference's at every point of a run split across calls
+        kernel = _kernel_or_skip()
+        cfg = BoltzmannConfig(seed=8, activation=activation, energy_stride=3)
+        ref = make_state(_TABLE_INSTANCES[1], cfg, ref_surface)
+        fast = make_state(_TABLE_INSTANCES[1], cfg, ref_surface)
+        assert sampler._uses_table(fast)
+        ref_trace = sampler._advance(ref, 100)
+        fast_trace = sampler._advance_kernel(kernel, fast, 100).tolist()
+        for steps in (1, 5_000, 20_000):
+            ref_trace += sampler._advance(ref, steps)
+            fast_trace += sampler._advance_kernel(kernel, fast, steps).tolist()
+            _assert_states_equal(ref, fast)
+        assert 0 < fast.cursor < sampler._RNG_BLOCK
+        assert ref_trace == fast_trace
+
+    def test_field_range_over_the_cap_runs_without_table(self, ref_surface, monkeypatch):
+        _kernel_or_skip()
+        inst = replace(generate_instance(30, 4.0, weight_set=(-9000, 7000), seed=43),
+                       best_known=10**9)
+        assert inst.form.fits_in_53_bits
+        assert 2 * inst.form.field_bound + 1 > sampler._TABLE_CAP
+        for activation in ("device", "logistic"):
+            cfg = BoltzmannConfig(max_iters=20_000, seed=5, activation=activation)
+            assert not sampler._uses_table(make_state(inst, cfg, ref_surface))
+            fast = run(inst, cfg, ref_surface)
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "load_kernel", lambda: None)
+                ref = run(inst, cfg, ref_surface)
+            assert (fast.kernel, ref.kernel) == ("c", "python")
+            _assert_traces_equal(ref, fast)
+
+    @pytest.mark.parametrize("settings,chosen", [
+        (dict(), True),
+        (dict(activation="logistic"), True),
+        (dict(activation="logistic", scheme="monitored", d2d_cv=0.1, calibrate=True), True),
+        (dict(scheme="fixed-input"), False),
+        (dict(scheme="monitored"), False),
+        (dict(d2d_cv=0.1), False),
+        (dict(calibrate=True), False),
+    ], ids=["ideal", "logistic", "logistic-monitored-d2d", "fixed-input", "monitored", "d2d",
+            "calibrated"])
+    def test_selection(self, settings, chosen, ref_surface, ref_drift):
+        cfg = BoltzmannConfig(seed=3, drift=ref_drift, **settings)
+        state = make_state(_TABLE_INSTANCES[0], cfg, ref_surface)
+        assert sampler._uses_table(state) is chosen
+
+    def test_selection_refuses_a_field_range_over_the_cap(self, ref_surface):
+        # a single edge of weight w gives U = 3|w|; the cap is on 2U + 1 slots
+        for w, chosen in ((10922, True), (10923, False)):
+            inst = MaxCutInstance(n=2, edges=((0, 1, w),))
+            assert inst.form.field_bound == 3 * w
+            cfg = BoltzmannConfig(activation="logistic")
+            assert sampler._uses_table(make_state(inst, cfg, ref_surface)) is chosen
+
+    def test_table_is_what_the_kernel_reads(self, ref_surface, monkeypatch):
+        # forced on for devices whose offsets differ, one cached p stands for
+        # all of them and the run leaves the reference: the table is consulted
+        _kernel_or_skip()
+        cfg = BoltzmannConfig(max_iters=20_000, seed=5, d2d_cv=0.1)
+        inst = _TABLE_INSTANCES[0]
+        monkeypatch.setattr(sampler, "_uses_table", lambda s: True)
+        forced = run(inst, cfg, ref_surface)
+        monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+        ref = run(inst, cfg, ref_surface)
+        assert not np.array_equal(forced.energies, ref.energies)
 
 
 class TestKernelLoader:
