@@ -1,8 +1,10 @@
-/* Compiled form of the sampling loop in sampler._advance.
+/* Compiled form of the sampling loop in sampler._reference_loop.
  *
- * One call runs up to `steps` iterations over one pre-drawn RNG block
- * (node picks, Bernoulli thresholds, Reset-actuator noise). Every
- * expression is written in the same order as in _advance and the device
+ * One call runs up to `steps` iterations over one slice of a pre-drawn RNG
+ * block (node picks, Bernoulli thresholds, Reset-actuator noise). The block
+ * walk and the trace it writes into belong to sampler._advance, which
+ * calls this through sampler._kernel_loop. Every expression
+ * is written in the same order as in _reference_loop and the device
  * functions it calls (device.field_to_voltage, mu_sigma, p_switch,
  * p_logistic, reset_update), and the library is built with
  * -ffp-contract=off, so each double is rounded exactly where Python rounds
@@ -23,7 +25,7 @@
  *
  * sampler.load_kernel compiles, loads and self-checks this file; the tests
  * in tests/test_sampler.py (TestKernel, TestBitIdentity) hold it equal to
- * _advance.
+ * _reference_loop.
  */
 #include <math.h>
 #include <stdint.h>

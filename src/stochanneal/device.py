@@ -1,9 +1,9 @@
 """Stochastic RRAM neuron physics: lognormal Set, deterministic Reset control.
 
 These functions are the one statement of the device model. The sampling
-loop (`sampler._advance`) calls them, in this expression order; `_kernel.c`
-is their compiled mirror, held equal bit for bit by the tests; the cycling
-and calibration studies call them too.
+loop (`sampler._reference_loop`) calls them, in this expression order;
+`_kernel.c` is their compiled mirror, held equal bit for bit by the tests;
+the cycling and calibration studies call them too.
 
 A device carries the state that matters for switching statistics: its
 pre-Set HRS in kOhm, a fixed offset of its log-time mean in decades
@@ -23,7 +23,7 @@ range and reports the clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +61,11 @@ class DriftModel:
 
     def to_dict(self) -> dict:
         return {"m_hrs": self.m_hrs, "s_rw": self.s_rw, "hrs_tolerance": self.hrs_tolerance}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DriftModel":
+        """The inverse of to_dict; a field that d lacks takes its default."""
+        return cls(**{f.name: float(d[f.name]) for f in fields(cls) if f.name in d})
 
 
 def scheme_code(scheme: str) -> int:

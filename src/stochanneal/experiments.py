@@ -8,9 +8,10 @@ thresholds. Differences in outcomes are attributable to the manipulation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,13 +31,22 @@ from .sampler import (
     BoltzmannConfig,
     RunTrace,
     ensemble,
+    ensemble_runs,
     moving_average,
     run,
 )
 from .surface import DeviceSurface
 
-# default smoothing width as a fraction of the recorded series length
+# smoothing width as a fraction of the recorded series length
 SMOOTH_FRACTION = 0.02
+# the nominal log10 Set time a cycled device starts at
+CYCLING_MU_TARGET = -5.0
+# the plateau of max_meaningful_iterations: within this fraction of |min|
+PLATEAU_TOLERANCE = 0.01
+# max_solvable_size runs drift ensembles for this many convergence times
+HORIZON_FACTOR = 4.0
+# runs of the long ideal-scheme ensemble behind a proxy best-known cut
+PROXY_RUNS = 3
 
 
 # -- cycling statistics (distribution drift) ------------------------------------
@@ -56,27 +66,24 @@ def cycling_stats(
     cycles: int,
     *,
     v_ref: float = 1.8,
-    hrs: Optional[float] = None,
-    mu_target: float = -5.0,
-    window: Optional[int] = None,
     seed: int = 0,
 ) -> CyclingStats:
     """Drift of the log-time distribution over repeated Reset-Set cycles.
 
-    One device is cycled `cycles` times under `scheme`, with the sampler's
-    own Reset update and actuator draws (`device.reset_update`,
-    `device.reset_noise`), recording its mu at v_ref after every cycle with
-    the sampler's mu expression. The reported mu drift compares the mean
-    over the first and last `window` cycles (default cycles // 5): the
-    monitored scheme re-draws HRS inside the verify band every cycle, so the
-    distribution's location is the windowed mean, not any single draw. The
-    sigma drift compares the running standard deviation of the recorded
-    series over the first window against the full record.
+    One device, starting at the HRS that puts its mu at CYCLING_MU_TARGET,
+    is cycled `cycles` times under `scheme`, with the sampler's own Reset
+    update and actuator draws (`device.reset_update`, `device.reset_noise`),
+    recording its mu at v_ref after every cycle with the sampler's mu
+    expression. The reported mu drift compares the mean over the first and
+    last window of cycles // 5 cycles (at least 2): the monitored scheme
+    re-draws HRS inside the verify band every cycle, so the distribution's
+    location is the windowed mean, not any single draw. The sigma drift
+    compares the running standard deviation of the recorded series over
+    the first window against the full record.
     """
     if cycles < 2:
         raise InvalidParameter(f"need at least 2 cycles, got {cycles}")
-    if hrs is None:
-        hrs = surface.hrs_for_mu(mu_target, v_ref)
+    hrs = surface.hrs_for_mu(CYCLING_MU_TARGET, v_ref)
     surface.check_domain(v_ref, hrs)
     code = scheme_code(scheme)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -91,8 +98,7 @@ def cycling_stats(
     if series.max() == series.min():
         # untouched state: exactly zero, no float residue from np.std
         return CyclingStats(mu_drift=0.0, sigma_drift=0.0, mu_series=series)
-    w = window if window is not None else max(2, cycles // 5)
-    w = min(w, cycles)
+    w = min(max(2, cycles // 5), cycles)
     mu_drift = float(abs(series[-w:].mean() - series[:w].mean()))
     sigma_drift = float(abs(series.std() - series[:w].std()))
     return CyclingStats(mu_drift=mu_drift, sigma_drift=sigma_drift, mu_series=series)
@@ -101,54 +107,59 @@ def cycling_stats(
 # -- ensemble energy handling ---------------------------------------------------
 
 
-def ensemble_mean_energy(traces: Sequence[RunTrace]) -> tuple[np.ndarray, int]:
-    """Mean instantaneous-energy series over runs; returns (series, stride)."""
-    if not traces:
-        raise InsufficientTraces("no traces")
-    stride = traces[0].stride
-    length = min(t.energies.size for t in traces)
-    if length == 0:
+def ensemble_mean_energy(traces: Iterable[RunTrace], min_traces: int = 1) -> tuple[np.ndarray, int]:
+    """Mean instantaneous-energy series over runs; returns (series, stride).
+
+    The traces are summed one at a time, in order, into one float array cut
+    to the shortest, so an iterator of runs is never held whole. The sums are
+    exact while traces * |energy| < 2**53; past that they round in the order
+    of numpy's mean over the stacked traces, for any series of 2 or more points.
+    """
+    total, stride, count = None, None, 0
+    for t in traces:
+        if total is None:
+            total, stride = np.array(t.energies, dtype=float), t.stride
+        elif t.stride != stride:
+            raise ValueError("traces disagree on energy stride")
+        else:
+            total = total[:t.energies.size]
+            total += t.energies[:total.size]
+        count += 1
+        del t  # free this run before the next one starts
+    if count < min_traces:
+        raise InsufficientTraces(f"need >= {min_traces} traces, got {count}")
+    if total.size == 0:
         raise InsufficientTraces("traces carry no recorded energies")
-    if any(t.stride != stride for t in traces):
-        raise ValueError("traces disagree on energy stride")
-    stack = np.stack([t.energies[:length] for t in traces]).astype(float)
-    return stack.mean(axis=0), stride
+    total /= count
+    return total, stride
 
 
-def max_meaningful_iterations(
-    traces: Sequence[RunTrace],
-    window: Optional[int] = None,
-    *,
-    plateau_tolerance: float = 0.01,
-) -> int:
+def max_meaningful_iterations(traces: Iterable[RunTrace], window: Optional[int] = None) -> int:
     """Iteration beyond which the ensemble-mean energy stops improving.
 
-    Smooths the mean energy with a centered moving average and returns the
-    iteration count of the last point still within plateau_tolerance * |min|
-    of the smoothed minimum: once a run sits on its settling plateau the
-    minimum itself is sampling noise, and the meaningful budget is the end of
-    the plateau, not a random dip inside it. A strictly descending series
-    maps to the last iteration.
+    Smooths the mean energy of at least 5 traces with a centered moving
+    average and returns the iteration count of the last point still within
+    PLATEAU_TOLERANCE * |min| of the smoothed minimum: once a run sits on its
+    settling plateau the minimum itself is sampling noise, and the meaningful
+    budget is the end of the plateau, not a random dip inside it. A strictly
+    descending series maps to the last iteration.
     """
-    if len(traces) < 5:
-        raise InsufficientTraces(f"need >= 5 traces, got {len(traces)}")
-    mean_series, stride = ensemble_mean_energy(traces)
+    mean_series, stride = ensemble_mean_energy(traces, min_traces=5)
     if window is None:
         window = max(1, int(round(SMOOTH_FRACTION * mean_series.size)))
     if window < 1:
         raise ValueError("window must be >= 1")
     smoothed = moving_average(mean_series, window)
     lowest = float(smoothed.min())
-    band = lowest + plateau_tolerance * abs(lowest)
-    last_at_min = int(np.nonzero(smoothed <= band)[0][-1])
+    band = lowest + PLATEAU_TOLERANCE * abs(lowest)
+    last_at_min = smoothed.size - 1 - int(np.argmax(smoothed[::-1] <= band))
     return (last_at_min + 1) * stride
 
 
-def settling_energy_ensemble(traces: Sequence[RunTrace], window: Optional[int] = None) -> float:
+def settling_energy_ensemble(traces: Sequence[RunTrace]) -> float:
     """Minimum of the smoothed ensemble-mean energy series."""
     mean_series, _ = ensemble_mean_energy(traces)
-    if window is None:
-        window = max(1, int(round(SMOOTH_FRACTION * mean_series.size)))
+    window = max(1, int(round(SMOOTH_FRACTION * mean_series.size)))
     return float(moving_average(mean_series, window).min())
 
 
@@ -179,7 +190,8 @@ def convergence_scaling(
         if inst.best_known is None:
             raise MissingBestKnown(f"instance {inst.name!r} lacks a best-known cut")
     rows = []
-    run_cfg = replace(cfg, scheme=SCHEME_IDEAL, stop_on_convergence=True)
+    # only converged_at is read, so the runs record no energies (no run reaches the stride)
+    run_cfg = replace(cfg, scheme=SCHEME_IDEAL, stop_on_convergence=True, energy_stride=2 ** 53)
     for inst in instances:
         traces, _ = ensemble(inst, run_cfg, surface)
         conv = [t.converged_at for t in traces if t.converged_at is not None]
@@ -226,8 +238,6 @@ def max_solvable_size(
     ladder: Sequence[tuple[int, Sequence[MaxCutInstance]]],
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
-    *,
-    horizon_factor: float = 4.0,
 ) -> SolvableResult:
     """Largest ladder size whose ideal-scheme convergence fits inside the
     meaningful-iteration budget of cfg.scheme under `drift`.
@@ -235,7 +245,7 @@ def max_solvable_size(
     For non-drifting schemes (ideal, monitored) the energy never stops
     improving by construction and the budget is cfg.max_iters. For the
     fixed-input scheme the budget is measured: ensembles run under drift for
-    min(cfg.max_iters, horizon_factor * t_conv) iterations and the smoothed
+    min(cfg.max_iters, HORIZON_FACTOR * t_conv) iterations and the smoothed
     ensemble-mean energy argmin is taken.
     """
     sizes = [s for s, _ in ladder]
@@ -262,7 +272,7 @@ def max_solvable_size(
         if cfg.scheme != SCHEME_FIXED:
             t_mm = cfg.max_iters
         else:
-            horizon = int(min(cfg.max_iters, max(horizon_factor * t_conv, 2000)))
+            horizon = int(min(cfg.max_iters, max(HORIZON_FACTOR * t_conv, 2000)))
             drift_cfg = replace(
                 cfg,
                 scheme=SCHEME_FIXED,
@@ -270,11 +280,9 @@ def max_solvable_size(
                 stop_on_convergence=False,
                 max_iters=horizon,
             )
-            traces = []
-            for inst in instances:
-                ts, _ = ensemble(inst, drift_cfg, surface)
-                traces.extend(ts)
-            t_mm = max_meaningful_iterations(traces)
+            # the drift runs stream into their mean energy, one alive at a time
+            t_mm = max_meaningful_iterations(itertools.chain.from_iterable(
+                ensemble_runs(inst, drift_cfg, surface) for inst in instances))
         rows.append(
             SizeRow(
                 size=size,
@@ -327,10 +335,8 @@ def d2d_experiment(
     for cv in cv_list:
         arms = {}
         for label, calibrated in (("uncal", False), ("cal", True)):
-            traces, _ = ensemble(
-                inst, replace(base, d2d_cv=cv, calibrate=calibrated), surface
-            )
-            arms[label] = traces
+            arms[label], _ = ensemble(inst, replace(base, d2d_cv=cv, calibrate=calibrated),
+                                      surface)
         e_uncal = settling_energy_ensemble(arms["uncal"])
         e_cal = settling_energy_ensemble(arms["cal"])
         rows.append(
@@ -360,27 +366,18 @@ def proxy_best_known(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
-    *,
-    runs: int = 3,
-    max_iters: Optional[int] = None,
 ) -> int:
     """Best cut of a long ideal-scheme reference ensemble (registry 'proxy')."""
-    if max_iters is None:
-        max_iters = min(cfg.max_iters, int(200 * inst.n * max(math.log(inst.n), 1.0)))
+    max_iters = min(cfg.max_iters, int(200 * inst.n * max(math.log(inst.n), 1.0)))
     proxy_cfg = replace(
         cfg,
         scheme=SCHEME_IDEAL,
         d2d_cv=0.0,
         calibrate=False,
         stop_on_convergence=False,
-        runs=runs,
         max_iters=max_iters,
     )
-    best = -(10**18)
-    for r in range(runs):
-        trace = run(inst, proxy_cfg, surface, run_index=r)
-        best = max(best, trace.best_cut)
-    return int(best)
+    return int(max(run(inst, proxy_cfg, surface, run_index=r).best_cut for r in range(PROXY_RUNS)))
 
 
 def build_size_ladder(
@@ -389,31 +386,27 @@ def build_size_ladder(
     surface: DeviceSurface,
     *,
     avg_degree: float = 4.0,
-    instances_per_size: int = 1,
     seed: int = 1234,
     registry=None,
 ) -> list[tuple[int, list[MaxCutInstance]]]:
-    """Random benchmark instances per size with best-known cuts attached.
+    """One random benchmark instance per size, with its best-known cut attached.
 
     Sizes <= 20 get exact brute-force optima; larger sizes get a long-run
     proxy. Provenances land in `registry` when one is passed.
     """
     ladder = []
     for size in sorted(sizes):
-        insts = []
-        for k in range(instances_per_size):
-            inst = generate_instance(
-                size, avg_degree, weight_set=(-1, 1), seed=_instance_seed(seed, size, k)
-            )
-            if size <= 20:
-                cut, _ = brute_force_maxcut(inst)
-                provenance = "exact"
-            else:
-                cut = proxy_best_known(inst, cfg, surface)
-                provenance = "proxy"
-            inst = replace(inst, best_known=cut)
-            if registry is not None:
-                registry.set_entry(inst.name, cut, provenance)
-            insts.append(inst)
-        ladder.append((size, insts))
+        inst = generate_instance(
+            size, avg_degree, weight_set=(-1, 1), seed=_instance_seed(seed, size, 0)
+        )
+        if size <= 20:
+            cut, _ = brute_force_maxcut(inst)
+            provenance = "exact"
+        else:
+            cut = proxy_best_known(inst, cfg, surface)
+            provenance = "proxy"
+        inst = replace(inst, best_known=cut)
+        if registry is not None:
+            registry.set_entry(inst.name, cut, provenance)
+        ladder.append((size, [inst]))
     return ladder

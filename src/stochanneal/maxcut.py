@@ -95,6 +95,11 @@ class BoltzmannForm:
         return total < _EXACT_INT_LIMIT
 
     @functools.cached_property
+    def csr_lists(self) -> tuple[list, list, list]:
+        """indptr, indices and weights as lists, which the Python sampling loop indexes."""
+        return self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
+
+    @functools.cached_property
     def field_bound(self) -> int:
         """max_i (|b_i| + sum_j |W_B_ij|), which bounds every local field |u_i|."""
         # exact Python ints where an |entry| or a row sum could leave int64

@@ -27,7 +27,14 @@ from importlib import resources
 import numpy as np
 
 from .device import DriftModel
-from .surface import DeviceSurface, fit_surface, poly6
+from .surface import (
+    DeviceSurface,
+    fit_surface,
+    params_from_dict,
+    params_json,
+    params_to_dict,
+    poly6,
+)
 
 REFERENCE_SEED = 20260808
 
@@ -96,13 +103,11 @@ def build_reference_params(seed: int = REFERENCE_SEED) -> dict:
     if not (0.1 <= s_lo and s_hi <= 0.7):
         raise RuntimeError(f"fitted reference sigma range [{s_lo:.3f}, {s_hi:.3f}] escapes [0.1, 0.7]")
     drift = DriftModel(m_hrs=DRIFT_M_HRS, s_rw=DRIFT_S_RW, hrs_tolerance=HRS_TOLERANCE)
-    d = surface.to_dict()
-    d["drift"] = drift.to_dict()
-    return d
+    return params_to_dict(surface, drift)
 
 
 def reference_params_json(seed: int = REFERENCE_SEED) -> str:
-    return json.dumps(build_reference_params(seed), indent=2, sort_keys=True) + "\n"
+    return params_json(build_reference_params(seed))
 
 
 def _reference_file():
@@ -117,13 +122,4 @@ def reference_sha256() -> str:
 @lru_cache(maxsize=1)
 def get_reference() -> tuple[DeviceSurface, DriftModel]:
     """Load the shipped parameter file."""
-    text = _reference_file().read_text()
-    d = json.loads(text)
-    surface = DeviceSurface.from_dict(d)
-    dd = d["drift"]
-    drift = DriftModel(
-        m_hrs=float(dd["m_hrs"]),
-        s_rw=float(dd["s_rw"]),
-        hrs_tolerance=float(dd["hrs_tolerance"]),
-    )
-    return surface, drift
+    return params_from_dict(json.loads(_reference_file().read_text()))

@@ -141,26 +141,31 @@ class EnsembleSummary:
 
 def moving_average(series, window: int) -> np.ndarray:
     """Centered moving average with edge-truncated windows."""
-    a = np.asarray(series, dtype=float)
+    a = np.asarray(series)
     if window <= 1 or a.size == 0:
         return a.astype(float, copy=True)
-    lo_span = (window - 1) // 2
-    hi_span = window // 2
-    csum = np.concatenate([[0.0], np.cumsum(a)])
-    idx = np.arange(a.size)
-    lo = np.maximum(idx - lo_span, 0)
-    hi = np.minimum(idx + hi_span + 1, a.size)
-    return (csum[hi] - csum[lo]) / (hi - lo)
+    n = a.size
+    lo_span, hi_span = (window - 1) // 2, window // 2
+    csum = np.zeros(n + 1)
+    np.cumsum(a, dtype=float, out=csum[1:])
+    out = np.empty(n)
+    # the full windows, then the truncated ones at either end
+    head = min(lo_span, n)
+    full = out[head:max(head, n - hi_span)]
+    np.subtract(csum[window:], csum[:-window], out=full)
+    full /= window
+    edge = np.r_[0:head, max(head, n - hi_span):n]
+    lo, hi = np.maximum(edge - lo_span, 0), np.minimum(edge + hi_span + 1, n)
+    out[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    return out
 
 
-def settling_energy_of(series, window: Optional[int] = None) -> float:
-    """Minimum of the smoothed energy series (default window: 2% of length)."""
-    a = np.asarray(series, dtype=float)
+def settling_energy_of(series) -> float:
+    """Minimum of the smoothed energy series (window: 2% of its length)."""
+    a = np.asarray(series)
     if a.size == 0:
         return math.nan
-    if window is None:
-        window = max(1, a.size // 50)
-    return float(moving_average(a, window).min())
+    return float(moving_average(a, max(1, a.size // 50)).min())
 
 
 # A run's constants. The field order is `par[]` in `_kernel.c`, so
@@ -219,6 +224,7 @@ def _draws(ss_loop, ss_scheme, n: int, scheme: int, tol: float):
 def _next_block(state: State) -> None:
     state.block = None  # free the spent block before drawing the next
     state.block = next(state.draws)
+    state.cursor = 0
 
 
 def step(state: State) -> None:
@@ -226,94 +232,107 @@ def step(state: State) -> None:
     _advance(state, 1)
 
 
-def _advance(state: State, steps: int) -> list:
+def _advance(state: State, steps: int, kernel=None) -> np.ndarray:
     """Run up to `steps` iterations; returns the energies recorded meanwhile.
 
-    Stops early when the convergence threshold is hit and the run was asked
-    to. This is the reference form of the sampling dynamics, written with
-    the device functions. `_kernel.c` mirrors it expression for expression
-    and `run` uses that when it loads (see `load_kernel`); `TestKernel` and
-    `TestBitIdentity` in tests/test_sampler.py hold the two equal bit for bit.
-    The state's arrays are worked on as lists and written back on return.
+    This is the one walk over the pre-drawn RNG blocks. Each block slice is
+    run by `_reference_loop`, or by the compiled `sa_advance` through
+    `_kernel_loop(kernel, state)` when a kernel is given; both are called as
+    `loop(state, todo, trace, at)`, write the energies they record into one
+    int64 trace sized for `steps` from index `at` on, and leave the state as
+    it stands after their last iteration. A run that stops on convergence
+    (always after at least one iteration) returns a trimmed copy.
+    """
+    stride, stop_on_conv = state.params.stride, state.params.stop_on_conv
+    t0 = state.t
+    tend = t0 + steps
+    trace = np.empty(tend // stride - t0 // stride, dtype=np.int64)
+    loop = _reference_loop if kernel is None else _kernel_loop(kernel, state)
+    while state.t < tend:
+        if state.block is None or state.cursor == _RNG_BLOCK:
+            _next_block(state)
+        t = state.t
+        loop(state, min(_RNG_BLOCK - state.cursor, tend - t), trace, t // stride - t0 // stride)
+        state.cursor += state.t - t
+        if stop_on_conv and state.converged_at is not None:
+            break
+    kept = state.t // stride - t0 // stride
+    return trace if kept == trace.size else trace[:kept].copy()
+
+
+def _reference_loop(state: State, todo: int, trace: np.ndarray, at: int) -> None:
+    """Run up to `todo` iterations from the block cursor; energies go to trace[at:].
+
+    The reference form of the sampling dynamics, written with the device
+    functions and worked on lists of the state's arrays. `_kernel.c` mirrors
+    it expression for expression; `TestKernel` and `TestBitIdentity` in
+    tests/test_sampler.py hold the two equal bit for bit.
     """
     (vc, vmin, vmax, gain, inv_uscale, log_tpw, *coeffs, floor, m_hrs, s_rw, r_lo, r_hi,
      threshold, scheme, logistic, stride, stop_on_conv) = state.params
-    mc, sc = coeffs[:6], coeffs[6:]
-    form = state.form
-    indptr, indices, wts = form.indptr.tolist(), form.indices.tolist(), form.weights.tolist()
-    x, u, cyc, hrs = state.x.tolist(), state.u.tolist(), state.cyc.tolist(), state.hrs.tolist()
-    offs, targets = state.offs.tolist(), state.targets.tolist()
-    energy, best_energy = state.energy, state.best_energy
-    converged_at, clamps = state.converged_at, state.clamps
-    best_x = None  # a copy of x at each new best
-    trace = []
-    t = state.t
-    tend = t + steps
+    indptr, indices, wts = state.form.csr_lists
     k = state.cursor
+    nodes, unifs, noise = state.block
+    nodes, unifs = nodes[k:k + todo].tolist(), unifs[k:k + todo].tolist()
+    x, u, cyc = state.x.tolist(), state.u.tolist(), state.cyc.tolist()
+    if scheme:
+        noise, targets = noise[k:k + todo].tolist(), state.targets.tolist()
+    if scheme or not logistic:
+        hrs = state.hrs.tolist()
+    if not logistic:
+        mc, sc, offs = coeffs[:6], coeffs[6:], state.offs.tolist()
+    energy, best_energy = state.energy, state.best_energy
+    converged_at, clamps, t = state.converged_at, state.clamps, state.t
+    best_x = None  # a copy of x at each new best
 
-    while t < tend:
-        nodes = unifs = noise = None  # free the spent lists before making the next
-        if state.block is None or k >= _RNG_BLOCK:
-            _next_block(state)
-            k = 0
-        kend = min(_RNG_BLOCK, k + tend - t)
-        nodes, unifs, noise = state.block
-        # the draws this pass consumes, as lists: indexing them is the fast path
-        nodes, unifs = nodes[k:kend].tolist(), unifs[k:kend].tolist()
-        if noise is not None:
-            noise = noise[k:kend].tolist()
-        for j in range(kend - k):
-            i = nodes[j]
-            u_i = u[i]
+    for j in range(todo):
+        i = nodes[j]
+        u_i = u[i]
 
-            if logistic:
-                p = p_logistic(u_i)
-            else:
-                v = field_to_voltage(u_i, vc, vmin, vmax, gain, inv_uscale)
-                mu, sg = mu_sigma(v, hrs[i], offs[i], mc, sc, floor)
-                p = p_switch(log_tpw, mu, sg)
+        if logistic:
+            p = p_logistic(u_i)
+        else:
+            v = field_to_voltage(u_i, vc, vmin, vmax, gain, inv_uscale)
+            mu, sg = mu_sigma(v, hrs[i], offs[i], mc, sc, floor)
+            p = p_switch(log_tpw, mu, sg)
 
-            new = 1 if unifs[j] < p else 0
-            old = x[i]
-            if new != old:
-                delta = new - old
-                x[i] = new
-                for kk in range(indptr[i], indptr[i + 1]):
-                    u[indices[kk]] += wts[kk] * delta
-                energy -= u_i * delta
-                if energy < best_energy:
-                    best_energy = energy
-                    best_x = x.copy()
-                    if converged_at is None and -energy >= threshold:
-                        converged_at = t + 1
+        new = 1 if unifs[j] < p else 0
+        old = x[i]
+        if new != old:
+            delta = new - old
+            x[i] = new
+            for kk in range(indptr[i], indptr[i + 1]):
+                u[indices[kk]] += wts[kk] * delta
+            energy -= u_i * delta
+            if energy < best_energy:
+                best_energy = energy
+                best_x = x.copy()
+                if converged_at is None and -energy >= threshold:
+                    converged_at = t + 1
 
-            # one Reset-Set per sampling
-            cyc[i] += 1
-            if scheme:
-                hrs[i], clamped = reset_update(scheme, hrs[i], targets[i], noise[j],
-                                               m_hrs, s_rw, r_lo, r_hi)
-                clamps += clamped
+        # one Reset-Set per sampling
+        cyc[i] += 1
+        if scheme:
+            hrs[i], clamped = reset_update(scheme, hrs[i], targets[i], noise[j],
+                                           m_hrs, s_rw, r_lo, r_hi)
+            clamps += clamped
 
-            t += 1
-            if t % stride == 0:
-                trace.append(energy)
-            if stop_on_conv and converged_at is not None:
-                break
-        k += j + 1
+        t += 1
+        if t % stride == 0:
+            trace[at] = energy
+            at += 1
         if stop_on_conv and converged_at is not None:
             break
 
-    state.x[:] = x
-    state.u[:] = u
-    state.cyc[:] = cyc
+    state.x[...] = x
+    state.u[...] = u
+    state.cyc[...] = cyc
     if scheme:
-        state.hrs[:] = hrs
+        state.hrs[...] = hrs
     if best_x is not None:
-        state.best_x[:] = best_x
-    state.cursor = k
+        state.best_x[...] = best_x
     state.energy, state.best_energy = energy, best_energy
     state.converged_at, state.clamps, state.t = converged_at, clamps, t
-    return trace
 
 
 # -- compiled kernel ------------------------------------------------------------------
@@ -334,7 +353,7 @@ _kernel = None  # the loaded sa_advance; False once loading has failed
 
 
 def load_kernel():
-    """The compiled sampling kernel, or None when `run` must use `_advance`.
+    """The compiled sampling kernel, or None when `run` must use the Python loop.
 
     The first call compiles `_kernel.c` with the system `cc` into a private
     per-user cache (a temporary directory if that cache is not private),
@@ -445,21 +464,18 @@ def _uses_table(state: State) -> bool:
     return field_alone and 2 * state.form.field_bound + 1 <= _TABLE_CAP
 
 
-def _advance_kernel(kernel, state: State, steps: int) -> np.ndarray:
-    """`_advance(state, steps)` run by the compiled kernel, with equal results.
+def _kernel_loop(kernel, state: State):
+    """`_reference_loop` as run by the compiled kernel, with equal results.
 
-    It consumes the same pre-drawn blocks and works on the state's arrays in
-    place. The energies it records are returned as an int64 array. The
-    caller checks the form's `fits_in_53_bits` first.
-
-    When `_uses_table` allows (p depends on u_i alone, and the 2U + 1 slots
-    for |u_i| <= U = `form.field_bound` are at most _TABLE_CAP = 2**16), the
-    kernel is given a table of p_switch by local field, all NaN ("not yet")
-    at the start of each call, which it fills with the loop's own
-    expression the first time it meets a field. A slot therefore holds the
-    double the loop would compute again, and the results stay
-    bit-identical; the table skips the mu/sigma polynomials and `erf` on
-    every later visit to that field.
+    The state's arrays, its `par` vector and the p_switch table are checked
+    and packed once; each call of the loop returned runs `sa_advance` over
+    one block slice on the state's arrays in place and writes the counters
+    back. The caller checks the form's `fits_in_53_bits` first. When
+    `_uses_table` allows, the table of p_switch by local field u_i (slot
+    u_i + U, U = `form.field_bound`) starts all NaN ("not yet"); the kernel
+    fills a slot with the loop's own expression the first time it meets
+    that field, so it holds the double the loop would compute again, and
+    skips the mu/sigma polynomials and `erf` on every later visit.
     """
     form = state.form
     n, m = form.n, form.indices.size
@@ -476,38 +492,21 @@ def _advance_kernel(kernel, state: State, steps: int) -> np.ndarray:
     io = np.array([state.t, state.energy, state.best_energy,
                    -1 if state.converged_at is None else state.converged_at,
                    state.clamps], dtype=np.int64)
-    if _uses_table(state):
-        bound = state.form.field_bound
-        table = np.full(2 * bound + 1, np.nan)
-        tab = (table.ctypes.data, bound)
-    else:
-        tab = (None, 0)
+    table = np.full(2 * form.field_bound + 1, np.nan) if _uses_table(state) else None
+    tab = (None, 0) if table is None else (table.ctypes.data, form.field_bound)
     args = (n, *(a.ctypes.data for a, _, _ in arrays), par.ctypes.data, io.ctypes.data, *tab)
-    stride, stop_on_conv = state.params.stride, state.params.stop_on_conv
-    t = state.t
-    tend = t + steps
-    k = state.cursor
-    chunks = []  # the energies recorded by each call, sized for its iterations
-    while t < tend:
-        if state.block is None or k >= _RNG_BLOCK:
-            _next_block(state)
-            k = 0
-        todo = min(_RNG_BLOCK - k, tend - t)
-        chunk = np.empty((t + todo) // stride - t // stride, dtype=np.int64)
-        nodes, unifs, noise = state.block
-        ran = kernel(todo, nodes.ctypes.data + 8 * k, unifs.ctypes.data + 8 * k,
-                     None if noise is None else noise.ctypes.data + 8 * k,
-                     *args, chunk.ctypes.data)
-        chunks.append(chunk[:(t + ran) // stride - t // stride])
-        k += ran
-        t += ran
-        if stop_on_conv and io[3] >= 0:
-            break
 
-    state.t, state.energy, state.best_energy, converged_at, state.clamps = io.tolist()
-    state.converged_at = None if converged_at < 0 else converged_at
-    state.cursor = k
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    def loop(state: State, todo: int, trace: np.ndarray, at: int) -> None:
+        k = state.cursor
+        nodes, unifs, noise = state.block
+        kernel(todo, nodes.ctypes.data + 8 * k, unifs.ctypes.data + 8 * k,
+               None if noise is None else noise.ctypes.data + 8 * k, *args,
+               trace.ctypes.data + 8 * at)
+        state.t, state.energy, state.best_energy, converged_at, state.clamps = io.tolist()
+        state.converged_at = None if converged_at < 0 else converged_at
+
+    loop.buffers = (par, table)  # keeps alive the memory `args` points into
+    return loop
 
 
 @functools.lru_cache
@@ -617,7 +616,7 @@ def run(
     """Execute one seeded run; fully reproducible from (cfg.seed, run_index).
 
     The compiled kernel runs the loop when it loads and the instance's fields
-    fit in 53 bits; `_advance` runs it otherwise. Results are the same.
+    fit in 53 bits; `_reference_loop` runs it otherwise. Results are the same.
     """
     state = make_state(inst, cfg, surface, run_index)
     kernel = None
@@ -625,10 +624,7 @@ def run(
         kernel = load_kernel()
     else:
         log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
-    if kernel is None:
-        energies = np.asarray(_advance(state, cfg.max_iters), dtype=np.int64)
-    else:
-        energies = _advance_kernel(kernel, state, cfg.max_iters)
+    energies = _advance(state, cfg.max_iters, kernel)
     return RunTrace(
         energies=energies,
         stride=state.params.stride,
@@ -671,19 +667,27 @@ def summarize(traces: Sequence[RunTrace]) -> EnsembleSummary:
     )
 
 
+def ensemble_runs(
+    inst: MaxCutInstance,
+    cfg: BoltzmannConfig,
+    surface: DeviceSurface,
+) -> Iterator[RunTrace]:
+    """The runs of `ensemble`, yielded in order, so a caller need hold only one."""
+    if cfg.runs < 1:
+        raise InvalidParameter("runs must be >= 1")
+    if cfg.jobs > 1:
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            yield from pool.map(_ensemble_worker,
+                                [(inst, cfg, surface, r) for r in range(cfg.runs)])
+    else:
+        yield from (run(inst, cfg, surface, run_index=r) for r in range(cfg.runs))
+
+
 def ensemble(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
 ) -> tuple[list[RunTrace], EnsembleSummary]:
     """cfg.runs independent runs with derived child seeds; order-stable."""
-    if cfg.runs < 1:
-        raise InvalidParameter("runs must be >= 1")
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            traces = list(
-                pool.map(_ensemble_worker, [(inst, cfg, surface, r) for r in range(cfg.runs)])
-            )
-    else:
-        traces = [run(inst, cfg, surface, run_index=r) for r in range(cfg.runs)]
+    traces = list(ensemble_runs(inst, cfg, surface))
     return traces, summarize(traces)

@@ -34,6 +34,10 @@ COEFF_NAMES = ("c00", "c10", "c01", "c20", "c02", "c11")
 
 # Tolerance of the HRS bisection solve, in decades of log10(t_set).
 HRS_SOLVE_TOL = 1e-6
+# fit_surface bins the mu-fit residuals on this (V, R) grid for the sigma fit
+# and skips cells holding fewer samples than SIGMA_MIN_CELL_COUNT
+SIGMA_GRID = (5, 5)
+SIGMA_MIN_CELL_COUNT = 5
 
 
 def poly6(coeffs: Sequence[float], v, r):
@@ -250,20 +254,14 @@ def _fit_quadratic(v: np.ndarray, r: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     return coeffs, r_squared
 
 
-def fit_surface(
-    samples,
-    *,
-    sigma_grid: tuple[int, int] = (5, 5),
-    min_cell_count: int = 5,
-    sigma_floor: float = 0.05,
-) -> tuple[DeviceSurface, float]:
+def fit_surface(samples, *, sigma_floor: float = 0.05) -> tuple[DeviceSurface, float]:
     """Fit (mu, sigma) surfaces from raw (v [V], r [kOhm], t_set [s]) samples.
 
     mu is least-squares fit to log10(t_set). sigma is fit to the standard
-    deviations of the mu-fit residuals binned on a sigma_grid over the sampled
-    rectangle; cells holding fewer than min_cell_count points are skipped, and
-    if fewer than 6 usable cells remain the sigma surface degrades to the
-    pooled residual standard deviation (a constant).
+    deviations of the mu-fit residuals binned on SIGMA_GRID over the sampled
+    rectangle; cells holding fewer than SIGMA_MIN_CELL_COUNT points are
+    skipped, and if fewer than 6 usable cells remain the sigma surface
+    degrades to the pooled residual standard deviation (a constant).
 
     Returns (surface, R^2 of the mu fit).
     """
@@ -282,7 +280,7 @@ def fit_surface(
     mu_coeffs, r_squared = _fit_quadratic(v, r, y)
     resid = y - poly6(mu_coeffs, v, r)
 
-    nv, nr = sigma_grid
+    nv, nr = SIGMA_GRID
     v_edges = np.linspace(v.min(), v.max(), nv + 1)
     r_edges = np.linspace(r.min(), r.max(), nr + 1)
     iv = np.clip(np.searchsorted(v_edges, v, side="right") - 1, 0, nv - 1)
@@ -292,7 +290,7 @@ def fit_surface(
         for j in range(nr):
             mask = (iv == i) & (ir == j)
             cnt = int(mask.sum())
-            if cnt < max(min_cell_count, 2):
+            if cnt < SIGMA_MIN_CELL_COUNT:
                 continue
             cell_v.append(0.5 * (v_edges[i] + v_edges[i + 1]))
             cell_r.append(0.5 * (r_edges[j] + r_edges[j + 1]))
@@ -321,32 +319,28 @@ def fit_surface(
 
 
 def params_to_dict(surface: DeviceSurface, drift) -> dict:
-    d = surface.to_dict()
-    d["drift"] = {
-        "m_hrs": drift.m_hrs,
-        "s_rw": drift.s_rw,
-        "hrs_tolerance": drift.hrs_tolerance,
-    }
-    return d
+    """A parameter file's content: the surface's fields plus a "drift" dict."""
+    return {**surface.to_dict(), "drift": drift.to_dict()}
+
+
+def params_from_dict(d: dict):
+    """(DeviceSurface, DriftModel) from a parameter file's content."""
+    from .device import DriftModel
+
+    return DeviceSurface.from_dict(d), DriftModel.from_dict(d.get("drift", {}))
+
+
+def params_json(d: dict) -> str:
+    """The text of a parameter file holding d: sorted keys, indent 2, final newline."""
+    return json.dumps(d, indent=2, sort_keys=True) + "\n"
 
 
 def save_params(path, surface: DeviceSurface, drift) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(surface, drift), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(params_json(params_to_dict(surface, drift)))
 
 
 def load_params(path):
     """Read a device parameter file; returns (DeviceSurface, DriftModel)."""
-    from .device import DriftModel
-
     with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    surface = DeviceSurface.from_dict(d)
-    dd = d.get("drift", {})
-    drift = DriftModel(
-        m_hrs=float(dd.get("m_hrs", 0.0)),
-        s_rw=float(dd.get("s_rw", 0.0)),
-        hrs_tolerance=float(dd.get("hrs_tolerance", 0.1)),
-    )
-    return surface, drift
+        return params_from_dict(json.load(fh))

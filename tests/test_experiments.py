@@ -1,9 +1,10 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stochanneal import experiments
+from stochanneal import experiments, sampler
 from stochanneal.device import DriftModel, reset_update, scheme_code
 from stochanneal.errors import InsufficientTraces, InvalidParameter, MissingBestKnown
 from stochanneal.experiments import (
@@ -96,6 +97,44 @@ class TestMaxMeaningfulIterations:
             ensemble_mean_energy([fake_trace([0, -1]), fake_trace([0, -1], stride=2)])
 
 
+def stacked_mean(traces):
+    # ensemble_mean_energy as it was before it summed the traces one at a time
+    length = min(t.energies.size for t in traces)
+    return np.stack([t.energies[:length] for t in traces]).astype(float).mean(axis=0)
+
+
+def hexes(a):
+    return [x.hex() for x in a.tolist()]
+
+
+class TestEnsembleMeanEnergy:
+    @pytest.mark.parametrize("bound, shortest", [(2 ** 62, 2), (2 ** 49, 1)])
+    def test_matches_the_stacked_mean(self, bound, shortest):
+        # past 2**53 the float sums round, so their order shows; numpy sums a
+        # one-point stack pairwise, which only exact sums make equal
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            traces = [fake_trace(rng.integers(-bound, bound, int(rng.integers(shortest, 40))))
+                      for _ in range(int(rng.integers(1, 13)))]
+            got, stride = ensemble_mean_energy(iter(traces))
+            assert hexes(got) == hexes(stacked_mean(traces)) and stride == 1
+
+    def test_matches_the_stacked_mean_on_real_traces(self, ref_surface):
+        inst = generate_instance(30, 4.0, seed=41)
+        cfg = BoltzmannConfig(max_iters=5000, runs=5, seed=3, scheme="fixed-input",
+                              drift=DriftModel(m_hrs=0.5, s_rw=0.0, hrs_tolerance=0.1))
+        traces, _ = ensemble(inst, cfg, ref_surface)
+        got, _ = ensemble_mean_energy(traces)
+        assert hexes(got) == hexes(stacked_mean(traces))
+
+    def test_empty_input(self):
+        with pytest.raises(InsufficientTraces):
+            ensemble_mean_energy(iter([]))
+        short = replace(fake_trace([0]), energies=np.empty(0, dtype=np.int64))
+        with pytest.raises(InsufficientTraces):
+            ensemble_mean_energy([fake_trace([0, -1]), short])
+
+
 class TestConvergenceScaling:
     def make_instances(self, sizes, seed=50):
         out = []
@@ -124,6 +163,26 @@ class TestConvergenceScaling:
         cfg = BoltzmannConfig(max_iters=20_000, runs=5, seed=2, drift=ref_drift)
         rows = convergence_scaling([inst, inst], cfg, ref_surface)
         assert rows[0].converged == rows[1].converged
+
+    def test_runs_record_no_energies_and_converge_as_recording_runs(
+            self, ref_surface, ref_drift, monkeypatch):
+        inst = self.make_instances([12], seed=80)[0]
+        cfg = BoltzmannConfig(max_iters=20_000, runs=5, seed=3, drift=ref_drift)
+        recorded = []
+        original = sampler.run
+
+        def spy(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            recorded.append(trace.energies.size)
+            return trace
+
+        monkeypatch.setattr(sampler, "run", spy)
+        (row,) = convergence_scaling([inst], cfg, ref_surface)
+        assert recorded == [0] * 5
+        monkeypatch.undo()
+        traces, _ = ensemble(inst, replace(cfg, stop_on_convergence=True), ref_surface)
+        assert all(t.energies.size > 0 for t in traces)
+        assert row.converged == [t.converged_at for t in traces if t.converged_at is not None]
 
 
 class TestSpearman:
@@ -156,6 +215,27 @@ class TestMaxSolvableSize:
         bare = generate_instance(10, 3.0, seed=1)
         with pytest.raises(MissingBestKnown):
             max_solvable_size(ref_drift, [(10, [bare])], cfg, ref_surface)
+
+    def test_drift_runs_are_held_one_at_a_time(self, ref_surface, ref_drift, monkeypatch):
+        # only the drift ensemble's mean energy is read, so no earlier drift
+        # run is alive when the next one starts
+        cfg = BoltzmannConfig(max_iters=50_000, runs=5, seed=4, drift=ref_drift)
+        ladder = self.ladder([10, 16], cfg, ref_surface)
+        alive, held = [], []
+        original = sampler.run
+
+        def spy(inst, run_cfg, *args, **kwargs):
+            if run_cfg.scheme == "fixed-input":
+                held.append(sum(ref() is not None for ref in alive))
+            trace = original(inst, run_cfg, *args, **kwargs)
+            if run_cfg.scheme == "fixed-input":
+                alive.append(weakref.ref(trace.energies))
+            return trace
+
+        monkeypatch.setattr(sampler, "run", spy)
+        drift = DriftModel(m_hrs=0.5, s_rw=0.0, hrs_tolerance=0.1)
+        max_solvable_size(drift, ladder, replace(cfg, scheme="fixed-input"), ref_surface)
+        assert held == [0] * 10
 
     def test_ladder_must_ascend(self, ref_surface, ref_drift, k3):
         cfg = BoltzmannConfig(runs=5, drift=ref_drift)

@@ -7,6 +7,8 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -106,6 +108,22 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("kernel", ["c", "python"])
+    def test_early_stop_returns_a_trimmed_copy(self, kernel, k3, ref_surface, monkeypatch):
+        if kernel == "python":
+            monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+        else:
+            _kernel_or_skip()
+        cfg = BoltzmannConfig(max_iters=100_000, seed=1, stop_on_convergence=True)
+        # converged before the first iteration: the run still makes one
+        first = run(replace(k3, best_known=0), cfg, ref_surface)
+        assert (first.converged_at, first.iterations, first.energies.size) == (0, 1, 1)
+        late = run(k3, cfg, ref_surface)
+        assert 0 < late.iterations < 100_000 and late.energies.size == late.iterations
+        for trace in (first, late):
+            # not a view that would pin the buffer sized for max_iters
+            assert trace.kernel == kernel and trace.energies.base is None
+
     def test_bit_identical_reruns(self, k3, ref_surface, ref_drift):
         cfg = BoltzmannConfig(max_iters=2000, seed=11, drift=ref_drift)
         a = run(k3, cfg, ref_surface)
@@ -428,6 +446,11 @@ _STATE_FIELDS = ("x", "u", "hrs", "targets", "offs", "cyc", "best_x", "energy", 
                  "converged_at", "clamps", "t", "cursor", "params")
 
 
+def _assert_int64_equal(a, b):
+    assert a.dtype == b.dtype == np.int64
+    assert a.tolist() == b.tolist()
+
+
 def _assert_states_equal(ref, fast):
     for name in _STATE_FIELDS:
         a, b = getattr(ref, name), getattr(fast, name)
@@ -483,14 +506,14 @@ class TestKernel:
         fast = make_state(inst, cfg, ref_surface)
         ref_trace, fast_trace = [], []
         for _ in range(100):
-            ref_trace += sampler._advance(ref, 1)
-            fast_trace += sampler._advance(fast, 1)
-        ref_trace += sampler._advance(ref, 20_000)
-        fast_trace += sampler._advance_kernel(kernel, fast, 20_000).tolist()
+            ref_trace.append(sampler._advance(ref, 1))
+            fast_trace.append(sampler._advance(fast, 1))
+        ref_trace.append(sampler._advance(ref, 20_000))
+        fast_trace.append(sampler._advance(fast, 20_000, kernel))
         _assert_states_equal(ref, fast)
-        assert ref_trace == fast_trace
+        _assert_int64_equal(np.concatenate(ref_trace), np.concatenate(fast_trace))
         # the reference carries on from the state the kernel wrote back
-        assert sampler._advance(ref, 5_000) == sampler._advance(fast, 5_000)
+        _assert_int64_equal(sampler._advance(ref, 5_000), sampler._advance(fast, 5_000))
         _assert_states_equal(ref, fast)
 
     def test_params_order_is_the_kernel_par_enum(self):
@@ -589,14 +612,14 @@ class TestPSwitchTable:
         ref = make_state(_TABLE_INSTANCES[1], cfg, ref_surface)
         fast = make_state(_TABLE_INSTANCES[1], cfg, ref_surface)
         assert sampler._uses_table(fast)
-        ref_trace = sampler._advance(ref, 100)
-        fast_trace = sampler._advance_kernel(kernel, fast, 100).tolist()
+        ref_trace = [sampler._advance(ref, 100)]
+        fast_trace = [sampler._advance(fast, 100, kernel)]
         for steps in (1, 5_000, 20_000):
-            ref_trace += sampler._advance(ref, steps)
-            fast_trace += sampler._advance_kernel(kernel, fast, steps).tolist()
+            ref_trace.append(sampler._advance(ref, steps))
+            fast_trace.append(sampler._advance(fast, steps, kernel))
             _assert_states_equal(ref, fast)
         assert 0 < fast.cursor < sampler._RNG_BLOCK
-        assert ref_trace == fast_trace
+        _assert_int64_equal(np.concatenate(ref_trace), np.concatenate(fast_trace))
 
     def test_field_range_over_the_cap_runs_without_table(self, ref_surface, monkeypatch):
         _kernel_or_skip()
@@ -751,7 +774,46 @@ class TestMonotoneActivation:
         assert checked == 1000
 
 
+def _moving_average_by_index(series, window):
+    """moving_average as first written: whole-length index arrays per end."""
+    a = np.asarray(series, dtype=float)
+    if window <= 1 or a.size == 0:
+        return a.astype(float, copy=True)
+    lo_span = (window - 1) // 2
+    hi_span = window // 2
+    csum = np.concatenate([[0.0], np.cumsum(a)])
+    idx = np.arange(a.size)
+    lo = np.maximum(idx - lo_span, 0)
+    hi = np.minimum(idx + hi_span + 1, a.size)
+    return (csum[hi] - csum[lo]) / (hi - lo)
+
+
+def _hex(a):
+    return [float(v).hex() for v in a]
+
+
 class TestMovingAverage:
+    def test_same_floats_as_index_form(self):
+        rng = np.random.default_rng(7)
+        for n in range(301):
+            series = (rng.integers(-10**6, 10**6, n) if n % 2 else rng.standard_normal(n) * 50)
+            windows = {1, 2, 3, 4, n // 50, n // 3, n - 1, n, n + 1, n + 5,
+                       int(rng.integers(1, n + 3))}
+            for window in sorted(w for w in windows if w >= 1):
+                got = moving_average(series, window)
+                assert got.dtype == np.float64
+                assert _hex(got) == _hex(_moving_average_by_index(series, window)), (n, window)
+
+    def test_same_floats_on_a_stride_one_trace(self, ref_surface, ref_drift):
+        cfg = BoltzmannConfig(max_iters=20_000, seed=3, scheme="fixed-input", drift=ref_drift)
+        trace = run(generate_instance(60, 4.0, seed=3), cfg, ref_surface)
+        assert trace.stride == 1 and trace.energies.size == 20_000
+        for window in (1, 2, 399, 400, 401, 19_999, 20_000, 30_000):
+            assert (_hex(moving_average(trace.energies, window))
+                    == _hex(_moving_average_by_index(trace.energies, window))), window
+        smoothed = _moving_average_by_index(trace.energies, 20_000 // 50)
+        assert trace.settling_energy.hex() == float(smoothed.min()).hex()
+
     def test_window_one_is_identity(self):
         a = [3.0, 1.0, 2.0]
         assert moving_average(a, 1).tolist() == a
@@ -763,6 +825,42 @@ class TestMovingAverage:
     def test_centered_average_values(self):
         got = moving_average([0.0, 1.0, 2.0, 3.0], 3)
         assert got == pytest.approx([0.5, 1.0, 2.0, 2.5])
+
+
+class TestLongRun:
+    def test_ten_million_iterations_in_bounded_address_space(self):
+        """A 10^7-iteration stride-1 run at n=200 in 512 MiB of address space.
+
+        Its trace alone is 80 MB. Recording it in per-block chunks joined at
+        the end, and smoothing it with whole-length index arrays, took the
+        process to about 720 MiB; one preallocated trace and a slice-wise
+        moving average keep it near 350 MiB.
+        """
+        resource = pytest.importorskip("resource")
+        _kernel_or_skip()  # the Python loop would take minutes here
+        limit = 512 * 1024 * 1024
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = os.path.dirname(os.path.dirname(sampler.__file__))
+        # BLAS thread buffers would count against the cap on many-core hosts
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        code = (
+            "from stochanneal import io_ingest, reference, sampler\n"
+            "surface, drift = reference.get_reference()\n"
+            "inst = io_ingest.generate_instance(200, 4.0, seed=1)\n"
+            "cfg = sampler.BoltzmannConfig(max_iters=10**7, seed=1, scheme='monitored',"
+            " drift=drift)\n"
+            "trace = sampler.run(inst, cfg, surface)\n"
+            "print(trace.kernel, trace.energies.size, trace.settling_energy.hex())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, preexec_fn=cap,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["c", "10000000", "-0x1.8b06d9be4cd75p+6"]
 
 
 class TestConfigValidation:
