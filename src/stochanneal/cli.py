@@ -23,6 +23,7 @@ from .experiments import (
     cycling_stats,
     d2d_experiment,
     max_solvable_size,
+    settling_energy_of,
 )
 from .io_ingest import (
     BestKnownRegistry,
@@ -147,7 +148,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
             run_id=t.run_index, instance=inst.name, n=inst.n, scheme=scheme,
             m_hrs=drift.m_hrs, d2d_cv=d2d_cv, calibrated=calibrate, seed=seed,
             converged_at=t.converged_at, best_cut=t.best_cut,
-            settling_energy=t.settling_energy, iterations=t.iterations,
+            settling_energy=settling_energy_of(t.energies), iterations=t.iterations,
             clamp_events=t.clamp_events,
         )
         for t in traces

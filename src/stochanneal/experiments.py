@@ -1,4 +1,5 @@
-"""Scripted simulation studies: cycling drift, size scaling, d2d variability.
+"""Scripted simulation studies: cycling drift, size scaling, d2d variability,
+and the energy-trace smoothing they and the CLI read settling energies from.
 
 Every comparison here is paired: arms that differ in one manipulated variable
 (drift on/off, calibrated or not) share the same seed, and the sampler's
@@ -27,14 +28,7 @@ from .device import (
 from .errors import InsufficientTraces, InvalidParameter, MissingBestKnown
 from .io_ingest import brute_force_maxcut, generate_instance
 from .maxcut import MaxCutInstance
-from .sampler import (
-    BoltzmannConfig,
-    RunTrace,
-    ensemble,
-    ensemble_runs,
-    moving_average,
-    run,
-)
+from .sampler import BoltzmannConfig, RunTrace, ensemble, ensemble_runs, run
 from .surface import DeviceSurface
 
 # smoothing width as a fraction of the recorded series length
@@ -47,6 +41,9 @@ PLATEAU_TOLERANCE = 0.01
 HORIZON_FACTOR = 4.0
 # runs of the long ideal-scheme ensemble behind a proxy best-known cut
 PROXY_RUNS = 3
+# an energy stride no run reaches (the largest BoltzmannConfig takes): runs
+# whose energy series nobody reads record none
+NO_TRACE_STRIDE = 2 ** 53
 
 
 # -- cycling statistics (distribution drift) ------------------------------------
@@ -105,6 +102,39 @@ def cycling_stats(
 
 
 # -- ensemble energy handling ---------------------------------------------------
+
+# Two "2%" smoothing windows: settling_energy_of uses size // 50, the ensemble
+# functions below round(SMOOTH_FRACTION * size). They differ at some sizes;
+# the `solve-large` and `d2d` benchmark digests pin both.
+
+
+def moving_average(series, window: int) -> np.ndarray:
+    """Centered moving average with edge-truncated windows."""
+    a = np.asarray(series)
+    if window <= 1 or a.size == 0:
+        return a.astype(float, copy=True)
+    n = a.size
+    lo_span, hi_span = (window - 1) // 2, window // 2
+    csum = np.zeros(n + 1)
+    np.cumsum(a, dtype=float, out=csum[1:])
+    out = np.empty(n)
+    # the full windows, then the truncated ones at either end
+    head = min(lo_span, n)
+    full = out[head:max(head, n - hi_span)]
+    np.subtract(csum[window:], csum[:-window], out=full)
+    full /= window
+    edge = np.r_[0:head, max(head, n - hi_span):n]
+    lo, hi = np.maximum(edge - lo_span, 0), np.minimum(edge + hi_span + 1, n)
+    out[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    return out
+
+
+def settling_energy_of(series) -> float:
+    """Minimum of the smoothed energy series (window: 2% of its length)."""
+    a = np.asarray(series)
+    if a.size == 0:
+        return math.nan
+    return float(moving_average(a, max(1, a.size // 50)).min())
 
 
 def ensemble_mean_energy(traces: Iterable[RunTrace], min_traces: int = 1) -> tuple[np.ndarray, int]:
@@ -190,8 +220,9 @@ def convergence_scaling(
         if inst.best_known is None:
             raise MissingBestKnown(f"instance {inst.name!r} lacks a best-known cut")
     rows = []
-    # only converged_at is read, so the runs record no energies (no run reaches the stride)
-    run_cfg = replace(cfg, scheme=SCHEME_IDEAL, stop_on_convergence=True, energy_stride=2 ** 53)
+    # only converged_at is read, so the runs record no energies
+    run_cfg = replace(cfg, scheme=SCHEME_IDEAL, stop_on_convergence=True,
+                      energy_stride=NO_TRACE_STRIDE)
     for inst in instances:
         traces, _ = ensemble(inst, run_cfg, surface)
         conv = [t.converged_at for t in traces if t.converged_at is not None]
@@ -263,12 +294,10 @@ def max_solvable_size(
             # the median run never converged inside cfg.max_iters
             rows.append(SizeRow(size=size, t_conv_median=None, t_meaningful=None, solvable=False))
             continue
-        # median over all runs, counting non-converged as +inf
+        # median over all runs, counting non-converged as +inf; finite, since
+        # more than half of the runs converged
         padded = conv + [math.inf] * (total_runs - len(conv))
         t_conv = float(np.median(padded))
-        if not math.isfinite(t_conv):
-            rows.append(SizeRow(size=size, t_conv_median=None, t_meaningful=None, solvable=False))
-            continue
         if cfg.scheme != SCHEME_FIXED:
             t_mm = cfg.max_iters
         else:
@@ -376,6 +405,7 @@ def proxy_best_known(
         calibrate=False,
         stop_on_convergence=False,
         max_iters=max_iters,
+        energy_stride=NO_TRACE_STRIDE,  # only best_cut is read
     )
     return int(max(run(inst, proxy_cfg, surface, run_index=r).best_cut for r in range(PROXY_RUNS)))
 

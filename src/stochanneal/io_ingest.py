@@ -92,10 +92,10 @@ def serialize_rudy(inst: MaxCutInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_instance(path, name: Optional[str] = None) -> MaxCutInstance:
+def read_instance(path) -> MaxCutInstance:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_rudy(text, name=name or os.path.splitext(os.path.basename(path))[0])
+    return parse_rudy(text, name=os.path.splitext(os.path.basename(path))[0])
 
 
 def write_instance(path, inst: MaxCutInstance) -> None:

@@ -40,7 +40,6 @@ REFERENCE_SEED = 20260808
 
 V_RANGE = (1.6, 2.2)
 R_RANGE = (10.0, 500.0)
-SIGMA_FLOOR = 0.05
 
 # Target mu field [log10 s]: separable quadratics in V and R.
 #   V part: slope -3.0 dec/V at 1.8 V easing to -2.0 at 2.2 V (saturation
@@ -94,7 +93,7 @@ def anchor_samples(seed: int = REFERENCE_SEED) -> np.ndarray:
 
 def build_reference_params(seed: int = REFERENCE_SEED) -> dict:
     """Fit the anchor campaign and return the parameter-file dict."""
-    surface, r_squared = fit_surface(anchor_samples(seed), sigma_floor=SIGMA_FLOOR)
+    surface, r_squared = fit_surface(anchor_samples(seed))
     if r_squared < 0.85:
         raise RuntimeError(f"anchor fit unexpectedly poor: R^2 = {r_squared:.3f}")
     if not surface.mu_monotone_on_grid():

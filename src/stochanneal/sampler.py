@@ -113,14 +113,12 @@ class RunTrace:
     best_cut: int
     best_x: np.ndarray
     converged_at: Optional[int]
-    settling_energy: float
     iterations: int
     cycles_per_device: np.ndarray
     clamp_events: int
     mu_eff_spread: float
     calib_failures: int
     u_scale: float
-    seed: int
     run_index: int
     kernel: str = "python"          # the loop that ran: "c" or "python"
 
@@ -135,37 +133,6 @@ class EnsembleSummary:
     best_cut_median: float
     best_cut_min: int
     best_cut_max: int
-    settling_mean: float
-    settling_median: float
-
-
-def moving_average(series, window: int) -> np.ndarray:
-    """Centered moving average with edge-truncated windows."""
-    a = np.asarray(series)
-    if window <= 1 or a.size == 0:
-        return a.astype(float, copy=True)
-    n = a.size
-    lo_span, hi_span = (window - 1) // 2, window // 2
-    csum = np.zeros(n + 1)
-    np.cumsum(a, dtype=float, out=csum[1:])
-    out = np.empty(n)
-    # the full windows, then the truncated ones at either end
-    head = min(lo_span, n)
-    full = out[head:max(head, n - hi_span)]
-    np.subtract(csum[window:], csum[:-window], out=full)
-    full /= window
-    edge = np.r_[0:head, max(head, n - hi_span):n]
-    lo, hi = np.maximum(edge - lo_span, 0), np.minimum(edge + hi_span + 1, n)
-    out[edge] = (csum[hi] - csum[lo]) / (hi - lo)
-    return out
-
-
-def settling_energy_of(series) -> float:
-    """Minimum of the smoothed energy series (window: 2% of its length)."""
-    a = np.asarray(series)
-    if a.size == 0:
-        return math.nan
-    return float(moving_average(a, max(1, a.size // 50)).min())
 
 
 # A run's constants. The field order is `par[]` in `_kernel.c`, so
@@ -204,7 +171,6 @@ class State:
     clamps: int
     draws: Iterator                 # RNG blocks, see _draws
     u_scale: float
-    t_pw: float
     calib_failures: int
     mu_eff_spread: float
     t: int = 0
@@ -603,7 +569,7 @@ def make_state(
         cyc=np.zeros(n, dtype=np.int64), best_x=x.copy(), energy=e0, best_energy=e0,
         converged_at=0 if -e0 >= threshold else None, clamps=clamps,
         draws=_draws(ss_loop, ss_scheme, n, params.scheme, cfg.drift.hrs_tolerance),
-        u_scale=u_scale, t_pw=t_pw, calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
+        u_scale=u_scale, calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
     )
 
 
@@ -631,14 +597,12 @@ def run(
         best_cut=-state.best_energy,
         best_x=state.best_x.astype(np.uint8),
         converged_at=state.converged_at,
-        settling_energy=settling_energy_of(energies),
         iterations=state.t,
         cycles_per_device=state.cyc,
         clamp_events=state.clamps,
         mu_eff_spread=state.mu_eff_spread,
         calib_failures=state.calib_failures,
         u_scale=state.u_scale,
-        seed=cfg.seed,
         run_index=run_index,
         kernel="python" if kernel is None else "c",
     )
@@ -652,7 +616,6 @@ def _ensemble_worker(args) -> RunTrace:
 def summarize(traces: Sequence[RunTrace]) -> EnsembleSummary:
     conv = [t.converged_at for t in traces if t.converged_at is not None]
     cuts = [t.best_cut for t in traces]
-    settle = [t.settling_energy for t in traces]
     return EnsembleSummary(
         runs=len(traces),
         converged_count=len(conv),
@@ -662,8 +625,6 @@ def summarize(traces: Sequence[RunTrace]) -> EnsembleSummary:
         best_cut_median=float(np.median(cuts)),
         best_cut_min=int(min(cuts)),
         best_cut_max=int(max(cuts)),
-        settling_mean=float(np.mean(settle)),
-        settling_median=float(np.median(settle)),
     )
 
 

@@ -38,6 +38,8 @@ HRS_SOLVE_TOL = 1e-6
 # and skips cells holding fewer samples than SIGMA_MIN_CELL_COUNT
 SIGMA_GRID = (5, 5)
 SIGMA_MIN_CELL_COUNT = 5
+# the least sigma a surface evaluates to, in decades, unless it sets its own
+SIGMA_FLOOR = 0.05
 
 
 def poly6(coeffs: Sequence[float], v, r):
@@ -54,7 +56,7 @@ class DeviceSurface:
     sigma_coeffs: tuple[float, ...]
     v_range: tuple[float, float]
     r_range: tuple[float, float]
-    sigma_floor: float = 0.05
+    sigma_floor: float = SIGMA_FLOOR
 
     def __post_init__(self):
         if len(self.mu_coeffs) != 6 or len(self.sigma_coeffs) != 6:
@@ -204,7 +206,7 @@ class DeviceSurface:
             sigma_coeffs=tuple(d["sigma_coeffs"]),
             v_range=tuple(d["v_range"]),
             r_range=tuple(d["r_range"]),
-            sigma_floor=float(d.get("sigma_floor", 0.05)),
+            sigma_floor=float(d.get("sigma_floor", SIGMA_FLOOR)),
         )
 
 
@@ -254,7 +256,7 @@ def _fit_quadratic(v: np.ndarray, r: np.ndarray, y: np.ndarray) -> tuple[np.ndar
     return coeffs, r_squared
 
 
-def fit_surface(samples, *, sigma_floor: float = 0.05) -> tuple[DeviceSurface, float]:
+def fit_surface(samples) -> tuple[DeviceSurface, float]:
     """Fit (mu, sigma) surfaces from raw (v [V], r [kOhm], t_set [s]) samples.
 
     mu is least-squares fit to log10(t_set). sigma is fit to the standard
@@ -310,7 +312,6 @@ def fit_surface(samples, *, sigma_floor: float = 0.05) -> tuple[DeviceSurface, f
         sigma_coeffs=tuple(sigma_coeffs),
         v_range=(float(v.min()), float(v.max())),
         r_range=(float(r.min()), float(r.max())),
-        sigma_floor=sigma_floor,
     )
     return surface, float(r_squared)
 

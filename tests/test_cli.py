@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from stochanneal.cli import main
-from stochanneal.io_ingest import read_results
+from stochanneal.experiments import settling_energy_of
+from stochanneal.io_ingest import generate_instance, read_results, serialize_rudy
 from stochanneal.surface import poly6
 
 K3_TEXT = "3 3\n1 2 1\n1 3 1\n2 3 1\n"
@@ -88,6 +90,26 @@ class TestSolve:
         lines = trace.read_text().splitlines()
         assert lines[0] == "run_id,iteration,energy"
         assert len(lines) == 101
+
+    def test_settling_energy_is_that_of_the_dumped_trace(self, runner, tmp_path):
+        inst = tmp_path / "g.rudy"
+        inst.write_text(serialize_rudy(generate_instance(30, 4.0, seed=2)))
+        out, trace = tmp_path / "o.csv", tmp_path / "trace.csv"
+        # 1990 points: a 39-point window (size // 50), where round(2% of size) gives 40
+        r = invoke(runner, ["solve", "--instance", str(inst), "--iters", "1990", "--runs", "3",
+                            "--scheme", "fixed-input", "--seed", "4", "--out", str(out),
+                            "--trace", str(trace)])
+        assert r.exit_code == 0
+        energies = {}
+        with open(trace, encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                energies.setdefault(row["run_id"], []).append(int(row["energy"]))
+        rows = read_results(out)
+        assert [row["run_id"] for row in rows] == ["0", "1", "2"]
+        for row in rows:
+            series = energies[row["run_id"]]
+            assert len(series) == 1990
+            assert row["settling_energy"] == repr(settling_energy_of(series))
 
 
 class TestCycling:

@@ -15,6 +15,7 @@ from stochanneal.experiments import (
     ensemble_mean_energy,
     max_meaningful_iterations,
     max_solvable_size,
+    proxy_best_known,
     settling_energy_ensemble,
     spearman_trend,
 )
@@ -26,9 +27,9 @@ def fake_trace(energies, stride=1):
     e = np.asarray(energies, dtype=np.int64)
     return RunTrace(
         energies=e, stride=stride, best_cut=int(-e.min()), best_x=np.zeros(1, np.uint8),
-        converged_at=None, settling_energy=float(e.min()), iterations=e.size * stride,
+        converged_at=None, iterations=e.size * stride,
         cycles_per_device=np.zeros(1, np.int64), clamp_events=0, mu_eff_spread=0.0,
-        calib_failures=0, u_scale=1.0, seed=0, run_index=0,
+        calib_failures=0, u_scale=1.0, run_index=0,
     )
 
 
@@ -271,6 +272,32 @@ class TestLadderBuilder:
         assert registry.provenance(insts1[0].name) == "exact"
         assert registry.provenance(insts2[0].name) == "proxy"
         assert insts2[0].best_known > 0
+
+
+class TestProxyBestKnown:
+    def test_runs_record_no_energies_and_find_the_recording_runs_cut(
+            self, ref_surface, ref_drift, monkeypatch):
+        inst = generate_instance(40, 4.0, seed=12)
+        cfg = BoltzmannConfig(max_iters=6_000, runs=7, seed=5, scheme="fixed-input",
+                              drift=ref_drift, d2d_cv=0.1)
+        recorded = []
+        original = experiments.run
+
+        def spy(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            recorded.append(trace.energies.size)
+            return trace
+
+        monkeypatch.setattr(experiments, "run", spy)
+        cut = proxy_best_known(inst, cfg, ref_surface)
+        assert recorded == [0] * 3
+        monkeypatch.undo()
+        # the proxy ensemble as it ran before, at the default energy stride
+        recording_cfg = replace(cfg, scheme="ideal", d2d_cv=0.0, calibrate=False,
+                                stop_on_convergence=False, max_iters=6_000)
+        traces = [sampler.run(inst, recording_cfg, ref_surface, run_index=r) for r in range(3)]
+        assert all(t.energies.size == 6_000 for t in traces)
+        assert cut == max(t.best_cut for t in traces)
 
 
 class TestDriftTrends:
