@@ -28,7 +28,6 @@ from .maxcut import (
 from .reference import get_reference
 from .sampler import (
     BoltzmannConfig,
-    EnsembleSummary,
     RunTrace,
     ensemble,
     run,
@@ -42,7 +41,6 @@ __all__ = [
     "BoltzmannForm",
     "DeviceSurface",
     "DriftModel",
-    "EnsembleSummary",
     "MaxCutInstance",
     "RunTrace",
     "SCHEMES",

@@ -22,7 +22,7 @@ from .experiments import (
     build_size_ladder,
     cycling_stats,
     d2d_experiment,
-    max_solvable_size,
+    max_solvable_sizes,
     settling_energy_of,
 )
 from .io_ingest import (
@@ -142,7 +142,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
         gain=gain, d2d_cv=d2d_cv, calibrate=calibrate, jobs=jobs,
     )
     click.echo(f"seed = {seed}")
-    traces, summary = ensemble(inst, cfg, surface)
+    traces = ensemble(inst, cfg, surface)
     rows = [
         ResultRow(
             run_id=t.run_index, instance=inst.name, n=inst.n, scheme=scheme,
@@ -165,7 +165,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
         {**dataclasses.asdict(cfg), "instance": str(instance_path)},
         seed, params_path, kernel=",".join(sorted({t.kernel for t in traces})),
     )
-    click.echo(f"best cut {summary.best_cut_max} over {summary.runs} runs -> {out_path}")
+    click.echo(f"best cut {max(t.best_cut for t in traces)} over {len(traces)} runs -> {out_path}")
 
 
 @main.command(name="sweep-drift")
@@ -189,23 +189,21 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
     click.echo(f"seed = {seed}")
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, jobs=jobs)
     ladder = build_size_ladder(size_list, cfg, surface, avg_degree=degree, seed=seed)
+    drifts = [DriftModel(m_hrs=m, s_rw=drift.s_rw, hrs_tolerance=drift.hrs_tolerance)
+              for m in m_list]
+    results = max_solvable_sizes(drifts, ("fixed-input", "monitored"), ladder, cfg, surface)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["scheme", "m_hrs", "size", "t_conv_median", "t_meaningful",
                     "solvable", "max_solvable"])
-        for m in m_list:
-            dm = DriftModel(m_hrs=m, s_rw=drift.s_rw, hrs_tolerance=drift.hrs_tolerance)
-            for scheme in ("fixed-input", "monitored"):
-                res = max_solvable_size(
-                    dm, ladder, dataclasses.replace(cfg, scheme=scheme), surface
-                )
-                for row in res.rows:
-                    w.writerow([
-                        scheme, repr(m), row.size,
-                        "" if row.t_conv_median is None else repr(row.t_conv_median),
-                        "" if row.t_meaningful is None else row.t_meaningful,
-                        int(row.solvable), res.max_solvable,
-                    ])
+        for res in results:
+            for row in res.rows:
+                w.writerow([
+                    res.scheme, repr(res.m_hrs), row.size,
+                    "" if row.t_conv_median is None else repr(row.t_conv_median),
+                    "" if row.t_meaningful is None else row.t_meaningful,
+                    int(row.solvable), res.max_solvable,
+                ])
     write_manifest(
         out_path + ".manifest.json", "sweep-drift",
         {"sizes": size_list, "mhrs": m_list, "iters": iters, "runs": runs,

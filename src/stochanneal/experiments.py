@@ -201,7 +201,6 @@ class ScalingRow:
     instance: str
     n: int
     converged: list
-    converged_count: int
     runs: int
 
     @property
@@ -224,25 +223,17 @@ def convergence_scaling(
     run_cfg = replace(cfg, scheme=SCHEME_IDEAL, stop_on_convergence=True,
                       energy_stride=NO_TRACE_STRIDE)
     for inst in instances:
-        traces, _ = ensemble(inst, run_cfg, surface)
+        traces = ensemble(inst, run_cfg, surface)
         conv = [t.converged_at for t in traces if t.converged_at is not None]
         rows.append(
             ScalingRow(
                 instance=inst.name,
                 n=inst.n,
                 converged=conv,
-                converged_count=len(conv),
                 runs=len(traces),
             )
         )
     return rows
-
-
-def spearman_trend(xs: Sequence[float], ys: Sequence[float]) -> float:
-    from scipy.stats import spearmanr
-
-    rho = spearmanr(xs, ys).statistic
-    return float(rho)
 
 
 # -- drift sweep / solvable size ----------------------------------------------------
@@ -264,6 +255,62 @@ class SolvableResult:
     max_solvable: int
 
 
+def max_solvable_sizes(
+    drifts: Sequence[DriftModel],
+    schemes: Sequence[str],
+    ladder: Sequence[tuple[int, Sequence[MaxCutInstance]]],
+    cfg: BoltzmannConfig,
+    surface: DeviceSurface,
+) -> list[SolvableResult]:
+    """`max_solvable_size` for every (drift, scheme) arm, drift-major.
+
+    The ideal-scheme convergence time of a rung depends on neither the drift
+    nor the scheme, so each rung's convergence ensemble runs once, whatever
+    the number of arms. Only the fixed-input arms run anything else.
+    """
+    sizes = [s for s, _ in ladder]
+    if sizes != sorted(sizes):
+        raise ValueError("ladder sizes must be ascending")
+    for scheme in schemes:
+        scheme_code(scheme)  # raises on an unknown scheme
+    arms = [(drift, scheme) for drift in drifts for scheme in schemes]
+    rows = [[] for _ in arms]
+    for size, instances in ladder:
+        for inst in instances:
+            if inst.best_known is None:
+                raise MissingBestKnown(f"ladder instance {inst.name!r} lacks best_known")
+        scaling = convergence_scaling(instances, cfg, surface)
+        conv = [c for row in scaling for c in row.converged]
+        total_runs = sum(row.runs for row in scaling)
+        if len(conv) < max(1, total_runs // 2 + 1):
+            # the median run never converged inside cfg.max_iters
+            for arm_rows in rows:
+                arm_rows.append(SizeRow(size=size, t_conv_median=None, t_meaningful=None,
+                                        solvable=False))
+            continue
+        # median over all runs, counting non-converged as +inf; finite, since
+        # more than half of the runs converged
+        padded = conv + [math.inf] * (total_runs - len(conv))
+        t_conv = float(np.median(padded))
+        horizon = int(min(cfg.max_iters, max(HORIZON_FACTOR * t_conv, 2000)))
+        for (drift, scheme), arm_rows in zip(arms, rows):
+            if scheme != SCHEME_FIXED:
+                t_mm = cfg.max_iters
+            else:
+                drift_cfg = replace(cfg, scheme=SCHEME_FIXED, drift=drift,
+                                    stop_on_convergence=False, max_iters=horizon)
+                # the drift runs stream into their mean energy, one alive at a time
+                t_mm = max_meaningful_iterations(itertools.chain.from_iterable(
+                    ensemble_runs(inst, drift_cfg, surface) for inst in instances))
+            arm_rows.append(SizeRow(size=size, t_conv_median=t_conv, t_meaningful=t_mm,
+                                    solvable=t_conv <= t_mm))
+    return [
+        SolvableResult(scheme=scheme, m_hrs=drift.m_hrs, rows=arm_rows,
+                       max_solvable=max((r.size for r in arm_rows if r.solvable), default=0))
+        for (drift, scheme), arm_rows in zip(arms, rows)
+    ]
+
+
 def max_solvable_size(
     drift: DriftModel,
     ladder: Sequence[tuple[int, Sequence[MaxCutInstance]]],
@@ -279,49 +326,7 @@ def max_solvable_size(
     min(cfg.max_iters, HORIZON_FACTOR * t_conv) iterations and the smoothed
     ensemble-mean energy argmin is taken.
     """
-    sizes = [s for s, _ in ladder]
-    if sizes != sorted(sizes):
-        raise ValueError("ladder sizes must be ascending")
-    rows = []
-    for size, instances in ladder:
-        for inst in instances:
-            if inst.best_known is None:
-                raise MissingBestKnown(f"ladder instance {inst.name!r} lacks best_known")
-        scaling = convergence_scaling(instances, cfg, surface)
-        conv = [c for row in scaling for c in row.converged]
-        total_runs = sum(row.runs for row in scaling)
-        if len(conv) < max(1, total_runs // 2 + 1):
-            # the median run never converged inside cfg.max_iters
-            rows.append(SizeRow(size=size, t_conv_median=None, t_meaningful=None, solvable=False))
-            continue
-        # median over all runs, counting non-converged as +inf; finite, since
-        # more than half of the runs converged
-        padded = conv + [math.inf] * (total_runs - len(conv))
-        t_conv = float(np.median(padded))
-        if cfg.scheme != SCHEME_FIXED:
-            t_mm = cfg.max_iters
-        else:
-            horizon = int(min(cfg.max_iters, max(HORIZON_FACTOR * t_conv, 2000)))
-            drift_cfg = replace(
-                cfg,
-                scheme=SCHEME_FIXED,
-                drift=drift,
-                stop_on_convergence=False,
-                max_iters=horizon,
-            )
-            # the drift runs stream into their mean energy, one alive at a time
-            t_mm = max_meaningful_iterations(itertools.chain.from_iterable(
-                ensemble_runs(inst, drift_cfg, surface) for inst in instances))
-        rows.append(
-            SizeRow(
-                size=size,
-                t_conv_median=t_conv,
-                t_meaningful=t_mm,
-                solvable=t_conv <= t_mm,
-            )
-        )
-    max_solvable = max((r.size for r in rows if r.solvable), default=0)
-    return SolvableResult(scheme=cfg.scheme, m_hrs=drift.m_hrs, rows=rows, max_solvable=max_solvable)
+    return max_solvable_sizes([drift], [cfg.scheme], ladder, cfg, surface)[0]
 
 
 # -- device-to-device variability sweep -----------------------------------------------
@@ -356,7 +361,7 @@ def d2d_experiment(
     if cfg.runs < 10:
         raise InvalidParameter(f"d2d_experiment needs cfg.runs >= 10, got {cfg.runs}")
     base = replace(cfg, stop_on_convergence=False)
-    ideal_traces, _ = ensemble(inst, replace(base, d2d_cv=0.0, calibrate=False), surface)
+    ideal_traces = ensemble(inst, replace(base, d2d_cv=0.0, calibrate=False), surface)
     e_ideal = settling_energy_ensemble(ideal_traces)
     denom = max(abs(e_ideal), 1e-12)
 
@@ -364,8 +369,8 @@ def d2d_experiment(
     for cv in cv_list:
         arms = {}
         for label, calibrated in (("uncal", False), ("cal", True)):
-            arms[label], _ = ensemble(inst, replace(base, d2d_cv=cv, calibrate=calibrated),
-                                      surface)
+            arms[label] = ensemble(inst, replace(base, d2d_cv=cv, calibrate=calibrated),
+                                   surface)
         e_uncal = settling_energy_ensemble(arms["uncal"])
         e_cal = settling_energy_ensemble(arms["cal"])
         rows.append(

@@ -32,7 +32,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -92,6 +92,10 @@ class BoltzmannConfig:
             raise InvalidParameter("need v_min <= v_center <= v_max")
         if self.gain <= 0:
             raise InvalidParameter("gain must be > 0")
+        if self.max_iters < 0:
+            raise InvalidParameter(f"max_iters must be >= 0, got {self.max_iters}")
+        if not self.d2d_cv >= 0:  # NaN too
+            raise InvalidParameter(f"d2d_cv must be >= 0, got {self.d2d_cv}")
         if not 0.0 < self.convergence_fraction <= 1.0:
             raise InvalidParameter("convergence_fraction must be in (0, 1]")
         if not 0.0 <= self.calibration_precision < 1.0:
@@ -121,18 +125,6 @@ class RunTrace:
     u_scale: float
     run_index: int
     kernel: str = "python"          # the loop that ran: "c" or "python"
-
-
-@dataclass
-class EnsembleSummary:
-    runs: int
-    converged_count: int
-    converged_median: Optional[float]
-    converged_q25: Optional[float]
-    converged_q75: Optional[float]
-    best_cut_median: float
-    best_cut_min: int
-    best_cut_max: int
 
 
 # A run's constants. The field order is `par[]` in `_kernel.c`, so
@@ -613,21 +605,6 @@ def _ensemble_worker(args) -> RunTrace:
     return run(inst, cfg, surface, run_index=idx)
 
 
-def summarize(traces: Sequence[RunTrace]) -> EnsembleSummary:
-    conv = [t.converged_at for t in traces if t.converged_at is not None]
-    cuts = [t.best_cut for t in traces]
-    return EnsembleSummary(
-        runs=len(traces),
-        converged_count=len(conv),
-        converged_median=float(np.median(conv)) if conv else None,
-        converged_q25=float(np.percentile(conv, 25)) if conv else None,
-        converged_q75=float(np.percentile(conv, 75)) if conv else None,
-        best_cut_median=float(np.median(cuts)),
-        best_cut_min=int(min(cuts)),
-        best_cut_max=int(max(cuts)),
-    )
-
-
 def ensemble_runs(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
@@ -648,7 +625,6 @@ def ensemble(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
-) -> tuple[list[RunTrace], EnsembleSummary]:
+) -> list[RunTrace]:
     """cfg.runs independent runs with derived child seeds; order-stable."""
-    traces = list(ensemble_runs(inst, cfg, surface))
-    return traces, summarize(traces)
+    return list(ensemble_runs(inst, cfg, surface))

@@ -20,7 +20,7 @@ from stochanneal.experiments import (
     build_size_ladder,
     cycling_stats,
     d2d_experiment,
-    max_solvable_size,
+    max_solvable_sizes,
 )
 from stochanneal.io_ingest import brute_force_maxcut, generate_instance
 from stochanneal.maxcut import (
@@ -193,7 +193,7 @@ def test_c07_small_instance_optimality(ref_surface, ref_drift):
             max_iters=100_000, runs=25, seed=int(rng.integers(1 << 30)),
             stop_on_convergence=True, drift=ref_drift,
         )
-        traces, _ = ensemble(inst, cfg, ref_surface)
+        traces = ensemble(inst, cfg, ref_surface)
         good += sum(t.best_cut >= 0.9 * opt for t in traces)
         total += len(traces)
     elapsed = time.perf_counter() - t0
@@ -226,11 +226,8 @@ def test_c09_solvable_size_separation(ref_surface, ref_drift):
     net_drift = DriftModel(
         m_hrs=0.01, s_rw=ref_drift.s_rw, hrs_tolerance=ref_drift.hrs_tolerance
     )
-    fixed = max_solvable_size(
-        net_drift, ladder, replace(cfg, scheme="fixed-input"), ref_surface
-    )
-    monitored = max_solvable_size(
-        net_drift, ladder, replace(cfg, scheme="monitored"), ref_surface
+    fixed, monitored = max_solvable_sizes(
+        [net_drift], ["fixed-input", "monitored"], ladder, cfg, ref_surface
     )
     elapsed = time.perf_counter() - t0
     detail_rows = ", ".join(

@@ -1,10 +1,15 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import stochanneal
 from stochanneal.cli import main
 from stochanneal.experiments import settling_energy_of
 from stochanneal.io_ingest import generate_instance, read_results, serialize_rudy
@@ -230,6 +235,32 @@ class TestSweeps:
         assert lines[0].startswith("scheme,m_hrs,size")
         assert len(lines) == 5  # 2 sizes x 2 schemes
 
+    def test_sweep_drift_csv_is_pinned(self, runner, tmp_path):
+        # the digest of this CSV as written when every (slope, scheme) arm ran
+        # its own convergence ensembles; sharing them changes no byte
+        out = tmp_path / "drift.csv"
+        r = invoke(runner, ["sweep-drift", "--sizes", "10,16,25,50", "--mhrs", "0.0,0.5",
+                            "--iters", "50000", "--seed", "4", "--out", str(out)])
+        assert r.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9f0e1d5a5c9b225dfc8e07cc563fb00d2092527a6b4c04958cda1c3afa1f216b")
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--iters", "-1"],
+        ["sweep-drift", "--sizes", "10", "--iters", "-5"],
+        ["sweep-d2d", "--nodes", "12", "--iters", "-5"],
+    ], ids=["solve", "sweep-drift", "sweep-d2d"])
+    def test_negative_iterations_exit_3(self, runner, tmp_path, args):
+        inst = tmp_path / "k3.rudy"
+        inst.write_text(K3_TEXT)
+        if args[0] == "solve":
+            args = args + ["--instance", str(inst)]
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, args + ["--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [sampler]: max_iters must be >= 0" in r.output
+        assert not out.exists()
+
 
 class TestHelp:
     def test_subcommands_list_defaults(self, runner):
@@ -307,3 +338,44 @@ class TestParamsbyEnvVar:
                                  "--out", str(tmp_path / "o.json")])
         assert r.exit_code == 3
         assert "io_ingest" in r.output
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from stochanneal.cli import main
+codes = {}
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        codes[args[0]] = exc.code
+print(json.dumps(codes))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    true = (3.35, -7.5, 0.012, 1.25, -2e-5, 6e-3)
+    data = tmp_path / "meas.csv"
+    with data.open("w") as fh:
+        fh.write("v_set,hrs_kohm,t_set_s\n")
+        for v in np.linspace(1.6, 2.2, 4):
+            for r in np.linspace(10, 500, 4):
+                fh.write(f"{v},{r},{10.0 ** poly6(true, v, r)}\n")
+    commands = [
+        ["gen", "--nodes", "12", "--seed", "1", "--out", "g.rudy"],
+        ["solve", "--instance", "g.rudy", "--iters", "200", "--runs", "2", "--out", "s.csv"],
+        ["sweep-drift", "--sizes", "10,12", "--iters", "2000", "--out", "sd.csv"],
+        ["sweep-d2d", "--nodes", "12", "--iters", "200", "--out", "d2d.csv"],
+        ["cycling", "--scheme", "monitored", "--cycles", "10", "--out", "c.csv"],
+        ["calibrate", "--devices", "5", "--out", "cal.csv"],
+        ["fit", "--data", str(data), "--out", "fitted.json"],
+    ]
+    package_root = os.path.dirname(os.path.dirname(stochanneal.__file__))
+    path = [package_root] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    codes = json.loads(done.stdout.splitlines()[-1])
+    assert codes == {args[0]: 0 for args in commands}, done.stdout + done.stderr

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import spearmanr
 
 from stochanneal import experiments, sampler
 from stochanneal.device import DriftModel, reset_update, scheme_code
@@ -15,12 +16,16 @@ from stochanneal.experiments import (
     ensemble_mean_energy,
     max_meaningful_iterations,
     max_solvable_size,
+    max_solvable_sizes,
     proxy_best_known,
     settling_energy_ensemble,
-    spearman_trend,
 )
 from stochanneal.io_ingest import BestKnownRegistry, brute_force_maxcut, generate_instance
 from stochanneal.sampler import BoltzmannConfig, RunTrace, ensemble
+
+
+def spearman_trend(xs, ys) -> float:
+    return float(spearmanr(xs, ys).statistic)
 
 
 def fake_trace(energies, stride=1):
@@ -124,7 +129,7 @@ class TestEnsembleMeanEnergy:
         inst = generate_instance(30, 4.0, seed=41)
         cfg = BoltzmannConfig(max_iters=5000, runs=5, seed=3, scheme="fixed-input",
                               drift=DriftModel(m_hrs=0.5, s_rw=0.0, hrs_tolerance=0.1))
-        traces, _ = ensemble(inst, cfg, ref_surface)
+        traces = ensemble(inst, cfg, ref_surface)
         got, _ = ensemble_mean_energy(traces)
         assert hexes(got) == hexes(stacked_mean(traces))
 
@@ -150,7 +155,7 @@ class TestConvergenceScaling:
         cfg = BoltzmannConfig(max_iters=100_000, runs=5, seed=1, drift=ref_drift)
         rows = convergence_scaling(instances, cfg, ref_surface)
         total = sum(r.runs for r in rows)
-        converged = sum(r.converged_count for r in rows)
+        converged = sum(len(r.converged) for r in rows)
         assert converged >= 0.95 * total
 
     def test_missing_best_known(self, ref_surface, ref_drift):
@@ -181,7 +186,7 @@ class TestConvergenceScaling:
         (row,) = convergence_scaling([inst], cfg, ref_surface)
         assert recorded == [0] * 5
         monkeypatch.undo()
-        traces, _ = ensemble(inst, replace(cfg, stop_on_convergence=True), ref_surface)
+        traces = ensemble(inst, replace(cfg, stop_on_convergence=True), ref_surface)
         assert all(t.energies.size > 0 for t in traces)
         assert row.converged == [t.converged_at for t in traces if t.converged_at is not None]
 
@@ -242,6 +247,49 @@ class TestMaxSolvableSize:
         cfg = BoltzmannConfig(runs=5, drift=ref_drift)
         with pytest.raises(ValueError):
             max_solvable_size(ref_drift, [(16, [k3]), (10, [k3])], cfg, ref_surface)
+
+
+class TestMaxSolvableSizes:
+    SCHEMES = ("fixed-input", "monitored")
+
+    def study(self, ref_surface, ref_drift):
+        cfg = BoltzmannConfig(max_iters=50_000, runs=5, seed=4, drift=ref_drift)
+        ladder = build_size_ladder([10, 16], cfg, ref_surface, seed=90)
+        drifts = [DriftModel(m_hrs=m, s_rw=ref_drift.s_rw, hrs_tolerance=ref_drift.hrs_tolerance)
+                  for m in (0.0, 0.5)]
+        return drifts, ladder, cfg
+
+    def test_every_arm_equals_its_single_arm_study(self, ref_surface, ref_drift):
+        drifts, ladder, cfg = self.study(ref_surface, ref_drift)
+        results = max_solvable_sizes(drifts, self.SCHEMES, ladder, cfg, ref_surface)
+        arms = [(d, s) for d in drifts for s in self.SCHEMES]
+        assert [(r.m_hrs, r.scheme) for r in results] == [(d.m_hrs, s) for d, s in arms]
+        for res, (drift, scheme) in zip(results, arms):
+            alone = max_solvable_size(drift, ladder, replace(cfg, scheme=scheme), ref_surface)
+            # floats by repr: the dataclass reprs spell every field
+            assert repr(res) == repr(alone)
+        assert {r.max_solvable for r in results} != {0}
+
+    def test_convergence_ensemble_runs_once_per_rung(self, ref_surface, ref_drift, monkeypatch):
+        drifts, ladder, cfg = self.study(ref_surface, ref_drift)
+        stopping = []
+        original = sampler.run
+
+        def spy(inst, run_cfg, *args, **kwargs):
+            if run_cfg.stop_on_convergence:
+                assert run_cfg.scheme == "ideal"
+                stopping.append(inst.n)
+            return original(inst, run_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "run", spy)
+        max_solvable_sizes(drifts, self.SCHEMES, ladder, cfg, ref_surface)
+        # cfg.runs runs per instance per rung, for all four arms together
+        assert stopping == [10] * 5 + [16] * 5
+
+    def test_unknown_scheme(self, ref_surface, ref_drift, k3):
+        cfg = BoltzmannConfig(runs=5, drift=ref_drift)
+        with pytest.raises(InvalidParameter):
+            max_solvable_sizes([ref_drift], ["fixed"], [(3, [k3])], cfg, ref_surface)
 
 
 class TestD2DExperiment:
@@ -306,7 +354,7 @@ class TestDriftTrends:
         drift = DriftModel(m_hrs=m_hrs, s_rw=0.0, hrs_tolerance=0.1)
         cfg = BoltzmannConfig(max_iters=horizon, runs=5, seed=seed,
                               scheme="fixed-input", drift=drift)
-        traces, _ = ensemble(inst, cfg, ref_surface)
+        traces = ensemble(inst, cfg, ref_surface)
         return max_meaningful_iterations(traces)
 
     def test_drift_shrinks_meaningful_iterations(self, ref_surface):

@@ -361,7 +361,7 @@ class TestFormCache:
 
         monkeypatch.setattr(maxcut, "build_form", counted)
         cfg = sampler.BoltzmannConfig(max_iters=200, runs=10, seed=3)
-        traces, _ = sampler.ensemble(k3, cfg, ref_surface)
+        traces = sampler.ensemble(k3, cfg, ref_surface)
         assert len(traces) == 10
         assert calls == [k3]
         assert k3.form is k3.form

@@ -150,11 +150,10 @@ class TestRun:
         inst = generate_instance(125, 4.0, seed=125)
         cfg = BoltzmannConfig(max_iters=10**5, runs=5, seed=12, drift=ref_drift)
         inst = dreplace(inst, best_known=proxy_best_known(inst, cfg, ref_surface))
-        traces, summary = ensemble(
-            inst, dreplace(cfg, stop_on_convergence=True), ref_surface
-        )
-        assert summary.converged_count == 5
-        assert 1e3 <= summary.converged_median <= 1e5
+        traces = ensemble(inst, dreplace(cfg, stop_on_convergence=True), ref_surface)
+        converged = [t.converged_at for t in traces if t.converged_at is not None]
+        assert len(converged) == 5
+        assert 1e3 <= np.median(converged) <= 1e5
 
     def test_cycles_sum_to_iterations(self, ref_surface, ref_drift):
         inst = generate_instance(30, 3.0, seed=2)
@@ -298,24 +297,28 @@ def _loop_calibration(n, cfg, surface, run_index):
     return hrs, targets, offs, clamps, failures, spread
 
 
+def outcomes(traces):
+    """What an ensemble summary read of each run."""
+    return [(t.best_cut, t.converged_at) for t in traces]
+
+
 class TestEnsemble:
     def test_single_run_summary_matches_trace(self, k3, ref_surface, ref_drift):
         cfg = BoltzmannConfig(max_iters=500, runs=1, seed=3, drift=ref_drift)
-        traces, summary = ensemble(k3, cfg, ref_surface)
-        assert summary.runs == 1
-        assert summary.best_cut_median == traces[0].best_cut
-        assert summary.converged_median == traces[0].converged_at
+        (trace,) = ensemble(k3, cfg, ref_surface)
+        alone = run(k3, cfg, ref_surface, run_index=0)
+        assert trace.run_index == 0
+        assert (trace.best_cut, trace.converged_at) == (alone.best_cut, alone.converged_at)
 
     def test_same_seed_identical_summaries(self, k3, ref_surface, ref_drift):
         cfg = BoltzmannConfig(max_iters=500, runs=4, seed=3, drift=ref_drift)
-        _, s1 = ensemble(k3, cfg, ref_surface)
-        _, s2 = ensemble(k3, cfg, ref_surface)
-        assert s1 == s2
+        assert outcomes(ensemble(k3, cfg, ref_surface)) == \
+            outcomes(ensemble(k3, cfg, ref_surface))
 
     def test_inter_run_spread_nonzero(self, ref_surface, ref_drift):
         inst = generate_instance(40, 4.0, seed=20)
         cfg = BoltzmannConfig(max_iters=300, runs=25, seed=3, drift=ref_drift)
-        traces, summary = ensemble(inst, cfg, ref_surface)
+        traces = ensemble(inst, cfg, ref_surface)
         cuts = {t.best_cut for t in traces}
         assert len(cuts) > 1
 
@@ -331,7 +334,7 @@ class TestEnsemble:
         sampler._nominal_hrs.cache_clear()
         inst = generate_instance(20, 3.0, seed=30)
         cfg = BoltzmannConfig(max_iters=100, runs=10, seed=6, drift=ref_drift)
-        traces, _ = ensemble(inst, cfg, ref_surface)
+        traces = ensemble(inst, cfg, ref_surface)
         assert len(traces) == 10 and len(calls) == 1
 
     def test_runs_validation(self, k3, ref_surface):
@@ -342,9 +345,9 @@ class TestEnsemble:
         inst = generate_instance(20, 3.0, seed=30)
         seq = BoltzmannConfig(max_iters=400, runs=4, seed=6, drift=ref_drift, jobs=1)
         par = BoltzmannConfig(max_iters=400, runs=4, seed=6, drift=ref_drift, jobs=2)
-        t1, s1 = ensemble(inst, seq, ref_surface)
-        t2, s2 = ensemble(inst, par, ref_surface)
-        assert s1 == s2
+        t1 = ensemble(inst, seq, ref_surface)
+        t2 = ensemble(inst, par, ref_surface)
+        assert outcomes(t1) == outcomes(t2)
         for a, b in zip(t1, t2):
             assert np.array_equal(a.energies, b.energies)
 
@@ -871,6 +874,16 @@ class TestConfigValidation:
     def test_gain_positive(self):
         with pytest.raises(ValueError):
             BoltzmannConfig(gain=0.0)
+
+    @pytest.mark.parametrize("name, value",
+                             [("max_iters", -1), ("d2d_cv", -0.1), ("d2d_cv", math.nan)])
+    def test_negative_iterations_and_spread_rejected(self, name, value):
+        with pytest.raises(InvalidParameter, match=f"{name} must be >= 0"):
+            BoltzmannConfig(**{name: value})
+
+    def test_zero_iterations_run(self, k3, ref_surface):
+        trace = run(k3, BoltzmannConfig(max_iters=0), ref_surface)
+        assert trace.iterations == 0 and trace.energies.size == 0
 
     @pytest.mark.parametrize("stride", [0, -1, 2 ** 53 + 1])
     def test_energy_stride_positive(self, stride):
