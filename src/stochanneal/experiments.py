@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -108,25 +108,104 @@ def cycling_stats(
 # the `solve-large` and `d2d` benchmark digests pin both.
 
 
+# points per chunk of the smoother (64 KiB of doubles)
+_SMOOTH_CHUNK = 1 << 13
+
+
+def _running_sum_writer(a: np.ndarray, k: int):
+    """A function that writes the next values of S, from S[k] on, into the
+    array it is given: S[i] = a[0] + ... + a[i-1] summed in order as floats,
+    0 for i <= 0 and the total for i > a.size.
+
+    The sum is carried from call to call into np.cumsum, which adds in order,
+    so every value is that of one cumsum over the whole of `a`.
+    """
+    n = a.size
+    carry = 0.0
+
+    def write(dst: np.ndarray) -> None:
+        nonlocal k, carry
+        zeros = min(max(1 - k, 0), dst.size)
+        dst[:zeros] = 0.0
+        i0, i1 = k + zeros, min(k + dst.size, n + 1)
+        if i1 > i0:
+            part = dst[zeros:zeros + i1 - i0]
+            part[...] = a[i0 - 1:i1 - 1]
+            if i0 > 1:
+                part[0] += carry
+            np.cumsum(part, out=part)
+            carry = part[-1]
+        dst[zeros + max(i1 - i0, 0):] = carry
+        k += dst.size
+
+    return write
+
+
+def _smoothed_chunks(series, window: int) -> Iterator[np.ndarray]:
+    """`moving_average(series, window)` in consecutive chunks.
+
+    Point j of the average is (S[j + hi + 1] - S[j - lo]) / count_j, with S
+    the running sum of `_running_sum_writer`, lo and hi the window's reach
+    before and after j, and count_j its size cut to the series. The two sums
+    are two writers, one a window behind the other, so no span of the sum is
+    held. Every chunk is a view of one buffer that the next chunk
+    overwrites, and no buffer is allocated after the first chunk.
+    """
+    a = np.asarray(series)
+    n = a.size
+    if n == 0:
+        return
+    step = _SMOOTH_CHUNK
+    out = np.empty(min(step, n))
+    if window <= 1:
+        for j in range(0, n, step):
+            chunk = out[:min(step, n - j)]
+            chunk[...] = a[j:j + chunk.size]
+            yield chunk
+        return
+    lo_span, hi_span = (window - 1) // 2, window // 2
+    lead, trail = _running_sum_writer(a, 0), _running_sum_writer(a, -lo_span)
+    behind = np.empty_like(out)
+    for k in range(0, hi_span + 1, behind.size):  # the lead starts at S[hi_span + 1]
+        lead(behind[:hi_span + 1 - k])
+    offsets = np.arange(out.size)
+    lo, count = np.empty_like(offsets), np.empty_like(offsets)
+    for j in range(0, n, step):
+        size = min(step, n - j)
+        chunk = out[:size]
+        lead(chunk)
+        trail(behind[:size])
+        chunk -= behind[:size]
+        if lo_span <= j and j + size <= n - hi_span:
+            chunk /= window
+        else:
+            # count_j = min(j + hi_span + 1, n) - max(j - lo_span, 0)
+            np.add(offsets[:size], j + hi_span + 1, out=count[:size])
+            np.minimum(count[:size], n, out=count[:size])
+            np.add(offsets[:size], j - lo_span, out=lo[:size])
+            np.maximum(lo[:size], 0, out=lo[:size])
+            np.subtract(count[:size], lo[:size], out=count[:size])
+            chunk /= count[:size]
+        yield chunk
+
+
 def moving_average(series, window: int) -> np.ndarray:
     """Centered moving average with edge-truncated windows."""
     a = np.asarray(series)
-    if window <= 1 or a.size == 0:
-        return a.astype(float, copy=True)
-    n = a.size
-    lo_span, hi_span = (window - 1) // 2, window // 2
-    csum = np.zeros(n + 1)
-    np.cumsum(a, dtype=float, out=csum[1:])
-    out = np.empty(n)
-    # the full windows, then the truncated ones at either end
-    head = min(lo_span, n)
-    full = out[head:max(head, n - hi_span)]
-    np.subtract(csum[window:], csum[:-window], out=full)
-    full /= window
-    edge = np.r_[0:head, max(head, n - hi_span):n]
-    lo, hi = np.maximum(edge - lo_span, 0), np.minimum(edge + hi_span + 1, n)
-    out[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    out = np.empty(a.size)
+    j = 0
+    for chunk in _smoothed_chunks(a, window):
+        out[j:j + chunk.size] = chunk
+        j += chunk.size
     return out
+
+
+def _smoothed_min(series, window: int) -> float:
+    """Minimum of moving_average(series, window), one chunk at a time."""
+    lowest = math.inf
+    for chunk in _smoothed_chunks(series, window):
+        lowest = np.minimum(lowest, chunk.min())
+    return float(lowest)
 
 
 def settling_energy_of(series) -> float:
@@ -134,7 +213,7 @@ def settling_energy_of(series) -> float:
     a = np.asarray(series)
     if a.size == 0:
         return math.nan
-    return float(moving_average(a, max(1, a.size // 50)).min())
+    return _smoothed_min(a, max(1, a.size // 50))
 
 
 def ensemble_mean_energy(traces: Iterable[RunTrace], min_traces: int = 1) -> tuple[np.ndarray, int]:
@@ -179,18 +258,22 @@ def max_meaningful_iterations(traces: Iterable[RunTrace], window: Optional[int] 
         window = max(1, int(round(SMOOTH_FRACTION * mean_series.size)))
     if window < 1:
         raise ValueError("window must be >= 1")
-    smoothed = moving_average(mean_series, window)
-    lowest = float(smoothed.min())
+    lowest = _smoothed_min(mean_series, window)
     band = lowest + PLATEAU_TOLERANCE * abs(lowest)
-    last_at_min = smoothed.size - 1 - int(np.argmax(smoothed[::-1] <= band))
-    return (last_at_min + 1) * stride
+    # the last point in the band (the last point if none is, as for NaN)
+    last_in_band, j = mean_series.size - 1, 0
+    for chunk in _smoothed_chunks(mean_series, window):
+        in_band = np.flatnonzero(chunk <= band)
+        if in_band.size:
+            last_in_band = j + int(in_band[-1])
+        j += chunk.size
+    return (last_in_band + 1) * stride
 
 
 def settling_energy_ensemble(traces: Sequence[RunTrace]) -> float:
     """Minimum of the smoothed ensemble-mean energy series."""
     mean_series, _ = ensemble_mean_energy(traces)
-    window = max(1, int(round(SMOOTH_FRACTION * mean_series.size)))
-    return float(moving_average(mean_series, window).min())
+    return _smoothed_min(mean_series, max(1, int(round(SMOOTH_FRACTION * mean_series.size))))
 
 
 # -- convergence scaling (problem size sweep) -------------------------------------

@@ -133,8 +133,15 @@ def read_measurements(path) -> np.ndarray:
 
 # -- generation ------------------------------------------------------------------
 
-# uniform draws per block of rows in generate_instance (8 MiB of doubles)
-_GEN_BLOCK = 1 << 20
+# uniform draws per block of rows in generate_instance (512 KiB of doubles)
+_GEN_BLOCK = 1 << 16
+
+
+def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
+    """A copy of a[:used] in a new array of `size` elements."""
+    out = np.empty(size, dtype=a.dtype)
+    out[:used] = a[:used]
+    return out
 
 
 def generate_instance(
@@ -149,10 +156,12 @@ def generate_instance(
     Node pairs (i, j), i < j, are visited in row-major upper-triangle order
     (the order of `np.triu_indices(n, k=1)`): one uniform draw per pair
     decides the edge, then one `integers` call picks every edge's weight.
-    The draws are taken in blocks of whole rows, which yields the same
-    stream as drawing them all at once, so memory is O(block + n + m)
-    rather than O(n^2). Zeros in weight_set are treated as absent edges
-    and ignored.
+    The draws are taken in blocks of whole rows, _GEN_BLOCK draws at most
+    (a longer row is a block of its own), each into the same reused buffer;
+    this yields the same stream as drawing them all at once. The endpoints
+    collect in two int64 arrays that grow geometrically, so memory is
+    O(block + n + m) rather than O(n^2). Zeros in weight_set are treated as
+    absent edges and ignored.
     """
     if n < 2:
         raise InvalidDegree(f"need n >= 2, got {n}")
@@ -166,23 +175,31 @@ def generate_instance(
     # row_start[i]: flat index of pair (i, i+1); row_start[n-1] = n(n-1)/2
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2
-    heads, tails = [], []
+    # one block's draws and their comparison with p, reused by every block
+    draws = np.empty(max(min(_GEN_BLOCK, int(row_start[-1])), n - 1))
+    below = np.empty(draws.size, dtype=bool)
+    heads = tails = np.empty(0, dtype=np.int64)
+    m = 0
     i = 0
     while i < n - 1:
         # whole rows i..e-1, at least one, within one block of draws
         e = int(np.searchsorted(row_start, row_start[i] + _GEN_BLOCK, side="right")) - 1
         e = max(e, i + 1)
+        k = int(row_start[e] - row_start[i])
+        rng.random(out=draws[:k])
+        hits = np.flatnonzero(np.less(draws[:k], p, out=below[:k]))
         starts = row_start[i:e] - row_start[i]
-        hits = np.flatnonzero(rng.random(int(row_start[e] - row_start[i])) < p)
         r = np.searchsorted(starts, hits, side="right") - 1
-        heads.append(i + r)
-        tails.append(i + 1 + r + (hits - starts[r]))
+        if m + hits.size > heads.size:
+            size = max(2 * heads.size, m + hits.size)
+            heads, tails = _grown(heads, m, size), _grown(tails, m, size)
+        np.add(r, i, out=heads[m:m + hits.size])
+        tails[m:m + hits.size] = i + 1 + r + (hits - starts[r])
+        m += hits.size
         i = e
-    a = np.concatenate(heads)
-    b = np.concatenate(tails)
-    wi = rng.integers(0, len(weights), size=a.size)
+    wi = rng.integers(0, len(weights), size=m)
     w = np.array(weights, dtype=np.int64)[wi]
-    edges = tuple(zip(a.tolist(), b.tolist(), w.tolist()))
+    edges = tuple(zip(heads[:m].tolist(), tails[:m].tolist(), w.tolist()))
     return MaxCutInstance(
         n=n,
         edges=edges,

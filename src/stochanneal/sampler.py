@@ -96,6 +96,8 @@ class BoltzmannConfig:
             raise InvalidParameter(f"max_iters must be >= 0, got {self.max_iters}")
         if not self.d2d_cv >= 0:  # NaN too
             raise InvalidParameter(f"d2d_cv must be >= 0, got {self.d2d_cv}")
+        if self.jobs < 1:
+            raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
         if not 0.0 < self.convergence_fraction <= 1.0:
             raise InvalidParameter("convergence_fraction must be in (0, 1]")
         if not 0.0 <= self.calibration_precision < 1.0:

@@ -261,6 +261,24 @@ class TestSweeps:
         assert "error [sampler]: max_iters must be >= 0" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("args", [
+        ["solve", "--iters", "10"],
+        ["sweep-drift", "--sizes", "10", "--iters", "10"],
+        ["sweep-d2d", "--nodes", "12", "--iters", "10"],
+    ], ids=["solve", "sweep-drift", "sweep-d2d"])
+    def test_jobs_below_one_exit_3(self, runner, tmp_path, args, jobs):
+        inst = tmp_path / "k3.rudy"
+        inst.write_text(K3_TEXT)
+        if args[0] == "solve":
+            args = args + ["--instance", str(inst)]
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, args + ["--jobs", jobs, "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert f"error [sampler]: jobs must be >= 1, got {jobs}" in r.output
+        assert not out.exists()
+        assert not os.path.exists(str(out) + ".manifest.json")
+
 
 class TestHelp:
     def test_subcommands_list_defaults(self, runner):

@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -19,6 +21,7 @@ from stochanneal.experiments import (
     max_solvable_sizes,
     proxy_best_known,
     settling_energy_ensemble,
+    settling_energy_of,
 )
 from stochanneal.io_ingest import BestKnownRegistry, brute_force_maxcut, generate_instance
 from stochanneal.sampler import BoltzmannConfig, RunTrace, ensemble
@@ -139,6 +142,98 @@ class TestEnsembleMeanEnergy:
         short = replace(fake_trace([0]), energies=np.empty(0, dtype=np.int64))
         with pytest.raises(InsufficientTraces):
             ensemble_mean_energy([fake_trace([0, -1]), short])
+
+
+def whole_moving_average(series, window):
+    # moving_average as it was before it was chunked: whole sum, whole output
+    a = np.asarray(series)
+    if window <= 1 or a.size == 0:
+        return a.astype(float, copy=True)
+    n = a.size
+    lo_span, hi_span = (window - 1) // 2, window // 2
+    csum = np.zeros(n + 1)
+    np.cumsum(a, dtype=float, out=csum[1:])
+    out = np.empty(n)
+    head = min(lo_span, n)
+    full = out[head:max(head, n - hi_span)]
+    np.subtract(csum[window:], csum[:-window], out=full)
+    full /= window
+    edge = np.r_[0:head, max(head, n - hi_span):n]
+    lo, hi = np.maximum(edge - lo_span, 0), np.minimum(edge + hi_span + 1, n)
+    out[edge] = (csum[hi] - csum[lo]) / (hi - lo)
+    return out
+
+
+def whole_settling_energy_of(series):
+    # the three reducers as they were when they smoothed the whole series
+    a = np.asarray(series)
+    if a.size == 0:
+        return math.nan
+    return float(whole_moving_average(a, max(1, a.size // 50)).min())
+
+
+def whole_settling_energy_ensemble(traces):
+    mean_series, _ = ensemble_mean_energy(traces)
+    window = max(1, int(round(experiments.SMOOTH_FRACTION * mean_series.size)))
+    return float(whole_moving_average(mean_series, window).min())
+
+
+def whole_max_meaningful_iterations(traces, window=None):
+    mean_series, stride = ensemble_mean_energy(traces, min_traces=5)
+    if window is None:
+        window = max(1, int(round(experiments.SMOOTH_FRACTION * mean_series.size)))
+    smoothed = whole_moving_average(mean_series, window)
+    lowest = float(smoothed.min())
+    band = lowest + experiments.PLATEAU_TOLERANCE * abs(lowest)
+    last_at_min = smoothed.size - 1 - int(np.argmax(smoothed[::-1] <= band))
+    return (last_at_min + 1) * stride
+
+
+class TestChunkedSmoothing:
+    @pytest.mark.parametrize("chunk", [7, 8, None])
+    def test_reducers_equal_their_whole_series_forms(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(experiments, "_SMOOTH_CHUNK", chunk)
+        rng = np.random.default_rng(23)
+        for _ in range(80):
+            length = int(rng.integers(1, 400))
+            # random walks with flats, so the plateau band holds many points
+            traces = [fake_trace(np.cumsum(rng.integers(-2, 2, length)))
+                      for _ in range(int(rng.integers(5, 8)))]
+            assert (settling_energy_ensemble(traces).hex()
+                    == whole_settling_energy_ensemble(traces).hex())
+            for window in (None, 1, 2, 3, length, length + 3):
+                assert (max_meaningful_iterations(traces, window)
+                        == whole_max_meaningful_iterations(traces, window)), (length, window)
+            for series in (traces[0].energies, rng.standard_normal(length) * 50):
+                assert settling_energy_of(series).hex() == whole_settling_energy_of(series).hex()
+        assert math.isnan(settling_energy_of(np.empty(0)))
+
+    def test_reducers_equal_their_whole_series_forms_on_real_traces(self, ref_surface):
+        inst = generate_instance(40, 4.0, seed=8)
+        cfg = BoltzmannConfig(max_iters=30_000, runs=5, seed=8, scheme="fixed-input",
+                              drift=DriftModel(m_hrs=0.5, s_rw=0.0, hrs_tolerance=0.1))
+        traces = ensemble(inst, cfg, ref_surface)
+        assert traces[0].stride == 1 and traces[0].energies.size == 30_000
+        assert (settling_energy_ensemble(traces).hex()
+                == whole_settling_energy_ensemble(traces).hex())
+        assert max_meaningful_iterations(traces) == whole_max_meaningful_iterations(traces)
+        for t in traces:
+            assert (settling_energy_of(t.energies).hex()
+                    == whole_settling_energy_of(t.energies).hex())
+
+    def test_max_meaningful_iterations_allocates_no_whole_series_but_the_mean(self):
+        # the 8 MB mean plus chunk buffers; the whole running sum and smoothed
+        # series would add 16 MB
+        rng = np.random.default_rng(2)
+        traces = [fake_trace(np.cumsum(rng.integers(-3, 3, 10**6))) for _ in range(5)]
+        tracemalloc.start()
+        try:
+            max_meaningful_iterations(traces)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
 
 
 class TestConvergenceScaling:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,17 @@ class TestBlockedGeneration:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "29ce49af45ec101fa76f3e2152de045a80783e080e18fb6849cf25ed4caf9198"
         )
+
+    def test_allocation_peak_is_bounded(self):
+        # one reused block of draws; a block of 2**20 draws alone is 8 MiB
+        generate_instance(50, 4.0)
+        tracemalloc.start()
+        try:
+            generate_instance(3000, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6, peak
 
     def test_gen_in_bounded_address_space(self, tmp_path):
         resource = pytest.importorskip("resource")

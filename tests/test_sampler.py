@@ -19,7 +19,7 @@ from stochanneal.device import DriftModel, field_to_voltage, mu_sigma, p_switch
 from stochanneal.errors import InvalidParameter, MissingBestKnown, Unattainable
 from stochanneal.experiments import moving_average, settling_energy_of
 from stochanneal.io_ingest import generate_instance
-from stochanneal import sampler
+from stochanneal import experiments, sampler
 from stochanneal.maxcut import MaxCutInstance
 from stochanneal.sampler import (
     BoltzmannConfig,
@@ -816,6 +816,19 @@ class TestMovingAverage:
         smoothed = _moving_average_by_index(trace.energies, 20_000 // 50)
         assert settling_energy_of(trace.energies).hex() == float(smoothed.min()).hex()
 
+    @pytest.mark.parametrize("chunk", [7, 8])
+    def test_same_floats_across_chunk_boundaries(self, chunk, monkeypatch):
+        # the running sums are carried from chunk to chunk; sizes on either
+        # side of chunk multiples, windows shorter and longer than a chunk
+        monkeypatch.setattr(experiments, "_SMOOTH_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for size in (0, 1, 6, 7, 8, 9, 13, 14, 15, 16, 17, 300):
+            for series in (rng.integers(-10**6, 10**6, size), rng.standard_normal(size) * 50):
+                windows = {1, 2, 3, size // 50, round(0.02 * size), size, size + 3}
+                for window in sorted(windows):
+                    assert (_hex(moving_average(series, window))
+                            == _hex(_moving_average_by_index(series, window))), (size, window)
+
     def test_window_one_is_identity(self):
         a = [3.0, 1.0, 2.0]
         assert moving_average(a, 1).tolist() == a
@@ -831,16 +844,17 @@ class TestMovingAverage:
 
 class TestLongRun:
     def test_ten_million_iterations_in_bounded_address_space(self):
-        """A 10^7-iteration stride-1 run at n=200 in 512 MiB of address space.
+        """A 10^7-iteration stride-1 run at n=200 in 320 MiB of address space.
 
         Its trace alone is 80 MB. Recording it in per-block chunks joined at
         the end, and smoothing it with whole-length index arrays, took the
-        process to about 720 MiB; one preallocated trace and a slice-wise
-        moving average keep it near 350 MiB.
+        process to about 720 MiB; one preallocated trace and a moving average
+        that held the whole running sum and output, to about 350 MiB. Chunked
+        smoothing over carried running sums keeps it near 190 MiB.
         """
         resource = pytest.importorskip("resource")
         _kernel_or_skip()  # the Python loop would take minutes here
-        limit = 512 * 1024 * 1024
+        limit = 320 * 1024 * 1024
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -880,6 +894,11 @@ class TestConfigValidation:
     def test_negative_iterations_and_spread_rejected(self, name, value):
         with pytest.raises(InvalidParameter, match=f"{name} must be >= 0"):
             BoltzmannConfig(**{name: value})
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_positive(self, jobs):
+        with pytest.raises(InvalidParameter, match=f"jobs must be >= 1, got {jobs}"):
+            BoltzmannConfig(jobs=jobs)
 
     def test_zero_iterations_run(self, k3, ref_surface):
         trace = run(k3, BoltzmannConfig(max_iters=0), ref_surface)
