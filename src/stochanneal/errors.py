@@ -51,7 +51,11 @@ class Malformed(StochAnnealError, ValueError):
 
 
 class DuplicateEdge(Malformed):
-    """Same unordered node pair listed twice."""
+    """Same unordered node pair listed twice; `pair` holds it, 0-based, when known."""
+
+    def __init__(self, message: str, pair=None):
+        super().__init__(message)
+        self.pair = pair
 
 
 class SelfLoop(Malformed):

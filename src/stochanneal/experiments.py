@@ -270,8 +270,9 @@ def max_meaningful_iterations(traces: Iterable[RunTrace], window: Optional[int] 
     return (last_in_band + 1) * stride
 
 
-def settling_energy_ensemble(traces: Sequence[RunTrace]) -> float:
-    """Minimum of the smoothed ensemble-mean energy series."""
+def settling_energy_ensemble(traces: Iterable[RunTrace]) -> float:
+    """Minimum of the smoothed ensemble-mean energy series; the traces are
+    summed one at a time, so an iterator of runs is never held whole."""
     mean_series, _ = ensemble_mean_energy(traces)
     return _smoothed_min(mean_series, max(1, int(round(SMOOTH_FRACTION * mean_series.size))))
 
@@ -444,26 +445,37 @@ def d2d_experiment(
     if cfg.runs < 10:
         raise InvalidParameter(f"d2d_experiment needs cfg.runs >= 10, got {cfg.runs}")
     base = replace(cfg, stop_on_convergence=False)
-    ideal_traces = ensemble(inst, replace(base, d2d_cv=0.0, calibrate=False), surface)
-    e_ideal = settling_energy_ensemble(ideal_traces)
+
+    def arm(cv: float, calibrate: bool) -> tuple[float, float, float]:
+        """(settling energy, mean mu_eff spread, mean calibration failures)
+        of one arm, its runs streamed into the ensemble mean one at a time."""
+        spreads, failures = [], []
+
+        def runs() -> Iterator[RunTrace]:
+            for t in ensemble_runs(inst, replace(base, d2d_cv=cv, calibrate=calibrate), surface):
+                spreads.append(t.mu_eff_spread)
+                failures.append(t.calib_failures)
+                yield t
+                del t  # free this run before the next one starts
+
+        settling = settling_energy_ensemble(runs())
+        return settling, float(np.mean(spreads)), float(np.mean(failures))
+
+    e_ideal = arm(0.0, False)[0]
     denom = max(abs(e_ideal), 1e-12)
 
     rows = []
     for cv in cv_list:
-        arms = {}
-        for label, calibrated in (("uncal", False), ("cal", True)):
-            arms[label] = ensemble(inst, replace(base, d2d_cv=cv, calibrate=calibrated),
-                                   surface)
-        e_uncal = settling_energy_ensemble(arms["uncal"])
-        e_cal = settling_energy_ensemble(arms["cal"])
+        e_uncal, spread_uncal, _ = arm(cv, False)
+        e_cal, spread_cal, failures = arm(cv, True)
         rows.append(
             D2DRow(
                 cv=cv,
                 error_uncalibrated=100.0 * max(0.0, e_uncal - e_ideal) / denom,
                 error_calibrated=100.0 * max(0.0, e_cal - e_ideal) / denom,
-                spread_uncalibrated=float(np.mean([t.mu_eff_spread for t in arms["uncal"]])),
-                spread_calibrated=float(np.mean([t.mu_eff_spread for t in arms["cal"]])),
-                calib_failures=float(np.mean([t.calib_failures for t in arms["cal"]])),
+                spread_uncalibrated=spread_uncal,
+                spread_calibrated=spread_cal,
+                calib_failures=failures,
                 settling_uncalibrated=e_uncal,
                 settling_calibrated=e_cal,
             )

@@ -76,13 +76,11 @@ def parse_rudy(text: str, name: str = "") -> MaxCutInstance:
         raise Malformed("line 1: empty instance file")
     if declared != m:
         raise Malformed(f"edge count mismatch: header says {m}, file has {declared}")
-    seen = set()
-    for i, j, _ in edges:
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise DuplicateEdge(f"edge ({key[0] + 1}, {key[1] + 1}) listed twice")
-        seen.add(key)
-    return MaxCutInstance(n=n, edges=tuple(edges), name=name)
+    try:
+        return MaxCutInstance(n=n, edges=tuple(edges), name=name)
+    except DuplicateEdge as e:  # the one fault left; name the pair as the file does
+        i, j = e.pair
+        raise DuplicateEdge(f"edge ({i + 1}, {j + 1}) listed twice", pair=e.pair) from None
 
 
 def serialize_rudy(inst: MaxCutInstance) -> str:

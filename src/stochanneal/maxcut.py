@@ -43,21 +43,32 @@ class MaxCutInstance:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("node count must be >= 0")
-        canon = []
-        seen = set()
+        ends, weights = [], []
         for i, j, w in self.edges:
-            i, j, w = int(i), int(j), int(w)
+            ends += (int(i), int(j))
+            weights.append(int(w))  # exact: a weight past int64 is build_form's TooLarge
+        try:
+            ij = np.array(ends, dtype=np.int64)
+        except OverflowError:  # such an endpoint is out of range, and stays so clamped
+            ij = np.array([min(max(e, -1), _INT64_MAX) for e in ends], dtype=np.int64)
+        del ends
+        lo, hi = np.minimum(ij[0::2], ij[1::2]), np.maximum(ij[0::2], ij[1::2])
+        bad = (lo == hi) | (lo < 0) | (hi >= self.n)
+        order = np.lexsort((hi, lo))  # stable, so a pair's repeats follow its first listing
+        lo, hi = lo[order], hi[order]
+        bad[order[1:]] |= (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        if bad.any():
+            # the first faulty edge in input order, named by its own ints
+            i, j, _ = self.edges[int(np.argmax(bad))]
+            i, j = int(i), int(j)
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
-            if i > j:
-                i, j = j, i
+            i, j = min(i, j), max(i, j)
             if not (0 <= i < j < self.n):
                 raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {self.n})")
-            if (i, j) in seen:
-                raise DuplicateEdge(f"edge ({i}, {j}) listed twice")
-            seen.add((i, j))
-            canon.append((i, j, w))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+            raise DuplicateEdge(f"edge ({i}, {j}) listed twice", pair=(i, j))
+        object.__setattr__(self, "edges", tuple(zip(
+            lo.tolist(), hi.tolist(), [weights[k] for k in order.tolist()])))
 
     @property
     def m(self) -> int:

@@ -29,7 +29,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -616,6 +615,9 @@ def ensemble_runs(
     if cfg.runs < 1:
         raise InvalidParameter("runs must be >= 1")
     if cfg.jobs > 1:
+        # imported here: multiprocessing costs every process ~1 MB and ~14 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             yield from pool.map(_ensemble_worker,
                                 [(inst, cfg, surface, r) for r in range(cfg.runs)])

@@ -245,6 +245,17 @@ class TestSweeps:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "9f0e1d5a5c9b225dfc8e07cc563fb00d2092527a6b4c04958cda1c3afa1f216b")
 
+    def test_sweep_d2d_csv_is_pinned(self, runner, tmp_path):
+        # the digest of this CSV as written when every arm held all its runs;
+        # streaming them into the ensemble means changes no byte
+        out = tmp_path / "d2d.csv"
+        r = invoke(runner, ["sweep-d2d", "--cv", "0.0,0.1,0.3", "--nodes", "60",
+                            "--iters", "20000", "--runs", "10", "--seed", "4",
+                            "--out", str(out)])
+        assert r.exit_code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "85db3755449a0d195f2b5845bd1be4efdf90af6c8c69346600da23a962abe9aa")
+
     @pytest.mark.parametrize("args", [
         ["solve", "--iters", "-1"],
         ["sweep-drift", "--sizes", "10", "--iters", "-5"],
@@ -397,3 +408,15 @@ def test_commands_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout.splitlines()[-1])
     assert codes == {args[0]: 0 for args in commands}, done.stdout + done.stderr
+
+
+def test_process_pool_loads_only_for_jobs_above_one():
+    # only --jobs > 1 uses it; importing multiprocessing costs every process ~1 MB
+    package_root = os.path.dirname(os.path.dirname(stochanneal.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, stochanneal.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": package_root}, capture_output=True, text=True,
+        timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

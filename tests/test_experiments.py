@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import weakref
@@ -403,6 +404,68 @@ class TestD2DExperiment:
         cfg = BoltzmannConfig(runs=5, drift=ref_drift)
         with pytest.raises(InvalidParameter):
             d2d_experiment(k3, [0.1], cfg, ref_surface)
+
+    @staticmethod
+    def holding_every_run(inst, cv_list, cfg, surface):
+        """d2d_experiment as it was when each arm's runs were held in a list."""
+        base = replace(cfg, stop_on_convergence=False)
+        ideal_traces = ensemble(inst, replace(base, d2d_cv=0.0, calibrate=False), surface)
+        e_ideal = settling_energy_ensemble(ideal_traces)
+        denom = max(abs(e_ideal), 1e-12)
+        rows = []
+        for cv in cv_list:
+            arms = {}
+            for label, calibrated in (("uncal", False), ("cal", True)):
+                arms[label] = ensemble(inst, replace(base, d2d_cv=cv, calibrate=calibrated),
+                                       surface)
+            e_uncal = settling_energy_ensemble(arms["uncal"])
+            e_cal = settling_energy_ensemble(arms["cal"])
+            rows.append(experiments.D2DRow(
+                cv=cv,
+                error_uncalibrated=100.0 * max(0.0, e_uncal - e_ideal) / denom,
+                error_calibrated=100.0 * max(0.0, e_cal - e_ideal) / denom,
+                spread_uncalibrated=float(np.mean([t.mu_eff_spread for t in arms["uncal"]])),
+                spread_calibrated=float(np.mean([t.mu_eff_spread for t in arms["cal"]])),
+                calib_failures=float(np.mean([t.calib_failures for t in arms["cal"]])),
+                settling_uncalibrated=e_uncal,
+                settling_calibrated=e_cal,
+            ))
+        return experiments.D2DSweepResult(settling_ideal=e_ideal, rows=rows)
+
+    def test_same_floats_as_holding_every_run(self, ref_surface, ref_drift):
+        inst = generate_instance(30, 4.0, seed=1)
+        cfg = BoltzmannConfig(max_iters=3000, runs=10, seed=1, drift=ref_drift)
+        cvs = [0.0, 0.1, 0.3]
+        got = d2d_experiment(inst, cvs, cfg, ref_surface)
+        want = self.holding_every_run(inst, cvs, cfg, ref_surface)
+        assert repr(got.settling_ideal) == repr(want.settling_ideal)
+        assert len(got.rows) == len(want.rows) == 3
+        for g, w in zip(got.rows, want.rows):
+            for f in dataclasses.fields(w):
+                assert repr(getattr(g, f.name)) == repr(getattr(w, f.name)), f.name
+        assert got.rows[1].calib_failures > 0 and got.rows[2].calib_failures > 0
+
+    def test_process_pool_gives_the_same_result(self, ref_surface, ref_drift):
+        inst = generate_instance(16, 4.0, seed=5)
+        cfg = BoltzmannConfig(max_iters=500, runs=10, seed=5, drift=ref_drift)
+        one = d2d_experiment(inst, [0.2], cfg, ref_surface)
+        two = d2d_experiment(inst, [0.2], replace(cfg, jobs=2), ref_surface)
+        assert repr(two) == repr(one)
+
+    def test_holds_one_run_at_a_time(self, ref_surface, ref_drift):
+        # a run's stride-1 trace is 160 kB here; holding the runs of the
+        # ideal arm and of one cv's two arms at once peaked at 5.4 MB
+        inst = generate_instance(100, 4.0, seed=3)
+        cfg = BoltzmannConfig(max_iters=20_000, runs=10, seed=3, scheme="monitored",
+                              drift=ref_drift)
+        d2d_experiment(inst, [0.1, 0.2], cfg, ref_surface)  # fills the set-up caches
+        tracemalloc.start()
+        try:
+            d2d_experiment(inst, [0.1, 0.2], cfg, ref_surface)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
 
 class TestLadderBuilder:

@@ -72,6 +72,11 @@ class TestParseRudy:
         with pytest.raises(DuplicateEdge):
             parse_rudy("3 2\n1 2 1\n2 1 1")
 
+    def test_first_duplicate_in_file_order_named_1_based(self):
+        with pytest.raises(DuplicateEdge) as exc:
+            parse_rudy("3 4\n2 3 1\n3 2 1\n1 2 1\n2 1 1")
+        assert str(exc.value) == "edge (2, 3) listed twice"
+
     def test_zero_weight_dropped_with_warning(self):
         with pytest.warns(UserWarning):
             inst = parse_rudy("3 2\n1 2 0\n2 3 1")

@@ -187,6 +187,76 @@ class TestInstanceValidation:
         inst = MaxCutInstance(n=3, edges=((2, 0, 5),))
         assert inst.edges == ((0, 2, 5),)
 
+    @staticmethod
+    def checked_by_loop(n, edges):
+        """The edges' check and canonical order as a loop over tuples and a set."""
+        canon = []
+        seen = set()
+        for i, j, w in edges:
+            i, j, w = int(i), int(j), int(w)
+            if i == j:
+                raise SelfLoop(f"self-loop at node {i}")
+            if i > j:
+                i, j = j, i
+            if not (0 <= i < j < n):
+                raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {n})")
+            if (i, j) in seen:
+                raise DuplicateEdge(f"edge ({i}, {j}) listed twice")
+            seen.add((i, j))
+            canon.append((i, j, w))
+        return tuple(sorted(canon))
+
+    @staticmethod
+    def outcome(check, n, edges):
+        try:
+            return repr(check(n, edges))
+        except (SelfLoop, IndexOutOfRange, DuplicateEdge) as e:
+            return type(e), str(e)
+
+    def random_faulty_edges(self, rng):
+        n = int(rng.integers(2, 40))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < rng.random()
+        huge = [2 ** 63, 2 ** 63 + 7, -(2 ** 63) - 1, 2 ** 70]
+        edges = []
+        for (i, j), k in zip(pairs, keep):
+            if k:
+                w = int(rng.integers(-3, 4)) or huge[int(rng.integers(len(huge)))]
+                edges.append((j, i, w) if rng.random() < 0.5 else (i, j, w))
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        for _ in range(int(rng.integers(0, 4))):
+            kind = int(rng.integers(3))
+            v = int(rng.integers(n))
+            if kind == 0:  # a self-loop, maybe also out of range
+                bad = (v, v) if rng.random() < 0.7 else (n + v, n + v)
+            elif kind == 1:  # out of range, within int64 or past it, either end
+                far = [n, n + v, -1 - v, 2 ** 64 + v, -(2 ** 70)][int(rng.integers(5))]
+                bad = (v, far) if rng.random() < 0.5 else (far, v)
+            elif edges:  # a repeat of an earlier pair, either way round
+                i, j, _ = edges[int(rng.integers(len(edges)))]
+                bad = (j, i) if rng.random() < 0.5 else (i, j)
+            else:
+                continue
+            edges.insert(int(rng.integers(len(edges) + 1)), (*bad, int(rng.integers(1, 4))))
+        return n, tuple(edges)
+
+    def test_same_edges_and_errors_as_a_loop(self):
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(400):
+            n, edges = self.random_faulty_edges(rng)
+            want = self.outcome(self.checked_by_loop, n, edges)
+            got = self.outcome(lambda n, e: MaxCutInstance(n, e).edges, n, edges)
+            assert got == want, (n, edges)
+            kinds.add(want[0] if isinstance(want, tuple) else "ok")
+        assert kinds == {"ok", SelfLoop, IndexOutOfRange, DuplicateEdge}
+
+    def test_weights_past_int64_kept_exact(self):
+        inst = MaxCutInstance(n=3, edges=((2, 1, 2 ** 70), (1, 0, -(2 ** 63) - 1)))
+        assert inst.edges == ((0, 1, -(2 ** 63) - 1), (1, 2, 2 ** 70))
+        with pytest.raises(TooLarge):
+            build_form(inst)
+
 
 @st.composite
 def small_instances(draw):
