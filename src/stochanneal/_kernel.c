@@ -23,9 +23,24 @@
  * field_bound); the caller passes no table when its 2U + 1 slots would
  * exceed 2^16 (sampler._uses_table).
  *
+ * Without a table, the device activation decides x_i = [u < p], with
+ * p = 0.5 * (1 + erf(a)), by a squeeze (Marsaglia 1977; Devroye 1986, II.5)
+ * before it calls erf. sa_squeeze_table holds T_j = 0.5 * (1 + erf(g_j)),
+ * by the loop's own expression, on the grid g_j = SQ_LO + j / SQ_INV_STEP,
+ * j = 0..SQ_CELLS: 8192 cells of 1/256 over [-16, 16], past whose ends erf
+ * is +-1 in double. Grid points are exact doubles, and the cell found for
+ * a, j = (int)((a - SQ_LO) * SQ_INV_STEP), is off only by the rounding of
+ * a - SQ_LO, so p lies in [T_{j-1}, T_{j+2}] with a cell to spare on each
+ * side; SQ_MARGIN, at least 9000 ulps of any p, covers erf's last-bit
+ * errors. So u < T_{j-1} - SQ_MARGIN gives x_i = 1 and u >= T_{j+2} +
+ * SQ_MARGIN gives x_i = 0, as u < p would; a u between them, or an a off
+ * the grid or NaN, calls erf. sa_squeeze_init fills the table once;
+ * sampler.load_kernel calls it and checks the table before it hands out
+ * sa_advance, so no call reads a partly filled table.
+ *
  * sampler.load_kernel compiles, loads and self-checks this file; the tests
- * in tests/test_sampler.py (TestKernel, TestBitIdentity) hold it equal to
- * _reference_loop.
+ * in tests/test_sampler.py (TestKernel, TestBitIdentity, TestDifferential,
+ * TestSqueeze) hold it equal to _reference_loop.
  */
 #include <math.h>
 #include <stdint.h>
@@ -47,6 +62,39 @@ enum { S_T, S_ENERGY, S_BEST, S_CONVERGED_AT, S_CLAMPS };
 
 double sa_erf(double z) { return erf(z); }
 double sa_exp(double z) { return exp(z); }
+
+#define SQ_LO (-16.0)
+#define SQ_INV_STEP 256.0
+#define SQ_CELLS 8192
+#define SQ_MARGIN 1e-12
+
+double sa_squeeze_table[SQ_CELLS + 1];
+
+/* Fills sa_squeeze_table; returns its number of cells. */
+int64_t sa_squeeze_init(void)
+{
+    for (int64_t j = 0; j <= SQ_CELLS; j++)
+        sa_squeeze_table[j] = 0.5 * (1.0 + erf(SQ_LO + (double)j / SQ_INV_STEP));
+    return SQ_CELLS;
+}
+
+/* x_i for threshold u and erf argument a: 1 or 0 when the table decides it,
+ * -1 when erf must. The range test is written so that a NaN s fails it. */
+static inline int squeeze(double u, double a)
+{
+    const double s = (a - SQ_LO) * SQ_INV_STEP;
+    if (s >= 1.0 && s < SQ_CELLS - 1) {
+        const int64_t j = (int64_t)s;
+        if (u < sa_squeeze_table[j - 1] - SQ_MARGIN)
+            return 1;
+        if (u >= sa_squeeze_table[j + 2] + SQ_MARGIN)
+            return 0;
+    }
+    return -1;
+}
+
+/* the squeeze alone, for the tests */
+int sa_squeeze(double u, double a) { return squeeze(u, a); }
 
 /* Returns the number of iterations run: `steps`, or fewer when the run
  * stops on convergence. trace[] receives, from index 0, the energy after
@@ -80,6 +128,7 @@ int64_t sa_advance(
     for (k = 0; k < steps; k++) {
         const int64_t i = nodes[k];
         const int64_t u_i = u[i];
+        int decided = -1; /* x_i as the squeeze decides it */
         double p = ptab != NULL ? ptab[u_i + U] : NAN;
 
         if (isnan(p)) {
@@ -96,13 +145,17 @@ int64_t sa_advance(
                 double sg = (sc10 + sc20 * v + sc11 * r) * v + (sc01 + sc02 * r) * r + sc00;
                 if (sg < floor_)
                     sg = floor_;
-                p = 0.5 * (1.0 + erf((log_tpw - mu) * sqrt1_2 / sg));
+                const double a = (log_tpw - mu) * sqrt1_2 / sg;
+                if (ptab == NULL)
+                    decided = squeeze(unifs[k], a);
+                if (decided < 0)
+                    p = 0.5 * (1.0 + erf(a));
             }
             if (ptab != NULL)
                 ptab[u_i + U] = p;
         }
 
-        const int8_t new = unifs[k] < p ? 1 : 0;
+        const int8_t new = decided >= 0 ? (int8_t)decided : unifs[k] < p ? 1 : 0;
         const int8_t old = x[i];
         if (new != old) {
             const int64_t delta = new - old;

@@ -29,6 +29,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -307,8 +308,11 @@ _TABLE_CAP = 2 ** 16
 # exp at the integer arguments the logistic activation passes it
 _ERF_GRID = tuple(k * 0.011718 + 1e-9 * k * k for k in range(-700, 701))
 _EXP_GRID = tuple(float(k) for k in range(-800, 500)) + _ERF_GRID
+# the squeeze table's grid in _kernel.c: (SQ_LO, SQ_INV_STEP, SQ_CELLS)
+_SQUEEZE_GRID = (-16.0, 256.0, 8192)
 
 _kernel = None  # the loaded sa_advance; False once loading has failed
+_kernel_lock = threading.Lock()
 
 
 def load_kernel():
@@ -317,20 +321,26 @@ def load_kernel():
     The first call compiles `_kernel.c` with the system `cc` into a private
     per-user cache (a temporary directory if that cache is not private),
     loads it with ctypes and checks that its `erf` and `exp` equal
-    `math.erf` and `math.exp` bit for bit. Any failure (no compiler, a
-    compile error, a failed self-check) is logged once and gives None.
+    `math.erf` and `math.exp` bit for bit. It then fills the kernel's squeeze
+    table and checks that the table is nondecreasing and equal to Python's
+    `0.5 * (1.0 + math.erf(g))` at every grid point, bit for bit. Any failure
+    (no compiler, a compile error, a failed self-check) is logged once and
+    gives None. One thread loads at a time, and `sa_advance` is handed out
+    only after the check, so no call reads a partly filled table.
     """
     global _kernel
-    if _kernel is None:
-        try:
-            _kernel = _build_kernel()
-        except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
-            log.warning("compiled sampling kernel unavailable, using the Python loop: %s", exc)
-            _kernel = False
+    with _kernel_lock:
+        if _kernel is None:
+            try:
+                _kernel = _build_kernel().sa_advance
+            except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
+                log.warning("compiled sampling kernel unavailable, using the Python loop: %s", exc)
+                _kernel = False
     return _kernel or None
 
 
 def _build_kernel():
+    """Compile (or find in the cache), load and self-check the kernel library."""
     cc = shutil.which("cc")
     if cc is None:
         raise RuntimeError("no C compiler `cc` on PATH")
@@ -356,10 +366,31 @@ def _build_kernel():
             if ours(z).hex() != ref(z).hex():
                 raise RuntimeError(f"self-check failed: C {name}({z!r}) = {ours(z)!r}, "
                                    f"Python gives {ref(z)!r}")
-    fn = lib.sa_advance
-    fn.restype = ctypes.c_int64
-    fn.argtypes = _KERNEL_ARGTYPES
-    return fn
+    _check_squeeze_table(lib)
+    lib.sa_advance.restype = ctypes.c_int64
+    lib.sa_advance.argtypes = _KERNEL_ARGTYPES
+    return lib
+
+
+def _check_squeeze_table(lib) -> None:
+    """Fill the kernel's squeeze table and check it against `math.erf`, or raise."""
+    lo, inv_step, cells = _SQUEEZE_GRID
+    lib.sa_squeeze_init.restype = ctypes.c_int64
+    lib.sa_squeeze_init.argtypes = ()
+    got = lib.sa_squeeze_init()
+    if got != cells:
+        raise RuntimeError(f"self-check failed: the squeeze table has {got} cells, "
+                           f"expected {cells}")
+    table = np.ctypeslib.as_array((ctypes.c_double * (cells + 1)).in_dll(lib, "sa_squeeze_table"))
+    falls = np.flatnonzero(~(table[:-1] <= table[1:]))
+    if falls.size:
+        raise RuntimeError(f"self-check failed: the squeeze table decreases at cell {falls[0] + 1}")
+    want = np.array([0.5 * (1.0 + math.erf(lo + j / inv_step)) for j in range(cells + 1)])
+    wrong = np.flatnonzero(table.view(np.uint64) != want.view(np.uint64))
+    if wrong.size:
+        j = int(wrong[0])
+        raise RuntimeError(f"self-check failed: squeeze table cell {j} = {float(table[j])!r}, "
+                           f"Python gives {float(want[j])!r}")
 
 
 def _private_cache_dir() -> Optional[Path]:
@@ -434,7 +465,8 @@ def _kernel_loop(kernel, state: State):
     u_i + U, U = `form.field_bound`) starts all NaN ("not yet"); the kernel
     fills a slot with the loop's own expression the first time it meets
     that field, so it holds the double the loop would compute again, and
-    skips the mu/sigma polynomials and `erf` on every later visit.
+    skips the mu/sigma polynomials and `erf` on every later visit. Without a
+    table, the kernel's squeeze decides most iterations without `erf`.
     """
     form = state.form
     n, m = form.n, form.indices.size

@@ -1,3 +1,4 @@
+import collections
 import ctypes
 import dataclasses
 import hashlib
@@ -9,11 +10,16 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochanneal.device import DriftModel, field_to_voltage, mu_sigma, p_switch
 from stochanneal.errors import InvalidParameter, MissingBestKnown, Unattainable
@@ -21,6 +27,7 @@ from stochanneal.experiments import moving_average, settling_energy_of
 from stochanneal.io_ingest import generate_instance
 from stochanneal import experiments, sampler
 from stochanneal.maxcut import MaxCutInstance
+from stochanneal.reference import get_reference
 from stochanneal.sampler import (
     BoltzmannConfig,
     RunTrace,
@@ -675,6 +682,16 @@ class TestPSwitchTable:
         assert not np.array_equal(forced.energies, ref.energies)
 
 
+_SQ_LO, _SQ_INV_STEP, _SQ_CELLS = sampler._SQUEEZE_GRID
+_SQ_STEP = 1.0 / _SQ_INV_STEP
+_SQ_MARGIN = 1e-12  # SQ_MARGIN in _kernel.c
+
+
+def _squeeze_table(lib):
+    """The kernel library's squeeze table, as a list."""
+    return (ctypes.c_double * (_SQ_CELLS + 1)).in_dll(lib, "sa_squeeze_table")[:]
+
+
 class TestKernelLoader:
     @pytest.fixture(autouse=True)
     def fresh_loader(self, monkeypatch, tmp_path):
@@ -731,6 +748,347 @@ class TestKernelLoader:
         with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
             assert sampler.load_kernel() is None
         assert "self-check failed: C erf" in caplog.text
+
+    def test_corrupt_squeeze_table_cell_falls_back(self, monkeypatch, caplog):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        # g = -1.0 is a grid point of the table and not of the erf self-check
+        assert -1.0 not in sampler._ERF_GRID
+        erf = math.erf
+        monkeypatch.setattr(math, "erf", lambda z: erf(z) + 1e-12 if z == -1.0 else erf(z))
+        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+            assert sampler.load_kernel() is None
+        assert "self-check failed: squeeze table cell 3840 = " in caplog.text
+
+    def test_decreasing_squeeze_table_falls_back(self, tmp_path, monkeypatch, caplog):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        # the filled table with its middle cell, T = 0.5, lowered to 0.25
+        done = "    return SQ_CELLS;\n"
+        source = sampler._KERNEL_SOURCE.read_text()
+        assert source.count(done) == 1
+        bad = tmp_path / "_kernel.c"
+        bad.write_text(source.replace(done, "    sa_squeeze_table[SQ_CELLS / 2] -= 0.25;\n" + done))
+        monkeypatch.setattr(sampler, "_KERNEL_SOURCE", bad)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+            assert sampler.load_kernel() is None
+        assert f"the squeeze table decreases at cell {_SQ_CELLS // 2}" in caplog.text
+
+    def test_squeeze_grid_disagreeing_with_the_source_falls_back(self, monkeypatch, caplog):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setattr(sampler, "_SQUEEZE_GRID", (_SQ_LO, _SQ_INV_STEP, 2 * _SQ_CELLS))
+        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+            assert sampler.load_kernel() is None
+        assert f"the squeeze table has {_SQ_CELLS} cells, expected {2 * _SQ_CELLS}" in caplog.text
+
+    def test_squeeze_table_filled_before_the_kernel_is_handed_out(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        seen = {}
+        compile_and_load, check = sampler._compile_and_load, sampler._check_squeeze_table
+
+        def loading(*args):
+            lib = compile_and_load(*args)
+            seen["at_load"] = _squeeze_table(lib)  # a fresh library: zeros until filled
+            return lib
+
+        def checking(lib):
+            seen["published_during_check"] = sampler._kernel
+            check(lib)
+            seen["lib"] = lib
+
+        monkeypatch.setattr(sampler, "_compile_and_load", loading)
+        monkeypatch.setattr(sampler, "_check_squeeze_table", checking)
+        kernel = sampler.load_kernel()
+        if kernel is None:
+            pytest.skip("the compiled kernel did not load here (see the logged reason)")
+        assert seen["at_load"] == [0.0] * (_SQ_CELLS + 1)
+        assert seen["published_during_check"] is None
+        want = [0.5 * (1.0 + math.erf(_SQ_LO + j / _SQ_INV_STEP)) for j in range(_SQ_CELLS + 1)]
+        assert [t.hex() for t in _squeeze_table(seen["lib"])] == [w.hex() for w in want]
+        assert kernel is seen["lib"].sa_advance
+
+    def test_one_thread_loads_and_every_thread_gets_its_kernel(self, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        builds = []
+        build = sampler._build_kernel
+
+        def slow_build():
+            builds.append(threading.get_ident())
+            time.sleep(0.05)  # the other threads arrive while this one loads
+            return build()
+
+        monkeypatch.setattr(sampler, "_build_kernel", slow_build)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(sampler.load_kernel()))
+                   for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(builds) == 1
+        assert len(got) == 4 and all(k is got[0] for k in got)
+
+
+def _kernel_cell(a):
+    """The table cell the kernel finds for erf argument a, or None off the grid."""
+    s = (a - _SQ_LO) * _SQ_INV_STEP
+    return int(s) if 1.0 <= s < _SQ_CELLS - 1 else None
+
+
+def _p_of(a):
+    """The loop's switching probability at erf argument a."""
+    return 0.5 * (1.0 + math.erf(a))
+
+
+def _ulps(x, k):
+    """The k doubles on each side of x, and x."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+@pytest.fixture(scope="module")
+def kernel_lib(tmp_path_factory):
+    """A kernel library of this module's own, built into a private cache and checked."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
+        try:
+            lib = sampler._build_kernel()
+        except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
+            pytest.skip(f"the compiled kernel did not load here: {exc}")
+    lib.sa_squeeze.restype = ctypes.c_int
+    lib.sa_squeeze.argtypes = (ctypes.c_double, ctypes.c_double)
+    return lib
+
+
+class TestSqueeze:
+    """The kernel decides x_i = [u < p] from its table when u is clear of p's
+    bracket, and calls erf otherwise, with the loop's decision either way."""
+
+    # erf arguments on the grid: at and beside its points, near its ends, and between
+    ARGS = sorted(a for a in {
+        a
+        for j in (1, 2, 1500, 2600, 3000, 3840, 4000, 4095, 4096, 4097, 4500, 5000, 8189, 8190)
+        for g in (_SQ_LO + j / _SQ_INV_STEP,)
+        for a in (*_ulps(g, 2), g + _SQ_STEP / 3, g + _SQ_STEP / 2)
+    } | {-3.3, -0.7071, 0.1, 0.977, 2.5, 5.9} if _kernel_cell(a) is not None)
+
+    @staticmethod
+    def _thresholds(a, table):
+        """Uniforms at and beside the bracket's edges, inside it, and at p."""
+        j = _kernel_cell(a)
+        lo, hi = table[j - 1] - _SQ_MARGIN, table[j + 2] + _SQ_MARGIN
+        return sorted({
+            *_ulps(lo, 2), *_ulps(hi, 2), *_ulps(_p_of(a), 1),
+            lo - _SQ_MARGIN, hi + _SQ_MARGIN,        # clear of the bracket
+            table[j - 1] - _SQ_MARGIN / 4,           # inside the margin
+            table[j + 2] + _SQ_MARGIN / 4,
+            table[j] - 2 * _SQ_MARGIN,               # between cell j's own edges
+            table[j + 1] + 2 * _SQ_MARGIN,           # and the bracket's
+            0.0, 1.0 - 2.0 ** -53,
+        })
+
+    def test_decisions_hold_with_a_cell_and_half_the_margin_to_spare(self, kernel_lib):
+        # every decision must stand for any p within one cell of a and half
+        # the margin of erf: what the bracket's extra cells and the margin are
+        # for; a one-cell bracket or a zero margin decides some of these wrongly
+        table, decided = _squeeze_table(kernel_lib), {0: 0, 1: 0}
+        for a in self.ARGS:
+            near = [b for b in (a - _SQ_STEP, a, a + _SQ_STEP) if _SQ_LO <= b <= -_SQ_LO]
+            ps = [_p_of(b) + e for b in near for e in (-_SQ_MARGIN / 2, _SQ_MARGIN / 2)]
+            for u in self._thresholds(a, table):
+                d = kernel_lib.sa_squeeze(u, a)
+                assert d in (-1, 0, 1)
+                if d >= 0:
+                    decided[d] += 1
+                    assert all((u < p) == bool(d) for p in ps), (a, u, d)
+        assert decided[0] > 100 and decided[1] > 100
+
+    def test_clear_thresholds_are_decided(self, kernel_lib):
+        table = _squeeze_table(kernel_lib)
+        for a in self.ARGS:
+            j = _kernel_cell(a)
+            assert kernel_lib.sa_squeeze(table[j - 1] - 2 * _SQ_MARGIN, a) == 1
+            assert kernel_lib.sa_squeeze(table[j + 2] + 2 * _SQ_MARGIN, a) == 0
+
+    @pytest.mark.parametrize("a", [
+        math.nan, -math.nan, math.inf, -math.inf, -1e300, 1e300,
+        _SQ_LO, math.nextafter(_SQ_LO + _SQ_STEP, -math.inf),
+        -_SQ_LO - _SQ_STEP, -_SQ_LO, 40.0,
+    ], ids=repr)
+    def test_off_the_grid_or_nan_calls_erf(self, a, kernel_lib):
+        for u in (-1.0, 0.0, 0.25, 0.5, 1.0 - 2.0 ** -53, 2.0):
+            assert kernel_lib.sa_squeeze(u, a) == -1
+
+    def test_grid_ends(self, kernel_lib):
+        # the first argument whose bracket lies in the table, and the last cell
+        first, last = _SQ_LO + _SQ_STEP, -_SQ_LO - 1.5 * _SQ_STEP
+        assert _kernel_cell(first) == 1 and _kernel_cell(last) == _SQ_CELLS - 2
+        assert kernel_lib.sa_squeeze(0.5, first) == 0
+        assert kernel_lib.sa_squeeze(0.5, last) == 1
+
+    def test_exact_path_matches_the_reference(self, kernel_lib, ref_surface):
+        # one device per case, ideal and without edges: every u_i stays 0, so
+        # each device decides once, at its own offset's p, against a uniform
+        # at p, one ulp beside it, or at its bracket's edges
+        cfg = BoltzmannConfig(t_pw=1e-5, seed=1)
+        par = make_state(MaxCutInstance(n=1, edges=()), cfg, ref_surface).params
+        hrs = ref_surface.clamp_hrs(sampler._nominal_hrs(ref_surface, cfg.mu_target, cfg.v_center))
+
+        def mu_sg(off):  # par[6:12] and par[12:18]: the mu and sigma coefficients
+            return mu_sigma(par.vc, hrs, off, par[6:12], par[12:18], par.floor)
+
+        def a_of(off):
+            mu, sg = mu_sg(off)
+            return (par.log_tpw - mu) * (1.0 / math.sqrt(2.0)) / sg
+
+        mu0, sg0 = mu_sg(0.0)
+        table, offs, unifs = _squeeze_table(kernel_lib), [], []
+        for target in self.ARGS:
+            # of the offsets beside the solution, the one whose a is nearest
+            guess = par.log_tpw - mu0 - target * sg0 * math.sqrt(2.0)
+            off = min(_ulps(guess, 8), key=lambda o: abs(a_of(o) - target))
+            for u in self._thresholds(a_of(off), table):
+                if 0.0 <= u < 1.0:
+                    offs.append(off)
+                    unifs.append(u)
+        n = len(offs)
+        assert n <= sampler._RNG_BLOCK
+        nodes, draws = np.zeros(sampler._RNG_BLOCK, dtype=np.int64), np.zeros(sampler._RNG_BLOCK)
+        nodes[:n], draws[:n] = np.arange(n), unifs
+        inst = MaxCutInstance(n=n, edges=())
+        ref, fast = (make_state(inst, cfg, ref_surface) for _ in range(2))
+        for state in (ref, fast):
+            state.offs[:] = offs
+            state.draws = iter([(nodes, draws, None)])
+        assert not sampler._uses_table(fast) and fast.hrs.tolist() == [hrs] * n
+        sampler._advance(ref, n)
+        sampler._advance(fast, n, kernel_lib.sa_advance)
+        _assert_states_equal(ref, fast)
+        assert fast.x.tolist() == [int(u < p_switch(par.log_tpw, *mu_sg(o)))
+                                   for u, o in zip(unifs, offs)]
+        # both paths ran: the squeeze decided some cases and erf the others
+        paths = collections.Counter(kernel_lib.sa_squeeze(u, a_of(o)) for u, o in zip(unifs, offs))
+        assert min(paths[-1], paths[0], paths[1]) > 100, paths
+
+
+# the reference surface, and with a sigma floor that binds in part and everywhere
+_DIFF_SURFACES = tuple(replace(get_reference()[0], sigma_floor=f) for f in (0.05, 0.3, 0.7))
+
+
+def _differential_case(seed, scheme, activation):
+    """(instance, config, surface, split points) for one differential run, from a seed."""
+    rng = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[rng.integers(len(options))]
+
+    n = int(rng.integers(1, 41))
+    top = pick([1, 3, 2**20, 2**40])  # 2**40: fields up to about 2**47
+    density = pick([0.0, 0.1, 0.3, 1.0])
+    edges = tuple((i, j, int(rng.integers(-top, top + 1)) or 1)
+                  for i in range(n) for j in range(i + 1, n) if rng.random() < density)
+    v_min, v_max = pick([(1.6, 2.2), (1.7, 1.9), (1.8, 1.8)])
+    max_iters = int(rng.integers(0, 20_001))
+    cfg = BoltzmannConfig(
+        v_min=v_min, v_max=v_max, v_center=min(max(1.8, v_min), v_max),
+        gain=pick([0.02, 0.2, 3.0, 50.0]),  # large gains clamp at both ends
+        # decades off the centred 1e-5 s: p near 0 and near 1, and off the squeeze grid
+        t_pw=pick([None, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-1]),
+        max_iters=max_iters, seed=int(rng.integers(2**16)), scheme=scheme,
+        activation=activation,
+        drift=DriftModel(m_hrs=pick([0.0, 0.01, 6.0]), s_rw=pick([0.0, 0.5, 3.0]),
+                         hrs_tolerance=pick([0.1, 0.6])),
+        d2d_cv=pick([0.0, 0.05, 0.2, 1.0]), calibrate=bool(rng.integers(2)),
+        convergence_fraction=pick([0.5, 0.9, 1.0]), stop_on_convergence=bool(rng.integers(2)),
+        energy_stride=pick([1, 7, 8193, experiments.NO_TRACE_STRIDE]),
+    )
+    splits = sorted(rng.integers(0, max_iters + 1, int(rng.integers(5))).tolist())
+    surface = pick(_DIFF_SURFACES)
+    # the best cut the run itself has reached at a drawn time, so that the
+    # threshold is met on the way (a stopping run follows the same path until then)
+    inst = MaxCutInstance(n=n, edges=edges)
+    pilot = run(inst, replace(cfg, stop_on_convergence=False, energy_stride=1), surface)
+    best = -int(pilot.energies[:rng.integers(max_iters + 1)].min(initial=0))
+    return replace(inst, best_known=best), cfg, surface, splits
+
+
+class TestDifferential:
+    """The kernel against `_reference_loop` on drawn instances and settings.
+
+    Hypothesis draws one seed per example, and the seed draws every setting,
+    so each of the few examples differs from the others in all of them.
+    """
+
+    @pytest.mark.parametrize("activation", ["device", "logistic"])
+    @pytest.mark.parametrize("scheme", ["ideal", "fixed-input", "monitored"])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**63 - 1))
+    def test_kernel_equals_reference(self, scheme, activation, seed):
+        kernel = _kernel_or_skip()
+        inst, cfg, surface, splits = _differential_case(seed, scheme, activation)
+        assert inst.form.fits_in_53_bits
+        fast = run(inst, cfg, surface)
+        with mock.patch.object(sampler, "load_kernel", lambda: None):
+            ref = run(inst, cfg, surface)
+        assert (fast.kernel, ref.kernel) == ("c", "python")
+        _assert_traces_equal(ref, fast)
+        # the same run in pieces, the states compared at every split
+        ref, fast = make_state(inst, cfg, surface), make_state(inst, cfg, surface)
+        ref_trace, fast_trace = [], []
+        for steps in np.diff([0, *splits, cfg.max_iters]).tolist():
+            ref_trace.append(sampler._advance(ref, steps))
+            fast_trace.append(sampler._advance(fast, steps, kernel))
+            _assert_states_equal(ref, fast)
+        _assert_int64_equal(np.concatenate(ref_trace), np.concatenate(fast_trace))
+
+# UBSan, array bounds, and float-to-integer conversions out of range (the
+# squeeze's cell index), each fatal at its first report
+_UBSAN_FLAGS = ("-fsanitize=undefined,bounds,float-cast-overflow", "-fno-sanitize-recover=all")
+# kernel tests that cover every scheme x activation x d2d cell, the squeeze
+# and the drawn settings, at a fraction of the cost of all of them
+_KERNEL_CELLS = ("(TestBitIdentity and results_pinned) or (TestKernel and mid_block)"
+                 " or (TestPSwitchTable and continued) or TestSqueeze or TestDifferential")
+
+
+class TestSanitizedKernel:
+    def test_kernel_cells_under_ubsan(self, tmp_path):
+        """The kernel-vs-reference tests, run on a kernel built with UBSan.
+
+        They run in a subprocess, so that a sanitizer abort fails this test
+        alone; the build goes to a private cache of its own.
+        """
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        (tmp_path / "ubsan_kernel.py").write_text(
+            "import pytest\n"
+            "from stochanneal import sampler\n\n\n"
+            "def pytest_configure(config):\n"
+            f"    sampler._KERNEL_FLAGS += {_UBSAN_FLAGS!r}\n"
+            "    if sampler.load_kernel() is None:\n"
+            "        pytest.exit('no UBSan build of the kernel loads here', returncode=77)\n"
+        )
+        src = os.path.dirname(os.path.dirname(sampler.__file__))
+        env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+               "PYTHONPATH": os.pathsep.join([str(tmp_path), src])}
+        proc = subprocess.run(
+            # -s: a sanitizer report is written as the process exits, past capture
+            [sys.executable, "-m", "pytest", "-q", "-s", "-p", "ubsan_kernel",
+             "-p", "no:cacheprovider", __file__, "-k", _KERNEL_CELLS],
+            cwd=os.path.dirname(os.path.dirname(__file__)), env=env,
+            capture_output=True, text=True, timeout=600,
+        )
+        if proc.returncode == 77:
+            pytest.skip(f"no UBSan build of the kernel loads here: {proc.stderr.strip()[-500:]}")
+        assert proc.returncode == 0, (proc.stdout + proc.stderr)[-4000:]
+        assert " passed" in proc.stdout and "skipped" not in proc.stdout, proc.stdout[-2000:]
 
 
 class TestGibbsConsistency:
