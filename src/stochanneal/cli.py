@@ -1,12 +1,12 @@
 """Command-line surface. Every subcommand prints its seed, writes tidy CSV
 plus a JSON manifest, and is reproducible byte-for-byte from those flags.
 
-Exit codes: 0 ok, 2 usage, 3 input error, 4 runtime error.
+Exit codes: 0 ok, 2 usage, 3 input error (a file that cannot be written
+included), 4 runtime error.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import os
@@ -19,6 +19,7 @@ from . import __version__
 from .device import SCHEME_IDEAL, SCHEMES, DriftModel, calibrate as calibrate_devices
 from .errors import InvalidParameter, StochAnnealError
 from .experiments import (
+    D2DRow,
     build_size_ladder,
     cycling_stats,
     d2d_experiment,
@@ -30,11 +31,13 @@ from .io_ingest import (
     ResultRow,
     brute_force_maxcut,
     generate_instance,
+    open_output,
     read_instance,
     read_measurements,
     write_instance,
     write_manifest,
     write_results,
+    write_table,
 )
 from .reference import get_reference
 from .sampler import BoltzmannConfig, ensemble
@@ -155,7 +158,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
     ]
     write_results(out_path, rows)
     if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        with open_output(trace_path) as fh:
             fh.write("run_id,iteration,energy\n")
             for t in traces:
                 for k, e in enumerate(t.energies.tolist()):
@@ -192,18 +195,12 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
     drifts = [DriftModel(m_hrs=m, s_rw=drift.s_rw, hrs_tolerance=drift.hrs_tolerance)
               for m in m_list]
     results = max_solvable_sizes(drifts, ("fixed-input", "monitored"), ladder, cfg, surface)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["scheme", "m_hrs", "size", "t_conv_median", "t_meaningful",
-                    "solvable", "max_solvable"])
-        for res in results:
-            for row in res.rows:
-                w.writerow([
-                    res.scheme, repr(res.m_hrs), row.size,
-                    "" if row.t_conv_median is None else repr(row.t_conv_median),
-                    "" if row.t_meaningful is None else row.t_meaningful,
-                    int(row.solvable), res.max_solvable,
-                ])
+    write_table(
+        out_path,
+        ["scheme", "m_hrs", "size", "t_conv_median", "t_meaningful", "solvable", "max_solvable"],
+        ([res.scheme, res.m_hrs, row.size, row.t_conv_median, row.t_meaningful, row.solvable,
+          res.max_solvable] for res in results for row in res.rows),
+    )
     write_manifest(
         out_path + ".manifest.json", "sweep-drift",
         {"sizes": size_list, "mhrs": m_list, "iters": iters, "runs": runs,
@@ -233,17 +230,10 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
     inst = generate_instance(nodes, degree, seed=seed)
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, drift=drift, jobs=jobs)
     result = d2d_experiment(inst, cv_list, cfg, surface)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["cv", "error_uncalibrated", "error_calibrated",
-                    "spread_uncalibrated", "spread_calibrated", "calib_failures",
-                    "settling_uncalibrated", "settling_calibrated", "settling_ideal"])
-        for row in result.rows:
-            w.writerow([repr(row.cv), repr(row.error_uncalibrated),
-                        repr(row.error_calibrated), repr(row.spread_uncalibrated),
-                        repr(row.spread_calibrated), repr(row.calib_failures),
-                        repr(row.settling_uncalibrated), repr(row.settling_calibrated),
-                        repr(result.settling_ideal)])
+    write_table(
+        out_path, [f.name for f in dataclasses.fields(D2DRow)] + ["settling_ideal"],
+        (dataclasses.astuple(row) + (result.settling_ideal,) for row in result.rows),
+    )
     write_manifest(
         out_path + ".manifest.json", "sweep-d2d",
         {"cv": cv_list, "nodes": nodes, "degree": degree, "iters": iters,
@@ -266,9 +256,8 @@ def cycling(scheme, cycles, params_path, vref, seed, out_path):
     surface, drift, params_path = _load_device_params(params_path)
     click.echo(f"seed = {seed}")
     stats = cycling_stats(surface, drift, scheme, cycles, v_ref=vref, seed=seed)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("scheme,cycles,mu_drift,sigma_drift\n")
-        fh.write(f"{scheme},{cycles},{stats.mu_drift!r},{stats.sigma_drift!r}\n")
+    write_table(out_path, ["scheme", "cycles", "mu_drift", "sigma_drift"],
+                [[scheme, cycles, stats.mu_drift, stats.sigma_drift]])
     write_manifest(
         out_path + ".manifest.json", "cycling",
         {"scheme": scheme, "cycles": cycles, "vref": vref},
@@ -299,15 +288,13 @@ def calibrate(mu_target, precision, devices, cv, params_path, vref, seed, out_pa
     before = surface.eval_mu(vref, nominal) + offsets
     cal = calibrate_devices(surface, mu_target - offsets, vref, precision, rng)
     after = surface.eval_mu(vref, cal.hrs) + offsets
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("device,mu_offset,mu_before,mu_after,hrs_target,attained\n")
-        for d, (off, mu0, mu1, r_star, missed) in enumerate(zip(
-                offsets.tolist(), before.tolist(), after.tolist(), cal.r_star.tolist(),
-                cal.missed.tolist())):
-            if missed:
-                fh.write(f"{d},{off!r},{mu0!r},,,0\n")
-            else:
-                fh.write(f"{d},{off!r},{mu0!r},{mu1!r},{r_star!r},1\n")
+    write_table(
+        out_path, ["device", "mu_offset", "mu_before", "mu_after", "hrs_target", "attained"],
+        ([d, off, mu0, None if missed else mu1, None if missed else r_star, not missed]
+         for d, (off, mu0, mu1, r_star, missed) in enumerate(zip(
+             offsets.tolist(), before.tolist(), after.tolist(), cal.r_star.tolist(),
+             cal.missed.tolist()))),
+    )
     write_manifest(
         out_path + ".manifest.json", "calibrate",
         {"mu_target": mu_target, "precision": precision, "devices": devices,
@@ -353,10 +340,9 @@ def gen(nodes, degree, weights, seed, out_path, registry_path):
     write_instance(out_path, inst)
     if registry_path is not None and nodes <= 20:
         cut, _ = brute_force_maxcut(inst)
-        try:
-            registry = BestKnownRegistry.load(registry_path)
-        except FileNotFoundError:
-            registry = BestKnownRegistry()
+        # a registry path that holds no file is written afresh
+        registry = (BestKnownRegistry.load(registry_path) if os.path.isfile(registry_path)
+                    else BestKnownRegistry())
         registry.set_entry(inst.name, cut, "exact")
         registry.save(registry_path)
         click.echo(f"registered exact best-known {cut}")

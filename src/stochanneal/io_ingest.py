@@ -1,5 +1,9 @@
 """File boundary: instance parsing/generation, registry, result tables.
 
+Every file the package writes is opened by `open_output`, so a failed
+write is an `IoFailure` naming the path; every CSV table is written by
+`write_table`, which holds the one cell rule.
+
 Instance files use the plain edge-list dialect: first non-comment line
 `N M`, then M lines `i j w` with 1-indexed endpoints. `#` starts a comment,
 blank lines are skipped, extra whitespace is tolerated. Zero-weight edges
@@ -8,16 +12,17 @@ are accepted but dropped with a warning (they cannot affect any cut).
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import hashlib
-import io
 import json
 import os
 import platform
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -32,6 +37,39 @@ from .errors import (
 from .maxcut import MaxCutInstance
 
 PROVENANCES = ("exact", "literature", "proxy")
+
+
+# -- output files ----------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def open_output(path) -> Iterator[TextIO]:
+    """path opened as UTF-8 text for writing, newlines untranslated; an
+    OSError raised while opening or writing it becomes IoFailure."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _cell(v):
+    """A CSV cell: None is empty, a bool 0 or 1, a float its repr."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):  # before int: bool is an int
+        return int(v)
+    if isinstance(v, float):  # numpy 2 reprs an np.float64 as "np.float64(...)"
+        return repr(float(v))
+    return v
+
+
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV table at path: the header line, then one line per row."""
+    with open_output(path) as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
 
 
 # -- instance files -------------------------------------------------------------
@@ -97,7 +135,7 @@ def read_instance(path) -> MaxCutInstance:
 
 
 def write_instance(path, inst: MaxCutInstance) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(serialize_rudy(inst))
 
 
@@ -254,12 +292,9 @@ class BestKnownRegistry:
         return None if e is None else e["provenance"]
 
     def save(self, path) -> None:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(self.entries, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(f"cannot write registry {path}: {exc}") from exc
+        with open_output(path) as fh:
+            json.dump(self.entries, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "BestKnownRegistry":
@@ -272,23 +307,6 @@ class BestKnownRegistry:
 
 
 # -- result tables --------------------------------------------------------------------
-
-
-RESULT_COLUMNS = (
-    "run_id",
-    "instance",
-    "n",
-    "scheme",
-    "m_hrs",
-    "d2d_cv",
-    "calibrated",
-    "seed",
-    "converged_at",
-    "best_cut",
-    "settling_energy",
-    "iterations",
-    "clamp_events",
-)
 
 
 @dataclass
@@ -307,39 +325,12 @@ class ResultRow:
     iterations: int
     clamp_events: int
 
-    def as_record(self) -> list:
-        return [
-            self.run_id,
-            self.instance,
-            self.n,
-            self.scheme,
-            repr(float(self.m_hrs)),
-            repr(float(self.d2d_cv)),
-            int(self.calibrated),
-            self.seed,
-            "" if self.converged_at is None else self.converged_at,
-            self.best_cut,
-            repr(float(self.settling_energy)),
-            self.iterations,
-            self.clamp_events,
-        ]
 
-
-def results_to_csv(rows: Iterable[ResultRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for row in rows:
-        writer.writerow(row.as_record())
-    return buf.getvalue()
+RESULT_COLUMNS = tuple(f.name for f in dataclasses.fields(ResultRow))
 
 
 def write_results(path, rows: Iterable[ResultRow]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(results_to_csv(rows))
-    except OSError as exc:
-        raise IoFailure(f"cannot write results {path}: {exc}") from exc
+    write_table(path, RESULT_COLUMNS, map(dataclasses.astuple, rows))
 
 
 def read_results(path) -> list[dict]:
@@ -382,10 +373,7 @@ def write_manifest(path, command: str, config: dict, seed: int, params_path=None
         "kernel": kernel,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write manifest {path}: {exc}") from exc
+    with open_output(path) as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return manifest

@@ -115,10 +115,15 @@ class BoltzmannForm:
         """max_i (|b_i| + sum_j |W_B_ij|), which bounds every local field |u_i|."""
         # exact Python ints where an |entry| or a row sum could leave int64
         dtype = np.int64 if self.fits_in_53_bits else object
-        csum = np.zeros(self.weights.size + 1, dtype=dtype)
-        np.cumsum(np.abs(self.weights.astype(dtype)), out=csum[1:])
-        rows = csum[self.indptr[1:]] - csum[self.indptr[:-1]]
+        rows = _row_sums(self.indptr, np.abs(self.weights.astype(dtype)), dtype)
         return int(np.max(np.abs(self.b.astype(dtype)) + rows, initial=0))
+
+
+def _row_sums(indptr: np.ndarray, values: np.ndarray, dtype) -> np.ndarray:
+    """The sum of each CSR row of values, computed in dtype."""
+    csum = np.zeros(values.size + 1, dtype=dtype)
+    np.cumsum(values.astype(dtype, copy=False), out=csum[1:])
+    return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
 def build_form(inst: MaxCutInstance) -> BoltzmannForm:
@@ -140,23 +145,21 @@ def build_form(inst: MaxCutInstance) -> BoltzmannForm:
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     w2 = np.concatenate([w, w])
     deg = np.bincount(src, minlength=n)
-    if int(deg.max(initial=0)) * int(np.abs(w).max(initial=0)) <= _INT64_MAX:
-        b = np.zeros(n, dtype=np.int64)
-        np.subtract.at(b, src, w2)
-    else:
-        # the partial sums at a node could leave int64: add exact ints instead
-        acc = [0] * n
-        for i, j, wij in inst.edges:
-            acc[i] -= wij
-            acc[j] -= wij
-        if not all(_INT64_MIN <= v <= _INT64_MAX for v in acc):
-            raise TooLarge("a node's summed edge weight does not fit in int64")
-        b = np.array(acc, dtype=np.int64)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
     order = np.lexsort((dst, src))
     indices = dst[order]
-    weights = -2 * w2[order]
+    w2 = w2[order]
+    weights = -2 * w2
+    # an int64 cumsum may wrap, but each row's difference is exact modulo
+    # 2**64, so exact while no node's summed |w| can leave int64; past that,
+    # b is summed in Python ints and range-checked
+    wide = int(deg.max(initial=0)) * int(np.abs(w).max(initial=0)) > _INT64_MAX
+    b = -_row_sums(indptr, w2, object if wide else np.int64)
+    if wide:
+        if not all(_INT64_MIN <= v <= _INT64_MAX for v in b.tolist()):
+            raise TooLarge("a node's summed edge weight does not fit in int64")
+        b = b.astype(np.int64)
     for a in (b, indptr, indices, weights):
         a.flags.writeable = False
     total = int(sum(wij for _, _, wij in inst.edges))
@@ -175,34 +178,21 @@ def cut_value(inst: MaxCutInstance, x: Sequence[int]) -> int:
     return sum(w for i, j, w in inst.edges if x[i] != x[j])
 
 
-def _field_sums(form: BoltzmannForm, x: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """(x != 0, W_B.x) in int64; the caller checks `form.fits_in_53_bits`."""
+def _field_sums(form: BoltzmannForm, x: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """(x != 0, b, W_B.x), b and W_B.x exact: int64 when the form fits in
+    53 bits, else Python ints."""
+    dtype = np.int64 if form.fits_in_53_bits else object
     on = np.asarray(x) != 0
-    csum = np.zeros(form.indices.size + 1, dtype=np.int64)
-    np.cumsum(np.where(on[form.indices], form.weights, 0), out=csum[1:])
-    return on, csum[form.indptr[1:]] - csum[form.indptr[:-1]]
+    wx = _row_sums(form.indptr, np.where(on[form.indices], form.weights, 0), dtype)
+    return on, form.b.astype(dtype, copy=False), wx
 
 
 def energy(form: BoltzmannForm, x: Sequence[int]) -> int:
     """E(x) = b.x - 1/2 x.W_B.x, exact integer arithmetic."""
     _check_x(form.n, x)
-    if form.fits_in_53_bits:
-        on, wx = _field_sums(form, x)
-        # every W_B entry is even, so the quadratic term halves exactly
-        return int(form.b[on].sum()) - int(wx[on].sum()) // 2
-    e = 0
-    b = form.b
-    indptr, indices, weights = form.indptr, form.indices, form.weights
-    for i in range(form.n):
-        if x[i]:
-            acc = 0
-            for k in range(indptr[i], indptr[i + 1]):
-                if x[indices[k]]:
-                    acc += int(weights[k])
-            # each unordered pair contributes twice across the CSR, so the
-            # running quadratic term is even and acc // 2 is exact
-            e += int(b[i]) - acc // 2
-    return e
+    on, b, wx = _field_sums(form, x)
+    # every W_B entry is even, so the quadratic term halves exactly
+    return int(b[on].sum()) - int(wx[on].sum()) // 2
 
 
 def local_field(form: BoltzmannForm, x: Sequence[int], i: int) -> int:
@@ -221,15 +211,8 @@ def local_field(form: BoltzmannForm, x: Sequence[int], i: int) -> int:
 def init_fields(form: BoltzmannForm, x: Sequence[int]) -> list[int]:
     """All local fields for configuration x (scratch O(n + E) build)."""
     _check_x(form.n, x)
-    if form.fits_in_53_bits:
-        return (_field_sums(form, x)[1] - form.b).tolist()
-    u = [-int(bi) for bi in form.b]
-    indptr, indices, weights = form.indptr, form.indices, form.weights
-    for j in range(form.n):
-        if x[j]:
-            for k in range(indptr[j], indptr[j + 1]):
-                u[indices[k]] += int(weights[k])
-    return u
+    _, b, wx = _field_sums(form, x)
+    return (wx - b).tolist()
 
 
 def update_fields_after_assign(

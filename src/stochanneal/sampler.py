@@ -94,6 +94,8 @@ class BoltzmannConfig:
             raise InvalidParameter("gain must be > 0")
         if self.max_iters < 0:
             raise InvalidParameter(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.runs < 1:
+            raise InvalidParameter("runs must be >= 1")
         if not self.d2d_cv >= 0:  # NaN too
             raise InvalidParameter(f"d2d_cv must be >= 0, got {self.d2d_cv}")
         if self.jobs < 1:
@@ -644,8 +646,6 @@ def ensemble_runs(
     surface: DeviceSurface,
 ) -> Iterator[RunTrace]:
     """The runs of `ensemble`, yielded in order, so a caller need hold only one."""
-    if cfg.runs < 1:
-        raise InvalidParameter("runs must be >= 1")
     if cfg.jobs > 1:
         # imported here: multiprocessing costs every process ~1 MB and ~14 ms
         from concurrent.futures import ProcessPoolExecutor

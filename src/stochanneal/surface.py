@@ -29,6 +29,7 @@ from .errors import (
     OutOfDomain,
     Unattainable,
 )
+from .io_ingest import open_output
 
 COEFF_NAMES = ("c00", "c10", "c01", "c20", "c02", "c11")
 
@@ -337,7 +338,7 @@ def params_json(d: dict) -> str:
 
 
 def save_params(path, surface: DeviceSurface, drift) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(params_json(params_to_dict(surface, drift)))
 
 

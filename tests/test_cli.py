@@ -27,6 +27,23 @@ def invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
 
 
+TRUE_COEFFS = (3.35, -7.5, 0.012, 1.25, -2e-5, 6e-3)
+
+
+def write_campaign(path, k):
+    """A noiseless measurement CSV of TRUE_COEFFS on a k x k (V, R) grid."""
+    with path.open("w") as fh:
+        fh.write("v_set,hrs_kohm,t_set_s\n")
+        for v in np.linspace(1.6, 2.2, k):
+            for r in np.linspace(10, 500, k):
+                fh.write(f"{v},{r},{10.0 ** poly6(TRUE_COEFFS, v, r)}\n")
+    return path
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestSolve:
     def test_k3_reaches_two(self, runner, tmp_path):
         inst = tmp_path / "k3.rudy"
@@ -145,20 +162,13 @@ class TestCycling:
 
 class TestFit:
     def test_noiseless_fit_r2_one(self, runner, tmp_path):
-        true = (3.35, -7.5, 0.012, 1.25, -2e-5, 6e-3)
-        rng = np.random.default_rng(0)
-        data = tmp_path / "meas.csv"
-        with data.open("w") as fh:
-            fh.write("v_set,hrs_kohm,t_set_s\n")
-            for v in np.linspace(1.6, 2.2, 7):
-                for r in np.linspace(10, 500, 7):
-                    fh.write(f"{v},{r},{10.0 ** poly6(true, v, r)}\n")
+        data = write_campaign(tmp_path / "meas.csv", 7)
         out = tmp_path / "fitted.json"
         r = invoke(runner, ["fit", "--data", str(data), "--out", str(out)])
         assert r.exit_code == 0
         assert "R^2 = 1.0" in r.output
         fitted = json.loads(out.read_text())
-        assert fitted["mu_coeffs"] == pytest.approx(true, rel=1e-6, abs=1e-9)
+        assert fitted["mu_coeffs"] == pytest.approx(TRUE_COEFFS, rel=1e-6, abs=1e-9)
 
 
 class TestGenBrute:
@@ -272,6 +282,16 @@ class TestSweeps:
         assert "error [sampler]: max_iters must be >= 0" in r.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd", [["solve", "--instance", "k3.rudy"],
+                                     ["sweep-drift", "--sizes", "10"]], ids=lambda c: c[0])
+    def test_runs_below_one_exit_3(self, runner, tmp_path, monkeypatch, cmd):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k3.rudy").write_text(K3_TEXT)
+        r = runner.invoke(main, cmd + ["--runs", "0", "--out", "o.csv"])
+        assert r.exit_code == 3, r.output
+        assert "error [sampler]: runs must be >= 1" in r.output
+        assert not (tmp_path / "o.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("args", [
         ["solve", "--iters", "10"],
@@ -369,6 +389,86 @@ class TestParamsbyEnvVar:
         assert "io_ingest" in r.output
 
 
+class TestOutputFiles:
+    """Every file a command writes: its bytes and what a failed write does."""
+
+    # the digests of these files as written when each command formatted and
+    # opened its own output; one table writer and one opener change no byte
+    def test_solve_results_and_trace_are_pinned(self, runner, tmp_path):
+        inst = tmp_path / "g.rudy"
+        inst.write_text(serialize_rudy(generate_instance(30, 4.0, seed=2)))
+        out, trace = tmp_path / "s.csv", tmp_path / "t.csv"
+        r = invoke(runner, ["solve", "--instance", str(inst), "--iters", "1500", "--runs", "3",
+                            "--scheme", "fixed-input", "--d2d-cv", "0.1", "--calibrate",
+                            "--seed", "4", "--out", str(out), "--trace", str(trace)])
+        assert r.exit_code == 0
+        # calibrated cells read 1 and converged_at cells are blank
+        assert sha256_of(out) == (
+            "81ba91ab9008ef2b387d2a75f51528187f4a0b9bcf73d8b5ec6828c033c0aec9")
+        assert sha256_of(trace) == (
+            "a925b4e97171ffcc9d7612dc22c682b116d37fe8592eab048cf4b86016bc6dfc")
+
+    def test_cycling_csv_is_pinned(self, runner, tmp_path):
+        out = tmp_path / "c.csv"
+        r = invoke(runner, ["cycling", "--scheme", "monitored", "--cycles", "40",
+                            "--seed", "3", "--out", str(out)])
+        assert r.exit_code == 0
+        assert sha256_of(out) == (
+            "736e5505afca798575b7a147a82e02c86b6fc1789dcb98abe674620471b76ab1")
+
+    def test_calibrate_csv_is_pinned(self, runner, tmp_path):
+        # the default cv of 0.2 leaves devices unattained: their cells are blank
+        out = tmp_path / "cal.csv"
+        r = invoke(runner, ["calibrate", "--devices", "50", "--seed", "4", "--out", str(out)])
+        assert r.exit_code == 0
+        assert ",,,0\n" in out.read_text()
+        assert sha256_of(out) == (
+            "637af0cc9465e32a59292b94f966f7fd9bc131c4dc1b1bd4ea06960435734098")
+
+    def test_fit_params_are_pinned(self, runner, tmp_path):
+        out = tmp_path / "fitted.json"
+        data = write_campaign(tmp_path / "meas.csv", 7)
+        assert invoke(runner, ["fit", "--data", str(data), "--out", str(out)]).exit_code == 0
+        assert sha256_of(out) == (
+            "9d2cb0e38bd394a4b62b71470946c76784c8777989cb016fac1287721ecd57d8")
+
+    def test_gen_instance_and_registry_are_pinned(self, runner, tmp_path):
+        reg = tmp_path / "reg.json"
+        for nodes, degree, seed, name in [("12", "3", "7", "g12"), ("16", "4", "21", "b16")]:
+            r = invoke(runner, ["gen", "--nodes", nodes, "--degree", degree, "--seed", seed,
+                                "--out", str(tmp_path / f"{name}.rudy"), "--register", str(reg)])
+            assert r.exit_code == 0
+        assert sha256_of(tmp_path / "g12.rudy") == (
+            "0c382fda5b6809f3819013b3d2435d7eb1afadb3b840ed0cf7b5e01efac94e9d")
+        # the second gen loads the registry the first one wrote and adds to it
+        assert sha256_of(reg) == (
+            "042ce2c10b3327aa9cd518f0294af4ee87c7716a2dc5534d5d108f7173f11d69")
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--instance", "k3.rudy", "--iters", "10", "--out", "dir"],
+        ["solve", "--instance", "k3.rudy", "--iters", "10", "--out", "o.csv", "--trace", "dir"],
+        ["sweep-drift", "--sizes", "10", "--iters", "200", "--out", "dir"],
+        ["sweep-d2d", "--nodes", "12", "--iters", "200", "--out", "dir"],
+        ["cycling", "--scheme", "monitored", "--cycles", "5", "--out", "dir"],
+        ["calibrate", "--devices", "3", "--out", "dir"],
+        ["gen", "--nodes", "8", "--out", "dir"],
+        ["gen", "--nodes", "8", "--out", "g.rudy", "--register", "dir"],
+        ["fit", "--data", "meas.csv", "--out", "dir"],
+    ], ids=["solve", "solve-trace", "sweep-drift", "sweep-d2d", "cycling", "calibrate",
+            "gen", "gen-register", "fit"])
+    def test_unwritable_output_exits_3(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "k3.rudy").write_text(K3_TEXT)
+        write_campaign(tmp_path / "meas.csv", 4)
+        (tmp_path / "dir").mkdir()
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, r.output
+        assert "error [io_ingest]: cannot write dir: " in r.output
+        # no manifest vouches for a table that was not written
+        out = args[args.index("--out") + 1]
+        assert not os.path.exists(out + ".manifest.json")
+
+
 NO_SCIPY_SCRIPT = """
 import json, sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
@@ -384,13 +484,7 @@ print(json.dumps(codes))
 
 
 def test_commands_run_without_scipy(tmp_path):
-    true = (3.35, -7.5, 0.012, 1.25, -2e-5, 6e-3)
-    data = tmp_path / "meas.csv"
-    with data.open("w") as fh:
-        fh.write("v_set,hrs_kohm,t_set_s\n")
-        for v in np.linspace(1.6, 2.2, 4):
-            for r in np.linspace(10, 500, 4):
-                fh.write(f"{v},{r},{10.0 ** poly6(true, v, r)}\n")
+    data = write_campaign(tmp_path / "meas.csv", 4)
     commands = [
         ["gen", "--nodes", "12", "--seed", "1", "--out", "g.rudy"],
         ["solve", "--instance", "g.rudy", "--iters", "200", "--runs", "2", "--out", "s.csv"],

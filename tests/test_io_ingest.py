@@ -27,7 +27,6 @@ from stochanneal.io_ingest import (
     generate_instance,
     parse_rudy,
     read_results,
-    results_to_csv,
     serialize_rudy,
     write_manifest,
     write_results,
@@ -264,12 +263,14 @@ class TestResults:
         base.update(kw)
         return ResultRow(**base)
 
-    def test_empty_rows_header_only(self):
-        assert results_to_csv([]) == ",".join(RESULT_COLUMNS) + "\n"
+    def test_empty_rows_header_only(self, tmp_path):
+        write_results(tmp_path / "r.csv", [])
+        assert (tmp_path / "r.csv").read_text() == ",".join(RESULT_COLUMNS) + "\n"
 
-    def test_column_order_fixed(self):
-        text = results_to_csv([self.row()])
-        assert text.splitlines()[0] == ",".join(RESULT_COLUMNS)
+    def test_column_order_fixed(self, tmp_path):
+        write_results(tmp_path / "r.csv", [self.row()])
+        assert (tmp_path / "r.csv").read_text().splitlines() == [
+            ",".join(RESULT_COLUMNS), "0,k3,3,ideal,0.0,0.0,0,42,10,2,-2.0,100,0"]
 
     def test_round_trip(self, tmp_path):
         rows = [self.row(), self.row(run_id=1, converged_at=None, best_cut=1)]

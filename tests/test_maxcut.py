@@ -344,6 +344,8 @@ def vector_cases():
     yield generate_instance(60, 5.0, weight_set=(-3, 2), seed=3)
     yield generate_instance(200, 4.0, seed=9)
     yield BIG
+    # fields past 2**53 on every row: the exact Python-int path throughout
+    yield random_instance(rng, n=25, p=0.3, wmax=2**58)
 
 
 class TestVectorizedForm:
