@@ -16,7 +16,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .device import SCHEME_IDEAL, SCHEMES, DriftModel, calibrate as calibrate_devices
+from .device import CALIBRATION_PRECISION, GAIN, MU_TARGET, SCHEME_IDEAL, SCHEMES, V_CENTER
+from .device import DriftModel, calibrate as calibrate_devices
 from .errors import InvalidParameter, StochAnnealError
 from .experiments import (
     D2DRow,
@@ -73,7 +74,7 @@ def _module_of(exc: Exception) -> str:
 
 
 def handle_errors(module_on_input: str):
-    """Map input-shaped failures to exit 3, everything else to exit 4."""
+    """Map input-shaped failures, any OSError among them, to exit 3, the rest to exit 4."""
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -82,10 +83,10 @@ def handle_errors(module_on_input: str):
                 return fn(*args, **kwargs)
             except click.ClickException:
                 raise
-            except (FileNotFoundError, PermissionError) as exc:
-                _fail(3, module_on_input, exc)
-            except StochAnnealError as exc:
+            except StochAnnealError as exc:  # IoFailure, an OSError too, included
                 _fail(3, _module_of(exc), exc)
+            except OSError as exc:
+                _fail(3, module_on_input, exc)
             except Exception as exc:  # noqa: BLE001 - CLI boundary
                 _fail(4, module_on_input, exc)
 
@@ -113,6 +114,16 @@ jobs_option = click.option("--jobs", type=int, default=1, show_default=True,
                            help="Parallel workers for ensembles.")
 
 
+def _comma_list(kind):
+    """A click callback that parses a comma list of `kind` values, or fails as usage."""
+    def parse(ctx, param, value):
+        try:
+            return [kind(s) for s in value.split(",") if s]
+        except ValueError:
+            raise click.BadParameter(f"{value!r} is not a comma list of {kind.__name__}s")
+    return parse
+
+
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(), required=True)
 @params_option
@@ -123,7 +134,7 @@ jobs_option = click.option("--jobs", type=int, default=1, show_default=True,
 @click.option("--best-known", type=int, default=None, help="Override best-known cut.")
 @click.option("--registry", "registry_path", type=click.Path(), default=None,
               help="Best-known registry JSON to consult.")
-@click.option("--gain", type=float, default=0.2, show_default=True)
+@click.option("--gain", type=float, default=GAIN, show_default=True)
 @click.option("--d2d-cv", type=float, default=0.0, show_default=True)
 @click.option("--calibrate/--no-calibrate", default=False, show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(), default=None,
@@ -173,8 +184,8 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
 
 @main.command(name="sweep-drift")
 @click.option("--sizes", default="25,50,125,250", show_default=True,
-              help="Comma list of ladder sizes.")
-@click.option("--mhrs", default="0.01", show_default=True,
+              callback=_comma_list(int), help="Comma list of ladder sizes.")
+@click.option("--mhrs", default="0.01", show_default=True, callback=_comma_list(float),
               help="Comma list of fixed-input drift slopes [kOhm/cycle].")
 @params_option
 @click.option("--iters", type=int, default=200000, show_default=True)
@@ -187,13 +198,11 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
 def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, jobs):
     """Max meaningful iterations and solvable size per drift slope."""
     surface, drift, params_path = _load_device_params(params_path)
-    size_list = [int(s) for s in sizes.split(",") if s]
-    m_list = [float(m) for m in mhrs.split(",") if m]
     click.echo(f"seed = {seed}")
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, jobs=jobs)
-    ladder = build_size_ladder(size_list, cfg, surface, avg_degree=degree, seed=seed)
+    ladder = build_size_ladder(sizes, cfg, surface, avg_degree=degree, seed=seed)
     drifts = [DriftModel(m_hrs=m, s_rw=drift.s_rw, hrs_tolerance=drift.hrs_tolerance)
-              for m in m_list]
+              for m in mhrs]
     results = max_solvable_sizes(drifts, ("fixed-input", "monitored"), ladder, cfg, surface)
     write_table(
         out_path,
@@ -203,7 +212,7 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
     )
     write_manifest(
         out_path + ".manifest.json", "sweep-drift",
-        {"sizes": size_list, "mhrs": m_list, "iters": iters, "runs": runs,
+        {"sizes": sizes, "mhrs": mhrs, "iters": iters, "runs": runs,
          "degree": degree, "jobs": jobs},
         seed, params_path,
     )
@@ -212,7 +221,7 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
 
 @main.command(name="sweep-d2d")
 @click.option("--cv", default="0.0,0.05,0.1,0.2", show_default=True,
-              help="Comma list of device-to-device cv values.")
+              callback=_comma_list(float), help="Comma list of device-to-device cv values.")
 @click.option("--nodes", type=int, default=60, show_default=True)
 @click.option("--degree", type=float, default=4.0, show_default=True)
 @params_option
@@ -225,18 +234,17 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
 def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs):
     """Settling-energy error vs device-to-device variability, cal vs uncal."""
     surface, drift, params_path = _load_device_params(params_path)
-    cv_list = [float(c) for c in cv.split(",") if c]
     click.echo(f"seed = {seed}")
     inst = generate_instance(nodes, degree, seed=seed)
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, drift=drift, jobs=jobs)
-    result = d2d_experiment(inst, cv_list, cfg, surface)
+    result = d2d_experiment(inst, cv, cfg, surface)
     write_table(
         out_path, [f.name for f in dataclasses.fields(D2DRow)] + ["settling_ideal"],
         (dataclasses.astuple(row) + (result.settling_ideal,) for row in result.rows),
     )
     write_manifest(
         out_path + ".manifest.json", "sweep-d2d",
-        {"cv": cv_list, "nodes": nodes, "degree": degree, "iters": iters,
+        {"cv": cv, "nodes": nodes, "degree": degree, "iters": iters,
          "runs": runs, "jobs": jobs},
         seed, params_path,
     )
@@ -247,7 +255,7 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
 @click.option("--scheme", type=click.Choice(SCHEMES), required=True)
 @click.option("--cycles", type=int, default=100, show_default=True)
 @params_option
-@click.option("--vref", type=float, default=1.8, show_default=True)
+@click.option("--vref", type=float, default=V_CENTER, show_default=True)
 @seed_option
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @handle_errors("experiments")
@@ -267,12 +275,12 @@ def cycling(scheme, cycles, params_path, vref, seed, out_path):
 
 
 @main.command()
-@click.option("--mu-target", type=float, default=-5.0, show_default=True)
-@click.option("--precision", type=float, default=0.2, show_default=True)
+@click.option("--mu-target", type=float, default=MU_TARGET, show_default=True)
+@click.option("--precision", type=float, default=CALIBRATION_PRECISION, show_default=True)
 @click.option("--devices", type=int, default=50, show_default=True)
 @click.option("--cv", type=float, default=0.2, show_default=True)
 @params_option
-@click.option("--vref", type=float, default=1.8, show_default=True)
+@click.option("--vref", type=float, default=V_CENTER, show_default=True)
 @seed_option
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @handle_errors("device")
@@ -327,7 +335,7 @@ def fit(data_path, out_path):
 @seed_option
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--register", "registry_path", type=click.Path(), default=None,
-              help="Registry JSON to update (exact entry when nodes <= 20).")
+              help="Registry JSON to update with the exact cut (needs nodes <= 20).")
 @handle_errors("io_ingest")
 def gen(nodes, degree, weights, seed, out_path, registry_path):
     """Generate a random benchmark instance."""
@@ -337,9 +345,10 @@ def gen(nodes, degree, weights, seed, out_path, registry_path):
     # file (which is named by its basename) resolve
     stem = os.path.splitext(os.path.basename(out_path))[0]
     inst = generate_instance(nodes, degree, weight_set=wset, seed=seed, name=stem)
+    if registry_path is not None:
+        cut, _ = brute_force_maxcut(inst)  # TooLarge past 20 nodes, before any file is written
     write_instance(out_path, inst)
-    if registry_path is not None and nodes <= 20:
-        cut, _ = brute_force_maxcut(inst)
+    if registry_path is not None:
         # a registry path that holds no file is written afresh
         registry = (BestKnownRegistry.load(registry_path) if os.path.isfile(registry_path)
                     else BestKnownRegistry())

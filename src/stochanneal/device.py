@@ -37,6 +37,15 @@ SCHEME_MONITORED = "monitored"
 SCHEMES = (SCHEME_IDEAL, SCHEME_FIXED, SCHEME_MONITORED)
 _FIXED, _MONITORED = 1, 2  # the codes the sampler and the kernel compare against
 
+# The operating point: a neuron biases at V_CENTER [V] with the HRS that puts its
+# log10 Set-time mean at MU_TARGET, under a pulse 10**mu s wide there (P = 1/2 at
+# zero field); the field moves the voltage GAIN V per unit, within [V_MIN, V_MAX].
+# Calibration writes each HRS within the fractional CALIBRATION_PRECISION.
+V_CENTER, V_MIN, V_MAX = 1.8, 1.6, 2.2
+MU_TARGET = -5.0
+GAIN = 0.2
+CALIBRATION_PRECISION = 0.2
+
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 

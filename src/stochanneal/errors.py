@@ -19,7 +19,7 @@ class NonPositiveTime(StochAnnealError, ValueError):
 
 
 class NonPositivePulse(StochAnnealError, ValueError):
-    """Pulse width must be > 0."""
+    """Pulse width must be a finite double > 0."""
 
 
 class InvalidParameter(StochAnnealError, ValueError):

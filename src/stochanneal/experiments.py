@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .device import MU_TARGET, V_CENTER
 from .device import (
     SCHEME_FIXED,
     SCHEME_IDEAL,
@@ -33,8 +34,6 @@ from .surface import DeviceSurface
 
 # smoothing width as a fraction of the recorded series length
 SMOOTH_FRACTION = 0.02
-# the nominal log10 Set time a cycled device starts at
-CYCLING_MU_TARGET = -5.0
 # the plateau of max_meaningful_iterations: within this fraction of |min|
 PLATEAU_TOLERANCE = 0.01
 # max_solvable_size runs drift ensembles for this many convergence times
@@ -62,12 +61,12 @@ def cycling_stats(
     scheme: str,
     cycles: int,
     *,
-    v_ref: float = 1.8,
+    v_ref: float = V_CENTER,
     seed: int = 0,
 ) -> CyclingStats:
     """Drift of the log-time distribution over repeated Reset-Set cycles.
 
-    One device, starting at the HRS that puts its mu at CYCLING_MU_TARGET,
+    One device, starting at the HRS that puts its mu at MU_TARGET,
     is cycled `cycles` times under `scheme`, with the sampler's own Reset
     update and actuator draws (`device.reset_update`, `device.reset_noise`),
     recording its mu at v_ref after every cycle with the sampler's mu
@@ -80,7 +79,7 @@ def cycling_stats(
     """
     if cycles < 2:
         raise InvalidParameter(f"need at least 2 cycles, got {cycles}")
-    hrs = surface.hrs_for_mu(CYCLING_MU_TARGET, v_ref)
+    hrs = surface.hrs_for_mu(MU_TARGET, v_ref)
     surface.check_domain(v_ref, hrs)
     code = scheme_code(scheme)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -243,21 +242,19 @@ def ensemble_mean_energy(traces: Iterable[RunTrace], min_traces: int = 1) -> tup
     return total, stride
 
 
-def max_meaningful_iterations(traces: Iterable[RunTrace], window: Optional[int] = None) -> int:
+def max_meaningful_iterations(traces: Iterable[RunTrace]) -> int:
     """Iteration beyond which the ensemble-mean energy stops improving.
 
     Smooths the mean energy of at least 5 traces with a centered moving
-    average and returns the iteration count of the last point still within
-    PLATEAU_TOLERANCE * |min| of the smoothed minimum: once a run sits on its
-    settling plateau the minimum itself is sampling noise, and the meaningful
-    budget is the end of the plateau, not a random dip inside it. A strictly
-    descending series maps to the last iteration.
+    average SMOOTH_FRACTION of the series wide and returns the iteration
+    count of the last point still within PLATEAU_TOLERANCE * |min| of the
+    smoothed minimum: once a run sits on its settling plateau the minimum
+    itself is sampling noise, and the meaningful budget is the end of the
+    plateau, not a random dip inside it. A strictly descending series maps
+    to the last iteration.
     """
     mean_series, stride = ensemble_mean_energy(traces, min_traces=5)
-    if window is None:
-        window = max(1, int(round(SMOOTH_FRACTION * mean_series.size)))
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    window = max(1, int(round(SMOOTH_FRACTION * mean_series.size)))
     lowest = _smoothed_min(mean_series, window)
     band = lowest + PLATEAU_TOLERANCE * abs(lowest)
     # the last point in the band (the last point if none is, as for NaN)
@@ -297,7 +294,7 @@ def convergence_scaling(
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
 ) -> list[ScalingRow]:
-    """Iterations to converge within cfg.convergence_fraction of best-known,
+    """Iterations to converge within sampler.CONVERGENCE_FRACTION of best-known,
     ideal scheme, one ensemble per instance."""
     for inst in instances:
         if inst.best_known is None:

@@ -36,6 +36,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from .device import CALIBRATION_PRECISION, GAIN, MU_TARGET, V_CENTER, V_MAX, V_MIN
 from .device import (
     SCHEME_IDEAL,
     DriftModel,
@@ -48,7 +49,7 @@ from .device import (
     reset_update,
     scheme_code,
 )
-from .errors import InvalidParameter, MissingBestKnown, NonMonotone, NonPositivePulse, Unattainable
+from .errors import InvalidParameter, MissingBestKnown, NonMonotone, Unattainable
 from .maxcut import BoltzmannForm, MaxCutInstance, init_fields
 from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
 from .maxcut import energy as energy_of
@@ -60,19 +61,14 @@ _RNG_BLOCK = 8192
 
 ACTIVATION_DEVICE = "device"
 ACTIVATION_LOGISTIC = "logistic"
+CONVERGENCE_FRACTION = 0.9  # a run converges at this fraction of the best-known cut
 
 
 @dataclass
 class BoltzmannConfig:
-    """Everything a run needs besides the instance and the fitted surface."""
+    """Everything a run needs besides the instance, the surface and `device`'s operating point."""
 
-    v_center: float = 1.8
-    v_min: float = 1.6
-    v_max: float = 2.2
-    gain: float = 0.2              # volts per unit of normalized field
-    t_pw: Optional[float] = None   # None: centered at (v_center, nominal HRS)
-    mu_target: float = -5.0        # nominal log10 Set-time the neurons bias to
-    nominal_hrs: Optional[float] = None  # None: solve mu_target at v_center
+    gain: float = GAIN             # volts per unit of normalized field
     max_iters: int = 10_000
     runs: int = 1
     seed: int = 0
@@ -80,16 +76,12 @@ class BoltzmannConfig:
     drift: DriftModel = field(default_factory=DriftModel)
     d2d_cv: float = 0.0            # fractional std of per-device mu offset
     calibrate: bool = False
-    calibration_precision: float = 0.2
-    convergence_fraction: float = 0.9
     activation: str = ACTIVATION_DEVICE
     stop_on_convergence: bool = False
     energy_stride: Optional[int] = None  # None: 1 if n <= 512 else n
     jobs: int = 1
 
     def __post_init__(self):
-        if not self.v_min <= self.v_center <= self.v_max:
-            raise InvalidParameter("need v_min <= v_center <= v_max")
         if self.gain <= 0:
             raise InvalidParameter("gain must be > 0")
         if self.max_iters < 0:
@@ -100,10 +92,6 @@ class BoltzmannConfig:
             raise InvalidParameter(f"d2d_cv must be >= 0, got {self.d2d_cv}")
         if self.jobs < 1:
             raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
-        if not 0.0 < self.convergence_fraction <= 1.0:
-            raise InvalidParameter("convergence_fraction must be in (0, 1]")
-        if not 0.0 <= self.calibration_precision < 1.0:
-            raise InvalidParameter("calibration_precision must be in [0, 1)")
         scheme_code(self.scheme)  # raises on an unknown scheme
         if self.activation not in (ACTIVATION_DEVICE, ACTIVATION_LOGISTIC):
             raise InvalidParameter(f"unknown activation {self.activation!r}")
@@ -126,7 +114,6 @@ class RunTrace:
     clamp_events: int
     mu_eff_spread: float
     calib_failures: int
-    u_scale: float
     run_index: int
     kernel: str = "python"          # the loop that ran: "c" or "python"
 
@@ -166,7 +153,6 @@ class State:
     converged_at: Optional[int]
     clamps: int
     draws: Iterator                 # RNG blocks, see _draws
-    u_scale: float
     calib_failures: int
     mu_eff_spread: float
     t: int = 0
@@ -503,10 +489,10 @@ def _kernel_loop(kernel, state: State):
 
 
 @functools.lru_cache
-def _nominal_hrs(surface: DeviceSurface, mu_target: float, v_center: float) -> float:
-    """The HRS that puts a device's mu at mu_target at v_center; solved once."""
+def _nominal_hrs(surface: DeviceSurface) -> float:
+    """The HRS that puts a device's mu at MU_TARGET at V_CENTER; solved once."""
     try:
-        return surface.hrs_for_mu(mu_target, v_center)
+        return surface.hrs_for_mu(MU_TARGET, V_CENTER)
     except (Unattainable, NonMonotone):
         # toy surfaces (constant mu etc.) have no -5 decade point; run at
         # the middle of the fitted window instead
@@ -522,11 +508,9 @@ def make_state(
     """Build the initial State for (instance, config, surface, run_index)."""
     if inst.n < 1:
         raise ValueError("instance must have at least one node")
-    if not (surface.v_range[0] <= cfg.v_min and cfg.v_max <= surface.v_range[1]):
-        raise ValueError(
-            f"voltage window [{cfg.v_min}, {cfg.v_max}] escapes the fitted "
-            f"surface range {surface.v_range}"
-        )
+    if not (surface.v_range[0] <= V_MIN and V_MAX <= surface.v_range[1]):
+        raise ValueError(f"voltage window [{V_MIN}, {V_MAX}] escapes the fitted "
+                         f"surface range {surface.v_range}")
     form = inst.form
     n = inst.n
     root = np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))
@@ -534,25 +518,20 @@ def make_state(
 
     x = np.random.default_rng(ss_init).integers(0, 2, n).astype(np.int8)
     u = np.array(init_fields(form, x), dtype=np.int64 if form.fits_in_53_bits else object)
-    u_scale = float(np.percentile(np.abs(u.astype(float)), 95))
-    if u_scale <= 0:
-        u_scale = 1.0
+    u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
 
-    if cfg.nominal_hrs is not None:
-        nominal = surface.clamp_hrs(float(cfg.nominal_hrs))
-    else:
-        nominal = surface.clamp_hrs(_nominal_hrs(surface, cfg.mu_target, cfg.v_center))
+    nominal = surface.clamp_hrs(_nominal_hrs(surface))
     rng_dev = np.random.default_rng(ss_dev)
     if cfg.d2d_cv > 0:
-        offs = rng_dev.standard_normal(n) * (cfg.d2d_cv * abs(cfg.mu_target))
+        offs = rng_dev.standard_normal(n) * (cfg.d2d_cv * abs(MU_TARGET))
     else:
         offs = np.zeros(n)
 
     clamps = 0
     calib_failures = 0
     if cfg.calibrate:
-        cal = calibrate(surface, cfg.mu_target - offs, cfg.v_center,
-                        cfg.calibration_precision, np.random.default_rng(ss_cal))
+        cal = calibrate(surface, MU_TARGET - offs, V_CENTER, CALIBRATION_PRECISION,
+                        np.random.default_rng(ss_cal))
         calib_failures = int(cal.missed.sum())
         if calib_failures:
             log.info("%d/%d devices have offsets outside the tunable window; parked at the "
@@ -561,20 +540,18 @@ def make_state(
         clamps = cal.clamps
         # the calibrated devices, or all of them when none calibrated
         pop = ~cal.missed if calib_failures < n else np.ones(n, dtype=bool)
-        spread_pop = poly6(surface.mu_coeffs, cfg.v_center, cal.hrs[pop]) + offs[pop]
+        spread_pop = poly6(surface.mu_coeffs, V_CENTER, cal.hrs[pop]) + offs[pop]
         hrs, targets = cal.hrs, cal.hrs.copy()
     else:
         # every device sits at the nominal HRS
-        spread_pop = float(surface.eval_mu(cfg.v_center, nominal)) + offs
+        spread_pop = float(surface.eval_mu(V_CENTER, nominal)) + offs
         hrs, targets = np.full(n, nominal), np.full(n, nominal)
     mu_eff_spread = float(np.std(spread_pop)) if len(spread_pop) > 1 else 0.0
 
-    t_pw = cfg.t_pw if cfg.t_pw is not None else surface.center_pulse_width(cfg.v_center, nominal)
-    if t_pw <= 0:
-        raise NonPositivePulse(f"t_pw={t_pw} s must be > 0")
+    t_pw = surface.center_pulse_width(V_CENTER, nominal)
 
     if inst.best_known is not None:
-        threshold = cfg.convergence_fraction * inst.best_known
+        threshold = CONVERGENCE_FRACTION * inst.best_known
     elif cfg.stop_on_convergence:
         raise MissingBestKnown(
             f"instance {inst.name!r} has no best-known cut; convergence "
@@ -583,7 +560,7 @@ def make_state(
     else:
         threshold = math.nan  # no cut compares >= NaN
     params = Params(
-        cfg.v_center, cfg.v_min, cfg.v_max, cfg.gain, 1.0 / u_scale, math.log10(t_pw),
+        V_CENTER, V_MIN, V_MAX, cfg.gain, 1.0 / u_scale, math.log10(t_pw),
         *surface.mu_coeffs, *surface.sigma_coeffs, surface.sigma_floor,
         cfg.drift.m_hrs, cfg.drift.s_rw, *surface.r_range, threshold,
         scheme_code(cfg.scheme), int(cfg.activation == ACTIVATION_LOGISTIC),
@@ -596,7 +573,7 @@ def make_state(
         cyc=np.zeros(n, dtype=np.int64), best_x=x.copy(), energy=e0, best_energy=e0,
         converged_at=0 if -e0 >= threshold else None, clamps=clamps,
         draws=_draws(ss_loop, ss_scheme, n, params.scheme, cfg.drift.hrs_tolerance),
-        u_scale=u_scale, calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
+        calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
     )
 
 
@@ -629,7 +606,6 @@ def run(
         clamp_events=state.clamps,
         mu_eff_spread=state.mu_eff_spread,
         calib_failures=state.calib_failures,
-        u_scale=state.u_scale,
         run_index=run_index,
         kernel="python" if kernel is None else "c",
     )

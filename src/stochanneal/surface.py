@@ -17,6 +17,7 @@ outside `v_range` x `r_range` raises OutOfDomain rather than extrapolating.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,7 @@ import numpy as np
 from .errors import (
     DegenerateDesign,
     NonMonotone,
+    NonPositivePulse,
     NonPositiveTime,
     OutOfDomain,
     Unattainable,
@@ -107,9 +109,16 @@ class DeviceSurface:
         """Pulse width (s) that puts the switching probability at 0.5.
 
         The lognormal CDF equals 1/2 at the log-mean, so t_pw = 10**mu
-        centers the sigmoid at v_center for a zero-offset device.
+        centers the sigmoid at v_center for a zero-offset device. Raises
+        NonPositivePulse unless t_pw is a finite double above 0.
         """
-        return float(10.0 ** self.eval_mu(v_center, hrs))
+        try:
+            t_pw = float(10.0 ** self.eval_mu(v_center, hrs))
+        except OverflowError:
+            t_pw = math.inf
+        if not 0.0 < t_pw < math.inf:  # NaN too
+            raise NonPositivePulse(f"t_pw={t_pw} s must be a finite double > 0")
+        return t_pw
 
     # -- inverse ------------------------------------------------------------
 

@@ -92,6 +92,23 @@ class TestSolve:
         assert r.exit_code == 3
         assert "nope.rudy" in r.output
 
+    @pytest.mark.parametrize("mu, width", [(-400.0, "0.0"), (400.0, "inf")])
+    def test_pulse_width_out_of_range_exits_3(self, runner, tmp_path, mu, width):
+        # the centred pulse 10**mu s underflows to 0 or overflows
+        from dataclasses import replace
+
+        from stochanneal.reference import get_reference
+        from stochanneal.surface import save_params
+
+        surface, drift = get_reference()
+        params = tmp_path / "params.json"
+        save_params(params, replace(surface, mu_coeffs=(mu, 0, 0, 0, 0, 0)), drift)
+        (tmp_path / "k3.rudy").write_text(K3_TEXT)
+        r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "k3.rudy"),
+                                 "--params", str(params), "--out", str(tmp_path / "o.csv")])
+        assert r.exit_code == 3, r.output
+        assert f"error [surface]: t_pw={width} s must be a finite double > 0" in r.output
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         inst = tmp_path / "k3.rudy"
         inst.write_text(K3_TEXT)
@@ -201,6 +218,14 @@ class TestGenBrute:
         rows = read_results(out)
         assert any(row["converged_at"] != "" for row in rows)
 
+    def test_register_past_20_nodes_exits_3_before_writing(self, runner, tmp_path):
+        inst, reg = tmp_path / "g25.rudy", tmp_path / "reg.json"
+        r = runner.invoke(main, ["gen", "--nodes", "25", "--out", str(inst),
+                                 "--register", str(reg)])
+        assert r.exit_code == 3, r.output
+        assert "error [io_ingest]: brute force capped at 20 nodes, got 25" in r.output
+        assert not inst.exists() and not reg.exists()
+
     def test_brute_too_large_exit_3(self, runner, tmp_path):
         inst = tmp_path / "n21.rudy"
         inst.write_text("21 1\n1 2 1\n")
@@ -291,6 +316,18 @@ class TestSweeps:
         assert r.exit_code == 3, r.output
         assert "error [sampler]: runs must be >= 1" in r.output
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["sweep-drift", "--sizes", "10,abc"],
+        ["sweep-drift", "--mhrs", "0.01,x"],
+        ["sweep-d2d", "--cv", "0.1,x"],
+    ], ids=["sizes", "mhrs", "cv"])
+    def test_malformed_comma_list_is_usage_error(self, runner, tmp_path, args):
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, args + ["--out", str(out)])
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{args[1]}': '{args[2]}' is not a comma list of" in r.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("args", [
@@ -467,6 +504,19 @@ class TestOutputFiles:
         # no manifest vouches for a table that was not written
         out = args[args.index("--out") + 1]
         assert not os.path.exists(out + ".manifest.json")
+
+    @pytest.mark.parametrize("args, module", [
+        (["solve", "--instance", "dir", "--out", "o.csv"], "cli"),
+        (["fit", "--data", "dir", "--out", "o.json"], "surface"),
+        (["cycling", "--scheme", "ideal", "--params", "dir", "--out", "o.csv"], "experiments"),
+    ], ids=["solve", "fit", "cycling"])
+    def test_unreadable_input_exits_3(self, runner, tmp_path, monkeypatch, args, module):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, r.output
+        assert f"error [{module}]: [Errno 21] Is a directory: 'dir'" in r.output
+        assert not (tmp_path / args[-1]).exists()
 
 
 NO_SCIPY_SCRIPT = """

@@ -96,10 +96,15 @@ class TestPSwitch:
         assert p_switch(-30.0, mu, sg) < 1e-6
         assert p_switch(30.0, mu, sg) > 1 - 1e-6
 
-    def test_non_positive_pulse(self, ref_surface):
+    def test_non_positive_pulse(self):
+        # the centred pulse 10**mu s underflows to 0 at mu = -400 and overflows at +400
         inst = MaxCutInstance(n=2, edges=((0, 1, 1),))
+        for mu in (-400.0, 400.0):
+            with pytest.raises(NonPositivePulse, match="must be a finite double > 0"):
+                make_state(inst, BoltzmannConfig(), flat_surface(mu=mu))
         with pytest.raises(NonPositivePulse):
-            make_state(inst, BoltzmannConfig(t_pw=0.0), ref_surface)
+            flat_surface(mu=math.nan).center_pulse_width(1.8, 100.0)
+        assert flat_surface(mu=-300.0).center_pulse_width(1.8, 100.0) == 1e-300
 
     def test_monotone_cdf_in_pulse_width(self, ref_surface, rng):
         for _ in range(100):

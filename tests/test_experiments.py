@@ -38,7 +38,7 @@ def fake_trace(energies, stride=1):
         energies=e, stride=stride, best_cut=int(-e.min()), best_x=np.zeros(1, np.uint8),
         converged_at=None, iterations=e.size * stride,
         cycles_per_device=np.zeros(1, np.int64), clamp_events=0, mu_eff_spread=0.0,
-        calib_failures=0, u_scale=1.0, run_index=0,
+        calib_failures=0, run_index=0,
     )
 
 
@@ -84,14 +84,14 @@ class TestCyclingStats:
 class TestMaxMeaningfulIterations:
     def test_strictly_decreasing_gives_last_index(self):
         traces = [fake_trace(np.arange(0, -1000, -1)) for _ in range(5)]
-        assert max_meaningful_iterations(traces, window=1) == 1000
+        assert max_meaningful_iterations(traces) == 1000
 
     def test_v_shape_recovers_minimum(self):
         k = 400
         series = np.concatenate([np.arange(0, -k, -1), np.arange(-k, -k + 600)])
         traces = [fake_trace(series) for _ in range(5)]
-        window = 20
-        got = max_meaningful_iterations(traces, window=window)
+        window = 20  # 2% of the 1000 points
+        got = max_meaningful_iterations(traces)
         assert abs(got - k) <= window // 2 + 1
 
     def test_insufficient_traces(self):
@@ -100,7 +100,7 @@ class TestMaxMeaningfulIterations:
 
     def test_stride_scales_result(self):
         traces = [fake_trace(np.arange(0, -100, -1), stride=50) for _ in range(5)]
-        assert max_meaningful_iterations(traces, window=1) == 5000
+        assert max_meaningful_iterations(traces) == 5000
 
     def test_mean_energy_requires_matching_strides(self):
         with pytest.raises(ValueError):
@@ -179,10 +179,9 @@ def whole_settling_energy_ensemble(traces):
     return float(whole_moving_average(mean_series, window).min())
 
 
-def whole_max_meaningful_iterations(traces, window=None):
+def whole_max_meaningful_iterations(traces):
     mean_series, stride = ensemble_mean_energy(traces, min_traces=5)
-    if window is None:
-        window = max(1, int(round(experiments.SMOOTH_FRACTION * mean_series.size)))
+    window = max(1, int(round(experiments.SMOOTH_FRACTION * mean_series.size)))
     smoothed = whole_moving_average(mean_series, window)
     lowest = float(smoothed.min())
     band = lowest + experiments.PLATEAU_TOLERANCE * abs(lowest)
@@ -203,9 +202,8 @@ class TestChunkedSmoothing:
                       for _ in range(int(rng.integers(5, 8)))]
             assert (settling_energy_ensemble(traces).hex()
                     == whole_settling_energy_ensemble(traces).hex())
-            for window in (None, 1, 2, 3, length, length + 3):
-                assert (max_meaningful_iterations(traces, window)
-                        == whole_max_meaningful_iterations(traces, window)), (length, window)
+            assert (max_meaningful_iterations(traces)
+                    == whole_max_meaningful_iterations(traces)), length
             for series in (traces[0].energies, rng.standard_normal(length) * 50):
                 assert settling_energy_of(series).hex() == whole_settling_energy_of(series).hex()
         assert math.isnan(settling_energy_of(np.empty(0)))
