@@ -63,7 +63,7 @@ class DriftModel:
     hrs_tolerance: float = 0.1
 
     def __post_init__(self):
-        if self.m_hrs < 0 or self.s_rw < 0:
+        if not (self.m_hrs >= 0 and self.s_rw >= 0):  # NaN too
             raise InvalidParameter("m_hrs and s_rw must be >= 0")
         if not 0.0 < self.hrs_tolerance < 1.0:
             raise InvalidParameter("hrs_tolerance must be in (0, 1)")

@@ -5,6 +5,8 @@ Every comparison here is paired: arms that differ in one manipulated variable
 (drift on/off, calibrated or not) share the same seed, and the sampler's
 stream split guarantees they see identical node picks and Bernoulli
 thresholds. Differences in outcomes are attributable to the manipulation.
+The d2d arms run through `sampler.paired_runs`, so the random blocks they
+share are drawn once per run index, not once per arm.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .device import (
 from .errors import InsufficientTraces, InvalidParameter, MissingBestKnown
 from .io_ingest import brute_force_maxcut, generate_instance
 from .maxcut import MaxCutInstance
-from .sampler import BoltzmannConfig, RunTrace, ensemble, ensemble_runs, run
+from .sampler import BoltzmannConfig, RunTrace, ensemble, ensemble_runs, paired_runs, run
 from .surface import DeviceSurface
 
 # smoothing width as a fraction of the recorded series length
@@ -215,6 +217,33 @@ def settling_energy_of(series) -> float:
     return _smoothed_min(a, max(1, a.size // 50))
 
 
+class _EnergySum:
+    """The running float sum of energy traces, added one at a time, in order,
+    into one array cut to the shortest."""
+
+    def __init__(self):
+        self.total, self.stride, self.count = None, None, 0
+
+    def add(self, t: RunTrace) -> None:
+        if self.total is None:
+            self.total, self.stride = np.array(t.energies, dtype=float), t.stride
+        elif t.stride != self.stride:
+            raise ValueError("traces disagree on energy stride")
+        else:
+            self.total = self.total[:t.energies.size]
+            self.total += t.energies[:self.total.size]
+        self.count += 1
+
+    def mean(self, min_traces: int = 1) -> tuple[np.ndarray, int]:
+        """(mean series, stride); the sum is divided in place, so call it once."""
+        if self.count < min_traces:
+            raise InsufficientTraces(f"need >= {min_traces} traces, got {self.count}")
+        if self.total.size == 0:
+            raise InsufficientTraces("traces carry no recorded energies")
+        self.total /= self.count
+        return self.total, self.stride
+
+
 def ensemble_mean_energy(traces: Iterable[RunTrace], min_traces: int = 1) -> tuple[np.ndarray, int]:
     """Mean instantaneous-energy series over runs; returns (series, stride).
 
@@ -223,23 +252,11 @@ def ensemble_mean_energy(traces: Iterable[RunTrace], min_traces: int = 1) -> tup
     exact while traces * |energy| < 2**53; past that they round in the order
     of numpy's mean over the stacked traces, for any series of 2 or more points.
     """
-    total, stride, count = None, None, 0
+    energy_sum = _EnergySum()
     for t in traces:
-        if total is None:
-            total, stride = np.array(t.energies, dtype=float), t.stride
-        elif t.stride != stride:
-            raise ValueError("traces disagree on energy stride")
-        else:
-            total = total[:t.energies.size]
-            total += t.energies[:total.size]
-        count += 1
+        energy_sum.add(t)
         del t  # free this run before the next one starts
-    if count < min_traces:
-        raise InsufficientTraces(f"need >= {min_traces} traces, got {count}")
-    if total.size == 0:
-        raise InsufficientTraces("traces carry no recorded energies")
-    total /= count
-    return total, stride
+    return energy_sum.mean(min_traces)
 
 
 def max_meaningful_iterations(traces: Iterable[RunTrace]) -> int:
@@ -270,7 +287,10 @@ def max_meaningful_iterations(traces: Iterable[RunTrace]) -> int:
 def settling_energy_ensemble(traces: Iterable[RunTrace]) -> float:
     """Minimum of the smoothed ensemble-mean energy series; the traces are
     summed one at a time, so an iterator of runs is never held whole."""
-    mean_series, _ = ensemble_mean_energy(traces)
+    return _settling_of_mean(ensemble_mean_energy(traces)[0])
+
+
+def _settling_of_mean(mean_series: np.ndarray) -> float:
     return _smoothed_min(mean_series, max(1, int(round(SMOOTH_FRACTION * mean_series.size))))
 
 
@@ -442,39 +462,39 @@ def d2d_experiment(
     if cfg.runs < 10:
         raise InvalidParameter(f"d2d_experiment needs cfg.runs >= 10, got {cfg.runs}")
     base = replace(cfg, stop_on_convergence=False)
-
-    def arm(cv: float, calibrate: bool) -> tuple[float, float, float]:
-        """(settling energy, mean mu_eff spread, mean calibration failures)
-        of one arm, its runs streamed into the ensemble mean one at a time."""
-        spreads, failures = [], []
-
-        def runs() -> Iterator[RunTrace]:
-            for t in ensemble_runs(inst, replace(base, d2d_cv=cv, calibrate=calibrate), surface):
-                spreads.append(t.mu_eff_spread)
-                failures.append(t.calib_failures)
-                yield t
-                del t  # free this run before the next one starts
-
-        settling = settling_energy_ensemble(runs())
-        return settling, float(np.mean(spreads)), float(np.mean(failures))
-
-    e_ideal = arm(0.0, False)[0]
+    # the ideal arm, then the uncalibrated and calibrated arm of each cv
+    arms = [(0.0, False)] + [(cv, calibrated) for cv in cv_list for calibrated in (False, True)]
+    cfgs = [replace(base, d2d_cv=cv, calibrate=calibrated) for cv, calibrated in arms]
+    sums = [_EnergySum() for _ in arms]
+    settling = [math.nan] * len(arms)
+    spreads, failures = [[] for _ in arms], [[] for _ in arms]
+    # each arm streams its runs into its ensemble mean, holding no run, and
+    # its sum is freed once its last run is in
+    for a, t in paired_runs(inst, cfgs, surface):
+        sums[a].add(t)
+        spreads[a].append(t.mu_eff_spread)
+        failures[a].append(t.calib_failures)
+        del t  # free this run before the next one starts
+        if sums[a].count == cfgs[a].runs:
+            settling[a] = _settling_of_mean(sums[a].mean()[0])
+            sums[a] = None
+    spread = [float(np.mean(s)) for s in spreads]
+    e_ideal = settling[0]
     denom = max(abs(e_ideal), 1e-12)
 
     rows = []
-    for cv in cv_list:
-        e_uncal, spread_uncal, _ = arm(cv, False)
-        e_cal, spread_cal, failures = arm(cv, True)
+    for k, cv in enumerate(cv_list):
+        uncal, cal = 1 + 2 * k, 2 + 2 * k
         rows.append(
             D2DRow(
                 cv=cv,
-                error_uncalibrated=100.0 * max(0.0, e_uncal - e_ideal) / denom,
-                error_calibrated=100.0 * max(0.0, e_cal - e_ideal) / denom,
-                spread_uncalibrated=spread_uncal,
-                spread_calibrated=spread_cal,
-                calib_failures=failures,
-                settling_uncalibrated=e_uncal,
-                settling_calibrated=e_cal,
+                error_uncalibrated=100.0 * max(0.0, settling[uncal] - e_ideal) / denom,
+                error_calibrated=100.0 * max(0.0, settling[cal] - e_ideal) / denom,
+                spread_uncalibrated=spread[uncal],
+                spread_calibrated=spread[cal],
+                calib_failures=float(np.mean(failures[cal])),
+                settling_uncalibrated=settling[uncal],
+                settling_calibrated=settling[cal],
             )
         )
     return D2DSweepResult(settling_ideal=e_ideal, rows=rows)
@@ -521,6 +541,9 @@ def build_size_ladder(
     Sizes <= 20 get exact brute-force optima; larger sizes get a long-run
     proxy. Provenances land in `registry` when one is passed.
     """
+    small = [s for s in sizes if s < 2]
+    if small:
+        raise InvalidParameter(f"ladder sizes must be >= 2, got {small[0]}")
     ladder = []
     for size in sorted(sizes):
         inst = generate_instance(

@@ -11,7 +11,8 @@ seed, run_index). Randomness is split into five independent child streams of
 numpy's SeedSequence(seed, spawn_key=(run_index,)) - initial configuration,
 device offsets, calibration noise, loop draws (node picks + Bernoulli
 thresholds), and scheme actuator noise - so paired comparisons (ideal vs
-drifting, calibrated vs not) see identical loop dynamics.
+drifting, calibrated vs not) see identical loop dynamics. `paired_runs` runs
+such arms so that the loop and noise blocks they share are drawn once.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ import collections
 import ctypes
 import functools
 import hashlib
+import itertools
 import logging
 import math
+import operator
 import os
 import platform
 import shutil
@@ -32,7 +35,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +61,13 @@ from .surface import DeviceSurface, poly6
 log = logging.getLogger(__name__)
 
 _RNG_BLOCK = 8192
+# the most bytes of RNG blocks `paired_runs` keeps for the arms of one run index
+_KEEP_BYTES = 1 << 20
+# `.streams`, while `paired_runs` runs the arms of one run index in this
+# thread: stream key (see `_stream`) -> that stream's blocks drawn so far,
+# read-only; None otherwise. It is not passed to `run`, whose signature the
+# callers that wrap it fix; a state that finds no block kept draws its own.
+_kept = threading.local()
 
 ACTIVATION_DEVICE = "device"
 ACTIVATION_LOGISTIC = "logistic"
@@ -160,13 +170,45 @@ class State:
     cursor: int = 0
 
 
-def _draws(ss_loop, ss_scheme, n: int, scheme: int, tol: float):
-    """Endless RNG blocks: (node picks, Bernoulli thresholds, Reset noise)."""
-    rng_loop = np.random.default_rng(ss_loop)
-    rng_scheme = np.random.default_rng(ss_scheme)
-    while True:
-        yield (rng_loop.integers(0, n, _RNG_BLOCK), rng_loop.random(_RNG_BLOCK),
-               reset_noise(scheme, tol, rng_scheme, _RNG_BLOCK))
+def _stream(cfg: BoltzmannConfig, n: int, run_index: int) -> tuple:
+    """The key of a run's loop and Reset-noise stream; runs with equal keys draw equal blocks."""
+    return (cfg.seed, run_index, n, scheme_code(cfg.scheme), cfg.drift.hrs_tolerance)
+
+
+def _block_bytes(scheme: int) -> int:
+    """The size of one RNG block: node picks and thresholds, plus Reset noise but for ideal."""
+    return _RNG_BLOCK * (24 if scheme else 16)
+
+
+def _draws(ss_loop, ss_scheme, n: int, scheme: int, tol: float, key: tuple):
+    """Endless RNG blocks: (node picks, Bernoulli thresholds, Reset noise).
+
+    Block b of stream `key` comes from the blocks kept for it (`_kept`) when
+    another state has drawn it; otherwise this state's own generators draw
+    it, after drawing again the blocks it was served, and it is kept,
+    read-only, when it is the first block of the stream not yet kept.
+    """
+    rng_loop = rng_scheme = None
+    drawn = 0  # blocks this state's generators have drawn
+    for b in itertools.count():
+        streams = getattr(_kept, "streams", None)
+        kept = None if streams is None else streams.get(key)
+        if kept is not None and b < len(kept):
+            yield kept[b]
+            continue
+        if rng_loop is None:
+            rng_loop = np.random.default_rng(ss_loop)
+            rng_scheme = np.random.default_rng(ss_scheme)
+        while drawn <= b:
+            block = (rng_loop.integers(0, n, _RNG_BLOCK), rng_loop.random(_RNG_BLOCK),
+                     reset_noise(scheme, tol, rng_scheme, _RNG_BLOCK))
+            drawn += 1
+        if kept is not None and b == len(kept):
+            for a in block:
+                if a is not None:
+                    a.flags.writeable = False
+            kept.append(block)
+        yield block
 
 
 def _next_block(state: State) -> None:
@@ -572,7 +614,8 @@ def make_state(
         params=params, form=form, x=x, u=u, hrs=hrs, targets=targets, offs=offs,
         cyc=np.zeros(n, dtype=np.int64), best_x=x.copy(), energy=e0, best_energy=e0,
         converged_at=0 if -e0 >= threshold else None, clamps=clamps,
-        draws=_draws(ss_loop, ss_scheme, n, params.scheme, cfg.drift.hrs_tolerance),
+        draws=_draws(ss_loop, ss_scheme, n, params.scheme, cfg.drift.hrs_tolerance,
+                     _stream(cfg, n, run_index)),
         calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
     )
 
@@ -616,21 +659,68 @@ def _ensemble_worker(args) -> RunTrace:
     return run(inst, cfg, surface, run_index=idx)
 
 
+def paired_runs(
+    inst: MaxCutInstance,
+    cfgs: Sequence[BoltzmannConfig],
+    surface: DeviceSurface,
+) -> Iterator[tuple[int, RunTrace]]:
+    """(arm index, run) for every run of every config (arm) in `cfgs`; each
+    arm's runs come in run order, and every run is a `run` call.
+
+    Arms whose runs at one run index draw the same stream (`_stream`), as
+    those of `experiments.d2d_experiment` do, draw its blocks once. When the
+    blocks of one run index fit in _KEEP_BYTES, the arms run run-major (every
+    arm at run 0, then every arm at run 1, ...), and the blocks the first of
+    them draws are kept, read-only, for the others until the run index ends.
+    Otherwise the arms run arm-major, one run at a time, and nothing is kept;
+    nothing is kept for a single config either. Results are the same either
+    way. With jobs > 1 a process pool runs the same order, keeping nothing.
+    """
+    cfgs = list(cfgs)
+    n = inst.n
+    by_stream = collections.defaultdict(list)
+    for a, cfg in enumerate(cfgs):
+        by_stream[_stream(cfg, n, 0)].append(a)
+    shared = {key: arms for key, arms in by_stream.items() if len(arms) > 1}
+    # the blocks of one run index: those of the longest run of each shared stream
+    need = sum(-(-max(cfgs[a].max_iters for a in arms) // _RNG_BLOCK) * _block_bytes(key[3])
+               for key, arms in shared.items())
+    run_major = bool(shared) and need <= _KEEP_BYTES
+    if run_major:
+        order = [(a, r) for r in range(max(cfg.runs for cfg in cfgs))
+                 for a, cfg in enumerate(cfgs) if r < cfg.runs]
+    else:
+        order = [(a, r) for a, cfg in enumerate(cfgs) for r in range(cfg.runs)]
+    jobs = max(cfg.jobs for cfg in cfgs)
+    if jobs > 1:
+        # imported here: multiprocessing costs every process ~1 MB and ~14 ms
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            traces = pool.map(_ensemble_worker, [(inst, cfgs[a], surface, r) for a, r in order])
+            for a, _ in order:
+                yield a, next(traces)
+        return
+    at = None  # the run index whose blocks are kept
+    try:
+        for a, r in order:
+            if run_major and r != at:
+                at = r
+                _kept.streams = {_stream(cfgs[arms[0]], n, r): [] for arms in shared.values()}
+            yield a, run(inst, cfgs[a], surface, run_index=r)
+    finally:
+        if at is not None:
+            _kept.streams = None
+
+
 def ensemble_runs(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
 ) -> Iterator[RunTrace]:
     """The runs of `ensemble`, yielded in order, so a caller need hold only one."""
-    if cfg.jobs > 1:
-        # imported here: multiprocessing costs every process ~1 MB and ~14 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            yield from pool.map(_ensemble_worker,
-                                [(inst, cfg, surface, r) for r in range(cfg.runs)])
-    else:
-        yield from (run(inst, cfg, surface, run_index=r) for r in range(cfg.runs))
+    # map holds no run between items, as a loop variable would
+    return map(operator.itemgetter(1), paired_runs(inst, [cfg], surface))
 
 
 def ensemble(

@@ -252,6 +252,22 @@ class TestSweeps:
         assert lines[0].startswith("cv,error_uncalibrated")
         assert len(lines) == 3
 
+    def test_sweep_drift_nan_slope_exits_3(self, runner, tmp_path):
+        out = tmp_path / "sd.csv"
+        r = runner.invoke(main, ["sweep-drift", "--mhrs", "nan", "--sizes", "10",
+                                 "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [device]: m_hrs and s_rw must be >= 0" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size", ["-3", "0", "1"])
+    def test_sweep_drift_size_below_two_exits_3(self, runner, tmp_path, size):
+        out = tmp_path / "sd.csv"
+        r = runner.invoke(main, ["sweep-drift", "--sizes", f"10,{size}", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert f"error [experiments]: ladder sizes must be >= 2, got {size}" in r.output
+        assert not out.exists()
+
     def test_sweep_d2d_too_few_runs_exit_3(self, runner, tmp_path):
         out = tmp_path / "d2d.csv"
         r = runner.invoke(main, ["sweep-d2d", "--nodes", "24", "--iters", "200", "--runs", "5",

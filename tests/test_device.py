@@ -222,6 +222,11 @@ class TestDriftModelValidation:
         with pytest.raises(ValueError):
             DriftModel(hrs_tolerance=1.0)
 
+    @pytest.mark.parametrize("name", ["m_hrs", "s_rw", "hrs_tolerance"])
+    def test_nan_rejected(self, name):
+        with pytest.raises(InvalidParameter):
+            DriftModel(**{name: math.nan})
+
 
 def test_switch_probability_free_function():
     assert p_switch(math.log10(1e-5), -5.0, 0.3) == pytest.approx(0.5, abs=1e-12)

@@ -430,18 +430,47 @@ class TestD2DExperiment:
             ))
         return experiments.D2DSweepResult(settling_ideal=e_ideal, rows=rows)
 
-    def test_same_floats_as_holding_every_run(self, ref_surface, ref_drift):
+    # the (cv, calibrated) arms of d2d_experiment at cvs 0.0, 0.1 and 0.3
+    d2d_arms = [(0.0, False)] + [(cv, cal) for cv in (0.0, 0.1, 0.3) for cal in (False, True)]
+
+    def same_floats_as_holding_every_run(self, cfg, surface, monkeypatch):
+        """Compare d2d_experiment with holding_every_run; returns the order
+        in which d2d_experiment ran its runs, as (arm, run index) with arms
+        as in `d2d_arms`."""
         inst = generate_instance(30, 4.0, seed=1)
-        cfg = BoltzmannConfig(max_iters=3000, runs=10, seed=1, drift=ref_drift)
         cvs = [0.0, 0.1, 0.3]
-        got = d2d_experiment(inst, cvs, cfg, ref_surface)
-        want = self.holding_every_run(inst, cvs, cfg, ref_surface)
+        order = []
+        original = sampler.run
+
+        def spy(inst, cfg, surface, run_index=0):
+            order.append(((cfg.d2d_cv, cfg.calibrate), run_index))
+            return original(inst, cfg, surface, run_index)
+
+        monkeypatch.setattr(sampler, "run", spy)
+        got = d2d_experiment(inst, cvs, cfg, surface)
+        monkeypatch.undo()
+        want = self.holding_every_run(inst, cvs, cfg, surface)
         assert repr(got.settling_ideal) == repr(want.settling_ideal)
         assert len(got.rows) == len(want.rows) == 3
         for g, w in zip(got.rows, want.rows):
             for f in dataclasses.fields(w):
                 assert repr(getattr(g, f.name)) == repr(getattr(w, f.name)), f.name
         assert got.rows[1].calib_failures > 0 and got.rows[2].calib_failures > 0
+        return order
+
+    def test_same_floats_as_holding_every_run(self, ref_surface, ref_drift, monkeypatch):
+        cfg = BoltzmannConfig(max_iters=3000, runs=10, seed=1, drift=ref_drift)
+        order = self.same_floats_as_holding_every_run(cfg, ref_surface, monkeypatch)
+        # one block per run is kept for the seven arms: they run run-major
+        assert order == [(a, r) for r in range(10) for a in self.d2d_arms]
+
+    def test_same_floats_when_runs_exceed_the_kept_blocks(self, ref_surface, ref_drift,
+                                                          monkeypatch):
+        # ten 128 KiB ideal-scheme blocks per run, over the 1 MiB kept: arm-major
+        cfg = BoltzmannConfig(max_iters=80_000, runs=10, seed=1, drift=ref_drift)
+        assert 10 * sampler._block_bytes(scheme_code("ideal")) > sampler._KEEP_BYTES
+        order = self.same_floats_as_holding_every_run(cfg, ref_surface, monkeypatch)
+        assert order == [(a, r) for a in self.d2d_arms for r in range(10)]
 
     def test_process_pool_gives_the_same_result(self, ref_surface, ref_drift):
         inst = generate_instance(16, 4.0, seed=5)

@@ -31,6 +31,7 @@ from stochanneal.device import (
     field_to_voltage,
     mu_sigma,
     p_switch,
+    scheme_code,
 )
 from stochanneal.errors import InvalidParameter, MissingBestKnown, Unattainable
 from stochanneal.experiments import moving_average, settling_energy_of
@@ -384,6 +385,136 @@ class TestEnsemble:
         assert outcomes(t1) == outcomes(t2)
         for a, b in zip(t1, t2):
             assert np.array_equal(a.energies, b.energies)
+
+
+def _kept_streams():
+    return getattr(sampler._kept, "streams", None)
+
+
+class TestPairedRuns:
+    """Arms that share a stream draw its blocks once (see sampler.paired_runs)."""
+
+    # three blocks per run; five arms in the shape of d2d_experiment's
+    ITERS, BLOCKS, RUNS = 2 * 8192 + 100, 3, 4
+    ARMS = ((0.0, False), (0.1, False), (0.1, True), (0.2, False), (0.2, True))
+
+    def arms(self, drift, **fields):
+        base = BoltzmannConfig(max_iters=self.ITERS, runs=self.RUNS, seed=9,
+                               scheme="monitored", drift=drift, **fields)
+        return [replace(base, d2d_cv=cv, calibrate=cal) for cv, cal in self.ARMS]
+
+    def test_each_block_drawn_once_and_runs_unchanged(self, ref_surface, ref_drift,
+                                                      monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        cfgs = self.arms(ref_drift)
+        draws = []
+        original = sampler.reset_noise
+
+        def spy(*args):
+            draws.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(sampler, "reset_noise", spy)
+        got = list(sampler.paired_runs(inst, cfgs, ref_surface))
+        assert len(draws) == self.RUNS * self.BLOCKS  # 5 * RUNS * BLOCKS, one per arm
+        assert [(a, t.run_index) for a, t in got] == [
+            (a, r) for r in range(self.RUNS) for a in range(len(cfgs))]
+        draws.clear()
+        for a, cfg in enumerate(cfgs):
+            alone = ensemble(inst, cfg, ref_surface)
+            assert len(draws) == (a + 1) * self.RUNS * self.BLOCKS
+            for want, (_, trace) in zip(alone, [p for p in got if p[0] == a]):
+                _assert_traces_equal(want, trace)
+
+    def test_a_stream_of_its_own_draws_its_own_blocks(self, ref_surface, ref_drift,
+                                                      monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        cfgs = self.arms(ref_drift)
+        cfgs[2] = replace(cfgs[2], seed=10)
+        draws = []
+        original = sampler.reset_noise
+        monkeypatch.setattr(sampler, "reset_noise", lambda *a: draws.append(a) or original(*a))
+        got = list(sampler.paired_runs(inst, cfgs, ref_surface))
+        assert len(draws) == 2 * self.RUNS * self.BLOCKS
+        monkeypatch.undo()
+        for want, (_, trace) in zip(ensemble(inst, cfgs[2], ref_surface),
+                                    [p for p in got if p[0] == 2]):
+            _assert_traces_equal(want, trace)
+
+    def test_served_blocks_are_read_only(self, ref_surface, ref_drift, monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        states = []
+        original = sampler.make_state
+
+        def keep(*args, **kwargs):
+            states.append(original(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(sampler, "make_state", keep)
+        list(sampler.paired_runs(inst, self.arms(ref_drift), ref_surface))
+        assert len(states) == len(self.ARMS) * self.RUNS
+        for state in states:
+            for a in state.block:
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
+    def test_nothing_kept_for_one_config_or_after_the_runs(self, ref_surface, ref_drift,
+                                                           monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        kept = []
+        original = sampler.run
+
+        def spy(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            streams = _kept_streams() or {}
+            kept.append(sum(a.nbytes for blocks in streams.values()
+                            for block in blocks for a in block))
+            return trace
+
+        monkeypatch.setattr(sampler, "run", spy)
+        ensemble(inst, self.arms(ref_drift)[0], ref_surface)
+        assert kept == [0] * self.RUNS
+        assert _kept_streams() is None
+        kept.clear()
+        list(sampler.paired_runs(inst, self.arms(ref_drift), ref_surface))
+        assert kept == [self.BLOCKS * sampler._block_bytes(scheme_code("monitored"))] * (
+            len(self.ARMS) * self.RUNS)
+        assert max(kept) <= sampler._KEEP_BYTES
+        assert _kept_streams() is None
+
+    def test_process_pool_runs_the_same_order(self, ref_surface, ref_drift):
+        inst = generate_instance(20, 3.0, seed=30)
+        one = list(sampler.paired_runs(inst, self.arms(ref_drift), ref_surface))
+        two = list(sampler.paired_runs(inst, self.arms(ref_drift, jobs=2), ref_surface))
+        assert [a for a, _ in two] == [a for a, _ in one]
+        for (_, want), (_, got) in zip(one, two):
+            _assert_traces_equal(want, got)
+
+    @pytest.mark.parametrize("kernel", [True, False], ids=["c", "python"])
+    def test_a_state_past_the_kept_blocks_draws_them_itself(self, kernel, ref_surface,
+                                                             ref_drift):
+        kernel = _kernel_or_skip() if kernel else None
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = self.arms(ref_drift)[1]
+        key = sampler._stream(cfg, inst.n, 0)
+        sampler._kept.streams = {key: []}
+        try:
+            first = make_state(inst, cfg, ref_surface)
+            second = make_state(inst, cfg, ref_surface)
+            sampler._advance(first, 8192, kernel)       # draws block 0 and keeps it
+            head = sampler._advance(second, 8192, kernel)  # is served block 0
+            assert second.block is sampler._kept.streams[key][0]
+            sampler._kept.streams = None
+            # block 1 is not kept: second draws blocks 0 and 1 itself
+            tail = sampler._advance(second, 8192, kernel)
+        finally:
+            sampler._kept.streams = None
+        assert second.block[0].flags.writeable
+        alone = make_state(inst, cfg, ref_surface)
+        whole = sampler._advance(alone, 2 * 8192, kernel)
+        assert np.concatenate([head, tail]).tolist() == whole.tolist()
+        _assert_states_equal(alone, second)
 
 
 # strong enough drift that fixed-input runs clamp HRS at the window ends
