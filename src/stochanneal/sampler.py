@@ -63,10 +63,11 @@ log = logging.getLogger(__name__)
 _RNG_BLOCK = 8192
 # the most bytes of RNG blocks `paired_runs` keeps for the arms of one run index
 _KEEP_BYTES = 1 << 20
-# `.streams`, while `paired_runs` runs the arms of one run index in this
-# thread: stream key (see `_stream`) -> that stream's blocks drawn so far,
-# read-only; None otherwise. It is not passed to `run`, whose signature the
-# callers that wrap it fix; a state that finds no block kept draws its own.
+# While `paired_runs` runs the arms of one run index in this thread,
+# `.streams`: stream key (see `_stream`) -> that stream's blocks drawn so far,
+# read-only, and `.starts`: (id of the form, seed, run index) -> (form, Start);
+# both None otherwise. They are not passed to `run`, whose signature the
+# callers that wrap it fix; a state that finds nothing kept makes its own.
 _kept = threading.local()
 
 ACTIVATION_DEVICE = "device"
@@ -92,14 +93,14 @@ class BoltzmannConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.gain <= 0:
-            raise InvalidParameter("gain must be > 0")
+        if not 0 < self.gain < math.inf:  # NaN too
+            raise InvalidParameter(f"gain must be > 0 and finite, got {self.gain}")
         if self.max_iters < 0:
             raise InvalidParameter(f"max_iters must be >= 0, got {self.max_iters}")
         if self.runs < 1:
             raise InvalidParameter("runs must be >= 1")
-        if not self.d2d_cv >= 0:  # NaN too
-            raise InvalidParameter(f"d2d_cv must be >= 0, got {self.d2d_cv}")
+        if not 0 <= self.d2d_cv < math.inf:
+            raise InvalidParameter(f"d2d_cv must be >= 0 and finite, got {self.d2d_cv}")
         if self.jobs < 1:
             raise InvalidParameter(f"jobs must be >= 1, got {self.jobs}")
         scheme_code(self.scheme)  # raises on an unknown scheme
@@ -168,6 +169,34 @@ class State:
     t: int = 0
     block: Optional[tuple] = None   # the RNG block in use, consumed from `cursor` on
     cursor: int = 0
+
+
+# What a run starts from, which depends on (instance, seed, run index) alone:
+# the five SeedSequence children (see the module docstring), the initial
+# configuration x, its local fields u, the field scale and the energy.
+Start = collections.namedtuple("Start", "children x u u_scale energy")
+
+
+def _start(form: BoltzmannForm, seed: int, run_index: int) -> Start:
+    """The start of run `run_index` on `form` under `seed`.
+
+    While `paired_runs` keeps the starts of a run index (`_kept.starts`),
+    the first arm's start is kept, its x and u read-only, and served to the
+    arms after it; the caller copies x and u, which the loop writes.
+    """
+    starts = getattr(_kept, "starts", None)
+    key = (id(form), seed, run_index)  # the form is kept beside, so its id stays its own
+    if starts is not None and key in starts:
+        return starts[key][1]
+    children = tuple(np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(5))
+    x = np.random.default_rng(children[0]).integers(0, 2, form.n).astype(np.int8)
+    u = np.array(init_fields(form, x), dtype=np.int64 if form.fits_in_53_bits else object)
+    u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
+    start = Start(children, x, u, u_scale, energy_of(form, x))
+    if starts is not None:
+        x.flags.writeable = u.flags.writeable = False
+        starts[key] = (form, start)
+    return start
 
 
 def _stream(cfg: BoltzmannConfig, n: int, run_index: int) -> tuple:
@@ -555,12 +584,9 @@ def make_state(
                          f"surface range {surface.v_range}")
     form = inst.form
     n = inst.n
-    root = np.random.SeedSequence(cfg.seed, spawn_key=(run_index,))
-    ss_init, ss_dev, ss_cal, ss_loop, ss_scheme = root.spawn(5)
-
-    x = np.random.default_rng(ss_init).integers(0, 2, n).astype(np.int8)
-    u = np.array(init_fields(form, x), dtype=np.int64 if form.fits_in_53_bits else object)
-    u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
+    start = _start(form, cfg.seed, run_index)
+    _, ss_dev, ss_cal, ss_loop, ss_scheme = start.children
+    x, u = start.x.copy(), start.u.copy()
 
     nominal = surface.clamp_hrs(_nominal_hrs(surface))
     rng_dev = np.random.default_rng(ss_dev)
@@ -602,14 +628,14 @@ def make_state(
     else:
         threshold = math.nan  # no cut compares >= NaN
     params = Params(
-        V_CENTER, V_MIN, V_MAX, cfg.gain, 1.0 / u_scale, math.log10(t_pw),
+        V_CENTER, V_MIN, V_MAX, cfg.gain, 1.0 / start.u_scale, math.log10(t_pw),
         *surface.mu_coeffs, *surface.sigma_coeffs, surface.sigma_floor,
         cfg.drift.m_hrs, cfg.drift.s_rw, *surface.r_range, threshold,
         scheme_code(cfg.scheme), int(cfg.activation == ACTIVATION_LOGISTIC),
         cfg.energy_stride if cfg.energy_stride is not None else (1 if n <= 512 else n),
         int(cfg.stop_on_convergence),
     )
-    e0 = energy_of(form, x)
+    e0 = start.energy
     return State(
         params=params, form=form, x=x, u=u, hrs=hrs, targets=targets, offs=offs,
         cyc=np.zeros(n, dtype=np.int64), best_x=x.copy(), energy=e0, best_energy=e0,
@@ -672,9 +698,12 @@ def paired_runs(
     blocks of one run index fit in _KEEP_BYTES, the arms run run-major (every
     arm at run 0, then every arm at run 1, ...), and the blocks the first of
     them draws are kept, read-only, for the others until the run index ends.
-    Otherwise the arms run arm-major, one run at a time, and nothing is kept;
-    nothing is kept for a single config either. Results are the same either
-    way. With jobs > 1 a process pool runs the same order, keeping nothing.
+    So is the run index's start (`_start`: the seed's children, x, u, the
+    field scale and the energy), which `make_state` builds once for all the
+    arms, copying x and u for each. Otherwise the arms run arm-major, one run
+    at a time, and nothing is kept; nothing is kept for a single config
+    either. Results are the same either way. With jobs > 1 a process pool
+    runs the same order, keeping nothing.
     """
     cfgs = list(cfgs)
     n = inst.n
@@ -707,10 +736,11 @@ def paired_runs(
             if run_major and r != at:
                 at = r
                 _kept.streams = {_stream(cfgs[arms[0]], n, r): [] for arms in shared.values()}
+                _kept.starts = {}
             yield a, run(inst, cfgs[a], surface, run_index=r)
     finally:
         if at is not None:
-            _kept.streams = None
+            _kept.streams = _kept.starts = None
 
 
 def ensemble_runs(

@@ -109,6 +109,17 @@ class TestSolve:
         assert r.exit_code == 3, r.output
         assert f"error [surface]: t_pw={width} s must be a finite double > 0" in r.output
 
+    @pytest.mark.parametrize("option, name", [("--gain", "gain"), ("--d2d-cv", "d2d_cv")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_gain_or_spread_exits_3(self, runner, tmp_path, option, name, value):
+        (tmp_path / "k3.rudy").write_text(K3_TEXT)
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "k3.rudy"),
+                                 option, value, "--iters", "10", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert f"error [sampler]: {name} must be" in r.output
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         inst = tmp_path / "k3.rudy"
         inst.write_text(K3_TEXT)
@@ -266,6 +277,15 @@ class TestSweeps:
         r = runner.invoke(main, ["sweep-drift", "--sizes", f"10,{size}", "--out", str(out)])
         assert r.exit_code == 3, r.output
         assert f"error [experiments]: ladder sizes must be >= 2, got {size}" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cv", ["nan", "inf", "-inf"])
+    def test_sweep_d2d_non_finite_cv_exits_3(self, runner, tmp_path, cv):
+        out = tmp_path / "d2d.csv"
+        r = runner.invoke(main, ["sweep-d2d", "--cv", f"0.1,{cv}", "--nodes", "12",
+                                 "--iters", "200", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [sampler]: d2d_cv must be >= 0 and finite" in r.output
         assert not out.exists()
 
     def test_sweep_d2d_too_few_runs_exit_3(self, runner, tmp_path):

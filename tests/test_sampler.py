@@ -391,6 +391,10 @@ def _kept_streams():
     return getattr(sampler._kept, "streams", None)
 
 
+def _kept_starts():
+    return getattr(sampler._kept, "starts", None)
+
+
 class TestPairedRuns:
     """Arms that share a stream draw its blocks once (see sampler.paired_runs)."""
 
@@ -405,25 +409,63 @@ class TestPairedRuns:
 
     def test_each_block_drawn_once_and_runs_unchanged(self, ref_surface, ref_drift,
                                                       monkeypatch):
+        # and each run index's start built once
         inst = generate_instance(20, 3.0, seed=30)
         cfgs = self.arms(ref_drift)
-        draws = []
-        original = sampler.reset_noise
+        draws, starts = [], []
+        original, init_fields = sampler.reset_noise, sampler.init_fields
 
         def spy(*args):
             draws.append(args)
             return original(*args)
 
         monkeypatch.setattr(sampler, "reset_noise", spy)
+        monkeypatch.setattr(sampler, "init_fields", lambda *a: starts.append(a) or init_fields(*a))
         got = list(sampler.paired_runs(inst, cfgs, ref_surface))
         assert len(draws) == self.RUNS * self.BLOCKS  # 5 * RUNS * BLOCKS, one per arm
+        assert len(starts) == self.RUNS               # 5 * RUNS, one per arm
         assert [(a, t.run_index) for a, t in got] == [
             (a, r) for r in range(self.RUNS) for a in range(len(cfgs))]
         draws.clear()
+        starts.clear()
         for a, cfg in enumerate(cfgs):
             alone = ensemble(inst, cfg, ref_surface)
             assert len(draws) == (a + 1) * self.RUNS * self.BLOCKS
+            assert len(starts) == (a + 1) * self.RUNS
             for want, (_, trace) in zip(alone, [p for p in got if p[0] == a]):
+                _assert_traces_equal(want, trace)
+
+    def test_each_arm_writes_a_copy_of_the_start(self, ref_surface, ref_drift, monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        cfgs = self.arms(ref_drift)
+        fresh = [sampler._start(inst.form, cfgs[0].seed, r) for r in range(self.RUNS)]
+        states = []
+        original = sampler.make_state
+
+        def keep(*args, **kwargs):
+            states.append(original(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(sampler, "make_state", keep)
+        got = []
+        for a, trace in sampler.paired_runs(inst, cfgs, ref_surface):
+            got.append((a, trace))
+            state, want = states[-1], fresh[trace.run_index]
+            (form, start), = _kept_starts().values()
+            assert form is inst.form
+            # the loop has written this arm's x and u; write them again
+            state.x[:] = 1 - state.x
+            state.u[:] += 7
+            assert not np.shares_memory(state.x, start.x)
+            assert not np.shares_memory(state.u, start.u)
+            assert start.x.tolist() == want.x.tolist() and start.u.tolist() == want.u.tolist()
+            assert (start.u_scale, start.energy) == (want.u_scale, want.energy)
+            with pytest.raises(ValueError):
+                start.x[0] = 0
+        monkeypatch.undo()
+        for a, cfg in enumerate(cfgs):
+            for want, (_, trace) in zip(ensemble(inst, cfg, ref_surface),
+                                        [p for p in got if p[0] == a]):
                 _assert_traces_equal(want, trace)
 
     def test_a_stream_of_its_own_draws_its_own_blocks(self, ref_surface, ref_drift,
@@ -468,20 +510,21 @@ class TestPairedRuns:
         def spy(*args, **kwargs):
             trace = original(*args, **kwargs)
             streams = _kept_streams() or {}
-            kept.append(sum(a.nbytes for blocks in streams.values()
-                            for block in blocks for a in block))
+            kept.append((sum(a.nbytes for blocks in streams.values()
+                             for block in blocks for a in block),
+                         len(_kept_starts() or {})))
             return trace
 
         monkeypatch.setattr(sampler, "run", spy)
         ensemble(inst, self.arms(ref_drift)[0], ref_surface)
-        assert kept == [0] * self.RUNS
-        assert _kept_streams() is None
+        assert kept == [(0, 0)] * self.RUNS
+        assert _kept_streams() is None and _kept_starts() is None
         kept.clear()
         list(sampler.paired_runs(inst, self.arms(ref_drift), ref_surface))
-        assert kept == [self.BLOCKS * sampler._block_bytes(scheme_code("monitored"))] * (
+        assert kept == [(self.BLOCKS * sampler._block_bytes(scheme_code("monitored")), 1)] * (
             len(self.ARMS) * self.RUNS)
-        assert max(kept) <= sampler._KEEP_BYTES
-        assert _kept_streams() is None
+        assert max(b for b, _ in kept) <= sampler._KEEP_BYTES
+        assert _kept_streams() is None and _kept_starts() is None
 
     def test_process_pool_runs_the_same_order(self, ref_surface, ref_drift):
         inst = generate_instance(20, 3.0, seed=30)
@@ -1037,6 +1080,12 @@ class TestSqueeze:
         for g in (_SQ_LO + j / _SQ_INV_STEP,)
         for a in (*_ulps(g, 2), g + _SQ_STEP / 3, g + _SQ_STEP / 2)
     } | {-3.3, -0.7071, 0.1, 0.977, 2.5, 5.9} if _kernel_cell(a) is not None)
+    # erf arguments off the grid, or NaN
+    OFF_GRID = (
+        math.nan, -math.nan, math.inf, -math.inf, -1e300, 1e300,
+        _SQ_LO, math.nextafter(_SQ_LO + _SQ_STEP, -math.inf),
+        -_SQ_LO - _SQ_STEP, -_SQ_LO, 40.0,
+    )
 
     @staticmethod
     def _thresholds(a, table):
@@ -1076,11 +1125,21 @@ class TestSqueeze:
             assert kernel_lib.sa_squeeze(table[j - 1] - 2 * _SQ_MARGIN, a) == 1
             assert kernel_lib.sa_squeeze(table[j + 2] + 2 * _SQ_MARGIN, a) == 0
 
-    @pytest.mark.parametrize("a", [
-        math.nan, -math.nan, math.inf, -math.inf, -1e300, 1e300,
-        _SQ_LO, math.nextafter(_SQ_LO + _SQ_STEP, -math.inf),
-        -_SQ_LO - _SQ_STEP, -_SQ_LO, 40.0,
-    ], ids=repr)
+    def test_exact_three_way_map(self, kernel_lib):
+        # which uniforms the table decides, to the ulp: a rewrite that sent
+        # more of them to erf would still decide the rest rightly
+        table, us = _squeeze_table(kernel_lib), set()
+        for a in self.ARGS:
+            j = _kernel_cell(a)
+            lo, hi = table[j - 1] - _SQ_MARGIN, table[j + 2] + _SQ_MARGIN
+            for u in self._thresholds(a, table):
+                us.add(u)
+                want = 1 if u < lo else 0 if u >= hi else -1
+                assert kernel_lib.sa_squeeze(u, a) == want, (a, u)
+        for a in self.OFF_GRID:
+            assert all(kernel_lib.sa_squeeze(u, a) == -1 for u in us), a
+
+    @pytest.mark.parametrize("a", OFF_GRID, ids=repr)
     def test_off_the_grid_or_nan_calls_erf(self, a, kernel_lib):
         for u in (-1.0, 0.0, 0.25, 0.5, 1.0 - 2.0 ** -53, 2.0):
             assert kernel_lib.sa_squeeze(u, a) == -1
@@ -1401,6 +1460,12 @@ class TestConfigValidation:
     def test_gain_positive(self):
         with pytest.raises(ValueError):
             BoltzmannConfig(gain=0.0)
+
+    @pytest.mark.parametrize("name, bound", [("gain", "> 0"), ("d2d_cv", ">= 0")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_gain_and_spread_rejected(self, name, bound, value):
+        with pytest.raises(InvalidParameter, match=f"{name} must be {bound} and finite"):
+            BoltzmannConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value",
                              [("max_iters", -1), ("d2d_cv", -0.1), ("d2d_cv", math.nan)])
