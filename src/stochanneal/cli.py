@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import os
 import sys
 
@@ -176,7 +177,8 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
                     fh.write(f"{t.run_index},{(k + 1) * t.stride},{e}\n")
     write_manifest(
         out_path + ".manifest.json", "solve",
-        {**dataclasses.asdict(cfg), "instance": str(instance_path)},
+        {**dataclasses.asdict(cfg), "instance": str(instance_path),
+         "best_known": inst.best_known},
         seed, params_path, kernel=",".join(sorted({t.kernel for t in traces})),
     )
     click.echo(f"best cut {max(t.best_cut for t in traces)} over {len(traces)} runs -> {out_path}")
@@ -288,6 +290,8 @@ def calibrate(mu_target, precision, devices, cv, params_path, vref, seed, out_pa
     """Per-device HRS calibration demo: mu_eff before/after tuning."""
     if devices < 0:
         raise InvalidParameter(f"--devices must be >= 0, got {devices}")
+    if not 0 <= cv < math.inf:  # NaN too, as BoltzmannConfig checks d2d_cv
+        raise InvalidParameter(f"--cv must be >= 0 and finite, got {cv}")
     surface, drift, params_path = _load_device_params(params_path)
     click.echo(f"seed = {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -5,8 +5,8 @@ Every comparison here is paired: arms that differ in one manipulated variable
 (drift on/off, calibrated or not) share the same seed, and the sampler's
 stream split guarantees they see identical node picks and Bernoulli
 thresholds. Differences in outcomes are attributable to the manipulation.
-The d2d arms run through `sampler.paired_runs`, so the random blocks they
-share are drawn once per run index, not once per arm.
+The d2d arms run through `sampler.paired_runs`, so at each run index they
+share one start and one draw of their random blocks, not one per arm.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ numpy's SeedSequence(seed, spawn_key=(run_index,)) - initial configuration,
 device offsets, calibration noise, loop draws (node picks + Bernoulli
 thresholds), and scheme actuator noise - so paired comparisons (ideal vs
 drifting, calibrated vs not) see identical loop dynamics. `paired_runs` runs
-such arms so that the loop and noise blocks they share are drawn once.
+such arms so that, at each run index, they share one record (`_Kept`): the
+start, built once, and the loop and noise blocks, each drawn once.
 """
 
 from __future__ import annotations
@@ -63,11 +64,9 @@ log = logging.getLogger(__name__)
 _RNG_BLOCK = 8192
 # the most bytes of RNG blocks `paired_runs` keeps for the arms of one run index
 _KEEP_BYTES = 1 << 20
-# While `paired_runs` runs the arms of one run index in this thread,
-# `.streams`: stream key (see `_stream`) -> that stream's blocks drawn so far,
-# read-only, and `.starts`: (id of the form, seed, run index) -> (form, Start);
-# both None otherwise. They are not passed to `run`, whose signature the
-# callers that wrap it fix; a state that finds nothing kept makes its own.
+# `.run`: while `paired_runs` runs the arms of one run index in this thread,
+# the `_Kept` record they share; None otherwise. It is not passed to `run`,
+# whose signature the callers that wrap it fix; `make_state` looks it up.
 _kept = threading.local()
 
 ACTIVATION_DEVICE = "device"
@@ -176,27 +175,29 @@ class State:
 # configuration x, its local fields u, the field scale and the energy.
 Start = collections.namedtuple("Start", "children x u u_scale energy")
 
+# A run's form and stream key (`_stream`), its start (x and u read-only), its
+# stream's loop and Reset-noise generators, and the blocks those have drawn so
+# far, read-only, or None when the run keeps none. While `paired_runs` runs the
+# arms of one run index, the runs whose form and key match share one record.
+_Kept = collections.namedtuple("_Kept", "form key start gens blocks")
+
 
 def _start(form: BoltzmannForm, seed: int, run_index: int) -> Start:
-    """The start of run `run_index` on `form` under `seed`.
-
-    While `paired_runs` keeps the starts of a run index (`_kept.starts`),
-    the first arm's start is kept, its x and u read-only, and served to the
-    arms after it; the caller copies x and u, which the loop writes.
-    """
-    starts = getattr(_kept, "starts", None)
-    key = (id(form), seed, run_index)  # the form is kept beside, so its id stays its own
-    if starts is not None and key in starts:
-        return starts[key][1]
+    """The start of run `run_index` on `form` under `seed`."""
     children = tuple(np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(5))
     x = np.random.default_rng(children[0]).integers(0, 2, form.n).astype(np.int8)
     u = np.array(init_fields(form, x), dtype=np.int64 if form.fits_in_53_bits else object)
     u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
-    start = Start(children, x, u, u_scale, energy_of(form, x))
-    if starts is not None:
-        x.flags.writeable = u.flags.writeable = False
-        starts[key] = (form, start)
-    return start
+    return Start(children, x, u, u_scale, energy_of(form, x))
+
+
+def _record(form: BoltzmannForm, cfg: BoltzmannConfig, run_index: int,
+            blocks: Optional[list]) -> _Kept:
+    """A fresh record of run `run_index` of cfg on `form`, keeping `blocks`."""
+    start = _start(form, cfg.seed, run_index)
+    start.x.flags.writeable = start.u.flags.writeable = False  # each run copies them
+    gens = tuple(np.random.default_rng(ss) for ss in start.children[3:])
+    return _Kept(form, _stream(cfg, form.n, run_index), start, gens, blocks)
 
 
 def _stream(cfg: BoltzmannConfig, n: int, run_index: int) -> tuple:
@@ -209,34 +210,26 @@ def _block_bytes(scheme: int) -> int:
     return _RNG_BLOCK * (24 if scheme else 16)
 
 
-def _draws(ss_loop, ss_scheme, n: int, scheme: int, tol: float, key: tuple):
+def _draws(gens: tuple, n: int, scheme: int, tol: float, blocks: Optional[list]):
     """Endless RNG blocks: (node picks, Bernoulli thresholds, Reset noise).
 
-    Block b of stream `key` comes from the blocks kept for it (`_kept`) when
-    another state has drawn it; otherwise this state's own generators draw
-    it, after drawing again the blocks it was served, and it is kept,
-    read-only, when it is the first block of the stream not yet kept.
+    `gens` are the stream's loop and Reset-noise generators. `blocks`, when
+    given, holds the blocks of the stream that the states sharing `gens`
+    have drawn so far: block b is served from it if a state has drawn it,
+    and is otherwise drawn now and appended, read-only.
     """
-    rng_loop = rng_scheme = None
-    drawn = 0  # blocks this state's generators have drawn
+    rng_loop, rng_scheme = gens
     for b in itertools.count():
-        streams = getattr(_kept, "streams", None)
-        kept = None if streams is None else streams.get(key)
-        if kept is not None and b < len(kept):
-            yield kept[b]
+        if blocks is not None and b < len(blocks):
+            yield blocks[b]
             continue
-        if rng_loop is None:
-            rng_loop = np.random.default_rng(ss_loop)
-            rng_scheme = np.random.default_rng(ss_scheme)
-        while drawn <= b:
-            block = (rng_loop.integers(0, n, _RNG_BLOCK), rng_loop.random(_RNG_BLOCK),
-                     reset_noise(scheme, tol, rng_scheme, _RNG_BLOCK))
-            drawn += 1
-        if kept is not None and b == len(kept):
+        block = (rng_loop.integers(0, n, _RNG_BLOCK), rng_loop.random(_RNG_BLOCK),
+                 reset_noise(scheme, tol, rng_scheme, _RNG_BLOCK))
+        if blocks is not None:
             for a in block:
                 if a is not None:
                     a.flags.writeable = False
-            kept.append(block)
+            blocks.append(block)
         yield block
 
 
@@ -584,8 +577,11 @@ def make_state(
                          f"surface range {surface.v_range}")
     form = inst.form
     n = inst.n
-    start = _start(form, cfg.seed, run_index)
-    _, ss_dev, ss_cal, ss_loop, ss_scheme = start.children
+    kept = getattr(_kept, "run", None)
+    if kept is None or kept.form is not form or kept.key != _stream(cfg, n, run_index):
+        kept = _record(form, cfg, run_index, None)  # shares nothing, keeps no blocks
+    start = kept.start
+    _, ss_dev, ss_cal, _, _ = start.children
     x, u = start.x.copy(), start.u.copy()
 
     nominal = surface.clamp_hrs(_nominal_hrs(surface))
@@ -640,8 +636,7 @@ def make_state(
         params=params, form=form, x=x, u=u, hrs=hrs, targets=targets, offs=offs,
         cyc=np.zeros(n, dtype=np.int64), best_x=x.copy(), energy=e0, best_energy=e0,
         converged_at=0 if -e0 >= threshold else None, clamps=clamps,
-        draws=_draws(ss_loop, ss_scheme, n, params.scheme, cfg.drift.hrs_tolerance,
-                     _stream(cfg, n, run_index)),
+        draws=_draws(kept.gens, n, params.scheme, cfg.drift.hrs_tolerance, kept.blocks),
         calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
     )
 
@@ -693,28 +688,24 @@ def paired_runs(
     """(arm index, run) for every run of every config (arm) in `cfgs`; each
     arm's runs come in run order, and every run is a `run` call.
 
-    Arms whose runs at one run index draw the same stream (`_stream`), as
-    those of `experiments.d2d_experiment` do, draw its blocks once. When the
-    blocks of one run index fit in _KEEP_BYTES, the arms run run-major (every
-    arm at run 0, then every arm at run 1, ...), and the blocks the first of
-    them draws are kept, read-only, for the others until the run index ends.
-    So is the run index's start (`_start`: the seed's children, x, u, the
-    field scale and the energy), which `make_state` builds once for all the
-    arms, copying x and u for each. Otherwise the arms run arm-major, one run
-    at a time, and nothing is kept; nothing is kept for a single config
-    either. Results are the same either way. With jobs > 1 a process pool
-    runs the same order, keeping nothing.
+    The arms that draw the first arm's stream (`_stream`), as every arm of
+    `experiments.d2d_experiment` does, share it. When they are two or more
+    and the blocks of one run index fit in _KEEP_BYTES, the arms run
+    run-major (every arm at run 0, then every arm at run 1, ...), and each
+    run index has one record (`_Kept`, in `_kept.run`) until the next: its
+    start, which `make_state` copies x and u from, and the stream's
+    generators and blocks, which the first run to need a block draws and
+    keeps read-only for the others. Otherwise the arms run arm-major, one
+    run at a time, and nothing is kept. Results are the same either way.
+    With jobs > 1 a process pool runs the same order, keeping nothing.
     """
     cfgs = list(cfgs)
     n = inst.n
-    by_stream = collections.defaultdict(list)
-    for a, cfg in enumerate(cfgs):
-        by_stream[_stream(cfg, n, 0)].append(a)
-    shared = {key: arms for key, arms in by_stream.items() if len(arms) > 1}
-    # the blocks of one run index: those of the longest run of each shared stream
-    need = sum(-(-max(cfgs[a].max_iters for a in arms) // _RNG_BLOCK) * _block_bytes(key[3])
-               for key, arms in shared.items())
-    run_major = bool(shared) and need <= _KEEP_BYTES
+    key = _stream(cfgs[0], n, 0)
+    sharing = [cfg for cfg in cfgs if _stream(cfg, n, 0) == key]
+    # the blocks of one run index: those of the longest run that draws the stream
+    need = -(-max(cfg.max_iters for cfg in sharing) // _RNG_BLOCK) * _block_bytes(key[3])
+    run_major = len(sharing) > 1 and need <= _KEEP_BYTES
     if run_major:
         order = [(a, r) for r in range(max(cfg.runs for cfg in cfgs))
                  for a, cfg in enumerate(cfgs) if r < cfg.runs]
@@ -730,17 +721,16 @@ def paired_runs(
             for a, _ in order:
                 yield a, next(traces)
         return
-    at = None  # the run index whose blocks are kept
+    at = None  # the run index of the record kept
     try:
         for a, r in order:
             if run_major and r != at:
                 at = r
-                _kept.streams = {_stream(cfgs[arms[0]], n, r): [] for arms in shared.values()}
-                _kept.starts = {}
+                _kept.run = _record(inst.form, cfgs[0], r, [])
             yield a, run(inst, cfgs[a], surface, run_index=r)
     finally:
         if at is not None:
-            _kept.streams = _kept.starts = None
+            _kept.run = None
 
 
 def ensemble_runs(

@@ -132,7 +132,8 @@ class DeviceSurface:
         mu_target may be an array: one bisection then solves every target
         and returns an array of roots, NaN where a target is unattainable
         instead of raising. Each root equals, bit for bit, what a scalar call
-        returns; a scalar target gives a Python float.
+        returns; a scalar target gives a Python float. A target that is not
+        finite is unattainable.
         """
         r_lo, r_hi = self.r_range
         self.check_domain(v_ref, r_lo)
@@ -146,17 +147,16 @@ class DeviceSurface:
             )
         target = np.asarray(mu_target, dtype=float)
         shape = target.shape
-        f_lo = poly6(self.mu_coeffs, v_ref, r_lo) - target
-        f_hi = poly6(self.mu_coeffs, v_ref, r_hi) - target
+        mu_lo, mu_hi = (float(poly6(self.mu_coeffs, v_ref, r)) for r in (r_lo, r_hi))
+        f_lo, f_hi = mu_lo - target, mu_hi - target
         at_lo = f_lo == 0.0
         at_hi = ~at_lo & (f_hi == 0.0)
-        missed = ~at_lo & ~at_hi & (f_lo * f_hi > 0)
+        missed = ~at_lo & ~at_hi & ~(f_lo * f_hi <= 0)  # a NaN target too
         if not shape and missed:
-            f_lo, f_hi = float(f_lo), float(f_hi)
             raise Unattainable(
                 f"mu_target={mu_target} not reachable at v={v_ref}: "
-                f"mu spans [{min(f_lo, f_hi) + mu_target:.4f}, "
-                f"{max(f_lo, f_hi) + mu_target:.4f}] over r_range={self.r_range}"
+                f"mu spans [{min(mu_lo, mu_hi):.4f}, {max(mu_lo, mu_hi):.4f}] "
+                f"over r_range={self.r_range}"
             )
         roots = np.where(at_lo, r_lo, np.where(at_hi, r_hi, np.nan)).ravel()
         # the targets still bisecting, with their brackets

@@ -120,6 +120,23 @@ class TestSolve:
         assert f"error [sampler]: {name} must be" in r.output
         assert not out.exists()
 
+    def test_manifest_records_the_best_known_cut(self, runner, tmp_path):
+        # converged_at is measured against it, so two runs that differ only in
+        # --best-known write different results and must write different configs
+        inst = tmp_path / "k3.rudy"
+        inst.write_text(K3_TEXT)
+        reg = tmp_path / "registry.json"
+        reg.write_text(json.dumps({"k3": {"cut": 2, "provenance": "exact"}}))
+        cases = [([], None), (["--best-known", "9"], 9), (["--registry", str(reg)], 2),
+                 (["--registry", str(reg), "--best-known", "9"], 9)]
+        for k, (flags, want) in enumerate(cases):
+            out = tmp_path / f"res{k}.csv"
+            r = invoke(runner, ["solve", "--instance", str(inst), "--iters", "50", *flags,
+                                "--out", str(out)])
+            assert r.exit_code == 0, r.output
+            config = json.loads((tmp_path / f"res{k}.csv.manifest.json").read_text())["config"]
+            assert config["best_known"] == want, flags
+
     def test_byte_identical_reruns(self, runner, tmp_path):
         inst = tmp_path / "k3.rudy"
         inst.write_text(K3_TEXT)
@@ -426,6 +443,23 @@ class TestCalibrateCommand:
                                  "--out", str(out)])
         assert r.exit_code == 3, r.output
         assert "error [device]: calibration precision" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cv", ["nan", "inf", "-inf", "-0.5"])
+    def test_negative_or_non_finite_cv_exit_3(self, runner, tmp_path, cv):
+        out = tmp_path / "cal.csv"
+        r = runner.invoke(main, ["calibrate", "--cv", cv, "--devices", "3", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [cli]: --cv must be >= 0 and finite" in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+    def test_non_finite_mu_target_exit_3(self, runner, tmp_path, mu):
+        out = tmp_path / "cal.csv"
+        r = runner.invoke(main, ["calibrate", "--mu-target", mu, "--devices", "3",
+                                 "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [surface]: mu_target=" in r.output and "not reachable" in r.output
         assert not out.exists()
 
     def test_negative_device_count_exit_3(self, runner, tmp_path):

@@ -387,12 +387,8 @@ class TestEnsemble:
             assert np.array_equal(a.energies, b.energies)
 
 
-def _kept_streams():
-    return getattr(sampler._kept, "streams", None)
-
-
-def _kept_starts():
-    return getattr(sampler._kept, "starts", None)
+def _kept_run():
+    return getattr(sampler._kept, "run", None)
 
 
 class TestPairedRuns:
@@ -451,8 +447,10 @@ class TestPairedRuns:
         for a, trace in sampler.paired_runs(inst, cfgs, ref_surface):
             got.append((a, trace))
             state, want = states[-1], fresh[trace.run_index]
-            (form, start), = _kept_starts().values()
-            assert form is inst.form
+            kept = _kept_run()
+            assert kept.form is inst.form
+            assert kept.key == sampler._stream(cfgs[a], inst.n, trace.run_index)
+            start = kept.start
             # the loop has written this arm's x and u; write them again
             state.x[:] = 1 - state.x
             state.u[:] += 7
@@ -509,22 +507,109 @@ class TestPairedRuns:
 
         def spy(*args, **kwargs):
             trace = original(*args, **kwargs)
-            streams = _kept_streams() or {}
-            kept.append((sum(a.nbytes for blocks in streams.values()
-                             for block in blocks for a in block),
-                         len(_kept_starts() or {})))
+            record = _kept_run()
+            blocks = [] if record is None else record.blocks
+            kept.append((sum(a.nbytes for block in blocks for a in block if a is not None),
+                         record, trace.run_index))
             return trace
 
         monkeypatch.setattr(sampler, "run", spy)
         ensemble(inst, self.arms(ref_drift)[0], ref_surface)
-        assert kept == [(0, 0)] * self.RUNS
-        assert _kept_streams() is None and _kept_starts() is None
+        assert [(b, record) for b, record, _ in kept] == [(0, None)] * self.RUNS
+        assert _kept_run() is None
         kept.clear()
         list(sampler.paired_runs(inst, self.arms(ref_drift), ref_surface))
-        assert kept == [(self.BLOCKS * sampler._block_bytes(scheme_code("monitored")), 1)] * (
+        assert [b for b, _, _ in kept] == [
+            self.BLOCKS * sampler._block_bytes(scheme_code("monitored"))] * (
             len(self.ARMS) * self.RUNS)
-        assert max(b for b, _ in kept) <= sampler._KEEP_BYTES
-        assert _kept_streams() is None and _kept_starts() is None
+        assert max(b for b, _, _ in kept) <= sampler._KEEP_BYTES
+        # one record per run index, which every arm at that index shares
+        records = {r: {id(record) for _, record, i in kept if i == r} for r in range(self.RUNS)}
+        assert all(len(ids) == 1 for ids in records.values())
+        assert len(set().union(*records.values())) == self.RUNS
+        assert _kept_run() is None
+
+    def test_a_generator_closed_early_keeps_nothing(self, ref_surface, ref_drift):
+        inst = generate_instance(20, 3.0, seed=30)
+        runs = sampler.paired_runs(inst, self.arms(ref_drift), ref_surface)
+        assert next(runs)[0] == 0
+        assert _kept_run() is not None
+        runs.close()
+        assert _kept_run() is None
+
+    def test_a_longer_arm_draws_the_blocks_past_the_first_arms(self, ref_surface, ref_drift,
+                                                              monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        cfgs = self.arms(ref_drift)
+        cfgs[3] = replace(cfgs[3], max_iters=self.ITERS + 8192)  # one block more
+        draws = []
+        original = sampler.reset_noise
+        monkeypatch.setattr(sampler, "reset_noise", lambda *a: draws.append(a) or original(*a))
+        got = list(sampler.paired_runs(inst, cfgs, ref_surface))
+        assert len(draws) == self.RUNS * (self.BLOCKS + 1)  # each block once
+        assert [(a, t.run_index) for a, t in got] == [
+            (a, r) for r in range(self.RUNS) for a in range(len(cfgs))]
+        monkeypatch.undo()
+        for a, cfg in enumerate(cfgs):
+            for want, (_, trace) in zip(ensemble(inst, cfg, ref_surface),
+                                        [p for p in got if p[0] == a]):
+                _assert_traces_equal(want, trace)
+        assert {t.iterations for a, t in got if a == 3} == {self.ITERS + 8192}
+
+    def test_an_arm_that_stops_early_leaves_the_rest_to_the_others(self, ref_surface,
+                                                                    ref_drift, monkeypatch):
+        # the first arm stops on convergence inside block 0, so the arms after
+        # it draw blocks 1 and 2 themselves, keeping them for one another
+        inst = replace(generate_instance(20, 3.0, seed=30), best_known=10)
+        cfgs = self.arms(ref_drift)
+        cfgs[0] = replace(cfgs[0], stop_on_convergence=True)
+        cfgs[2] = replace(cfgs[2], stop_on_convergence=True)
+        draws = []
+        original = sampler.reset_noise
+        monkeypatch.setattr(sampler, "reset_noise", lambda *a: draws.append(a) or original(*a))
+        got = list(sampler.paired_runs(inst, cfgs, ref_surface))
+        assert len(draws) == self.RUNS * self.BLOCKS  # each block once
+        monkeypatch.undo()
+        assert [(a, t.run_index) for a, t in got] == [
+            (a, r) for r in range(self.RUNS) for a in range(len(cfgs))]
+        for a, cfg in enumerate(cfgs):
+            runs = [t for b, t in got if b == a]
+            if cfg.stop_on_convergence:
+                assert all(0 < t.iterations < 8192 for t in runs)
+            else:
+                assert all(t.iterations == self.ITERS for t in runs)
+            for want, trace in zip(ensemble(inst, cfg, ref_surface), runs):
+                _assert_traces_equal(want, trace)
+
+    def test_a_run_off_the_records_form_or_stream_shares_nothing(self, ref_surface,
+                                                                 ref_drift):
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = self.arms(ref_drift)[1]
+        others = ((generate_instance(20, 3.0, seed=31), cfg, 0),
+                  (generate_instance(20, 3.0, seed=30), cfg, 0),  # an equal form, not the same
+                  (inst, replace(cfg, seed=10), 0), (inst, cfg, 1))
+        kept = sampler._kept.run = sampler._record(inst.form, cfg, 0, [])
+        try:
+            got = [run(i, c, ref_surface, r) for i, c, r in others]
+        finally:
+            sampler._kept.run = None
+        assert kept.blocks == []
+        for (i, c, r), trace in zip(others, got):
+            _assert_traces_equal(run(i, c, ref_surface, r), trace)
+
+    def test_arms_off_the_first_arms_stream_share_nothing(self, ref_surface, ref_drift,
+                                                          monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        cfgs = self.arms(ref_drift)
+        cfgs[0] = replace(cfgs[0], seed=10)
+        kept = []
+        original = sampler.run
+        monkeypatch.setattr(sampler, "run",
+                            lambda *a, **k: kept.append(_kept_run()) or original(*a, **k))
+        got = list(sampler.paired_runs(inst, cfgs, ref_surface))
+        assert kept == [None] * (len(cfgs) * self.RUNS)
+        assert [(a, t.run_index) for a, t in got] == [
+            (a, r) for a in range(len(cfgs)) for r in range(self.RUNS)]
 
     def test_process_pool_runs_the_same_order(self, ref_surface, ref_drift):
         inst = generate_instance(20, 3.0, seed=30)
@@ -540,24 +625,26 @@ class TestPairedRuns:
         kernel = _kernel_or_skip() if kernel else None
         inst = generate_instance(20, 3.0, seed=30)
         cfg = self.arms(ref_drift)[1]
-        key = sampler._stream(cfg, inst.n, 0)
-        sampler._kept.streams = {key: []}
+        kept = sampler._kept.run = sampler._record(inst.form, cfg, 0, [])
         try:
             first = make_state(inst, cfg, ref_surface)
             second = make_state(inst, cfg, ref_surface)
-            sampler._advance(first, 8192, kernel)       # draws block 0 and keeps it
-            head = sampler._advance(second, 8192, kernel)  # is served block 0
-            assert second.block is sampler._kept.streams[key][0]
-            sampler._kept.streams = None
-            # block 1 is not kept: second draws blocks 0 and 1 itself
-            tail = sampler._advance(second, 8192, kernel)
         finally:
-            sampler._kept.streams = None
-        assert second.block[0].flags.writeable
+            sampler._kept.run = None
+        # each state holds the record it was made with, wherever the thread-local points
+        sampler._advance(first, 8192, kernel)          # draws block 0 and keeps it
+        head = sampler._advance(second, 8192, kernel)  # is served block 0
+        assert second.block is kept.blocks[0]
+        tail = sampler._advance(second, 8192, kernel)  # draws block 1 and keeps it
+        assert len(kept.blocks) == 2 and second.block is kept.blocks[1]
+        assert not any(a.flags.writeable for a in second.block)
+        sampler._advance(first, 8192, kernel)          # is served block 1
+        assert first.block is kept.blocks[1]
         alone = make_state(inst, cfg, ref_surface)
         whole = sampler._advance(alone, 2 * 8192, kernel)
         assert np.concatenate([head, tail]).tolist() == whole.tolist()
         _assert_states_equal(alone, second)
+        _assert_states_equal(alone, first)
 
 
 # strong enough drift that fixed-input runs clamp HRS at the window ends

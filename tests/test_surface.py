@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stochanneal.device import calibrate
 from stochanneal.errors import (
     DegenerateDesign,
     NonMonotone,
@@ -184,6 +185,18 @@ class TestHrsForMuArray:
         got = ref_surface.hrs_for_mu(np.array([-20.0, 20.0]), self.V)
         assert np.isnan(got).all()
         assert ref_surface.hrs_for_mu(np.empty(0), self.V).shape == (0,)
+
+    def test_non_finite_targets_are_unattainable(self, ref_surface):
+        for target in (np.nan, np.inf, -np.inf):
+            with pytest.raises(Unattainable):
+                ref_surface.hrs_for_mu(target, self.V)
+        got = ref_surface.hrs_for_mu(np.array([np.nan, -5.0, np.inf, -np.inf]), self.V)
+        assert np.isnan(got[[0, 2, 3]]).all()
+        assert got[1] == ref_surface.hrs_for_mu(-5.0, self.V)
+        # so calibration marks a device with a NaN target as missed
+        cal = calibrate(ref_surface, np.array([np.nan, -5.0]), self.V, 0.01,
+                        np.random.default_rng(0))
+        assert cal.missed.tolist() == [True, False]
 
     def test_non_monotone_array_rejected(self):
         s = make_surface((-7.0, 0, 0.02, 0, -1e-4, 0))
