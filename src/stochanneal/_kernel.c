@@ -41,15 +41,10 @@
  * squeeze() makes both comparisons and returns their decision as a value
  * (one - !(one | zero)) instead of branching on each. The first comparison,
  * u < T_{j-1} - SQ_MARGIN, is the coin flip itself, so as a branch it
- * mispredicted often, and each mispredict was found only after the whole
- * u_i -> v -> mu, sigma -> a -> cell -> table chain had run. Built by gcc
- * 12.2 on 2 vCPUs of a shared Intel Xeon, the loop on pre-drawn blocks
- * (fastest of 25) went from 44.7 to 25.8 ns per iteration under `monitored`
- * at n=500 with d2d offsets, from 35.1 to 25.3 under `fixed-input` at
- * n=250, from 48.3 to 31.3 under `monitored` at n=10^4, and stayed at 14
- * on the table path. The flip, `if (new != old)`, stays a branch: a
- * variant that always ran the neighbour update (adding delta = 0 when x_i
- * stays) took 25.0 ns on the table path and 40.4 under `monitored`.
+ * mispredicts often, and each mispredict is found only after the whole
+ * u_i -> v -> mu, sigma -> a -> cell -> table chain has run. The flip,
+ * `if (new != old)`, stays a branch: always running the neighbour update
+ * (adding delta = 0 when x_i stays) was slower.
  *
  * sampler.load_kernel compiles, loads and self-checks this file; the tests
  * in tests/test_sampler.py (TestKernel, TestBitIdentity, TestDifferential,

@@ -216,7 +216,7 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
         out_path + ".manifest.json", "sweep-drift",
         {"sizes": sizes, "mhrs": mhrs, "iters": iters, "runs": runs,
          "degree": degree, "jobs": jobs},
-        seed, params_path,
+        seed, params_path, kernel=results[0].kernel if results else None,
     )
     click.echo(f"wrote {out_path}")
 
@@ -248,7 +248,7 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
         out_path + ".manifest.json", "sweep-d2d",
         {"cv": cv, "nodes": nodes, "degree": degree, "iters": iters,
          "runs": runs, "jobs": jobs},
-        seed, params_path,
+        seed, params_path, kernel=result.kernel,
     )
     click.echo(f"wrote {out_path}")
 

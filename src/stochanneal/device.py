@@ -63,8 +63,8 @@ class DriftModel:
     hrs_tolerance: float = 0.1
 
     def __post_init__(self):
-        if not (self.m_hrs >= 0 and self.s_rw >= 0):  # NaN too
-            raise InvalidParameter("m_hrs and s_rw must be >= 0")
+        if not (0 <= self.m_hrs < math.inf and 0 <= self.s_rw < math.inf):  # NaN too
+            raise InvalidParameter("m_hrs and s_rw must be >= 0 and finite")
         if not 0.0 < self.hrs_tolerance < 1.0:
             raise InvalidParameter("hrs_tolerance must be in (0, 1)")
 
@@ -74,7 +74,11 @@ class DriftModel:
     @classmethod
     def from_dict(cls, d: dict) -> "DriftModel":
         """The inverse of to_dict; a field that d lacks takes its default."""
-        return cls(**{f.name: float(d[f.name]) for f in fields(cls) if f.name in d})
+        try:
+            values = {f.name: float(d[f.name]) for f in fields(cls) if f.name in d}
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"drift fields must be numbers, got {d!r}") from None
+        return cls(**values)
 
 
 def scheme_code(scheme: str) -> int:

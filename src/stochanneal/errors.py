@@ -23,7 +23,8 @@ class NonPositivePulse(StochAnnealError, ValueError):
 
 
 class InvalidParameter(StochAnnealError, ValueError):
-    """A setting outside its valid range (a config field, a CLI option)."""
+    """A setting outside its valid range (a config field, a CLI option, a
+    parameter-file field, a fit sample)."""
 
 
 class DegenerateDesign(StochAnnealError, ValueError):

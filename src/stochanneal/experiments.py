@@ -303,6 +303,7 @@ class ScalingRow:
     n: int
     converged: list
     runs: int
+    loops: frozenset = frozenset()  # the loops its runs ran (RunTrace.kernel)
 
     @property
     def median(self) -> Optional[float]:
@@ -332,6 +333,7 @@ def convergence_scaling(
                 n=inst.n,
                 converged=conv,
                 runs=len(traces),
+                loops=frozenset(t.kernel for t in traces),
             )
         )
     return rows
@@ -354,6 +356,7 @@ class SolvableResult:
     m_hrs: float
     rows: list
     max_solvable: int
+    kernel: Optional[str] = None  # the loops the call's runs ran, as in _loops_ran
 
 
 def max_solvable_sizes(
@@ -376,11 +379,13 @@ def max_solvable_sizes(
         scheme_code(scheme)  # raises on an unknown scheme
     arms = [(drift, scheme) for drift in drifts for scheme in schemes]
     rows = [[] for _ in arms]
+    loops = set()
     for size, instances in ladder:
         for inst in instances:
             if inst.best_known is None:
                 raise MissingBestKnown(f"ladder instance {inst.name!r} lacks best_known")
         scaling = convergence_scaling(instances, cfg, surface)
+        loops.update(*(row.loops for row in scaling))
         conv = [c for row in scaling for c in row.converged]
         total_runs = sum(row.runs for row in scaling)
         if len(conv) < max(1, total_runs // 2 + 1):
@@ -401,15 +406,30 @@ def max_solvable_sizes(
                 drift_cfg = replace(cfg, scheme=SCHEME_FIXED, drift=drift,
                                     stop_on_convergence=False, max_iters=horizon)
                 # the drift runs stream into their mean energy, one alive at a time
-                t_mm = max_meaningful_iterations(itertools.chain.from_iterable(
-                    ensemble_runs(inst, drift_cfg, surface) for inst in instances))
+                t_mm = max_meaningful_iterations(_noting_loops(itertools.chain.from_iterable(
+                    ensemble_runs(inst, drift_cfg, surface) for inst in instances), loops))
             arm_rows.append(SizeRow(size=size, t_conv_median=t_conv, t_meaningful=t_mm,
                                     solvable=t_conv <= t_mm))
     return [
         SolvableResult(scheme=scheme, m_hrs=drift.m_hrs, rows=arm_rows,
-                       max_solvable=max((r.size for r in arm_rows if r.solvable), default=0))
+                       max_solvable=max((r.size for r in arm_rows if r.solvable), default=0),
+                       kernel=_loops_ran(loops))
         for (drift, scheme), arm_rows in zip(arms, rows)
     ]
+
+
+def _noting_loops(traces: Iterable[RunTrace], loops: set) -> Iterator[RunTrace]:
+    """`traces`, adding each one's `kernel` to `loops` as it passes."""
+    for t in traces:
+        loops.add(t.kernel)
+        yield t
+        del t  # hold no run while the next one runs
+
+
+def _loops_ran(loops: set) -> Optional[str]:
+    """The loops some runs ran, as a manifest records them: "c", "python",
+    "c,python", or None when nothing ran."""
+    return ",".join(sorted(loops)) or None
 
 
 def max_solvable_size(
@@ -449,6 +469,7 @@ class D2DRow:
 class D2DSweepResult:
     settling_ideal: float
     rows: list
+    kernel: Optional[str] = None  # the loops its runs ran, as in _loops_ran
 
 
 def d2d_experiment(
@@ -468,12 +489,14 @@ def d2d_experiment(
     sums = [_EnergySum() for _ in arms]
     settling = [math.nan] * len(arms)
     spreads, failures = [[] for _ in arms], [[] for _ in arms]
+    loops = set()
     # each arm streams its runs into its ensemble mean, holding no run, and
     # its sum is freed once its last run is in
     for a, t in paired_runs(inst, cfgs, surface):
         sums[a].add(t)
         spreads[a].append(t.mu_eff_spread)
         failures[a].append(t.calib_failures)
+        loops.add(t.kernel)
         del t  # free this run before the next one starts
         if sums[a].count == cfgs[a].runs:
             settling[a] = _settling_of_mean(sums[a].mean()[0])
@@ -497,7 +520,7 @@ def d2d_experiment(
                 settling_calibrated=settling[cal],
             )
         )
-    return D2DSweepResult(settling_ideal=e_ideal, rows=rows)
+    return D2DSweepResult(settling_ideal=e_ideal, rows=rows, kernel=_loops_ran(loops))
 
 
 # -- benchmark ladder -------------------------------------------------------------------

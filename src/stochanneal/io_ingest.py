@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import warnings
@@ -145,7 +146,7 @@ MEASUREMENT_HEADER = ("v_set", "hrs_kohm", "t_set_s")
 
 
 def read_measurements(path) -> np.ndarray:
-    """Load a (v, r, t_set) campaign CSV; header must match exactly."""
+    """Load a (v, r, t_set) campaign CSV; header must match exactly, and every value be finite."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -161,9 +162,12 @@ def read_measurements(path) -> np.ndarray:
             if not row:
                 continue
             try:
-                rows.append((float(row[0]), float(row[1]), float(row[2])))
+                values = (float(row[0]), float(row[1]), float(row[2]))
             except (ValueError, IndexError):
                 raise Malformed(f"line {lineno}: expected three numbers, got {row}")
+            if not all(map(math.isfinite, values)):
+                raise Malformed(f"line {lineno}: expected three finite numbers, got {row}")
+            rows.append(values)
     return np.asarray(rows, dtype=float)
 
 

@@ -12,8 +12,8 @@ numpy's SeedSequence(seed, spawn_key=(run_index,)) - initial configuration,
 device offsets, calibration noise, loop draws (node picks + Bernoulli
 thresholds), and scheme actuator noise - so paired comparisons (ideal vs
 drifting, calibrated vs not) see identical loop dynamics. `paired_runs` runs
-such arms so that, at each run index, they share one record (`_Kept`): the
-start, built once, and the loop and noise blocks, each drawn once.
+such arms so that, at each run index, they share one `Start`: the initial
+configuration, built once, and the loop and noise blocks, each drawn once.
 """
 
 from __future__ import annotations
@@ -64,9 +64,9 @@ log = logging.getLogger(__name__)
 _RNG_BLOCK = 8192
 # the most bytes of RNG blocks `paired_runs` keeps for the arms of one run index
 _KEEP_BYTES = 1 << 20
-# `.run`: while `paired_runs` runs the arms of one run index in this thread,
-# the `_Kept` record they share; None otherwise. It is not passed to `run`,
-# whose signature the callers that wrap it fix; `make_state` looks it up.
+# `.run`: while a `run` call that `paired_runs` makes is running in this
+# thread, the `Start` that the arms of its run index share; None otherwise.
+# It is not passed to `run`, whose signature the callers that wrap it fix.
 _kept = threading.local()
 
 ACTIVATION_DEVICE = "device"
@@ -172,37 +172,29 @@ class State:
 
 # What a run starts from, which depends on (instance, seed, run index) alone:
 # the five SeedSequence children (see the module docstring), the initial
-# configuration x, its local fields u, the field scale and the energy.
-Start = collections.namedtuple("Start", "children x u u_scale energy")
-
-# A run's form and stream key (`_stream`), its start (x and u read-only), its
-# stream's loop and Reset-noise generators, and the blocks those have drawn so
-# far, read-only, or None when the run keeps none. While `paired_runs` runs the
-# arms of one run index, the runs whose form and key match share one record.
-_Kept = collections.namedtuple("_Kept", "form key start gens blocks")
+# configuration x and its local fields u (both read-only; each run copies
+# them), the field scale, the energy, the loop and Reset-noise generators
+# (children 3 and 4), and the blocks those have drawn so far, read-only, or
+# None when the start keeps none.
+Start = collections.namedtuple("Start", "children x u u_scale energy gens blocks")
 
 
-def _start(form: BoltzmannForm, seed: int, run_index: int) -> Start:
-    """The start of run `run_index` on `form` under `seed`."""
+def _start(form: BoltzmannForm, seed: int, run_index: int,
+           blocks: Optional[list] = None) -> Start:
+    """The start of run `run_index` on `form` under `seed`, keeping `blocks`."""
     children = tuple(np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(5))
     x = np.random.default_rng(children[0]).integers(0, 2, form.n).astype(np.int8)
     u = np.array(init_fields(form, x), dtype=np.int64 if form.fits_in_53_bits else object)
+    x.flags.writeable = u.flags.writeable = False
     u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
-    return Start(children, x, u, u_scale, energy_of(form, x))
+    gens = tuple(np.random.default_rng(ss) for ss in children[3:])
+    return Start(children, x, u, u_scale, energy_of(form, x), gens, blocks)
 
 
-def _record(form: BoltzmannForm, cfg: BoltzmannConfig, run_index: int,
-            blocks: Optional[list]) -> _Kept:
-    """A fresh record of run `run_index` of cfg on `form`, keeping `blocks`."""
-    start = _start(form, cfg.seed, run_index)
-    start.x.flags.writeable = start.u.flags.writeable = False  # each run copies them
-    gens = tuple(np.random.default_rng(ss) for ss in start.children[3:])
-    return _Kept(form, _stream(cfg, form.n, run_index), start, gens, blocks)
-
-
-def _stream(cfg: BoltzmannConfig, n: int, run_index: int) -> tuple:
-    """The key of a run's loop and Reset-noise stream; runs with equal keys draw equal blocks."""
-    return (cfg.seed, run_index, n, scheme_code(cfg.scheme), cfg.drift.hrs_tolerance)
+def _stream(cfg: BoltzmannConfig) -> tuple:
+    """The key of a config's loop and Reset-noise stream on one instance and
+    run index; configs with equal keys draw equal blocks."""
+    return (cfg.seed, scheme_code(cfg.scheme), cfg.drift.hrs_tolerance)
 
 
 def _block_bytes(scheme: int) -> int:
@@ -210,15 +202,14 @@ def _block_bytes(scheme: int) -> int:
     return _RNG_BLOCK * (24 if scheme else 16)
 
 
-def _draws(gens: tuple, n: int, scheme: int, tol: float, blocks: Optional[list]):
-    """Endless RNG blocks: (node picks, Bernoulli thresholds, Reset noise).
+def _draws(start: Start, n: int, scheme: int, tol: float):
+    """Endless RNG blocks of `start`'s stream: (node picks, Bernoulli thresholds, Reset noise).
 
-    `gens` are the stream's loop and Reset-noise generators. `blocks`, when
-    given, holds the blocks of the stream that the states sharing `gens`
-    have drawn so far: block b is served from it if a state has drawn it,
-    and is otherwise drawn now and appended, read-only.
+    The states made from one start share its generators. When the start
+    keeps blocks, block b is served from them if a state has drawn it, and
+    is otherwise drawn now and appended, read-only.
     """
-    rng_loop, rng_scheme = gens
+    (rng_loop, rng_scheme), blocks = start.gens, start.blocks
     for b in itertools.count():
         if blocks is not None and b < len(blocks):
             yield blocks[b]
@@ -577,10 +568,7 @@ def make_state(
                          f"surface range {surface.v_range}")
     form = inst.form
     n = inst.n
-    kept = getattr(_kept, "run", None)
-    if kept is None or kept.form is not form or kept.key != _stream(cfg, n, run_index):
-        kept = _record(form, cfg, run_index, None)  # shares nothing, keeps no blocks
-    start = kept.start
+    start = getattr(_kept, "run", None) or _start(form, cfg.seed, run_index)
     _, ss_dev, ss_cal, _, _ = start.children
     x, u = start.x.copy(), start.u.copy()
 
@@ -636,7 +624,7 @@ def make_state(
         params=params, form=form, x=x, u=u, hrs=hrs, targets=targets, offs=offs,
         cyc=np.zeros(n, dtype=np.int64), best_x=x.copy(), energy=e0, best_energy=e0,
         converged_at=0 if -e0 >= threshold else None, clamps=clamps,
-        draws=_draws(kept.gens, n, params.scheme, cfg.drift.hrs_tolerance, kept.blocks),
+        draws=_draws(start, n, params.scheme, cfg.drift.hrs_tolerance),
         calib_failures=calib_failures, mu_eff_spread=mu_eff_spread,
     )
 
@@ -688,24 +676,25 @@ def paired_runs(
     """(arm index, run) for every run of every config (arm) in `cfgs`; each
     arm's runs come in run order, and every run is a `run` call.
 
-    The arms that draw the first arm's stream (`_stream`), as every arm of
-    `experiments.d2d_experiment` does, share it. When they are two or more
-    and the blocks of one run index fit in _KEEP_BYTES, the arms run
-    run-major (every arm at run 0, then every arm at run 1, ...), and each
-    run index has one record (`_Kept`, in `_kept.run`) until the next: its
-    start, which `make_state` copies x and u from, and the stream's
-    generators and blocks, which the first run to need a block draws and
-    keeps read-only for the others. Otherwise the arms run arm-major, one
-    run at a time, and nothing is kept. Results are the same either way.
-    With jobs > 1 a process pool runs the same order, keeping nothing.
+    The arms must share one stream (`_stream`), as every arm of
+    `experiments.d2d_experiment` does; otherwise this raises ValueError
+    before any run. When they are two or more and the blocks of one run
+    index fit in _KEEP_BYTES, the arms run run-major (every arm at run 0,
+    then every arm at run 1, ...) and share one `Start` per run index:
+    `make_state` copies x and u from it, and the first run to need a block
+    draws it and keeps it read-only for the others. The start is in
+    `_kept.run` only while a `run` call made here runs, never between
+    items. Otherwise the arms run arm-major and nothing is kept. Results
+    are the same either way. With jobs > 1 a process pool runs the same
+    order, keeping nothing.
     """
     cfgs = list(cfgs)
-    n = inst.n
-    key = _stream(cfgs[0], n, 0)
-    sharing = [cfg for cfg in cfgs if _stream(cfg, n, 0) == key]
-    # the blocks of one run index: those of the longest run that draws the stream
-    need = -(-max(cfg.max_iters for cfg in sharing) // _RNG_BLOCK) * _block_bytes(key[3])
-    run_major = len(sharing) > 1 and need <= _KEEP_BYTES
+    key = _stream(cfgs[0])
+    if any(_stream(cfg) != key for cfg in cfgs):
+        raise ValueError("paired arms must share one seed, scheme and HRS tolerance")
+    # the blocks of one run index: those of the longest run
+    need = -(-max(cfg.max_iters for cfg in cfgs) // _RNG_BLOCK) * _block_bytes(key[1])
+    run_major = len(cfgs) > 1 and need <= _KEEP_BYTES
     if run_major:
         order = [(a, r) for r in range(max(cfg.runs for cfg in cfgs))
                  for a, cfg in enumerate(cfgs) if r < cfg.runs]
@@ -721,16 +710,22 @@ def paired_runs(
             for a, _ in order:
                 yield a, next(traces)
         return
-    at = None  # the run index of the record kept
+    at = start = None  # the run index and the start its arms share
+    for a, r in order:
+        if run_major and r != at:
+            at, start = r, _start(inst.form, key[0], r, [])
+        # a call, so that no name here holds the run once it is yielded
+        yield a, _run_from(start, inst, cfgs[a], surface, r)
+
+
+def _run_from(start: Optional[Start], inst: MaxCutInstance, cfg: BoltzmannConfig,
+              surface: DeviceSurface, run_index: int) -> RunTrace:
+    """`run`, looked up as the module global, with `start` in `_kept.run` while it runs."""
+    _kept.run = start
     try:
-        for a, r in order:
-            if run_major and r != at:
-                at = r
-                _kept.run = _record(inst.form, cfgs[0], r, [])
-            yield a, run(inst, cfgs[a], surface, run_index=r)
+        return run(inst, cfg, surface, run_index=run_index)
     finally:
-        if at is not None:
-            _kept.run = None
+        _kept.run = None
 
 
 def ensemble_runs(

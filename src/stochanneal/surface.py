@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DegenerateDesign,
+    InvalidParameter,
     NonMonotone,
     NonPositivePulse,
     NonPositiveTime,
@@ -62,18 +63,25 @@ class DeviceSurface:
     sigma_floor: float = SIGMA_FLOOR
 
     def __post_init__(self):
-        if len(self.mu_coeffs) != 6 or len(self.sigma_coeffs) != 6:
-            raise ValueError("surfaces take exactly 6 coefficients")
-        object.__setattr__(self, "mu_coeffs", tuple(float(c) for c in self.mu_coeffs))
-        object.__setattr__(self, "sigma_coeffs", tuple(float(c) for c in self.sigma_coeffs))
-        object.__setattr__(self, "v_range", (float(self.v_range[0]), float(self.v_range[1])))
-        object.__setattr__(self, "r_range", (float(self.r_range[0]), float(self.r_range[1])))
+        sizes = {"mu_coeffs": 6, "sigma_coeffs": 6, "v_range": 2, "r_range": 2}
+        for name, size in sizes.items():
+            try:
+                values = tuple(float(c) for c in getattr(self, name))
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"{name} must be a list of numbers") from None
+            if len(values) != size:
+                raise InvalidParameter(f"{name} takes exactly {size} numbers, got {len(values)}")
+            object.__setattr__(self, name, values)
         if not self.v_range[0] < self.v_range[1]:
-            raise ValueError("v_range must be an increasing interval")
+            raise InvalidParameter("v_range must be an increasing interval")
         if not 0 < self.r_range[0] < self.r_range[1]:
-            raise ValueError("r_range must be positive and increasing")
+            raise InvalidParameter("r_range must be positive and increasing")
+        try:
+            object.__setattr__(self, "sigma_floor", float(self.sigma_floor))
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"sigma_floor must be a number, got {self.sigma_floor!r}") from None
         if not self.sigma_floor > 0:
-            raise ValueError("sigma_floor must be > 0")
+            raise InvalidParameter("sigma_floor must be > 0")
 
     # -- domain ------------------------------------------------------------
 
@@ -211,13 +219,18 @@ class DeviceSurface:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceSurface":
-        return cls(
-            mu_coeffs=tuple(d["mu_coeffs"]),
-            sigma_coeffs=tuple(d["sigma_coeffs"]),
-            v_range=tuple(d["v_range"]),
-            r_range=tuple(d["r_range"]),
-            sigma_floor=float(d.get("sigma_floor", SIGMA_FLOOR)),
+        """The inverse of to_dict; as in a parameter file, every value must be finite."""
+        surface = cls(
+            mu_coeffs=d["mu_coeffs"],
+            sigma_coeffs=d["sigma_coeffs"],
+            v_range=d["v_range"],
+            r_range=d["r_range"],
+            sigma_floor=d.get("sigma_floor", SIGMA_FLOOR),
         )
+        for name, value in surface.to_dict().items():
+            if not np.isfinite(value).all():
+                raise InvalidParameter(f"{name} must be finite, got {value}")
+        return surface
 
 
 # -- fitting -------------------------------------------------------------------
@@ -280,6 +293,9 @@ def fit_surface(samples) -> tuple[DeviceSurface, float]:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("samples must be (m, 3): columns v, r, t_set")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise InvalidParameter(f"samples must be finite; sample {bad[0]} is {arr[bad[0]].tolist()}")
     if arr.shape[0] < 12:
         raise DegenerateDesign(f"need >= 12 samples, got {arr.shape[0]}")
     v, r, t = arr[:, 0], arr[:, 1], arr[:, 2]
@@ -335,9 +351,16 @@ def params_to_dict(surface: DeviceSurface, drift) -> dict:
 
 
 def params_from_dict(d: dict):
-    """(DeviceSurface, DriftModel) from a parameter file's content."""
+    """(DeviceSurface, DriftModel) from a parameter file's content; a file
+    that is not an object or lacks a surface field raises InvalidParameter."""
     from .device import DriftModel
 
+    if not isinstance(d, dict):
+        raise InvalidParameter("a parameter file holds one JSON object")
+    missing = [name for name in ("mu_coeffs", "sigma_coeffs", "v_range", "r_range")
+               if name not in d]
+    if missing:
+        raise InvalidParameter(f"parameter file lacks {', '.join(missing)}")
     return DeviceSurface.from_dict(d), DriftModel.from_dict(d.get("drift", {}))
 
 

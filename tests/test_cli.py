@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -198,6 +199,37 @@ class TestCycling:
             assert r.exit_code == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    # a parameter file with one field broken, and the message it exits 3 with
+    BROKEN_PARAMS = {
+        "five-mu-coeffs": (lambda d: d["mu_coeffs"].pop(), "mu_coeffs takes exactly 6 numbers"),
+        "decreasing-v-range": (lambda d: d["v_range"].reverse(), "v_range must be an increasing"),
+        "no-mu-coeffs": (lambda d: d.pop("mu_coeffs"), "parameter file lacks mu_coeffs"),
+        "nan-mu-coeff": (lambda d: d["mu_coeffs"].__setitem__(0, math.nan),
+                         "mu_coeffs must be finite"),
+        "nan-sigma-coeff": (lambda d: d["sigma_coeffs"].__setitem__(2, math.nan),
+                            "sigma_coeffs must be finite"),
+        "infinite-sigma-floor": (lambda d: d.__setitem__("sigma_floor", math.inf),
+                                 "sigma_floor must be finite"),
+        "text-coeff": (lambda d: d["mu_coeffs"].__setitem__(1, "a"),
+                       "mu_coeffs must be a list of numbers"),
+    }
+
+    @pytest.mark.parametrize("broken", list(BROKEN_PARAMS))
+    def test_malformed_params_file_exits_3(self, runner, tmp_path, broken):
+        from stochanneal.reference import build_reference_params
+
+        params = build_reference_params()
+        breaks, message = self.BROKEN_PARAMS[broken]
+        breaks(params)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        out = tmp_path / "c.csv"
+        r = runner.invoke(main, ["cycling", "--scheme", "monitored", "--cycles", "10",
+                                 "--params", str(path), "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert f"error [surface]: {message}" in r.output
+        assert not out.exists()
+
     def test_single_cycle_is_input_error(self, runner, tmp_path):
         r = runner.invoke(main, ["cycling", "--scheme", "ideal", "--cycles", "1",
                                  "--out", str(tmp_path / "c.csv")])
@@ -214,6 +246,21 @@ class TestFit:
         assert "R^2 = 1.0" in r.output
         fitted = json.loads(out.read_text())
         assert fitted["mu_coeffs"] == pytest.approx(TRUE_COEFFS, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("column, value", [(2, "nan"), (2, "inf"), (2, "-inf"),
+                                               (0, "nan"), (1, "inf")])
+    def test_non_finite_measurement_exits_3(self, runner, tmp_path, column, value):
+        data = write_campaign(tmp_path / "meas.csv", 7)
+        lines = data.read_text().splitlines()
+        row = lines[5].split(",")
+        row[column] = value
+        lines[5] = ",".join(row)
+        data.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fitted.json"
+        r = runner.invoke(main, ["fit", "--data", str(data), "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert "error [io_ingest]: line 6: expected three finite numbers" in r.output
+        assert not out.exists()
 
 
 class TestGenBrute:
@@ -279,6 +326,28 @@ class TestSweeps:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("cv,error_uncalibrated")
         assert len(lines) == 3
+
+    SWEEP_FLAGS = {
+        "sweep-d2d": ["--nodes", "12", "--iters", "200", "--runs", "10", "--cv", "0.1"],
+        "sweep-drift": ["--sizes", "10,16", "--iters", "2000", "--runs", "5"],
+    }
+
+    @pytest.mark.parametrize("command", list(SWEEP_FLAGS))
+    @pytest.mark.parametrize("loaded", [True, False], ids=["kernel", "no-kernel"])
+    def test_manifest_names_the_loop_that_ran(self, runner, tmp_path, monkeypatch, command,
+                                              loaded):
+        from stochanneal import sampler
+
+        if loaded:
+            want = "python" if sampler.load_kernel() is None else "c"
+        else:
+            monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+            want = "python"
+        out = tmp_path / "sweep.csv"
+        r = invoke(runner, [command, *self.SWEEP_FLAGS[command], "--out", str(out)])
+        assert r.exit_code == 0
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["kernel"] == want
 
     def test_sweep_drift_nan_slope_exits_3(self, runner, tmp_path):
         out = tmp_path / "sd.csv"

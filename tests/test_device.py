@@ -227,6 +227,16 @@ class TestDriftModelValidation:
         with pytest.raises(InvalidParameter):
             DriftModel(**{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["m_hrs", "s_rw"])
+    def test_infinite_rejected(self, name):
+        with pytest.raises(InvalidParameter, match="finite"):
+            DriftModel(**{name: math.inf})
+
+    @pytest.mark.parametrize("drift", [{"m_hrs": "a"}, {"s_rw": None}, 3.0])
+    def test_from_dict_rejects_what_is_not_a_number(self, drift):
+        with pytest.raises(InvalidParameter, match="drift fields must be numbers"):
+            DriftModel.from_dict(drift)
+
 
 def test_switch_probability_free_function():
     assert p_switch(math.log10(1e-5), -5.0, 0.3) == pytest.approx(0.5, abs=1e-12)

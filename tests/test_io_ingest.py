@@ -26,6 +26,7 @@ from stochanneal.io_ingest import (
     file_sha256,
     generate_instance,
     parse_rudy,
+    read_measurements,
     read_results,
     serialize_rudy,
     write_manifest,
@@ -301,3 +302,18 @@ class TestManifest:
         assert d["command"] == "gen"
         assert d["seed"] == 5
         assert "version" in d and "timestamp" in d
+
+
+class TestReadMeasurements:
+    def test_reads_rows(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("v_set,hrs_kohm,t_set_s\n1.6,10,1e-5\n\n2.2,500,2e-7\n")
+        assert read_measurements(path).tolist() == [[1.6, 10.0, 1e-5], [2.2, 500.0, 2e-7]]
+
+    @pytest.mark.parametrize("row", ["nan,10,1e-5", "1.6,inf,1e-5", "1.6,10,nan",
+                                     "1.6,10,-inf", "1.6,10,NaN"])
+    def test_non_finite_value_names_its_line(self, tmp_path, row):
+        path = tmp_path / "m.csv"
+        path.write_text(f"v_set,hrs_kohm,t_set_s\n1.6,10,1e-5\n{row}\n")
+        with pytest.raises(Malformed, match="line 3: expected three finite numbers"):
+            read_measurements(path)

@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -439,18 +440,14 @@ class TestPairedRuns:
         original = sampler.make_state
 
         def keep(*args, **kwargs):
-            states.append(original(*args, **kwargs))
-            return states[-1]
+            states.append((original(*args, **kwargs), _kept_run()))
+            return states[-1][0]
 
         monkeypatch.setattr(sampler, "make_state", keep)
         got = []
         for a, trace in sampler.paired_runs(inst, cfgs, ref_surface):
             got.append((a, trace))
-            state, want = states[-1], fresh[trace.run_index]
-            kept = _kept_run()
-            assert kept.form is inst.form
-            assert kept.key == sampler._stream(cfgs[a], inst.n, trace.run_index)
-            start = kept.start
+            (state, start), want = states[-1], fresh[trace.run_index]
             # the loop has written this arm's x and u; write them again
             state.x[:] = 1 - state.x
             state.u[:] += 7
@@ -458,28 +455,19 @@ class TestPairedRuns:
             assert not np.shares_memory(state.u, start.u)
             assert start.x.tolist() == want.x.tolist() and start.u.tolist() == want.u.tolist()
             assert (start.u_scale, start.energy) == (want.u_scale, want.energy)
-            with pytest.raises(ValueError):
-                start.x[0] = 0
+            for kept in (start.x, start.u):
+                with pytest.raises(ValueError):
+                    kept[0] = 0
+        # one start per run index, which every arm at that index shares
+        starts = [{id(start) for (_, start), (_, t) in zip(states, got) if t.run_index == r}
+                  for r in range(self.RUNS)]
+        assert [len(ids) for ids in starts] == [1] * self.RUNS
+        assert len(set().union(*starts)) == self.RUNS
         monkeypatch.undo()
         for a, cfg in enumerate(cfgs):
             for want, (_, trace) in zip(ensemble(inst, cfg, ref_surface),
                                         [p for p in got if p[0] == a]):
                 _assert_traces_equal(want, trace)
-
-    def test_a_stream_of_its_own_draws_its_own_blocks(self, ref_surface, ref_drift,
-                                                      monkeypatch):
-        inst = generate_instance(20, 3.0, seed=30)
-        cfgs = self.arms(ref_drift)
-        cfgs[2] = replace(cfgs[2], seed=10)
-        draws = []
-        original = sampler.reset_noise
-        monkeypatch.setattr(sampler, "reset_noise", lambda *a: draws.append(a) or original(*a))
-        got = list(sampler.paired_runs(inst, cfgs, ref_surface))
-        assert len(draws) == 2 * self.RUNS * self.BLOCKS
-        monkeypatch.undo()
-        for want, (_, trace) in zip(ensemble(inst, cfgs[2], ref_surface),
-                                    [p for p in got if p[0] == 2]):
-            _assert_traces_equal(want, trace)
 
     def test_served_blocks_are_read_only(self, ref_surface, ref_drift, monkeypatch):
         inst = generate_instance(20, 3.0, seed=30)
@@ -533,9 +521,31 @@ class TestPairedRuns:
         inst = generate_instance(20, 3.0, seed=30)
         runs = sampler.paired_runs(inst, self.arms(ref_drift), ref_surface)
         assert next(runs)[0] == 0
-        assert _kept_run() is not None
+        assert _kept_run() is None
         runs.close()
         assert _kept_run() is None
+
+    def test_the_start_is_seen_only_inside_its_runs(self, ref_surface, ref_drift,
+                                                    monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        inside = []
+        original = sampler.run
+        monkeypatch.setattr(sampler, "run",
+                            lambda *a, **k: inside.append(_kept_run()) or original(*a, **k))
+        at_yields = [_kept_run() for _ in sampler.paired_runs(inst, self.arms(ref_drift),
+                                                               ref_surface)]
+        assert at_yields == [None] * (len(self.ARMS) * self.RUNS)
+        assert _kept_run() is None
+        assert len(inside) == len(at_yields) and all(s is not None for s in inside)
+
+    def test_holds_no_run_between_items(self, ref_surface, ref_drift):
+        inst = generate_instance(20, 3.0, seed=30)
+        runs = sampler.paired_runs(inst, self.arms(ref_drift), ref_surface)
+        for _ in range(len(self.ARMS) * self.RUNS):
+            trace = weakref.ref(next(runs)[1])
+            # the caller holds the run no longer, and neither may the generator
+            assert trace() is None
+        assert next(runs, None) is None
 
     def test_a_longer_arm_draws_the_blocks_past_the_first_arms(self, ref_surface, ref_drift,
                                                               monkeypatch):
@@ -581,35 +591,46 @@ class TestPairedRuns:
             for want, trace in zip(ensemble(inst, cfg, ref_surface), runs):
                 _assert_traces_equal(want, trace)
 
-    def test_a_run_off_the_records_form_or_stream_shares_nothing(self, ref_surface,
-                                                                 ref_drift):
+    def test_a_run_between_items_shares_nothing(self, ref_surface, ref_drift, monkeypatch):
+        # runs a caller makes between items, on the same instance and config
+        # or not, neither use nor add to the start the arms share
         inst = generate_instance(20, 3.0, seed=30)
         cfg = self.arms(ref_drift)[1]
         others = ((generate_instance(20, 3.0, seed=31), cfg, 0),
-                  (generate_instance(20, 3.0, seed=30), cfg, 0),  # an equal form, not the same
-                  (inst, replace(cfg, seed=10), 0), (inst, cfg, 1))
-        kept = sampler._kept.run = sampler._record(inst.form, cfg, 0, [])
-        try:
-            got = [run(i, c, ref_surface, r) for i, c, r in others]
-        finally:
-            sampler._kept.run = None
-        assert kept.blocks == []
+                  (generate_instance(20, 3.0, seed=30), cfg, 0),
+                  (inst, replace(cfg, seed=10), 0), (inst, cfg, 0), (inst, cfg, 1))
+        starts = []
+        original = sampler.make_state
+        monkeypatch.setattr(sampler, "make_state",
+                            lambda *a, **k: starts.append(_kept_run()) or original(*a, **k))
+        runs = sampler.paired_runs(inst, self.arms(ref_drift), ref_surface)
+        next(runs)
+        shared, blocks = starts[0], len(starts[0].blocks)
+        got = [run(i, c, ref_surface, r) for i, c, r in others]
+        assert starts[1:] == [None] * len(others)
+        assert len(shared.blocks) == blocks
+        next(runs)
+        assert starts[-1] is shared
+        runs.close()
+        monkeypatch.undo()
         for (i, c, r), trace in zip(others, got):
             _assert_traces_equal(run(i, c, ref_surface, r), trace)
 
-    def test_arms_off_the_first_arms_stream_share_nothing(self, ref_surface, ref_drift,
-                                                          monkeypatch):
+    @pytest.mark.parametrize("arm", [0, 2], ids=["first-arm", "later-arm"])
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["one-process", "pool"])
+    def test_arms_off_one_stream_raise_before_any_run(self, arm, jobs, ref_surface,
+                                                       ref_drift, monkeypatch):
         inst = generate_instance(20, 3.0, seed=30)
-        cfgs = self.arms(ref_drift)
-        cfgs[0] = replace(cfgs[0], seed=10)
-        kept = []
+        calls = []
         original = sampler.run
-        monkeypatch.setattr(sampler, "run",
-                            lambda *a, **k: kept.append(_kept_run()) or original(*a, **k))
-        got = list(sampler.paired_runs(inst, cfgs, ref_surface))
-        assert kept == [None] * (len(cfgs) * self.RUNS)
-        assert [(a, t.run_index) for a, t in got] == [
-            (a, r) for a in range(len(cfgs)) for r in range(self.RUNS)]
+        monkeypatch.setattr(sampler, "run", lambda *a, **k: calls.append(a) or original(*a, **k))
+        for off in ({"seed": 10}, {"scheme": "fixed-input"},
+                    {"drift": replace(ref_drift, hrs_tolerance=0.2)}):
+            cfgs = self.arms(ref_drift, jobs=jobs)
+            cfgs[arm] = replace(cfgs[arm], **off)
+            with pytest.raises(ValueError, match="one seed, scheme and HRS tolerance"):
+                next(sampler.paired_runs(inst, cfgs, ref_surface))
+        assert calls == []
 
     def test_process_pool_runs_the_same_order(self, ref_surface, ref_drift):
         inst = generate_instance(20, 3.0, seed=30)
@@ -625,13 +646,13 @@ class TestPairedRuns:
         kernel = _kernel_or_skip() if kernel else None
         inst = generate_instance(20, 3.0, seed=30)
         cfg = self.arms(ref_drift)[1]
-        kept = sampler._kept.run = sampler._record(inst.form, cfg, 0, [])
+        kept = sampler._kept.run = sampler._start(inst.form, cfg.seed, 0, [])
         try:
             first = make_state(inst, cfg, ref_surface)
             second = make_state(inst, cfg, ref_surface)
         finally:
             sampler._kept.run = None
-        # each state holds the record it was made with, wherever the thread-local points
+        # each state holds the start it was made with, wherever the thread-local points
         sampler._advance(first, 8192, kernel)          # draws block 0 and keeps it
         head = sampler._advance(second, 8192, kernel)  # is served block 0
         assert second.block is kept.blocks[0]

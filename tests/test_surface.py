@@ -4,12 +4,21 @@ import pytest
 from stochanneal.device import calibrate
 from stochanneal.errors import (
     DegenerateDesign,
+    InvalidParameter,
     NonMonotone,
     NonPositiveTime,
     OutOfDomain,
     Unattainable,
 )
-from stochanneal.surface import DeviceSurface, fit_surface, load_params, poly6, save_params
+from stochanneal.surface import (
+    DeviceSurface,
+    fit_surface,
+    load_params,
+    params_from_dict,
+    params_to_dict,
+    poly6,
+    save_params,
+)
 
 
 def make_surface(mu, sigma=(0.3, 0, 0, 0, 0, 0), floor=0.05):
@@ -274,6 +283,14 @@ class TestFitSurface:
         assert surf.v_range == (1.0, 3.0)
         assert surf.r_range == (10.0, 500.0)
 
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, column, value):
+        samples = synthetic_samples(self.TRUE, repeats=2)
+        samples[7, column] = value
+        with pytest.raises(InvalidParameter, match="sample 7 is"):
+            fit_surface(samples)
+
     def test_non_positive_time(self):
         samples = synthetic_samples(self.TRUE, repeats=2)
         samples[5, 2] = 0.0
@@ -296,3 +313,22 @@ def test_invalid_construction():
         make_surface((-5, 0, 0, 0, 0, 0), floor=0.0)
     with pytest.raises(ValueError):
         DeviceSurface((-5, 0, 0, 0, 0, 0), (0.3, 0, 0, 0, 0, 0), (2.2, 1.6), (10, 500))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu_coeffs", (np.nan, 0, 0, 0, 0, 0)), ("sigma_coeffs", (0.3, np.inf, 0, 0, 0, 0)),
+    ("v_range", (1.6, np.inf)), ("r_range", (np.nan, 500.0)), ("sigma_floor", np.inf),
+    ("sigma_floor", np.nan), ("mu_coeffs", (-5, 0, 0, 0, 0)), ("v_range", (1.6, 2.2, 3.0)),
+    ("mu_coeffs", "abcdef"), ("sigma_floor", "a"),
+])
+def test_invalid_field_is_invalid_parameter(ref_surface, field, value):
+    with pytest.raises(InvalidParameter, match=field):
+        DeviceSurface.from_dict({**ref_surface.to_dict(), field: value})
+
+
+@pytest.mark.parametrize("field", ["mu_coeffs", "sigma_coeffs", "v_range", "r_range"])
+def test_params_file_missing_field_named(ref_surface, ref_drift, field):
+    d = params_to_dict(ref_surface, ref_drift)
+    del d[field]
+    with pytest.raises(InvalidParameter, match=f"lacks {field}"):
+        params_from_dict(d)
