@@ -180,6 +180,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
         {**dataclasses.asdict(cfg), "instance": str(instance_path),
          "best_known": inst.best_known},
         seed, params_path, kernel=",".join(sorted({t.kernel for t in traces})),
+        drawn_ahead=sum(t.drawn_ahead for t in traces),
     )
     click.echo(f"best cut {max(t.best_cut for t in traces)} over {len(traces)} runs -> {out_path}")
 
@@ -217,6 +218,7 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
         {"sizes": sizes, "mhrs": mhrs, "iters": iters, "runs": runs,
          "degree": degree, "jobs": jobs},
         seed, params_path, kernel=results[0].kernel if results else None,
+        drawn_ahead=results[0].drawn_ahead if results else None,
     )
     click.echo(f"wrote {out_path}")
 
@@ -248,7 +250,7 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
         out_path + ".manifest.json", "sweep-d2d",
         {"cv": cv, "nodes": nodes, "degree": degree, "iters": iters,
          "runs": runs, "jobs": jobs},
-        seed, params_path, kernel=result.kernel,
+        seed, params_path, kernel=result.kernel, drawn_ahead=result.drawn_ahead,
     )
     click.echo(f"wrote {out_path}")
 

@@ -11,9 +11,10 @@ share one start and one draw of their random blocks, not one per arm.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -303,7 +304,8 @@ class ScalingRow:
     n: int
     converged: list
     runs: int
-    loops: frozenset = frozenset()  # the loops its runs ran (RunTrace.kernel)
+    # its runs by how they ran: (RunTrace.kernel, RunTrace.drawn_ahead) -> count
+    loops: collections.Counter = field(default_factory=collections.Counter)
 
     @property
     def median(self) -> Optional[float]:
@@ -333,7 +335,7 @@ def convergence_scaling(
                 n=inst.n,
                 converged=conv,
                 runs=len(traces),
-                loops=frozenset(t.kernel for t in traces),
+                loops=collections.Counter((t.kernel, t.drawn_ahead) for t in traces),
             )
         )
     return rows
@@ -357,6 +359,7 @@ class SolvableResult:
     rows: list
     max_solvable: int
     kernel: Optional[str] = None  # the loops the call's runs ran, as in _loops_ran
+    drawn_ahead: int = 0          # how many of them drew their blocks ahead
 
 
 def max_solvable_sizes(
@@ -379,13 +382,14 @@ def max_solvable_sizes(
         scheme_code(scheme)  # raises on an unknown scheme
     arms = [(drift, scheme) for drift in drifts for scheme in schemes]
     rows = [[] for _ in arms]
-    loops = set()
+    loops = collections.Counter()
     for size, instances in ladder:
         for inst in instances:
             if inst.best_known is None:
                 raise MissingBestKnown(f"ladder instance {inst.name!r} lacks best_known")
         scaling = convergence_scaling(instances, cfg, surface)
-        loops.update(*(row.loops for row in scaling))
+        for row in scaling:
+            loops.update(row.loops)
         conv = [c for row in scaling for c in row.converged]
         total_runs = sum(row.runs for row in scaling)
         if len(conv) < max(1, total_runs // 2 + 1):
@@ -413,23 +417,28 @@ def max_solvable_sizes(
     return [
         SolvableResult(scheme=scheme, m_hrs=drift.m_hrs, rows=arm_rows,
                        max_solvable=max((r.size for r in arm_rows if r.solvable), default=0),
-                       kernel=_loops_ran(loops))
+                       kernel=_loops_ran(loops), drawn_ahead=_drawn_ahead(loops))
         for (drift, scheme), arm_rows in zip(arms, rows)
     ]
 
 
-def _noting_loops(traces: Iterable[RunTrace], loops: set) -> Iterator[RunTrace]:
-    """`traces`, adding each one's `kernel` to `loops` as it passes."""
+def _noting_loops(traces: Iterable[RunTrace], loops: collections.Counter) -> Iterator[RunTrace]:
+    """`traces`, counting each one in `loops` by how it ran as it passes."""
     for t in traces:
-        loops.add(t.kernel)
+        loops[t.kernel, t.drawn_ahead] += 1
         yield t
         del t  # hold no run while the next one runs
 
 
-def _loops_ran(loops: set) -> Optional[str]:
+def _loops_ran(loops: collections.Counter) -> Optional[str]:
     """The loops some runs ran, as a manifest records them: "c", "python",
     "c,python", or None when nothing ran."""
-    return ",".join(sorted(loops)) or None
+    return ",".join(sorted({kernel for kernel, _ in loops})) or None
+
+
+def _drawn_ahead(loops: collections.Counter) -> int:
+    """How many of the runs counted in `loops` drew their blocks ahead."""
+    return sum(count for (_, ahead), count in loops.items() if ahead)
 
 
 def max_solvable_size(
@@ -470,6 +479,7 @@ class D2DSweepResult:
     settling_ideal: float
     rows: list
     kernel: Optional[str] = None  # the loops its runs ran, as in _loops_ran
+    drawn_ahead: int = 0          # how many of them drew their blocks ahead
 
 
 def d2d_experiment(
@@ -489,14 +499,14 @@ def d2d_experiment(
     sums = [_EnergySum() for _ in arms]
     settling = [math.nan] * len(arms)
     spreads, failures = [[] for _ in arms], [[] for _ in arms]
-    loops = set()
+    loops = collections.Counter()
     # each arm streams its runs into its ensemble mean, holding no run, and
     # its sum is freed once its last run is in
     for a, t in paired_runs(inst, cfgs, surface):
         sums[a].add(t)
         spreads[a].append(t.mu_eff_spread)
         failures[a].append(t.calib_failures)
-        loops.add(t.kernel)
+        loops[t.kernel, t.drawn_ahead] += 1
         del t  # free this run before the next one starts
         if sums[a].count == cfgs[a].runs:
             settling[a] = _settling_of_mean(sums[a].mean()[0])
@@ -520,7 +530,8 @@ def d2d_experiment(
                 settling_calibrated=settling[cal],
             )
         )
-    return D2DSweepResult(settling_ideal=e_ideal, rows=rows, kernel=_loops_ran(loops))
+    return D2DSweepResult(settling_ideal=e_ideal, rows=rows, kernel=_loops_ran(loops),
+                          drawn_ahead=_drawn_ahead(loops))
 
 
 # -- benchmark ladder -------------------------------------------------------------------

@@ -354,12 +354,13 @@ def file_sha256(path) -> str:
 
 
 def write_manifest(path, command: str, config: dict, seed: int, params_path=None,
-                   kernel: Optional[str] = None) -> dict:
+                   kernel: Optional[str] = None, drawn_ahead: Optional[int] = None) -> dict:
     """Record everything needed to reproduce a run byte-for-byte.
 
     `params_path` None stands for the packaged reference parameter file,
     whose hash is recorded too. `kernel` names the sampling loop that ran
-    ("c", "python"), where the caller knows it. The timestamp is
+    ("c", "python"), where the caller knows it, and `drawn_ahead` how many of
+    its runs drew their random blocks on a second thread. The timestamp is
     manifest-only; result CSVs never embed it.
     """
     from . import __version__
@@ -375,6 +376,7 @@ def write_manifest(path, command: str, config: dict, seed: int, params_path=None
         "python": platform.python_version(),
         "numpy": np.__version__,
         "kernel": kernel,
+        "drawn_ahead": drawn_ahead,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     with open_output(path) as fh:

@@ -14,11 +14,18 @@ thresholds), and scheme actuator noise - so paired comparisons (ideal vs
 drifting, calibrated vs not) see identical loop dynamics. `paired_runs` runs
 such arms so that, at each run index, they share one `Start`: the initial
 configuration, built once, and the loop and noise blocks, each drawn once.
+
+Each generator is used by one thread at a time. When `run` has the compiled
+kernel, jobs == 1, more than one CPU and enough blocks to draw, a second
+thread draws the blocks after the first while the kernel runs, and only
+that thread touches the stream's generators until `run` joins it; the
+blocks reach the loop in their order, so the results are the same.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -68,6 +75,11 @@ _KEEP_BYTES = 1 << 20
 # thread, the `Start` that the arms of its run index share; None otherwise.
 # It is not passed to `run`, whose signature the callers that wrap it fix.
 _kept = threading.local()
+# the fewest blocks a second thread must be left to draw for `run` to start
+# it: for fewer, starting and joining it and waiting for a CPU to run it
+# on cost more than it saves. A run that stops on convergence, whose length
+# is unknown, draws this many itself before the thread starts.
+_AHEAD_BLOCKS = 8
 
 ACTIVATION_DEVICE = "device"
 ACTIVATION_LOGISTIC = "logistic"
@@ -126,6 +138,7 @@ class RunTrace:
     calib_failures: int
     run_index: int
     kernel: str = "python"          # the loop that ran: "c" or "python"
+    drawn_ahead: bool = False       # whether a second thread drew its blocks (see run)
 
 
 # A run's constants. The field order is `par[]` in `_kernel.c`, so
@@ -228,6 +241,76 @@ def _next_block(state: State) -> None:
     state.block = None  # free the spent block before drawing the next
     state.block = next(state.draws)
     state.cursor = 0
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _drawn_ahead(state: State, count: int, inline: int):
+    """While the `with` body runs, a second thread draws blocks `inline` to
+    count - 1 of `state.draws`, at most two ahead of the loop; yields a list
+    that holds the thread once it has started.
+
+    The loop draws blocks 0 to inline - 1 itself, and the thread starts as
+    the loop takes the last of them, so a run that stops before then starts
+    none. From then until the thread ends, only it touches the stream's
+    generators and its start's kept blocks; it hands the blocks over in
+    order, so the loop, and any later state on the same start, see what
+    drawing inline gives them. An exception in the thread is raised where
+    the loop takes its next block. On leaving, the thread is stopped, its
+    queue emptied and the thread joined, whether or not the loop took every
+    block.
+    """
+    import queue  # here: only a run that draws ahead needs it
+
+    draws, started = state.draws, []
+
+    def produce(handed, stop):
+        try:
+            for _ in range(count - inline):
+                handed.put((next(draws), None))
+                if stop.is_set():
+                    return
+        except BaseException as exc:  # raised again on the loop's thread
+            handed.put((None, exc))
+
+    def take(handed):
+        block, exc = handed.get()
+        if exc is not None:
+            raise exc
+        return block
+
+    def blocks():
+        for _ in range(inline - 1):
+            yield next(draws)
+        handed, stop = queue.Queue(2), threading.Event()
+        thread = threading.Thread(target=produce, args=(handed, stop),
+                                  name="stochanneal-draws", daemon=True)
+        block = next(draws)
+        thread.start()
+        started.append((thread, handed, stop))
+        yield block
+        del block  # hold no block the loop has taken
+        for _ in range(count - inline):
+            yield take(handed)
+        yield from draws  # the thread is done with them
+
+    state.draws = blocks()
+    try:
+        yield started
+    finally:
+        for thread, handed, stop in started:
+            stop.set()
+            with contextlib.suppress(queue.Empty):
+                while True:  # frees a put the thread may be blocked in
+                    handed.get_nowait()
+            thread.join()
 
 
 def step(state: State) -> None:
@@ -639,6 +722,13 @@ def run(
 
     The compiled kernel runs the loop when it loads and the instance's fields
     fit in 53 bits; `_reference_loop` runs it otherwise. Results are the same.
+    With the kernel, jobs == 1 and more than one CPU, a second thread draws
+    the blocks after the first while the kernel runs (`_drawn_ahead`), and
+    ends before this returns. A run that stops on convergence draws its
+    first _AHEAD_BLOCKS blocks itself. The thread starts only when at least
+    _AHEAD_BLOCKS blocks are left for it to draw, past those and past any
+    that a start the run shares keeps. `RunTrace.drawn_ahead` records
+    whether it ran.
     """
     state = make_state(inst, cfg, surface, run_index)
     kernel = None
@@ -646,7 +736,14 @@ def run(
         kernel = load_kernel()
     else:
         log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
-    energies = _advance(state, cfg.max_iters, kernel)
+    shared = getattr(_kept, "run", None)
+    kept = len(shared.blocks) if shared is not None else 0
+    inline = _AHEAD_BLOCKS if cfg.stop_on_convergence else 1
+    blocks = -(-cfg.max_iters // _RNG_BLOCK)
+    ahead = (kernel is not None and cfg.jobs == 1
+             and blocks - max(inline, kept) >= _AHEAD_BLOCKS and _cpus() > 1)
+    with _drawn_ahead(state, blocks, inline) if ahead else contextlib.nullcontext(()) as started:
+        energies = _advance(state, cfg.max_iters, kernel)
     return RunTrace(
         energies=energies,
         stride=state.params.stride,
@@ -660,6 +757,7 @@ def run(
         calib_failures=state.calib_failures,
         run_index=run_index,
         kernel="python" if kernel is None else "c",
+        drawn_ahead=bool(started),
     )
 
 

@@ -71,6 +71,8 @@ class DeviceSurface:
                 raise InvalidParameter(f"{name} must be a list of numbers") from None
             if len(values) != size:
                 raise InvalidParameter(f"{name} takes exactly {size} numbers, got {len(values)}")
+            if not all(map(math.isfinite, values)):
+                raise InvalidParameter(f"{name} must be finite, got {list(values)}")
             object.__setattr__(self, name, values)
         if not self.v_range[0] < self.v_range[1]:
             raise InvalidParameter("v_range must be an increasing interval")
@@ -80,6 +82,8 @@ class DeviceSurface:
             object.__setattr__(self, "sigma_floor", float(self.sigma_floor))
         except (TypeError, ValueError):
             raise InvalidParameter(f"sigma_floor must be a number, got {self.sigma_floor!r}") from None
+        if not math.isfinite(self.sigma_floor):
+            raise InvalidParameter(f"sigma_floor must be finite, got {self.sigma_floor}")
         if not self.sigma_floor > 0:
             raise InvalidParameter("sigma_floor must be > 0")
 
@@ -219,18 +223,14 @@ class DeviceSurface:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DeviceSurface":
-        """The inverse of to_dict; as in a parameter file, every value must be finite."""
-        surface = cls(
+        """The inverse of to_dict."""
+        return cls(
             mu_coeffs=d["mu_coeffs"],
             sigma_coeffs=d["sigma_coeffs"],
             v_range=d["v_range"],
             r_range=d["r_range"],
             sigma_floor=d.get("sigma_floor", SIGMA_FLOOR),
         )
-        for name, value in surface.to_dict().items():
-            if not np.isfinite(value).all():
-                raise InvalidParameter(f"{name} must be finite, got {value}")
-        return surface
 
 
 # -- fitting -------------------------------------------------------------------

@@ -348,6 +348,30 @@ class TestSweeps:
         assert r.exit_code == 0
         manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
         assert manifest["kernel"] == want
+        assert manifest["drawn_ahead"] == 0  # no run here lasts two blocks
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_manifest_counts_the_runs_drawn_ahead(self, runner, tmp_path, monkeypatch, cpus):
+        from stochanneal import sampler
+
+        if sampler.load_kernel() is None:
+            pytest.skip("the compiled kernel did not load here")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(sampler, "_AHEAD_BLOCKS", 2)  # so that runs of three blocks do
+        inst = tmp_path / "k3.rudy"
+        inst.write_text(K3_TEXT)
+        # three blocks per run; the d2d arms share each run index's blocks,
+        # so only the first arm at each index draws
+        commands = {
+            "solve": (["--instance", str(inst), "--iters", "20000", "--runs", "2"], 2),
+            "sweep-d2d": (["--nodes", "12", "--iters", "20000", "--runs", "10", "--cv", "0.1"],
+                          10),
+        }
+        for command, (flags, ahead) in commands.items():
+            out = tmp_path / f"{command}.csv"
+            assert invoke(runner, [command, *flags, "--out", str(out)]).exit_code == 0
+            manifest = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
+            assert manifest["drawn_ahead"] == (ahead if cpus > 1 else 0), command
 
     def test_sweep_drift_nan_slope_exits_3(self, runner, tmp_path):
         out = tmp_path / "sd.csv"

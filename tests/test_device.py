@@ -102,8 +102,13 @@ class TestPSwitch:
         for mu in (-400.0, 400.0):
             with pytest.raises(NonPositivePulse, match="must be a finite double > 0"):
                 make_state(inst, BoltzmannConfig(), flat_surface(mu=mu))
+        # every coefficient finite, but mu overflows to NaN at 1.8 V (inf - inf)
+        nan_mu = DeviceSurface(mu_coeffs=(0.0, 1e308, 0.0, 1e308, 0.0, -1e308),
+                               sigma_coeffs=(0.3, 0, 0, 0, 0, 0), v_range=(1.6, 2.2),
+                               r_range=(10.0, 500.0))
+        assert math.isnan(nan_mu.eval_mu(1.8, 100.0))
         with pytest.raises(NonPositivePulse):
-            flat_surface(mu=math.nan).center_pulse_width(1.8, 100.0)
+            nan_mu.center_pulse_width(1.8, 100.0)
         assert flat_surface(mu=-300.0).center_pulse_width(1.8, 100.0) == 1e-300
 
     def test_monotone_cdf_in_pulse_width(self, ref_surface, rng):

@@ -5,6 +5,7 @@ import hashlib
 import logging
 import math
 import os
+import pickle
 import re
 import shutil
 import stat
@@ -668,6 +669,169 @@ class TestPairedRuns:
         _assert_states_equal(alone, first)
 
 
+class TestDrawAhead:
+    """A second thread draws a run's blocks ahead (see sampler.run): the runs
+    are the same bit for bit, and no thread outlives the run that started it.
+
+    Each test sets the CPUs the sampler sees, so that it draws ahead or not
+    whatever the host has, and all but the last let a thread start for runs
+    of a few blocks.
+    """
+
+    ITERS, RUNS = 4 * 8192 + 100, 3  # five blocks per run
+    AHEAD_BLOCKS = sampler._AHEAD_BLOCKS
+
+    @pytest.fixture(autouse=True)
+    def short_runs_draw_ahead(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_AHEAD_BLOCKS", 1)
+
+    @staticmethod
+    def cpus(monkeypatch, n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    def both_ways(self, monkeypatch, fn):
+        """(fn() on one CPU, fn() on two); each leaves the thread count as it
+        found it. The threads trade the interpreter lock every 10 us."""
+        _kernel_or_skip()
+        out, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for n in (1, 2):
+                with monkeypatch.context() as m:
+                    self.cpus(m, n)
+                    before = threading.active_count()
+                    out.append(fn())
+                    assert threading.active_count() == before
+        finally:
+            sys.setswitchinterval(interval)
+        return out
+
+    def arms(self, drift):
+        base = BoltzmannConfig(max_iters=self.ITERS, runs=self.RUNS, seed=9, scheme="monitored",
+                               drift=drift)
+        return [replace(base, d2d_cv=cv, calibrate=cal) for cv, cal in TestPairedRuns.ARMS]
+
+    @pytest.mark.parametrize("scheme", ["ideal", "fixed-input", "monitored"])
+    def test_ensemble_equals_inline(self, scheme, ref_surface, ref_drift, monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = BoltzmannConfig(max_iters=self.ITERS, runs=self.RUNS, seed=9, scheme=scheme,
+                              drift=_PINNED_DRIFT, d2d_cv=0.1, calibrate=True)
+        inline, ahead = self.both_ways(monkeypatch, lambda: ensemble(inst, cfg, ref_surface))
+        assert [t.drawn_ahead for t in inline] == [False] * self.RUNS
+        assert [t.drawn_ahead for t in ahead] == [True] * self.RUNS
+        for want, got in zip(inline, ahead):
+            _assert_traces_equal(want, got)
+
+    def test_a_run_that_stops_in_its_second_block(self, ref_surface, ref_drift, monkeypatch):
+        inst = replace(generate_instance(100, 3.0, seed=31), best_known=59)
+        cfg = BoltzmannConfig(max_iters=self.ITERS, seed=9, drift=ref_drift,
+                              stop_on_convergence=True)
+        inline, ahead = self.both_ways(monkeypatch, lambda: run(inst, cfg, ref_surface))
+        assert 8192 < inline.converged_at <= 2 * 8192
+        # the thread, started at block 0, has drawn ahead when the run stops
+        assert ahead.drawn_ahead
+        _assert_traces_equal(inline, ahead)
+
+    @pytest.mark.parametrize("run_major", [True, False], ids=["run-major", "arm-major"])
+    def test_paired_runs_equal_inline(self, run_major, ref_surface, ref_drift, monkeypatch):
+        # the first arm stops on convergence in block 0, after its thread has
+        # drawn ahead; run-major, the blocks it drew are kept for the others
+        inst = replace(generate_instance(20, 3.0, seed=30), best_known=10)
+        cfgs = self.arms(ref_drift)
+        cfgs[0] = replace(cfgs[0], stop_on_convergence=True)
+        if not run_major:
+            monkeypatch.setattr(sampler, "_KEEP_BYTES", 0)
+        kept, original = [], sampler.run
+
+        def spy(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            kept.append(len(_kept_run().blocks) if run_major else 0)
+            return trace
+
+        monkeypatch.setattr(sampler, "run", spy)
+        inline, ahead = self.both_ways(
+            monkeypatch, lambda: list(sampler.paired_runs(inst, cfgs, ref_surface)))
+        assert [a for a, _ in ahead] == [a for a, _ in inline]
+        for (_, want), (_, got) in zip(inline, ahead):
+            _assert_traces_equal(want, got)
+        assert all(0 < t.iterations < 8192 and t.drawn_ahead for a, t in ahead if a == 0)
+        if run_major:
+            # the first arm's thread has drawn up to three blocks past the one
+            # it stopped in, and the next arm draws the rest
+            kept = kept[len(inline):]
+            assert [k for k, (a, _) in zip(kept, ahead) if a] == [5] * (len(cfgs) - 1) * self.RUNS
+            assert all(1 <= k <= 4 for k, (a, _) in zip(kept, ahead) if a == 0)
+            assert 5 * sampler._block_bytes(scheme_code("monitored")) <= sampler._KEEP_BYTES
+        else:
+            assert all(t.drawn_ahead for _, t in ahead)
+
+    def test_a_generator_closed_after_its_first_item(self, ref_surface, ref_drift,
+                                                     monkeypatch):
+        inst = generate_instance(20, 3.0, seed=30)
+
+        def first():
+            runs = sampler.paired_runs(inst, self.arms(ref_drift), ref_surface)
+            item = next(runs)
+            runs.close()
+            return item
+
+        (_, want), (_, got) = self.both_ways(monkeypatch, first)
+        assert got.drawn_ahead
+        _assert_traces_equal(want, got)
+
+    @pytest.mark.parametrize("block", [2, 4])
+    def test_an_exception_in_the_thread_reaches_the_run(self, block, ref_surface, ref_drift,
+                                                        monkeypatch):
+        _kernel_or_skip()
+        self.cpus(monkeypatch, 2)
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = BoltzmannConfig(max_iters=self.ITERS, seed=9, scheme="monitored", drift=ref_drift)
+        drawn_by, original = [], sampler.reset_noise
+
+        class Failed(Exception):
+            pass
+
+        def failing(*args):
+            drawn_by.append(threading.get_ident())
+            if len(drawn_by) == block + 1:
+                raise Failed
+            return original(*args)
+
+        monkeypatch.setattr(sampler, "reset_noise", failing)
+        before = threading.active_count()
+        with pytest.raises(Failed):
+            run(inst, cfg, ref_surface)
+        assert threading.active_count() == before
+        assert drawn_by[0] == threading.get_ident() != drawn_by[-1]
+
+    def test_step_starts_no_thread(self, ref_surface, ref_drift, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        cfg = BoltzmannConfig(max_iters=self.ITERS, seed=9, scheme="monitored", drift=ref_drift)
+        state = make_state(generate_instance(20, 3.0, seed=30), cfg, ref_surface)
+        for _ in range(8192 + 10):  # into the second block
+            step(state)
+        assert started == [] and state.t == 8192 + 10
+
+    def test_a_thread_starts_only_with_enough_blocks_to_draw(self, ref_surface, ref_drift,
+                                                            monkeypatch):
+        _kernel_or_skip()
+        k = self.AHEAD_BLOCKS
+        monkeypatch.setattr(sampler, "_AHEAD_BLOCKS", k)
+        self.cpus(monkeypatch, 2)
+        inst = replace(generate_instance(20, 3.0, seed=30), best_known=10**6)  # never met
+
+        def ahead(blocks, stop=False):
+            cfg = BoltzmannConfig(max_iters=(blocks - 1) * 8192 + 1, seed=9, drift=ref_drift,
+                                  stop_on_convergence=stop)
+            return run(inst, cfg, ref_surface).drawn_ahead
+
+        # k blocks past the first; for a run that may stop, past the first k
+        assert (ahead(k), ahead(k + 1)) == (False, True)
+        assert (ahead(2 * k - 1, True), ahead(2 * k, True)) == (False, True)
+
+
 # strong enough drift that fixed-input runs clamp HRS at the window ends
 _PINNED_DRIFT = DriftModel(m_hrs=6.0, s_rw=3.0)
 
@@ -750,7 +914,7 @@ def _kernel_or_skip():
 
 def _assert_traces_equal(ref, fast):
     for f in dataclasses.fields(RunTrace):
-        if f.name == "kernel":
+        if f.name in ("kernel", "drawn_ahead"):  # how a run ran, not what it gave
             continue
         a, b = getattr(ref, f.name), getattr(fast, f.name)
         assert type(a) is type(b), f.name
@@ -764,9 +928,45 @@ _STATE_FIELDS = ("x", "u", "hrs", "targets", "offs", "cyc", "best_x", "energy", 
                  "converged_at", "clamps", "t", "cursor", "params")
 
 
-def _assert_int64_equal(a, b):
-    assert a.dtype == b.dtype == np.int64
-    assert a.tolist() == b.tolist()
+def _snapshot(state, trace) -> dict:
+    """A state's fields, bit for bit, and the sha256 of the int64 energies
+    `trace` that the stretch of its run leading there recorded."""
+    assert trace.dtype == np.int64
+    snap = {"trace": hashlib.sha256(trace.tobytes()).hexdigest()}
+    for name in _STATE_FIELDS:
+        a = getattr(state, name)
+        if isinstance(a, np.ndarray):
+            snap[name] = (str(a.dtype), a.shape,
+                          repr(a.tolist()) if a.dtype == object else a.tobytes())
+        else:
+            snap[name] = (type(a).__name__, repr(a))
+    return snap
+
+
+def _stretches(state, steps, kernel) -> list:
+    """Snapshots of `state` after each stretch of `steps` iterations, run by
+    `kernel`, or by the reference loop when it is None."""
+    return [_snapshot(state, sampler._advance(state, k, kernel)) for k in steps]
+
+
+def _assert_snapshots_equal(ref, fast):
+    assert len(ref) == len(fast)
+    for k, (a, b) in enumerate(zip(ref, fast)):
+        for name in a:
+            assert a[name] == b[name], f"{name} after stretch {k}"
+
+
+# The reference loop's snapshots by case, recorded as the tests make them.
+# TestSanitizedKernel hands them to its subprocess, which then runs only the
+# kernel side of each case recorded here.
+_REFERENCES = {}
+
+
+def _reference(key, snapshots):
+    """The recorded reference snapshots of case `key`; `snapshots()` makes them."""
+    if key not in _REFERENCES:
+        _REFERENCES[key] = snapshots()
+    return _REFERENCES[key]
 
 
 def _assert_states_equal(ref, fast):
@@ -820,19 +1020,16 @@ class TestKernel:
         # visible instead of being reset by a clamp
         cfg = BoltzmannConfig(seed=8, drift=DriftModel(m_hrs=0.01, s_rw=0.5), scheme=scheme,
                               d2d_cv=0.1, energy_stride=3)
-        ref = make_state(inst, cfg, ref_surface)
-        fast = make_state(inst, cfg, ref_surface)
-        ref_trace, fast_trace = [], []
-        for _ in range(100):
-            ref_trace.append(sampler._advance(ref, 1))
-            fast_trace.append(sampler._advance(fast, 1))
-        ref_trace.append(sampler._advance(ref, 20_000))
-        fast_trace.append(sampler._advance(fast, 20_000, kernel))
-        _assert_states_equal(ref, fast)
-        _assert_int64_equal(np.concatenate(ref_trace), np.concatenate(fast_trace))
-        # the reference carries on from the state the kernel wrote back
-        _assert_int64_equal(sampler._advance(ref, 5_000), sampler._advance(fast, 5_000))
-        _assert_states_equal(ref, fast)
+
+        def snapshots(kernel):
+            state = make_state(inst, cfg, ref_surface)
+            trace = [sampler._advance(state, 1) for _ in range(100)]
+            trace.append(sampler._advance(state, 20_000, kernel))
+            # the reference carries on from the state the kernel wrote back
+            return [_snapshot(state, np.concatenate(trace)), *_stretches(state, [5_000], None)]
+
+        ref = _reference(("mid-block", scheme), lambda: snapshots(None))
+        _assert_snapshots_equal(ref, snapshots(kernel))
 
     def test_params_order_is_the_kernel_par_enum(self):
         source = sampler._KERNEL_SOURCE.read_text()
@@ -927,17 +1124,13 @@ class TestPSwitchTable:
         # the reference's at every point of a run split across calls
         kernel = _kernel_or_skip()
         cfg = BoltzmannConfig(seed=8, activation=activation, energy_stride=3)
-        ref = make_state(_TABLE_INSTANCES[1], cfg, ref_surface)
+        steps = (100, 1, 5_000, 20_000)
+        ref = _reference(("continued", activation), lambda: _stretches(
+            make_state(_TABLE_INSTANCES[1], cfg, ref_surface), steps, None))
         fast = make_state(_TABLE_INSTANCES[1], cfg, ref_surface)
         assert sampler._uses_table(fast)
-        ref_trace = [sampler._advance(ref, 100)]
-        fast_trace = [sampler._advance(fast, 100, kernel)]
-        for steps in (1, 5_000, 20_000):
-            ref_trace.append(sampler._advance(ref, steps))
-            fast_trace.append(sampler._advance(fast, steps, kernel))
-            _assert_states_equal(ref, fast)
+        _assert_snapshots_equal(ref, _stretches(fast, steps, kernel))
         assert 0 < fast.cursor < sampler._RNG_BLOCK
-        _assert_int64_equal(np.concatenate(ref_trace), np.concatenate(fast_trace))
 
     def test_field_range_over_the_cap_runs_without_table(self, ref_surface, monkeypatch):
         _kernel_or_skip()
@@ -1367,13 +1560,15 @@ class TestDifferential:
         assert inst.form.fits_in_53_bits
         # the whole run in one call, then in pieces, the states compared after each
         for cuts in ([], splits):
-            ref, fast = (set_params(make_state(inst, cfg, surface), **over) for _ in range(2))
-            ref_trace, fast_trace = [], []
-            for steps in np.diff([0, *cuts, cfg.max_iters]).tolist():
-                ref_trace.append(sampler._advance(ref, steps))
-                fast_trace.append(sampler._advance(fast, steps, kernel))
-                _assert_states_equal(ref, fast)
-            _assert_int64_equal(np.concatenate(ref_trace), np.concatenate(fast_trace))
+            steps = np.diff([0, *cuts, cfg.max_iters]).tolist()
+
+            def snapshots(kernel):
+                return _stretches(set_params(make_state(inst, cfg, surface), **over), steps,
+                                  kernel)
+
+            ref = _reference(("differential", scheme, activation, seed, tuple(cuts)),
+                             lambda: snapshots(None))
+            _assert_snapshots_equal(ref, snapshots(kernel))
 
 # UBSan, array bounds, and float-to-integer conversions out of range (the
 # squeeze's cell index), each fatal at its first report
@@ -1381,7 +1576,8 @@ _UBSAN_FLAGS = ("-fsanitize=undefined,bounds,float-cast-overflow", "-fno-sanitiz
 # kernel tests that cover every scheme x activation x d2d cell, the squeeze
 # and the drawn settings, at a fraction of the cost of all of them
 _KERNEL_CELLS = ("(TestBitIdentity and results_pinned) or (TestKernel and mid_block)"
-                 " or (TestPSwitchTable and continued) or TestSqueeze or TestDifferential")
+                 " or (TestPSwitchTable and continued) or TestSqueeze or TestDifferential"
+                 " or TestDrawAhead")
 
 
 class TestSanitizedKernel:
@@ -1389,17 +1585,28 @@ class TestSanitizedKernel:
         """The kernel-vs-reference tests, run on a kernel built with UBSan.
 
         They run in a subprocess, so that a sanitizer abort fails this test
-        alone; the build goes to a private cache of its own.
+        alone; the build goes to a private cache of its own. The reference
+        snapshots this process has recorded go with them, so the subprocess
+        runs the reference loop only for the cases that did not run here
+        before this test.
         """
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
+        references = tmp_path / "references.pickle"
+        references.write_bytes(pickle.dumps(_REFERENCES))
         (tmp_path / "ubsan_kernel.py").write_text(
+            "import pickle\n\n"
             "import pytest\n"
             "from stochanneal import sampler\n\n\n"
             "def pytest_configure(config):\n"
             f"    sampler._KERNEL_FLAGS += {_UBSAN_FLAGS!r}\n"
             "    if sampler.load_kernel() is None:\n"
-            "        pytest.exit('no UBSan build of the kernel loads here', returncode=77)\n"
+            "        pytest.exit('no UBSan build of the kernel loads here', returncode=77)\n\n\n"
+            "def pytest_collection_modifyitems(items):\n"
+            f"    with open({str(references)!r}, 'rb') as fh:\n"
+            "        references = pickle.load(fh)\n"
+            "    for module in {item.module for item in items}:\n"
+            "        module._REFERENCES.update(references)\n"
         )
         src = os.path.dirname(os.path.dirname(sampler.__file__))
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
