@@ -116,12 +116,15 @@ jobs_option = click.option("--jobs", type=int, default=1, show_default=True,
 
 
 def _comma_list(kind):
-    """A click callback that parses a comma list of `kind` values, or fails as usage."""
+    """A click callback that parses a non-empty comma list of `kind` values, or fails as usage."""
     def parse(ctx, param, value):
         try:
-            return [kind(s) for s in value.split(",") if s]
+            values = [kind(s) for s in value.split(",") if s]
         except ValueError:
+            values = []
+        if not values:
             raise click.BadParameter(f"{value!r} is not a comma list of {kind.__name__}s")
+        return values
     return parse
 
 
@@ -217,8 +220,7 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
         out_path + ".manifest.json", "sweep-drift",
         {"sizes": sizes, "mhrs": mhrs, "iters": iters, "runs": runs,
          "degree": degree, "jobs": jobs},
-        seed, params_path, kernel=results[0].kernel if results else None,
-        drawn_ahead=results[0].drawn_ahead if results else None,
+        seed, params_path, kernel=results[0].kernel, drawn_ahead=results[0].drawn_ahead,
     )
     click.echo(f"wrote {out_path}")
 

@@ -15,11 +15,13 @@ drifting, calibrated vs not) see identical loop dynamics. `paired_runs` runs
 such arms so that, at each run index, they share one `Start`: the initial
 configuration, built once, and the loop and noise blocks, each drawn once.
 
-Each generator is used by one thread at a time. When `run` has the compiled
-kernel, jobs == 1, more than one CPU and enough blocks to draw, a second
-thread draws the blocks after the first while the kernel runs, and only
-that thread touches the stream's generators until `run` joins it; the
-blocks reach the loop in their order, so the results are the same.
+Each generator is used by one thread at a time. `run` alone decides how a
+run's blocks are drawn: a run on a shared start draws them inline. Otherwise,
+when `run` has the compiled kernel, jobs == 1, more than one CPU and enough
+blocks to draw, a second thread draws the blocks after the first while the
+kernel runs (`_ahead`), and only that thread touches the stream's generators
+until `run` joins it; the blocks reach the loop in their order, so the
+results are the same.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ _RNG_BLOCK = 8192
 _KEEP_BYTES = 1 << 20
 # `.run`: while a `run` call that `paired_runs` makes is running in this
 # thread, the `Start` that the arms of its run index share; None otherwise.
-# It is not passed to `run`, whose signature the callers that wrap it fix.
+# `run` alone reads it, and hands it to `make_state`; it is not an argument
+# of `run`, whose signature the callers that wrap it fix.
 _kept = threading.local()
 # the fewest blocks a second thread must be left to draw for `run` to start
 # it: for fewer, starting and joining it and waiting for a CPU to run it
@@ -237,12 +240,6 @@ def _draws(start: Start, n: int, scheme: int, tol: float):
         yield block
 
 
-def _next_block(state: State) -> None:
-    state.block = None  # free the spent block before drawing the next
-    state.block = next(state.draws)
-    state.cursor = 0
-
-
 def _cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -251,66 +248,52 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _drawn_ahead(state: State, count: int, inline: int):
-    """While the `with` body runs, a second thread draws blocks `inline` to
-    count - 1 of `state.draws`, at most two ahead of the loop; yields a list
-    that holds the thread once it has started.
+def _ahead(draws: Iterator, count: int, inline: int) -> Iterator:
+    """Blocks 0 to count - 1 of `draws`, of which a second thread draws
+    blocks `inline` to count - 1, at most two ahead of the consumer.
 
-    The loop draws blocks 0 to inline - 1 itself, and the thread starts as
-    the loop takes the last of them, so a run that stops before then starts
+    The consumer draws blocks 0 to inline - 1 itself, and the thread starts
+    as it takes the last of them, so a run that stops before then starts
     none. From then until the thread ends, only it touches the stream's
-    generators and its start's kept blocks; it hands the blocks over in
-    order, so the loop, and any later state on the same start, see what
-    drawing inline gives them. An exception in the thread is raised where
-    the loop takes its next block. On leaving, the thread is stopped, its
-    queue emptied and the thread joined, whether or not the loop took every
-    block.
+    generators; it hands the blocks over in order, so the consumer sees what
+    drawing inline gives it. An exception in the thread is raised where the
+    consumer takes its next block. When the generator ends or is closed, the
+    thread is stopped, its queue emptied and the thread joined, whether or
+    not the consumer took every block.
     """
     import queue  # here: only a run that draws ahead needs it
 
-    draws, started = state.draws, []
+    for _ in range(inline - 1):
+        yield next(draws)
+    handed, stop = queue.Queue(2), threading.Event()
 
-    def produce(handed, stop):
+    def produce():
         try:
             for _ in range(count - inline):
                 handed.put((next(draws), None))
                 if stop.is_set():
                     return
-        except BaseException as exc:  # raised again on the loop's thread
+        except BaseException as exc:  # raised again on the consumer's thread
             handed.put((None, exc))
 
-    def take(handed):
-        block, exc = handed.get()
-        if exc is not None:
-            raise exc
-        return block
-
-    def blocks():
-        for _ in range(inline - 1):
-            yield next(draws)
-        handed, stop = queue.Queue(2), threading.Event()
-        thread = threading.Thread(target=produce, args=(handed, stop),
-                                  name="stochanneal-draws", daemon=True)
-        block = next(draws)
-        thread.start()
-        started.append((thread, handed, stop))
-        yield block
-        del block  # hold no block the loop has taken
-        for _ in range(count - inline):
-            yield take(handed)
-        yield from draws  # the thread is done with them
-
-    state.draws = blocks()
+    thread = threading.Thread(target=produce, name="stochanneal-draws", daemon=True)
+    block = next(draws)
+    thread.start()
     try:
-        yield started
+        yield block
+        del block  # hold no block the consumer has taken
+        for _ in range(count - inline):
+            block, exc = handed.get()
+            if exc is not None:
+                raise exc
+            yield block
+            del block
     finally:
-        for thread, handed, stop in started:
-            stop.set()
-            with contextlib.suppress(queue.Empty):
-                while True:  # frees a put the thread may be blocked in
-                    handed.get_nowait()
-            thread.join()
+        stop.set()
+        with contextlib.suppress(queue.Empty):
+            while True:  # frees a put the thread may be blocked in
+                handed.get_nowait()
+        thread.join()
 
 
 def step(state: State) -> None:
@@ -336,7 +319,8 @@ def _advance(state: State, steps: int, kernel=None) -> np.ndarray:
     loop = _reference_loop if kernel is None else _kernel_loop(kernel, state)
     while state.t < tend:
         if state.block is None or state.cursor == _RNG_BLOCK:
-            _next_block(state)
+            state.block = None  # free the spent block before drawing the next
+            state.block, state.cursor = next(state.draws), 0
         t = state.t
         loop(state, min(_RNG_BLOCK - state.cursor, tend - t), trace, t // stride - t0 // stride)
         state.cursor += state.t - t
@@ -642,8 +626,11 @@ def make_state(
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
     run_index: int = 0,
+    start: Optional[Start] = None,
 ) -> State:
-    """Build the initial State for (instance, config, surface, run_index)."""
+    """Build the initial State for (instance, config, surface, run_index),
+    from `start` when given (a start that `paired_runs` shares) and from a
+    start of its own, keeping no blocks, otherwise."""
     if inst.n < 1:
         raise ValueError("instance must have at least one node")
     if not (surface.v_range[0] <= V_MIN and V_MAX <= surface.v_range[1]):
@@ -651,7 +638,8 @@ def make_state(
                          f"surface range {surface.v_range}")
     form = inst.form
     n = inst.n
-    start = getattr(_kept, "run", None) or _start(form, cfg.seed, run_index)
+    if start is None:
+        start = _start(form, cfg.seed, run_index)
     _, ss_dev, ss_cal, _, _ = start.children
     x, u = start.x.copy(), start.u.copy()
 
@@ -722,27 +710,28 @@ def run(
 
     The compiled kernel runs the loop when it loads and the instance's fields
     fit in 53 bits; `_reference_loop` runs it otherwise. Results are the same.
-    With the kernel, jobs == 1 and more than one CPU, a second thread draws
-    the blocks after the first while the kernel runs (`_drawn_ahead`), and
-    ends before this returns. A run that stops on convergence draws its
-    first _AHEAD_BLOCKS blocks itself. The thread starts only when at least
-    _AHEAD_BLOCKS blocks are left for it to draw, past those and past any
-    that a start the run shares keeps. `RunTrace.drawn_ahead` records
-    whether it ran.
+    A run on the start that `paired_runs` shares (`_kept.run`, read here
+    alone) draws its blocks inline. Otherwise, with the kernel, jobs == 1
+    and more than one CPU, a second thread draws the blocks after the first
+    while the kernel runs (`_ahead`), and ends before this returns. A run
+    that stops on convergence draws its first _AHEAD_BLOCKS blocks itself.
+    The thread starts only when at least _AHEAD_BLOCKS blocks are left for
+    it to draw past those. `RunTrace.drawn_ahead` records whether it ran.
     """
-    state = make_state(inst, cfg, surface, run_index)
+    start = getattr(_kept, "run", None)
+    state = make_state(inst, cfg, surface, run_index, start=start)
     kernel = None
     if inst.form.fits_in_53_bits:
         kernel = load_kernel()
     else:
         log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
-    shared = getattr(_kept, "run", None)
-    kept = len(shared.blocks) if shared is not None else 0
     inline = _AHEAD_BLOCKS if cfg.stop_on_convergence else 1
-    blocks = -(-cfg.max_iters // _RNG_BLOCK)
-    ahead = (kernel is not None and cfg.jobs == 1
-             and blocks - max(inline, kept) >= _AHEAD_BLOCKS and _cpus() > 1)
-    with _drawn_ahead(state, blocks, inline) if ahead else contextlib.nullcontext(()) as started:
+    count = -(-cfg.max_iters // _RNG_BLOCK)
+    ahead = (start is None and kernel is not None and cfg.jobs == 1
+             and count - inline >= _AHEAD_BLOCKS and _cpus() > 1)
+    if ahead:
+        state.draws = _ahead(state.draws, count, inline)
+    with contextlib.closing(state.draws):
         energies = _advance(state, cfg.max_iters, kernel)
     return RunTrace(
         energies=energies,
@@ -757,7 +746,7 @@ def run(
         calib_failures=state.calib_failures,
         run_index=run_index,
         kernel="python" if kernel is None else "c",
-        drawn_ahead=bool(started),
+        drawn_ahead=ahead and state.t > (inline - 1) * _RNG_BLOCK,
     )
 
 
@@ -778,13 +767,13 @@ def paired_runs(
     `experiments.d2d_experiment` does; otherwise this raises ValueError
     before any run. When they are two or more and the blocks of one run
     index fit in _KEEP_BYTES, the arms run run-major (every arm at run 0,
-    then every arm at run 1, ...) and share one `Start` per run index:
-    `make_state` copies x and u from it, and the first run to need a block
-    draws it and keeps it read-only for the others. The start is in
-    `_kept.run` only while a `run` call made here runs, never between
-    items. Otherwise the arms run arm-major and nothing is kept. Results
-    are the same either way. With jobs > 1 a process pool runs the same
-    order, keeping nothing.
+    then every arm at run 1, ...) and share one `Start` per run index. It
+    is in `_kept.run` only while a `run` call made here runs, never between
+    items; `run` hands it to `make_state`, which copies x and u from it, and
+    the first run to need a block draws it inline and keeps it read-only for
+    the others. Otherwise the arms run arm-major and nothing is kept.
+    Results are the same either way. With jobs > 1 a process pool runs the
+    same order, keeping nothing.
     """
     cfgs = list(cfgs)
     key = _stream(cfgs[0])

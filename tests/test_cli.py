@@ -360,12 +360,12 @@ class TestSweeps:
         monkeypatch.setattr(sampler, "_AHEAD_BLOCKS", 2)  # so that runs of three blocks do
         inst = tmp_path / "k3.rudy"
         inst.write_text(K3_TEXT)
-        # three blocks per run; the d2d arms share each run index's blocks,
-        # so only the first arm at each index draws
+        # three blocks per run; the d2d arms share each run index's start,
+        # so they draw inline
         commands = {
             "solve": (["--instance", str(inst), "--iters", "20000", "--runs", "2"], 2),
             "sweep-d2d": (["--nodes", "12", "--iters", "20000", "--runs", "10", "--cv", "0.1"],
-                          10),
+                          0),
         }
         for command, (flags, ahead) in commands.items():
             out = tmp_path / f"{command}.csv"
@@ -474,6 +474,18 @@ class TestSweeps:
         assert r.exit_code == 2, r.output
         assert f"Invalid value for '{args[1]}': '{args[2]}' is not a comma list of" in r.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["sweep-drift", "--sizes", ","],
+        ["sweep-drift", "--mhrs", ""],
+        ["sweep-d2d", "--cv", ""],
+    ], ids=["sizes", "mhrs", "cv"])
+    def test_empty_comma_list_is_usage_error(self, runner, tmp_path, args):
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, args + ["--out", str(out)])
+        assert r.exit_code == 2, r.output
+        assert f"Invalid value for '{args[1]}': '{args[2]}' is not a comma list of" in r.output
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     @pytest.mark.parametrize("args", [

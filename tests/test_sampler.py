@@ -647,13 +647,9 @@ class TestPairedRuns:
         kernel = _kernel_or_skip() if kernel else None
         inst = generate_instance(20, 3.0, seed=30)
         cfg = self.arms(ref_drift)[1]
-        kept = sampler._kept.run = sampler._start(inst.form, cfg.seed, 0, [])
-        try:
-            first = make_state(inst, cfg, ref_surface)
-            second = make_state(inst, cfg, ref_surface)
-        finally:
-            sampler._kept.run = None
-        # each state holds the start it was made with, wherever the thread-local points
+        kept = sampler._start(inst.form, cfg.seed, 0, [])
+        first = make_state(inst, cfg, ref_surface, start=kept)
+        second = make_state(inst, cfg, ref_surface, start=kept)
         sampler._advance(first, 8192, kernel)          # draws block 0 and keeps it
         head = sampler._advance(second, 8192, kernel)  # is served block 0
         assert second.block is kept.blocks[0]
@@ -734,8 +730,9 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("run_major", [True, False], ids=["run-major", "arm-major"])
     def test_paired_runs_equal_inline(self, run_major, ref_surface, ref_drift, monkeypatch):
-        # the first arm stops on convergence in block 0, after its thread has
-        # drawn ahead; run-major, the blocks it drew are kept for the others
+        # the first arm stops on convergence in block 0; arm-major, after its
+        # thread has drawn ahead; run-major, every run shares its run index's
+        # start and draws inline
         inst = replace(generate_instance(20, 3.0, seed=30), best_known=10)
         cfgs = self.arms(ref_drift)
         cfgs[0] = replace(cfgs[0], stop_on_convergence=True)
@@ -754,29 +751,43 @@ class TestDrawAhead:
         assert [a for a, _ in ahead] == [a for a, _ in inline]
         for (_, want), (_, got) in zip(inline, ahead):
             _assert_traces_equal(want, got)
-        assert all(0 < t.iterations < 8192 and t.drawn_ahead for a, t in ahead if a == 0)
+        assert all(0 < t.iterations < 8192 for a, t in ahead if a == 0)
         if run_major:
-            # the first arm's thread has drawn up to three blocks past the one
-            # it stopped in, and the next arm draws the rest
+            # the first arm draws the block it stopped in, and the next arm the rest
             kept = kept[len(inline):]
             assert [k for k, (a, _) in zip(kept, ahead) if a] == [5] * (len(cfgs) - 1) * self.RUNS
-            assert all(1 <= k <= 4 for k, (a, _) in zip(kept, ahead) if a == 0)
+            assert [k for k, (a, _) in zip(kept, ahead) if a == 0] == [1] * self.RUNS
             assert 5 * sampler._block_bytes(scheme_code("monitored")) <= sampler._KEEP_BYTES
+            assert not any(t.drawn_ahead for _, t in ahead)
         else:
             assert all(t.drawn_ahead for _, t in ahead)
 
-    def test_a_generator_closed_after_its_first_item(self, ref_surface, ref_drift,
-                                                     monkeypatch):
+    def first_of_closed(self, monkeypatch, surface, drift):
+        """The first item of `paired_runs` over `arms`, the generator closed
+        after it; on one CPU and on two (see both_ways)."""
         inst = generate_instance(20, 3.0, seed=30)
 
         def first():
-            runs = sampler.paired_runs(inst, self.arms(ref_drift), ref_surface)
+            runs = sampler.paired_runs(inst, self.arms(drift), surface)
             item = next(runs)
             runs.close()
             return item
 
-        (_, want), (_, got) = self.both_ways(monkeypatch, first)
+        return self.both_ways(monkeypatch, first)
+
+    def test_a_generator_closed_after_its_first_item(self, ref_surface, ref_drift,
+                                                     monkeypatch):
+        # arm-major, so that the first run draws ahead
+        monkeypatch.setattr(sampler, "_KEEP_BYTES", 0)
+        (_, want), (_, got) = self.first_of_closed(monkeypatch, ref_surface, ref_drift)
         assert got.drawn_ahead
+        _assert_traces_equal(want, got)
+
+    def test_a_run_major_generator_closed_after_its_first_item(self, ref_surface, ref_drift,
+                                                               monkeypatch):
+        # the first run shares its run index's start, so it draws inline
+        (_, want), (_, got) = self.first_of_closed(monkeypatch, ref_surface, ref_drift)
+        assert not got.drawn_ahead
         _assert_traces_equal(want, got)
 
     @pytest.mark.parametrize("block", [2, 4])
@@ -803,6 +814,45 @@ class TestDrawAhead:
             run(inst, cfg, ref_surface)
         assert threading.active_count() == before
         assert drawn_by[0] == threading.get_ident() != drawn_by[-1]
+
+    def test_an_exception_in_the_loop_stops_the_thread(self, ref_surface, ref_drift,
+                                                       monkeypatch):
+        _kernel_or_skip()
+        self.cpus(monkeypatch, 2)
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = BoltzmannConfig(max_iters=self.ITERS, seed=9, scheme="monitored", drift=ref_drift)
+        original = sampler._kernel_loop
+
+        class Failed(Exception):
+            pass
+
+        def failing_on_block_3(kernel, state):
+            loop, calls = original(kernel, state), []
+
+            def failing(*args):
+                calls.append(args)
+                if len(calls) == 3:  # the thread has started at block 0
+                    raise Failed
+                return loop(*args)
+
+            return failing
+
+        monkeypatch.setattr(sampler, "_kernel_loop", failing_on_block_3)
+        before = threading.active_count()
+        with pytest.raises(Failed):
+            run(inst, cfg, ref_surface)
+        assert threading.active_count() == before
+        assert "stochanneal-draws" not in {t.name for t in threading.enumerate()}
+
+    @pytest.mark.parametrize("count", [None, 1, 2])
+    def test_cpus_without_affinity(self, count, ref_surface, ref_drift, monkeypatch):
+        # where os.sched_getaffinity is missing, the CPU count, or 1 when unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert sampler._cpus() == (count or 1)
+        cfg = BoltzmannConfig(max_iters=self.ITERS, seed=9, drift=ref_drift)
+        trace = run(generate_instance(20, 3.0, seed=30), cfg, ref_surface)
+        assert trace.drawn_ahead == (count == 2 and trace.kernel == "c")  # inline on one CPU
 
     def test_step_starts_no_thread(self, ref_surface, ref_drift, monkeypatch):
         self.cpus(monkeypatch, 2)
@@ -1355,16 +1405,14 @@ def _ulps(x, k):
 
 
 @pytest.fixture(scope="module")
-def kernel_lib(tmp_path_factory):
-    """A kernel library of this module's own, built into a private cache and checked."""
+def kernel_lib():
+    """The kernel library, from the cache `load_kernel` uses, checked."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
-    with pytest.MonkeyPatch.context() as m:
-        m.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
-        try:
-            lib = sampler._build_kernel()
-        except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
-            pytest.skip(f"the compiled kernel did not load here: {exc}")
+    try:
+        lib = sampler._build_kernel()
+    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
+        pytest.skip(f"the compiled kernel did not load here: {exc}")
     lib.sa_squeeze.restype = ctypes.c_int
     lib.sa_squeeze.argtypes = (ctypes.c_double, ctypes.c_double)
     return lib
