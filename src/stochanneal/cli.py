@@ -112,7 +112,7 @@ params_option = click.option(
 )
 seed_option = click.option("--seed", type=int, default=0, show_default=True)
 jobs_option = click.option("--jobs", type=int, default=1, show_default=True,
-                           help="Parallel workers for ensembles.")
+                           help="Runs of an ensemble at once, on threads in this process.")
 
 
 def _comma_list(kind):

@@ -15,13 +15,10 @@ drifting, calibrated vs not) see identical loop dynamics. `paired_runs` runs
 such arms so that, at each run index, they share one `Start`: the initial
 configuration, built once, and the loop and noise blocks, each drawn once.
 
-Each generator is used by one thread at a time. `run` alone decides how a
-run's blocks are drawn: a run on a shared start draws them inline. Otherwise,
-when `run` has the compiled kernel, jobs == 1, more than one CPU and enough
-blocks to draw, a second thread draws the blocks after the first while the
-kernel runs (`_ahead`), and only that thread touches the stream's generators
-until `run` joins it; the blocks reach the loop in their order, so the
-results are the same.
+Concurrency is threads in this process: with jobs > 1 `paired_runs` runs
+whole run indices on a pool of them, and with jobs == 1 `run` may draw a
+run's blocks ahead on a second thread (`_ahead`). Each generator is used by
+one thread at a time.
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -73,10 +71,8 @@ log = logging.getLogger(__name__)
 _RNG_BLOCK = 8192
 # the most bytes of RNG blocks `paired_runs` keeps for the arms of one run index
 _KEEP_BYTES = 1 << 20
-# `.run`: while a `run` call that `paired_runs` makes is running in this
-# thread, the `Start` that the arms of its run index share; None otherwise.
-# `run` alone reads it, and hands it to `make_state`; it is not an argument
-# of `run`, whose signature the callers that wrap it fix.
+# `.run`: the `Start` shared by the `paired_runs` call of `run` running in this
+# thread, else None; not an argument of `run`, whose wrappers fix its signature
 _kept = threading.local()
 # the fewest blocks a second thread must be left to draw for `run` to start
 # it: for fewer, starting and joining it and waiting for a CPU to run it
@@ -700,6 +696,14 @@ def make_state(
     )
 
 
+def _kernel_for(inst: MaxCutInstance):
+    """The kernel if it loads and `inst`'s fields fit in 53 bits, else None (the Python loop)."""
+    if inst.form.fits_in_53_bits:
+        return load_kernel()
+    log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
+    return None
+
+
 def run(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
@@ -708,23 +712,18 @@ def run(
 ) -> RunTrace:
     """Execute one seeded run; fully reproducible from (cfg.seed, run_index).
 
-    The compiled kernel runs the loop when it loads and the instance's fields
-    fit in 53 bits; `_reference_loop` runs it otherwise. Results are the same.
-    A run on the start that `paired_runs` shares (`_kept.run`, read here
-    alone) draws its blocks inline. Otherwise, with the kernel, jobs == 1
-    and more than one CPU, a second thread draws the blocks after the first
-    while the kernel runs (`_ahead`), and ends before this returns. A run
-    that stops on convergence draws its first _AHEAD_BLOCKS blocks itself.
-    The thread starts only when at least _AHEAD_BLOCKS blocks are left for
-    it to draw past those. `RunTrace.drawn_ahead` records whether it ran.
+    The loop is `_kernel_for(inst)`, or `_reference_loop` if that is None;
+    results are the same. A run on the start that `paired_runs` shares
+    (`_kept.run`, read here alone) draws its blocks inline. Otherwise, with
+    the kernel, jobs == 1 and more than one CPU, a second thread draws the
+    blocks after the first while the kernel runs (`_ahead`), and ends before
+    this returns. It starts only with _AHEAD_BLOCKS blocks or more to draw
+    past the first (past the first _AHEAD_BLOCKS for a run that stops on
+    convergence). `RunTrace.drawn_ahead` records whether it ran.
     """
     start = getattr(_kept, "run", None)
     state = make_state(inst, cfg, surface, run_index, start=start)
-    kernel = None
-    if inst.form.fits_in_53_bits:
-        kernel = load_kernel()
-    else:
-        log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
+    kernel = _kernel_for(inst)
     inline = _AHEAD_BLOCKS if cfg.stop_on_convergence else 1
     count = -(-cfg.max_iters // _RNG_BLOCK)
     ahead = (start is None and kernel is not None and cfg.jobs == 1
@@ -750,11 +749,6 @@ def run(
     )
 
 
-def _ensemble_worker(args) -> RunTrace:
-    inst, cfg, surface, idx = args
-    return run(inst, cfg, surface, run_index=idx)
-
-
 def paired_runs(
     inst: MaxCutInstance,
     cfgs: Sequence[BoltzmannConfig],
@@ -766,14 +760,12 @@ def paired_runs(
     The arms must share one stream (`_stream`), as every arm of
     `experiments.d2d_experiment` does; otherwise this raises ValueError
     before any run. When they are two or more and the blocks of one run
-    index fit in _KEEP_BYTES, the arms run run-major (every arm at run 0,
-    then every arm at run 1, ...) and share one `Start` per run index. It
-    is in `_kept.run` only while a `run` call made here runs, never between
-    items; `run` hands it to `make_state`, which copies x and u from it, and
-    the first run to need a block draws it inline and keeps it read-only for
-    the others. Otherwise the arms run arm-major and nothing is kept.
-    Results are the same either way. With jobs > 1 a process pool runs the
-    same order, keeping nothing.
+    index fit in _KEEP_BYTES, the runs come in groups of one run index
+    (run-major) whose arms share one `Start` (see `_group`); otherwise a
+    group is one run (arm-major). With jobs == 1, or on the Python loop,
+    which holds the interpreter lock (`_kernel_for`), the groups run in
+    this thread; otherwise `jobs` threads run whole groups, at most jobs + 1
+    of them submitted or waiting. Either way the order and runs are equal.
     """
     cfgs = list(cfgs)
     key = _stream(cfgs[0])
@@ -781,28 +773,35 @@ def paired_runs(
         raise ValueError("paired arms must share one seed, scheme and HRS tolerance")
     # the blocks of one run index: those of the longest run
     need = -(-max(cfg.max_iters for cfg in cfgs) // _RNG_BLOCK) * _block_bytes(key[1])
-    run_major = len(cfgs) > 1 and need <= _KEEP_BYTES
-    if run_major:
-        order = [(a, r) for r in range(max(cfg.runs for cfg in cfgs))
-                 for a, cfg in enumerate(cfgs) if r < cfg.runs]
+    if len(cfgs) > 1 and need <= _KEEP_BYTES:
+        groups = ((r, [a for a, cfg in enumerate(cfgs) if r < cfg.runs])
+                  for r in range(max(cfg.runs for cfg in cfgs)))
     else:
-        order = [(a, r) for a, cfg in enumerate(cfgs) for r in range(cfg.runs)]
+        groups = ((r, [a]) for a, cfg in enumerate(cfgs) for r in range(cfg.runs))
+    groups = (_group(inst, cfgs, surface, r, arms) for r, arms in groups)
     jobs = max(cfg.jobs for cfg in cfgs)
-    if jobs > 1:
-        # imported here: multiprocessing costs every process ~1 MB and ~14 ms
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = pool.map(_ensemble_worker, [(inst, cfgs[a], surface, r) for a, r in order])
-            for a, _ in order:
-                yield a, next(traces)
+    if jobs == 1 or _kernel_for(inst) is None:
+        yield from itertools.chain.from_iterable(groups)
         return
-    at = start = None  # the run index and the start its arms share
-    for a, r in order:
-        if run_major and r != at:
-            at, start = r, _start(inst.form, key[0], r, [])
+    with ThreadPoolExecutor(jobs, thread_name_prefix="stochanneal-runs") as pool:
+        submit = functools.partial(pool.submit, collections.deque)
+        window = collections.deque(map(submit, itertools.islice(groups, jobs + 1)))
+        while window:
+            runs = window.popleft().result()
+            while runs:  # a run leaves the window as it is yielded
+                yield runs.popleft()
+            window.extend(map(submit, itertools.islice(groups, 1)))
+
+
+def _group(inst: MaxCutInstance, cfgs: list, surface: DeviceSurface, run_index: int,
+           arms: list) -> Iterator[tuple[int, RunTrace]]:
+    """(arm index, run) for each arm in `arms` at `run_index`. Two or more
+    arms share one `Start`, built as the first runs and in `_kept.run` only
+    while a `run` call made here runs; the first run to need a block keeps it."""
+    start = _start(inst.form, cfgs[0].seed, run_index, []) if len(arms) > 1 else None
+    for a in arms:
         # a call, so that no name here holds the run once it is yielded
-        yield a, _run_from(start, inst, cfgs[a], surface, r)
+        yield a, _run_from(start, inst, cfgs[a], surface, run_index)
 
 
 def _run_from(start: Optional[Start], inst: MaxCutInstance, cfg: BoltzmannConfig,

@@ -727,15 +727,3 @@ def test_commands_run_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     codes = json.loads(done.stdout.splitlines()[-1])
     assert codes == {args[0]: 0 for args in commands}, done.stdout + done.stderr
-
-
-def test_process_pool_loads_only_for_jobs_above_one():
-    # only --jobs > 1 uses it; importing multiprocessing costs every process ~1 MB
-    package_root = os.path.dirname(os.path.dirname(stochanneal.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, stochanneal.cli; "
-         "print('concurrent.futures.process' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": package_root}, capture_output=True, text=True,
-        timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"

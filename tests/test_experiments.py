@@ -472,27 +472,40 @@ class TestD2DExperiment:
         order = self.same_floats_as_holding_every_run(cfg, ref_surface, monkeypatch)
         assert order == [(a, r) for a in self.d2d_arms for r in range(10)]
 
-    def test_process_pool_gives_the_same_result(self, ref_surface, ref_drift):
+    def test_thread_pool_gives_the_same_result(self, ref_surface, ref_drift):
         inst = generate_instance(16, 4.0, seed=5)
         cfg = BoltzmannConfig(max_iters=500, runs=10, seed=5, drift=ref_drift)
         one = d2d_experiment(inst, [0.2], cfg, ref_surface)
         two = d2d_experiment(inst, [0.2], replace(cfg, jobs=2), ref_surface)
         assert repr(two) == repr(one)
 
+    @staticmethod
+    def second_pass_peak(surface, drift, jobs):
+        """tracemalloc's peak over a d2d pass at n=100 with stride-1 traces,
+        after a first pass that fills the set-up caches."""
+        inst = generate_instance(100, 4.0, seed=3)
+        cfg = BoltzmannConfig(max_iters=20_000, runs=10, seed=3, scheme="monitored",
+                              drift=drift, jobs=jobs)
+        d2d_experiment(inst, [0.1, 0.2], cfg, surface)
+        tracemalloc.start()
+        try:
+            d2d_experiment(inst, [0.1, 0.2], cfg, surface)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_holds_one_run_at_a_time(self, ref_surface, ref_drift):
         # a run's stride-1 trace is 160 kB here; holding the runs of the
         # ideal arm and of one cv's two arms at once peaked at 5.4 MB
-        inst = generate_instance(100, 4.0, seed=3)
-        cfg = BoltzmannConfig(max_iters=20_000, runs=10, seed=3, scheme="monitored",
-                              drift=ref_drift)
-        d2d_experiment(inst, [0.1, 0.2], cfg, ref_surface)  # fills the set-up caches
-        tracemalloc.start()
-        try:
-            d2d_experiment(inst, [0.1, 0.2], cfg, ref_surface)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = self.second_pass_peak(ref_surface, ref_drift, jobs=1)
         assert peak < 2e6, peak
+
+    def test_threads_hold_jobs_plus_one_run_indices_at_a_time(self, ref_surface, ref_drift):
+        # run-major: a run index's five runs hold 0.8 MB of traces; holding
+        # every run at once peaked at 9.0-9.4 MB
+        jobs = 2
+        peak = self.second_pass_peak(ref_surface, ref_drift, jobs)
+        assert peak < 2e6 + (jobs + 1) * 5 * 20_000 * 8, peak
 
 
 class TestLadderBuilder:

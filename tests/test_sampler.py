@@ -388,6 +388,41 @@ class TestEnsemble:
         for a, b in zip(t1, t2):
             assert np.array_equal(a.energies, b.energies)
 
+    def test_parallel_jobs_run_on_threads_that_end_with_the_ensemble(self, ref_surface,
+                                                                     ref_drift, monkeypatch):
+        _kernel_or_skip()
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = BoltzmannConfig(max_iters=400, runs=4, seed=6, drift=ref_drift, jobs=2)
+        ran_on, original = [], sampler.run
+        monkeypatch.setattr(sampler, "run", lambda *a, **k: ran_on.append(
+            threading.get_ident()) or original(*a, **k))
+        before = threading.active_count()
+        got = ensemble(inst, cfg, ref_surface)
+        assert threading.active_count() == before
+        assert len(ran_on) == 4 and threading.get_ident() not in ran_on
+        monkeypatch.undo()
+        for want, trace in zip(ensemble(inst, replace(cfg, jobs=1), ref_surface), got):
+            _assert_traces_equal(want, trace)
+
+    def test_parallel_jobs_on_the_python_loop_start_no_thread(self, ref_surface, ref_drift,
+                                                               monkeypatch):
+        # the Python loop holds the interpreter lock, so jobs > 1 runs inline
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = BoltzmannConfig(max_iters=400, runs=4, seed=6, drift=ref_drift)
+        monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(sampler, "ThreadPoolExecutor", no_pool)
+        before = threading.active_count()
+        one = ensemble(inst, cfg, ref_surface)
+        two = ensemble(inst, replace(cfg, jobs=2), ref_surface)
+        assert threading.active_count() == before
+        assert {t.kernel for t in one + two} == {"python"}
+        for want, trace in zip(one, two):
+            _assert_traces_equal(want, trace)
+
 
 def _kept_run():
     return getattr(sampler._kept, "run", None)
@@ -618,7 +653,7 @@ class TestPairedRuns:
             _assert_traces_equal(run(i, c, ref_surface, r), trace)
 
     @pytest.mark.parametrize("arm", [0, 2], ids=["first-arm", "later-arm"])
-    @pytest.mark.parametrize("jobs", [1, 2], ids=["one-process", "pool"])
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "threads"])
     def test_arms_off_one_stream_raise_before_any_run(self, arm, jobs, ref_surface,
                                                        ref_drift, monkeypatch):
         inst = generate_instance(20, 3.0, seed=30)
@@ -633,13 +668,76 @@ class TestPairedRuns:
                 next(sampler.paired_runs(inst, cfgs, ref_surface))
         assert calls == []
 
-    def test_process_pool_runs_the_same_order(self, ref_surface, ref_drift):
+    def test_thread_pool_runs_the_same_order(self, ref_surface, ref_drift):
         inst = generate_instance(20, 3.0, seed=30)
         one = list(sampler.paired_runs(inst, self.arms(ref_drift), ref_surface))
         two = list(sampler.paired_runs(inst, self.arms(ref_drift, jobs=2), ref_surface))
         assert [a for a, _ in two] == [a for a, _ in one]
         for (_, want), (_, got) in zip(one, two):
             _assert_traces_equal(want, got)
+
+    def test_more_threads_than_cores_give_the_same_runs(self, ref_surface, ref_drift):
+        # four threads trading the interpreter lock every 10 us, on an
+        # instance whose form fields and on a surface whose nominal HRS the
+        # threads compute themselves
+        _kernel_or_skip()
+        one = list(sampler.paired_runs(generate_instance(20, 3.0, seed=30),
+                                       self.arms(ref_drift), ref_surface))
+        inst = generate_instance(20, 3.0, seed=30)
+        sampler._nominal_hrs.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            four = list(sampler.paired_runs(inst, self.arms(ref_drift, jobs=4), ref_surface))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [a for a, _ in four] == [a for a, _ in one]
+        for (_, want), (_, got) in zip(one, four):
+            _assert_traces_equal(want, got)
+
+    def test_a_thread_pool_closed_after_its_first_item_leaves_no_thread(self, ref_surface,
+                                                                        ref_drift, monkeypatch):
+        _kernel_or_skip()
+        inst = generate_instance(20, 3.0, seed=30)
+        calls, original = [], sampler.run
+        monkeypatch.setattr(sampler, "run", lambda *a, **k: calls.append(a) or original(*a, **k))
+        before = threading.active_count()
+        runs = sampler.paired_runs(inst, self.arms(ref_drift, jobs=2), ref_surface)
+        arm, got = next(runs)
+        assert threading.active_count() > before  # the pool's threads
+        runs.close()
+        assert threading.active_count() == before
+        # no more than jobs + 1 run indices were ever submitted, of RUNS
+        assert len(calls) <= (2 + 1) * len(self.ARMS) < self.RUNS * len(self.ARMS)
+        monkeypatch.undo()
+        assert (arm, got.run_index) == (0, 0)
+        _assert_traces_equal(run(inst, self.arms(ref_drift)[0], ref_surface), got)
+
+    def test_an_exception_in_a_pool_thread_reaches_the_consumer(self, ref_surface, ref_drift,
+                                                                monkeypatch):
+        _kernel_or_skip()
+        inst = generate_instance(20, 3.0, seed=30)
+        cfgs = self.arms(ref_drift, jobs=2)
+        ran_on, original = [], sampler.run
+
+        class Failed(Exception):
+            pass
+
+        def failing(inst, cfg, surface, run_index=0):
+            ran_on.append(threading.get_ident())
+            if cfg is cfgs[2] and run_index == 1:  # inside run index 1's group
+                raise Failed
+            return original(inst, cfg, surface, run_index=run_index)
+
+        monkeypatch.setattr(sampler, "run", failing)
+        before = threading.active_count()
+        got = []
+        with pytest.raises(Failed):
+            for arm, trace in sampler.paired_runs(inst, cfgs, ref_surface):
+                got.append((arm, trace.run_index))
+        assert threading.active_count() == before
+        assert threading.get_ident() not in ran_on
+        assert got == [(a, 0) for a in range(len(cfgs))]
 
     @pytest.mark.parametrize("kernel", [True, False], ids=["c", "python"])
     def test_a_state_past_the_kept_blocks_draws_them_itself(self, kernel, ref_surface,
@@ -1096,11 +1194,17 @@ class TestKernel:
         u = make_state(inst, cfg, ref_surface).u
         assert u.dtype == object and {type(v) for v in u} == {int}
         got = run(inst, cfg, ref_surface)
+        # with jobs > 1 too, in this thread: the Python loop holds the interpreter lock
+        one = ensemble(inst, replace(cfg, runs=2), ref_surface)
+        two = ensemble(inst, replace(cfg, runs=2, jobs=2), ref_surface)
         monkeypatch.setattr(sampler, "load_kernel", lambda: None)
         ref = run(inst, cfg, ref_surface)
         assert got.kernel == ref.kernel == "python"
         _assert_traces_equal(ref, got)
         assert got.best_cut == 2**60 + 1
+        assert {t.kernel for t in one + two} == {"python"}
+        for want, trace in zip(one, two):
+            _assert_traces_equal(want, trace)
 
     def test_argtypes_match_the_kernel_signature(self):
         # a changed C signature must not load with stale argtypes
