@@ -7,6 +7,7 @@ included), 4 runtime error.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -182,8 +183,7 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
         out_path + ".manifest.json", "solve",
         {**dataclasses.asdict(cfg), "instance": str(instance_path),
          "best_known": inst.best_known},
-        seed, params_path, kernel=",".join(sorted({t.kernel for t in traces})),
-        drawn_ahead=sum(t.drawn_ahead for t in traces),
+        seed, params_path, collections.Counter((t.kernel, t.drawn_ahead) for t in traces),
     )
     click.echo(f"best cut {max(t.best_cut for t in traces)} over {len(traces)} runs -> {out_path}")
 
@@ -206,10 +206,11 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
     surface, drift, params_path = _load_device_params(params_path)
     click.echo(f"seed = {seed}")
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, jobs=jobs)
-    ladder = build_size_ladder(sizes, cfg, surface, avg_degree=degree, seed=seed)
+    loops = collections.Counter()  # every run, the proxy runs of the ladder included
+    ladder = build_size_ladder(sizes, cfg, surface, avg_degree=degree, seed=seed, loops=loops)
     drifts = [DriftModel(m_hrs=m, s_rw=drift.s_rw, hrs_tolerance=drift.hrs_tolerance)
               for m in mhrs]
-    results = max_solvable_sizes(drifts, ("fixed-input", "monitored"), ladder, cfg, surface)
+    results = max_solvable_sizes(drifts, ("fixed-input", "monitored"), ladder, cfg, surface, loops)
     write_table(
         out_path,
         ["scheme", "m_hrs", "size", "t_conv_median", "t_meaningful", "solvable", "max_solvable"],
@@ -220,7 +221,7 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
         out_path + ".manifest.json", "sweep-drift",
         {"sizes": sizes, "mhrs": mhrs, "iters": iters, "runs": runs,
          "degree": degree, "jobs": jobs},
-        seed, params_path, kernel=results[0].kernel, drawn_ahead=results[0].drawn_ahead,
+        seed, params_path, loops,
     )
     click.echo(f"wrote {out_path}")
 
@@ -243,7 +244,8 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
     click.echo(f"seed = {seed}")
     inst = generate_instance(nodes, degree, seed=seed)
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, drift=drift, jobs=jobs)
-    result = d2d_experiment(inst, cv, cfg, surface)
+    loops = collections.Counter()
+    result = d2d_experiment(inst, cv, cfg, surface, loops)
     write_table(
         out_path, [f.name for f in dataclasses.fields(D2DRow)] + ["settling_ideal"],
         (dataclasses.astuple(row) + (result.settling_ideal,) for row in result.rows),
@@ -252,7 +254,7 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
         out_path + ".manifest.json", "sweep-d2d",
         {"cv": cv, "nodes": nodes, "degree": degree, "iters": iters,
          "runs": runs, "jobs": jobs},
-        seed, params_path, kernel=result.kernel, drawn_ahead=result.drawn_ahead,
+        seed, params_path, loops,
     )
     click.echo(f"wrote {out_path}")
 
@@ -354,12 +356,13 @@ def gen(nodes, degree, weights, seed, out_path, registry_path):
     stem = os.path.splitext(os.path.basename(out_path))[0]
     inst = generate_instance(nodes, degree, weight_set=wset, seed=seed, name=stem)
     if registry_path is not None:
-        cut, _ = brute_force_maxcut(inst)  # TooLarge past 20 nodes, before any file is written
-    write_instance(out_path, inst)
-    if registry_path is not None:
-        # a registry path that holds no file is written afresh
+        # before any file is written: a malformed registry, or TooLarge past 20
+        # nodes; a registry path that holds no file is written afresh
         registry = (BestKnownRegistry.load(registry_path) if os.path.isfile(registry_path)
                     else BestKnownRegistry())
+        cut, _ = brute_force_maxcut(inst)
+    write_instance(out_path, inst)
+    if registry_path is not None:
         registry.set_entry(inst.name, cut, "exact")
         registry.save(registry_path)
         click.echo(f"registered exact best-known {cut}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -304,8 +304,6 @@ class ScalingRow:
     n: int
     converged: list
     runs: int
-    # its runs by how they ran: (RunTrace.kernel, RunTrace.drawn_ahead) -> count
-    loops: collections.Counter = field(default_factory=collections.Counter)
 
     @property
     def median(self) -> Optional[float]:
@@ -316,9 +314,10 @@ def convergence_scaling(
     instances: Sequence[MaxCutInstance],
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
+    loops: Optional[collections.Counter] = None,
 ) -> list[ScalingRow]:
     """Iterations to converge within sampler.CONVERGENCE_FRACTION of best-known,
-    ideal scheme, one ensemble per instance."""
+    ideal scheme, one ensemble per instance, each run counted in `loops`."""
     for inst in instances:
         if inst.best_known is None:
             raise MissingBestKnown(f"instance {inst.name!r} lacks a best-known cut")
@@ -327,17 +326,9 @@ def convergence_scaling(
     run_cfg = replace(cfg, scheme=SCHEME_IDEAL, stop_on_convergence=True,
                       energy_stride=NO_TRACE_STRIDE)
     for inst in instances:
-        traces = ensemble(inst, run_cfg, surface)
+        traces = list(_noting_loops(ensemble(inst, run_cfg, surface), loops))
         conv = [t.converged_at for t in traces if t.converged_at is not None]
-        rows.append(
-            ScalingRow(
-                instance=inst.name,
-                n=inst.n,
-                converged=conv,
-                runs=len(traces),
-                loops=collections.Counter((t.kernel, t.drawn_ahead) for t in traces),
-            )
-        )
+        rows.append(ScalingRow(instance=inst.name, n=inst.n, converged=conv, runs=len(traces)))
     return rows
 
 
@@ -358,8 +349,6 @@ class SolvableResult:
     m_hrs: float
     rows: list
     max_solvable: int
-    kernel: Optional[str] = None  # the loops the call's runs ran, as in _loops_ran
-    drawn_ahead: int = 0          # how many of them drew their blocks ahead
 
 
 def max_solvable_sizes(
@@ -368,12 +357,14 @@ def max_solvable_sizes(
     ladder: Sequence[tuple[int, Sequence[MaxCutInstance]]],
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
+    loops: Optional[collections.Counter] = None,
 ) -> list[SolvableResult]:
     """`max_solvable_size` for every (drift, scheme) arm, drift-major.
 
     The ideal-scheme convergence time of a rung depends on neither the drift
     nor the scheme, so each rung's convergence ensemble runs once, whatever
-    the number of arms. Only the fixed-input arms run anything else.
+    the number of arms. Only the fixed-input arms run anything else. Every
+    run is counted in `loops` when it is passed.
     """
     sizes = [s for s, _ in ladder]
     if sizes != sorted(sizes):
@@ -382,14 +373,11 @@ def max_solvable_sizes(
         scheme_code(scheme)  # raises on an unknown scheme
     arms = [(drift, scheme) for drift in drifts for scheme in schemes]
     rows = [[] for _ in arms]
-    loops = collections.Counter()
     for size, instances in ladder:
         for inst in instances:
             if inst.best_known is None:
                 raise MissingBestKnown(f"ladder instance {inst.name!r} lacks best_known")
-        scaling = convergence_scaling(instances, cfg, surface)
-        for row in scaling:
-            loops.update(row.loops)
+        scaling = convergence_scaling(instances, cfg, surface, loops)
         conv = [c for row in scaling for c in row.converged]
         total_runs = sum(row.runs for row in scaling)
         if len(conv) < max(1, total_runs // 2 + 1):
@@ -416,29 +404,21 @@ def max_solvable_sizes(
                                     solvable=t_conv <= t_mm))
     return [
         SolvableResult(scheme=scheme, m_hrs=drift.m_hrs, rows=arm_rows,
-                       max_solvable=max((r.size for r in arm_rows if r.solvable), default=0),
-                       kernel=_loops_ran(loops), drawn_ahead=_drawn_ahead(loops))
+                       max_solvable=max((r.size for r in arm_rows if r.solvable), default=0))
         for (drift, scheme), arm_rows in zip(arms, rows)
     ]
 
 
-def _noting_loops(traces: Iterable[RunTrace], loops: collections.Counter) -> Iterator[RunTrace]:
-    """`traces`, counting each one in `loops` by how it ran as it passes."""
-    for t in traces:
+def _noting_loops(runs: Iterable, loops: Optional[collections.Counter]) -> Iterable:
+    """`runs`, RunTraces or `paired_runs`' (arm, RunTrace) pairs, each counted
+    as it passes in `loops`, when given, under (RunTrace.kernel,
+    RunTrace.drawn_ahead): the tally `io_ingest.write_manifest` renders."""
+    def note(item):
+        t = item[1] if isinstance(item, tuple) else item
         loops[t.kernel, t.drawn_ahead] += 1
-        yield t
-        del t  # hold no run while the next one runs
-
-
-def _loops_ran(loops: collections.Counter) -> Optional[str]:
-    """The loops some runs ran, as a manifest records them: "c", "python",
-    "c,python", or None when nothing ran."""
-    return ",".join(sorted({kernel for kernel, _ in loops})) or None
-
-
-def _drawn_ahead(loops: collections.Counter) -> int:
-    """How many of the runs counted in `loops` drew their blocks ahead."""
-    return sum(count for (_, ahead), count in loops.items() if ahead)
+        return item
+    # map, unlike a generator, holds no run between items
+    return runs if loops is None else map(note, runs)
 
 
 def max_solvable_size(
@@ -478,8 +458,6 @@ class D2DRow:
 class D2DSweepResult:
     settling_ideal: float
     rows: list
-    kernel: Optional[str] = None  # the loops its runs ran, as in _loops_ran
-    drawn_ahead: int = 0          # how many of them drew their blocks ahead
 
 
 def d2d_experiment(
@@ -487,9 +465,11 @@ def d2d_experiment(
     cv_list: Sequence[float],
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
+    loops: Optional[collections.Counter] = None,
 ) -> D2DSweepResult:
     """Settling-energy penalty of device-to-device spread, with and without
-    per-device HRS calibration, against a cv = 0 baseline on paired seeds."""
+    per-device HRS calibration, against a cv = 0 baseline on paired seeds.
+    Every run is counted in `loops` when it is passed."""
     if cfg.runs < 10:
         raise InvalidParameter(f"d2d_experiment needs cfg.runs >= 10, got {cfg.runs}")
     base = replace(cfg, stop_on_convergence=False)
@@ -499,14 +479,12 @@ def d2d_experiment(
     sums = [_EnergySum() for _ in arms]
     settling = [math.nan] * len(arms)
     spreads, failures = [[] for _ in arms], [[] for _ in arms]
-    loops = collections.Counter()
     # each arm streams its runs into its ensemble mean, holding no run, and
     # its sum is freed once its last run is in
-    for a, t in paired_runs(inst, cfgs, surface):
+    for a, t in _noting_loops(paired_runs(inst, cfgs, surface), loops):
         sums[a].add(t)
         spreads[a].append(t.mu_eff_spread)
         failures[a].append(t.calib_failures)
-        loops[t.kernel, t.drawn_ahead] += 1
         del t  # free this run before the next one starts
         if sums[a].count == cfgs[a].runs:
             settling[a] = _settling_of_mean(sums[a].mean()[0])
@@ -530,8 +508,7 @@ def d2d_experiment(
                 settling_calibrated=settling[cal],
             )
         )
-    return D2DSweepResult(settling_ideal=e_ideal, rows=rows, kernel=_loops_ran(loops),
-                          drawn_ahead=_drawn_ahead(loops))
+    return D2DSweepResult(settling_ideal=e_ideal, rows=rows)
 
 
 # -- benchmark ladder -------------------------------------------------------------------
@@ -546,8 +523,10 @@ def proxy_best_known(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
     surface: DeviceSurface,
+    loops: Optional[collections.Counter] = None,
 ) -> int:
-    """Best cut of a long ideal-scheme reference ensemble (registry 'proxy')."""
+    """Best cut of a long ideal-scheme reference ensemble (registry 'proxy');
+    its runs are counted in `loops` when it is passed."""
     max_iters = min(cfg.max_iters, int(200 * inst.n * max(math.log(inst.n), 1.0)))
     proxy_cfg = replace(
         cfg,
@@ -558,7 +537,8 @@ def proxy_best_known(
         max_iters=max_iters,
         energy_stride=NO_TRACE_STRIDE,  # only best_cut is read
     )
-    return int(max(run(inst, proxy_cfg, surface, run_index=r).best_cut for r in range(PROXY_RUNS)))
+    runs = (run(inst, proxy_cfg, surface, run_index=r) for r in range(PROXY_RUNS))
+    return int(max(t.best_cut for t in _noting_loops(runs, loops)))
 
 
 def build_size_ladder(
@@ -569,11 +549,13 @@ def build_size_ladder(
     avg_degree: float = 4.0,
     seed: int = 1234,
     registry=None,
+    loops: Optional[collections.Counter] = None,
 ) -> list[tuple[int, list[MaxCutInstance]]]:
     """One random benchmark instance per size, with its best-known cut attached.
 
     Sizes <= 20 get exact brute-force optima; larger sizes get a long-run
-    proxy. Provenances land in `registry` when one is passed.
+    proxy. Provenances land in `registry` when one is passed, and the proxy
+    runs are counted in `loops` when it is passed.
     """
     small = [s for s in sizes if s < 2]
     if small:
@@ -587,7 +569,7 @@ def build_size_ladder(
             cut, _ = brute_force_maxcut(inst)
             provenance = "exact"
         else:
-            cut = proxy_best_known(inst, cfg, surface)
+            cut = proxy_best_known(inst, cfg, surface, loops)
             provenance = "proxy"
         inst = replace(inst, best_known=cut)
         if registry is not None:

@@ -302,11 +302,21 @@ class BestKnownRegistry:
 
     @classmethod
     def load(cls, path) -> "BestKnownRegistry":
+        """The registry a file holds; Malformed, naming the file, if it holds none."""
         with open(path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
+            try:
+                entries = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise Malformed(f"{path}: not JSON ({exc})") from None
+        if not isinstance(entries, dict):
+            raise Malformed(f"{path}: a registry holds one JSON object")
         reg = cls()
         for name, e in entries.items():
-            reg.set_entry(name, e["cut"], e["provenance"])
+            try:
+                reg.set_entry(name, e["cut"], e["provenance"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise Malformed(f"{path}: entry {name!r} needs an integer cut and a "
+                                f"provenance ({exc!r})") from None
         return reg
 
 
@@ -354,14 +364,15 @@ def file_sha256(path) -> str:
 
 
 def write_manifest(path, command: str, config: dict, seed: int, params_path=None,
-                   kernel: Optional[str] = None, drawn_ahead: Optional[int] = None) -> dict:
+                   loops=None) -> dict:
     """Record everything needed to reproduce a run byte-for-byte.
 
     `params_path` None stands for the packaged reference parameter file,
-    whose hash is recorded too. `kernel` names the sampling loop that ran
-    ("c", "python"), where the caller knows it, and `drawn_ahead` how many of
-    its runs drew their random blocks on a second thread. The timestamp is
-    manifest-only; result CSVs never embed it.
+    whose hash is recorded too. `loops` counts every run the command made
+    under (RunTrace.kernel, RunTrace.drawn_ahead); from it come `kernel`, the
+    sampling loops that ran ("c", "python" or "c,python"), and `drawn_ahead`,
+    how many runs drew their random blocks on a second thread, both null
+    without it. The timestamp is manifest-only; result CSVs never embed it.
     """
     from . import __version__
     from .reference import reference_sha256
@@ -375,8 +386,8 @@ def write_manifest(path, command: str, config: dict, seed: int, params_path=None
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "kernel": kernel,
-        "drawn_ahead": drawn_ahead,
+        "kernel": None if loops is None else ",".join(sorted({k for k, _ in loops})) or None,
+        "drawn_ahead": None if loops is None else sum(n for (_, a), n in loops.items() if a),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     with open_output(path) as fh:

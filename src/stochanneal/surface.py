@@ -377,4 +377,7 @@ def save_params(path, surface: DeviceSurface, drift) -> None:
 def load_params(path):
     """Read a device parameter file; returns (DeviceSurface, DriftModel)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
+        try:
+            return params_from_dict(json.load(fh))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise InvalidParameter(f"{path}: not a JSON parameter file ({exc})") from None

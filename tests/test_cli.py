@@ -212,6 +212,7 @@ class TestCycling:
                                  "sigma_floor must be finite"),
         "text-coeff": (lambda d: d["mu_coeffs"].__setitem__(1, "a"),
                        "mu_coeffs must be a list of numbers"),
+        "not-json": (None, "{path}: not a JSON parameter file"),
     }
 
     @pytest.mark.parametrize("broken", list(BROKEN_PARAMS))
@@ -220,14 +221,17 @@ class TestCycling:
 
         params = build_reference_params()
         breaks, message = self.BROKEN_PARAMS[broken]
-        breaks(params)
         path = tmp_path / "params.json"
-        path.write_text(json.dumps(params))
+        if breaks is None:
+            path.write_text("{bad")
+        else:
+            breaks(params)
+            path.write_text(json.dumps(params))
         out = tmp_path / "c.csv"
         r = runner.invoke(main, ["cycling", "--scheme", "monitored", "--cycles", "10",
                                  "--params", str(path), "--out", str(out)])
         assert r.exit_code == 3, r.output
-        assert f"error [surface]: {message}" in r.output
+        assert f"error [surface]: {message.format(path=path)}" in r.output
         assert not out.exists()
 
     def test_single_cycle_is_input_error(self, runner, tmp_path):
@@ -301,6 +305,34 @@ class TestGenBrute:
         assert "error [io_ingest]: brute force capped at 20 nodes, got 25" in r.output
         assert not inst.exists() and not reg.exists()
 
+    # a registry file broken one way, and the message it exits 3 with
+    BROKEN_REGISTRIES = {
+        "not-json": ("{bad", "not JSON"),
+        "list": ("[]", "a registry holds one JSON object"),
+        "no-provenance": ('{"g": {"cut": 3}}', "entry 'g' needs an integer cut and a "
+                          "provenance (KeyError('provenance'))"),
+        "text-cut": ('{"g": {"cut": "x", "provenance": "exact"}}',
+                     "entry 'g' needs an integer cut and a provenance (ValueError("),
+    }
+
+    @pytest.mark.parametrize("broken", list(BROKEN_REGISTRIES))
+    def test_malformed_registry_exits_3(self, runner, tmp_path, broken):
+        text, message = self.BROKEN_REGISTRIES[broken]
+        reg = tmp_path / "reg.json"
+        reg.write_text(text)
+        inst, out = tmp_path / "g12.rudy", tmp_path / "s.csv"
+        r = runner.invoke(main, ["gen", "--nodes", "12", "--out", str(inst),
+                                 "--register", str(reg)])
+        assert r.exit_code == 3, r.output
+        assert f"error [io_ingest]: {reg}: {message}" in r.output
+        assert not inst.exists()  # the registry is read before the instance is written
+        inst.write_text(K3_TEXT)
+        r = runner.invoke(main, ["solve", "--instance", str(inst), "--registry", str(reg),
+                                 "--iters", "100", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert f"error [io_ingest]: {reg}: {message}" in r.output
+        assert not out.exists() and reg.read_text() == text
+
     def test_brute_too_large_exit_3(self, runner, tmp_path):
         inst = tmp_path / "n21.rudy"
         inst.write_text("21 1\n1 2 1\n")
@@ -352,26 +384,46 @@ class TestSweeps:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_manifest_counts_the_runs_drawn_ahead(self, runner, tmp_path, monkeypatch, cpus):
-        from stochanneal import sampler
+        from stochanneal import experiments, sampler
 
         if sampler.load_kernel() is None:
             pytest.skip("the compiled kernel did not load here")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(sampler, "_AHEAD_BLOCKS", 2)  # so that runs of three blocks do
+        # every run a command makes, how it ran; the studies and the sampler
+        # look `run` up in their own modules
+        ran = []
+        original = sampler.run
+
+        def spy(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            ran.append((trace.kernel, trace.drawn_ahead))
+            return trace
+
+        monkeypatch.setattr(sampler, "run", spy)
+        monkeypatch.setattr(experiments, "run", spy)
         inst = tmp_path / "k3.rudy"
         inst.write_text(K3_TEXT)
-        # three blocks per run; the d2d arms share each run index's start,
-        # so they draw inline
+        # three blocks per run of solve and of the proxy best-known of the
+        # 30-node rung; the d2d arms share each run index's start, so they
+        # draw inline
         commands = {
-            "solve": (["--instance", str(inst), "--iters", "20000", "--runs", "2"], 2),
-            "sweep-d2d": (["--nodes", "12", "--iters", "20000", "--runs", "10", "--cv", "0.1"],
-                          0),
+            "solve": ["--instance", str(inst), "--iters", "20000", "--runs", "2"],
+            "sweep-d2d": ["--nodes", "12", "--iters", "20000", "--runs", "10", "--cv", "0.1"],
+            "sweep-drift": ["--sizes", "10,30", "--iters", "30000", "--runs", "5"],
         }
-        for command, (flags, ahead) in commands.items():
+        for command, flags in commands.items():
+            ran.clear()
             out = tmp_path / f"{command}.csv"
             assert invoke(runner, [command, *flags, "--out", str(out)]).exit_code == 0
             manifest = json.loads((tmp_path / f"{command}.csv.manifest.json").read_text())
-            assert manifest["drawn_ahead"] == (ahead if cpus > 1 else 0), command
+            ahead = sum(drawn for _, drawn in ran)
+            assert manifest["kernel"] == ",".join(sorted({kernel for kernel, _ in ran})), command
+            assert manifest["drawn_ahead"] == ahead, command
+            if cpus == 1 or command == "sweep-d2d":
+                assert ahead == 0, command
+            else:
+                assert ahead > 0, command
 
     def test_sweep_drift_nan_slope_exits_3(self, runner, tmp_path):
         out = tmp_path / "sd.csv"
