@@ -8,6 +8,7 @@ included), 4 runtime error.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import functools
 import math
@@ -43,10 +44,12 @@ from .io_ingest import (
     write_table,
 )
 from .reference import get_reference
-from .sampler import BoltzmannConfig, ensemble
+from .sampler import BoltzmannConfig, ensemble_runs
+from .sampler import ensemble  # noqa: F401  perfbench/tracer.py wraps it at this name
 from .surface import fit_surface, load_params, save_params
 
 PARAMS_ENV = "STOCHANNEAL_PARAMS"
+_TRACE_CHUNK = 1 << 16  # trace points `solve --trace` makes Python ints of at once
 
 
 def _load_device_params(params_path):
@@ -149,7 +152,7 @@ def _comma_list(kind):
 @handle_errors("cli")
 def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
           registry_path, gain, d2d_cv, calibrate, trace_path, out_path, jobs):
-    """Run a Boltzmann-machine ensemble on one Max-Cut instance."""
+    """Run a Boltzmann-machine ensemble on one Max-Cut instance, holding one run at a time."""
     surface, drift, params_path = _load_device_params(params_path)
     inst = read_instance(instance_path)
     if best_known is None and registry_path is not None:
@@ -161,31 +164,31 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
         gain=gain, d2d_cv=d2d_cv, calibrate=calibrate, jobs=jobs,
     )
     click.echo(f"seed = {seed}")
-    traces = ensemble(inst, cfg, surface)
-    rows = [
-        ResultRow(
-            run_id=t.run_index, instance=inst.name, n=inst.n, scheme=scheme,
-            m_hrs=drift.m_hrs, d2d_cv=d2d_cv, calibrated=calibrate, seed=seed,
-            converged_at=t.converged_at, best_cut=t.best_cut,
-            settling_energy=settling_energy_of(t.energies), iterations=t.iterations,
-            clamp_events=t.clamp_events,
-        )
-        for t in traces
-    ]
-    write_results(out_path, rows)
-    if trace_path is not None:
-        with open_output(trace_path) as fh:
+    loops, rows = collections.Counter(), []
+    # the trace file opens before any run; each run is written and dropped before the next
+    with open_output(trace_path) if trace_path is not None else contextlib.nullcontext() as fh:
+        if fh is not None:
             fh.write("run_id,iteration,energy\n")
-            for t in traces:
-                for k, e in enumerate(t.energies.tolist()):
+        for t in ensemble_runs(inst, cfg, surface):
+            loops[t.kernel, t.drawn_ahead] += 1
+            rows.append(ResultRow(
+                run_id=t.run_index, instance=inst.name, n=inst.n, scheme=scheme,
+                m_hrs=drift.m_hrs, d2d_cv=d2d_cv, calibrated=calibrate, seed=seed,
+                converged_at=t.converged_at, best_cut=t.best_cut,
+                settling_energy=settling_energy_of(t.energies), iterations=t.iterations,
+                clamp_events=t.clamp_events))
+            for j in range(0, t.energies.size if fh is not None else 0, _TRACE_CHUNK):
+                for k, e in enumerate(t.energies[j:j + _TRACE_CHUNK].tolist(), j):
                     fh.write(f"{t.run_index},{(k + 1) * t.stride},{e}\n")
+            del t  # free this run before the next one starts
+    write_results(out_path, rows)
     write_manifest(
         out_path + ".manifest.json", "solve",
         {**dataclasses.asdict(cfg), "instance": str(instance_path),
          "best_known": inst.best_known},
-        seed, params_path, collections.Counter((t.kernel, t.drawn_ahead) for t in traces),
+        seed, params_path, loops,
     )
-    click.echo(f"best cut {max(t.best_cut for t in traces)} over {len(traces)} runs -> {out_path}")
+    click.echo(f"best cut {max(row.best_cut for row in rows)} over {len(rows)} runs -> {out_path}")
 
 
 @main.command(name="sweep-drift")

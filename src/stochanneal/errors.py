@@ -65,7 +65,7 @@ class SelfLoop(Malformed):
 
 class TooLarge(StochAnnealError, ValueError):
     """Instance too big: for exhaustive enumeration, or with edge weights
-    that put a b_i or W_B entry of its Boltzmann form outside int64."""
+    that put a b_i or W_B entry of its Boltzmann form, or an energy, outside int64."""
 
 
 class InvalidDegree(StochAnnealError, ValueError):

@@ -32,7 +32,7 @@ from .device import (
 from .errors import InsufficientTraces, InvalidParameter, MissingBestKnown
 from .io_ingest import brute_force_maxcut, generate_instance
 from .maxcut import MaxCutInstance
-from .sampler import BoltzmannConfig, RunTrace, ensemble, ensemble_runs, paired_runs, run
+from .sampler import BoltzmannConfig, RunTrace, ensemble, ensemble_runs, paired_runs
 from .surface import DeviceSurface
 
 # smoothing width as a fraction of the recorded series length
@@ -525,8 +525,8 @@ def proxy_best_known(
     surface: DeviceSurface,
     loops: Optional[collections.Counter] = None,
 ) -> int:
-    """Best cut of a long ideal-scheme reference ensemble (registry 'proxy');
-    its runs are counted in `loops` when it is passed."""
+    """Best cut of a long ideal-scheme ensemble of PROXY_RUNS runs (registry 'proxy'),
+    streamed from `ensemble_runs`, `cfg.jobs` at a time, and counted in `loops` if given."""
     max_iters = min(cfg.max_iters, int(200 * inst.n * max(math.log(inst.n), 1.0)))
     proxy_cfg = replace(
         cfg,
@@ -537,7 +537,7 @@ def proxy_best_known(
         max_iters=max_iters,
         energy_stride=NO_TRACE_STRIDE,  # only best_cut is read
     )
-    runs = (run(inst, proxy_cfg, surface, run_index=r) for r in range(PROXY_RUNS))
+    runs = ensemble_runs(inst, replace(proxy_cfg, runs=PROXY_RUNS), surface)
     return int(max(t.best_cut for t in _noting_loops(runs, loops)))
 
 

@@ -60,7 +60,7 @@ from .device import (
     reset_update,
     scheme_code,
 )
-from .errors import InvalidParameter, MissingBestKnown, NonMonotone, Unattainable
+from .errors import InvalidParameter, MissingBestKnown, NonMonotone, TooLarge, Unattainable
 from .maxcut import BoltzmannForm, MaxCutInstance, init_fields
 from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
 from .maxcut import energy as energy_of
@@ -628,11 +628,13 @@ def make_state(
     from `start` when given (a start that `paired_runs` shares) and from a
     start of its own, keeping no blocks, otherwise."""
     if inst.n < 1:
-        raise ValueError("instance must have at least one node")
+        raise InvalidParameter("instance must have at least one node")
     if not (surface.v_range[0] <= V_MIN and V_MAX <= surface.v_range[1]):
-        raise ValueError(f"voltage window [{V_MIN}, {V_MAX}] escapes the fitted "
-                         f"surface range {surface.v_range}")
+        raise InvalidParameter(f"voltage window [{V_MIN}, {V_MAX}] escapes the fitted "
+                               f"surface range {surface.v_range}")
     form = inst.form
+    if not form.fits_in_53_bits and sum(abs(w) for _, _, w in inst.edges) > 2 ** 63 - 1:
+        raise TooLarge("the summed |edge weight|, which bounds every energy, does not fit in int64")
     n = inst.n
     if start is None:
         start = _start(form, cfg.seed, run_index)

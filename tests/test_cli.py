@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,6 +87,89 @@ class TestSolve:
         assert r.exit_code == 3, r.output
         # named after the module that raised it: maxcut.build_form
         assert "error [maxcut]: a node's summed edge weight does not fit in int64" in r.output
+
+    def test_energies_beyond_int64_exit_3(self, runner, tmp_path):
+        # every b_i = -39 * 2**56 fits in int64, but a cut reaches 400 * 2**56
+        pairs = [(i, j) for i in range(1, 41) for j in range(i + 1, 41)]
+        inst = tmp_path / "k40.rudy"
+        inst.write_text(f"40 {len(pairs)}\n" + "".join(f"{i} {j} {2**56}\n" for i, j in pairs))
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["solve", "--instance", str(inst), "--iters", "10",
+                                 "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert ("error [sampler]: the summed |edge weight|, which bounds every energy, "
+                "does not fit in int64") in r.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, v_range, message", [
+        ("0 0\n", None, "instance must have at least one node"),
+        (K3_TEXT, (1.7, 2.2), "voltage window [1.6, 2.2] escapes the fitted surface range"),
+    ], ids=["no-nodes", "narrow-surface"])
+    def test_instance_or_surface_the_sampler_rejects_exits_3(self, runner, tmp_path, text,
+                                                              v_range, message):
+        from dataclasses import replace
+
+        from stochanneal.reference import get_reference
+        from stochanneal.surface import save_params
+
+        surface, drift = get_reference()
+        params = tmp_path / "params.json"
+        save_params(params, replace(surface, v_range=v_range or surface.v_range), drift)
+        (tmp_path / "g.rudy").write_text(text)
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "g.rudy"),
+                                 "--params", str(params), "--iters", "10", "--out", str(out)])
+        assert r.exit_code == 3, r.output
+        assert f"error [sampler]: {message}" in r.output
+        assert not out.exists()
+
+    def test_unwritable_trace_fails_before_any_run(self, runner, tmp_path, monkeypatch):
+        from stochanneal import sampler
+
+        monkeypatch.setattr(sampler, "run", lambda *a, **k: pytest.fail("a run was made"))
+        (tmp_path / "k3.rudy").write_text(K3_TEXT)
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / "o.csv"
+        r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "k3.rudy"), "--iters",
+                                 "10", "--out", str(out), "--trace", str(tmp_path / "dir")])
+        assert r.exit_code == 3, r.output
+        assert "error [io_ingest]: cannot write" in r.output
+        assert not out.exists() and not (tmp_path / "o.csv.manifest.json").exists()
+
+    def test_holds_one_run_at_a_time(self, runner, tmp_path, monkeypatch):
+        from stochanneal import cli
+
+        # n=60, so each of the 10,000 iterations is a trace point (80 kB), and
+        # a write chunk shorter than a trace, so that each run takes several;
+        # a solve that held every run peaked 578 kB above one run, this one 50 kB
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", 1 << 9)
+        inst = tmp_path / "g.rudy"
+        inst.write_text(serialize_rudy(generate_instance(60, 4.0, seed=2)))
+        iters = 10_000
+
+        def solve(runs):
+            r = invoke(runner, ["solve", "--instance", str(inst), "--iters", str(iters),
+                                "--runs", str(runs), "--out", str(tmp_path / "o.csv"),
+                                "--trace", str(tmp_path / "t.csv")])
+            assert r.exit_code == 0
+
+        def peak(runs):
+            tracemalloc.start()
+            try:
+                solve(runs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        solve(1)  # fills the set-up caches
+        one, eight = peak(1), peak(8)
+        # one run's int64 trace, plus one write chunk as a list of Python ints
+        assert eight - one < iters * 8 + cli._TRACE_CHUNK * (8 + 32), (one, eight)
+        # the same bytes as each trace written in one piece
+        chunked = (tmp_path / "t.csv").read_bytes()
+        monkeypatch.setattr(cli, "_TRACE_CHUNK", iters)
+        solve(8)
+        assert (tmp_path / "t.csv").read_bytes() == chunked
 
     def test_missing_instance_exits_3(self, runner, tmp_path):
         r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "nope.rudy"),
@@ -384,14 +468,14 @@ class TestSweeps:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_manifest_counts_the_runs_drawn_ahead(self, runner, tmp_path, monkeypatch, cpus):
-        from stochanneal import experiments, sampler
+        from stochanneal import sampler
 
         if sampler.load_kernel() is None:
             pytest.skip("the compiled kernel did not load here")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(sampler, "_AHEAD_BLOCKS", 2)  # so that runs of three blocks do
-        # every run a command makes, how it ran; the studies and the sampler
-        # look `run` up in their own modules
+        # every run a command makes, how it ran; every one is a call of
+        # sampler.run, the proxy best-known runs of the ladder included
         ran = []
         original = sampler.run
 
@@ -401,7 +485,6 @@ class TestSweeps:
             return trace
 
         monkeypatch.setattr(sampler, "run", spy)
-        monkeypatch.setattr(experiments, "run", spy)
         inst = tmp_path / "k3.rudy"
         inst.write_text(K3_TEXT)
         # three blocks per run of solve and of the proxy best-known of the

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -527,14 +528,14 @@ class TestProxyBestKnown:
         cfg = BoltzmannConfig(max_iters=6_000, runs=7, seed=5, scheme="fixed-input",
                               drift=ref_drift, d2d_cv=0.1)
         recorded = []
-        original = experiments.run
+        original = sampler.run
 
         def spy(*args, **kwargs):
             trace = original(*args, **kwargs)
             recorded.append(trace.energies.size)
             return trace
 
-        monkeypatch.setattr(experiments, "run", spy)
+        monkeypatch.setattr(sampler, "run", spy)
         cut = proxy_best_known(inst, cfg, ref_surface)
         assert recorded == [0] * 3
         monkeypatch.undo()
@@ -544,6 +545,30 @@ class TestProxyBestKnown:
         traces = [sampler.run(inst, recording_cfg, ref_surface, run_index=r) for r in range(3)]
         assert all(t.energies.size == 6_000 for t in traces)
         assert cut == max(t.best_cut for t in traces)
+
+    def test_jobs_reach_the_proxy_runs(self, ref_surface, ref_drift, monkeypatch):
+        if sampler.load_kernel() is None:
+            pytest.skip("the compiled kernel did not load here, so no pool runs")
+        inst = generate_instance(60, 4.0, seed=12)
+        cfg = BoltzmannConfig(max_iters=20_000, seed=5, drift=ref_drift)
+        ran_on = []
+        original = sampler.run
+
+        def spy(*args, **kwargs):
+            trace = original(*args, **kwargs)
+            ran_on.append((threading.current_thread().name, trace.run_index, trace.best_cut))
+            return trace
+
+        monkeypatch.setattr(sampler, "run", spy)
+        one = proxy_best_known(inst, cfg, ref_surface)
+        alone = list(ran_on)
+        ran_on.clear()
+        two = proxy_best_known(inst, replace(cfg, jobs=2), ref_surface)
+        assert [name for name, _, _ in alone] == [threading.current_thread().name] * 3
+        assert all(name.startswith("stochanneal-runs") for name, _, _ in ran_on), ran_on
+        # the pool's runs may end in any order
+        assert sorted(run[1:] for run in ran_on) == [run[1:] for run in alone]
+        assert two == one
 
 
 class TestDriftTrends:
