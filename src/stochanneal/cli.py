@@ -35,7 +35,7 @@ from .io_ingest import (
     ResultRow,
     brute_force_maxcut,
     generate_instance,
-    open_output,
+    open_staged,
     read_instance,
     read_measurements,
     write_instance,
@@ -165,8 +165,9 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
     )
     click.echo(f"seed = {seed}")
     loops, rows = collections.Counter(), []
-    # the trace file opens before any run; each run is written and dropped before the next
-    with open_output(trace_path) if trace_path is not None else contextlib.nullcontext() as fh:
+    # the trace goes beside its path, and there only once every run is in;
+    # each run is written and dropped before the next
+    with open_staged(trace_path) if trace_path is not None else contextlib.nullcontext() as fh:
         if fh is not None:
             fh.write("run_id,iteration,energy\n")
         for t in ensemble_runs(inst, cfg, surface):

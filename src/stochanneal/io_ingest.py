@@ -1,7 +1,8 @@
 """File boundary: instance parsing/generation, registry, result tables.
 
-Every file the package writes is opened by `open_output`, so a failed
-write is an `IoFailure` naming the path; every CSV table is written by
+Every file the package writes is opened by `open_output`, or by
+`open_staged` where a failure must leave no part of it, so a failed write
+is an `IoFailure` naming the path; every CSV table is written by
 `write_table`, which holds the one cell rule.
 
 Instance files use the plain edge-list dialect: first non-comment line
@@ -15,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -54,6 +56,25 @@ def open_output(path) -> Iterator[TextIO]:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def open_staged(path) -> Iterator[TextIO]:
+    """Like open_output, but the text goes to `<path>.part` beside path,
+    which replaces path only when the block ends without an exception;
+    otherwise it is removed, and path is left as it was."""
+    part = f"{path}.part"
+    try:
+        if os.path.isdir(path):  # which os.replace would find only after the block
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        with open(part, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(part, path)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+
+
 def _cell(v):
     """A CSV cell: None is empty, a bool 0 or 1, a float its repr."""
     if v is None:
@@ -76,8 +97,62 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 # -- instance files -------------------------------------------------------------
 
 
-def parse_rudy(text: str, name: str = "") -> MaxCutInstance:
-    """Parse an edge-list instance; errors carry the offending line number."""
+# edge lines rendered per block when an instance file is written or checked
+_LINES_BLOCK = 1 << 12
+
+
+def _edge_lines(i: np.ndarray, j: np.ndarray, w: np.ndarray) -> Iterator[str]:
+    """The edge lines `i j w` of the columns, in blocks of _LINES_BLOCK lines."""
+    for k in range(0, i.size, _LINES_BLOCK):
+        rows = slice(k, k + _LINES_BLOCK)
+        block = np.column_stack((i[rows], j[rows], w[rows]))
+        yield ("%d %d %d\n" * len(block)) % tuple(block.ravel().tolist())
+
+
+def _rudy_text(inst: MaxCutInstance) -> Iterator[str]:
+    """The instance file of inst, in pieces: the header, then blocks of edge lines."""
+    yield f"{inst.n} {inst.m}\n"
+    yield from _edge_lines(inst.heads + 1, inst.tails + 1, inst.weights)
+
+
+def _parse_written(text: str, name: str) -> Optional[MaxCutInstance]:
+    """The instance in text when text is exactly as `serialize_rudy` writes
+    files (whatever the edges' order) and holds no faulty edge; else None.
+
+    numpy reads every token in one pass. It also reads some tokens that are
+    not plain decimal ints, and saturates past int64, so the text must equal
+    the numbers written back, byte for byte.
+    """
+    try:
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+    except ValueError:  # a token numpy cannot read
+        return None
+    if values.size < 2 or values.size != 2 + 3 * int(values[1]) or values[0] < 0:
+        return None
+    n, m = int(values[0]), int(values[1])
+    i, j, w = values[2:].reshape(m, 3).T
+    header = f"{n} {m}\n"
+    if not text.startswith(header):
+        return None
+    at = len(header)
+    for lines in _edge_lines(i, j, w):
+        if not text.startswith(lines, at):
+            return None
+        at += len(lines)
+    if at != len(text) or ((i == j) | (np.minimum(i, j) < 1) | (np.maximum(i, j) > n)).any():
+        return None
+    zero = np.flatnonzero(w == 0)
+    for k in zero.tolist():  # line k + 2: no line here is blank or a comment
+        warnings.warn(f"line {k + 2}: zero-weight edge ({i[k]}, {j[k]}) dropped")
+    if zero.size:
+        i, j, w = (c[w != 0] for c in (i, j, w))
+    i -= 1
+    j -= 1
+    return MaxCutInstance(n, name=name, heads=i, tails=j, weights=w)
+
+
+def _parse_lines(text: str, name: str) -> MaxCutInstance:
+    """The instance in text, read line by line; a fault raises, naming its line."""
     n = m = None
     edges = []
     declared = 0
@@ -115,18 +190,25 @@ def parse_rudy(text: str, name: str = "") -> MaxCutInstance:
         raise Malformed("line 1: empty instance file")
     if declared != m:
         raise Malformed(f"edge count mismatch: header says {m}, file has {declared}")
+    return MaxCutInstance(n=n, edges=tuple(edges), name=name)
+
+
+def parse_rudy(text: str, name: str = "") -> MaxCutInstance:
+    """Parse an edge-list instance; errors carry the offending line number.
+
+    A file as `serialize_rudy` writes it is read as arrays in one pass; any
+    other file, and any file with a fault, is read line by line, which
+    accepts every token `int()` accepts and names the faulty line.
+    """
     try:
-        return MaxCutInstance(n=n, edges=tuple(edges), name=name)
+        return _parse_written(text, name) or _parse_lines(text, name)
     except DuplicateEdge as e:  # the one fault left; name the pair as the file does
         i, j = e.pair
         raise DuplicateEdge(f"edge ({i + 1}, {j + 1}) listed twice", pair=e.pair) from None
 
 
 def serialize_rudy(inst: MaxCutInstance) -> str:
-    out = [f"{inst.n} {inst.m}"]
-    for i, j, w in inst.edges:
-        out.append(f"{i + 1} {j + 1} {w}")
-    return "\n".join(out) + "\n"
+    return "".join(_rudy_text(inst))
 
 
 def read_instance(path) -> MaxCutInstance:
@@ -137,7 +219,7 @@ def read_instance(path) -> MaxCutInstance:
 
 def write_instance(path, inst: MaxCutInstance) -> None:
     with open_output(path) as fh:
-        fh.write(serialize_rudy(inst))
+        fh.writelines(_rudy_text(inst))
 
 
 # -- measurement campaigns ---------------------------------------------------------
@@ -238,12 +320,9 @@ def generate_instance(
         m += hits.size
         i = e
     wi = rng.integers(0, len(weights), size=m)
-    w = np.array(weights, dtype=np.int64)[wi]
-    edges = tuple(zip(heads[:m].tolist(), tails[:m].tolist(), w.tolist()))
     return MaxCutInstance(
-        n=n,
-        edges=edges,
-        name=name or f"rand_n{n}_d{avg_degree:g}_s{seed}",
+        n, name=name or f"rand_n{n}_d{avg_degree:g}_s{seed}",
+        heads=heads[:m], tails=tails[:m], weights=np.array(weights, dtype=np.int64)[wi],
     )
 
 
@@ -264,7 +343,7 @@ def brute_force_maxcut(inst: MaxCutInstance) -> tuple[int, np.ndarray]:
     count = 1 << max(n - 1, 0)
     codes = np.arange(count, dtype=np.uint32)
     cuts = np.zeros(count, dtype=np.int64)
-    for i, j, w in inst.edges:
+    for i, j, w in zip(inst.heads.tolist(), inst.tails.tolist(), inst.weights.tolist()):
         bi = (codes >> i) & 1 if i < n - 1 else np.zeros(count, dtype=np.uint32)
         bj = (codes >> j) & 1 if j < n - 1 else np.zeros(count, dtype=np.uint32)
         cuts += w * (bi ^ bj).astype(np.int64)

@@ -31,53 +31,105 @@ _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
 _W_MIN, _W_MAX = -(2 ** 62 - 1), 2 ** 62
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MaxCutInstance:
-    """Undirected weighted graph; one entry per unordered pair, 0-indexed."""
+    """Undirected weighted graph; one entry per unordered pair, 0-indexed.
+
+    The edges are three read-only arrays in canonical order, by `heads` and
+    then `tails`: the int64 endpoints `heads` < `tails`, and `weights`. The
+    weights are int64 unless one is past int64; then all of them are exact
+    Python ints in an object array. Such an instance is legal, and
+    `build_form` raises TooLarge for it.
+
+    Pass the edges either as arrays (`heads=`, `tails=`, `weights=`, in any
+    order and orientation) or as a sequence `edges` of `(i, j, w)` tuples,
+    which costs one `np.array` conversion. Either way they are checked once
+    for self-loops, range and repeated pairs, and a fault names the first
+    faulty edge in input order. `edges` is a view: the canonical tuple of
+    `(i, j, w)` tuples, built anew on each access. Nothing on the path from
+    generating or reading an instance to solving it reads it.
+    """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...]
+    heads: np.ndarray
+    tails: np.ndarray
+    weights: np.ndarray
     name: str = ""
     best_known: Optional[int] = None
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges: Sequence = (), name: str = "",
+                 best_known: Optional[int] = None, *, heads=None, tails=None, weights=None):
+        if n < 0:
             raise ValueError("node count must be >= 0")
-        ends, weights = [], []
-        for i, j, w in self.edges:
-            ends += (int(i), int(j))
-            weights.append(int(w))  # exact: a weight past int64 is build_form's TooLarge
-        try:
-            ij = np.array(ends, dtype=np.int64)
-        except OverflowError:  # such an endpoint is out of range, and stays so clamped
-            ij = np.array([min(max(e, -1), _INT64_MAX) for e in ends], dtype=np.int64)
-        del ends
-        lo, hi = np.minimum(ij[0::2], ij[1::2]), np.maximum(ij[0::2], ij[1::2])
-        bad = (lo == hi) | (lo < 0) | (hi >= self.n)
-        order = np.lexsort((hi, lo))  # stable, so a pair's repeats follow its first listing
-        lo, hi = lo[order], hi[order]
-        bad[order[1:]] |= (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        from_tuples = heads is None
+        if from_tuples:
+            table = np.array(edges, dtype=object).reshape(-1, 3)
+            # an endpoint past int64 is out of range, and stays so clamped
+            heads, tails = np.clip(table[:, :2], -1, _INT64_MAX).astype(np.int64).T
+            weights = table[:, 2]
+        heads, tails = np.asarray(heads, dtype=np.int64), np.asarray(tails, dtype=np.int64)
+        lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
+        weights = _exact(weights)
+        bad = (lo == hi) | (lo < 0) | (hi >= n)
+        if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
+            order = np.lexsort((hi, lo))  # stable, so a pair's repeats follow its first listing
+            lo, hi, weights = lo[order], hi[order], weights[order]
+            bad[order[1:]] |= (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
         if bad.any():
             # the first faulty edge in input order, named by its own ints
-            i, j, _ = self.edges[int(np.argmax(bad))]
-            i, j = int(i), int(j)
+            k = int(np.argmax(bad))
+            i, j = map(int, edges[k][:2] if from_tuples else (heads[k], tails[k]))
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
             i, j = min(i, j), max(i, j)
-            if not (0 <= i < j < self.n):
-                raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {self.n})")
+            if not (0 <= i < j < n):
+                raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {n})")
             raise DuplicateEdge(f"edge ({i}, {j}) listed twice", pair=(i, j))
-        object.__setattr__(self, "edges", tuple(zip(
-            lo.tolist(), hi.tolist(), [weights[k] for k in order.tolist()])))
+        for a in (lo, hi, weights):
+            a.flags.writeable = False
+        for field_name, value in (("n", n), ("heads", lo), ("tails", hi), ("weights", weights),
+                                  ("name", name), ("best_known", best_known)):
+            object.__setattr__(self, field_name, value)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.heads.tolist(), self.tails.tolist(), self.weights.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return self.heads.size
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.name, self.best_known) == (other.n, other.name, other.best_known)
+                and all(map(np.array_equal, (self.heads, self.tails, self.weights),
+                            (other.heads, other.tails, other.weights))))
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.name, self.best_known))
 
     @functools.cached_property
     def form(self) -> "BoltzmannForm":
         """The instance's Boltzmann form, built on first use and freed with it."""
         return build_form(self)
+
+
+def _exact(w) -> np.ndarray:
+    """A copy of the weights w: int64, or exact Python ints when one is past int64."""
+    try:
+        return np.array(w, dtype=np.int64)
+    except OverflowError:
+        return np.array(w, dtype=object)
+
+
+def _exact_sum(w: np.ndarray) -> int:
+    """sum(w), exact: in int64 where no partial sum can leave it, else in Python ints."""
+    if w.dtype != object:
+        bound = max(-int(w.min(initial=0)), int(w.max(initial=0)))
+        if w.size * bound <= _INT64_MAX:
+            return int(w.sum())
+    return int(w.sum(dtype=object))
 
 
 @dataclass(frozen=True)
@@ -127,27 +179,27 @@ def _row_sums(indptr: np.ndarray, values: np.ndarray, dtype) -> np.ndarray:
 
 
 def build_form(inst: MaxCutInstance) -> BoltzmannForm:
-    """Assemble b_i = -sum_j w_ij and W_B_ij = -2 w_ij from the edge list.
+    """Assemble b_i = -sum_j w_ij and W_B_ij = -2 w_ij from the edge arrays.
 
     Row i of the CSR lists the neighbours of i in increasing order. The
     arrays are read-only. Raises TooLarge when a b_i or a W_B_ij would not
     fit in int64.
     """
-    n, m = inst.n, inst.m
-    try:
-        edges = np.array(inst.edges, dtype=np.int64).reshape(m, 3)
-    except OverflowError:
-        raise TooLarge("an edge weight does not fit in int64") from None
-    w = edges[:, 2]
-    if m and not (_W_MIN <= int(w.min()) and int(w.max()) <= _W_MAX):
+    n, w = inst.n, inst.weights
+    if w.dtype == object:
+        raise TooLarge("an edge weight does not fit in int64")
+    if w.size and not (_W_MIN <= int(w.min()) and int(w.max()) <= _W_MAX):
         raise TooLarge(f"an edge weight outside [{_W_MIN}, {_W_MAX}]: -2 w does not fit in int64")
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    # each edge as (tail, head) and then as (head, tail): the edges are in
+    # canonical order, so a stable sort by row lists each row's neighbours
+    # in increasing order, those below the row before those above it
+    src = np.concatenate([inst.tails, inst.heads])
+    dst = np.concatenate([inst.heads, inst.tails])
     w2 = np.concatenate([w, w])
     deg = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=indptr[1:])
-    order = np.lexsort((dst, src))
+    order = np.argsort(src, kind="stable")
     indices = dst[order]
     w2 = w2[order]
     weights = -2 * w2
@@ -162,9 +214,8 @@ def build_form(inst: MaxCutInstance) -> BoltzmannForm:
         b = b.astype(np.int64)
     for a in (b, indptr, indices, weights):
         a.flags.writeable = False
-    total = int(sum(wij for _, _, wij in inst.edges))
     return BoltzmannForm(n=n, b=b, indptr=indptr, indices=indices, weights=weights,
-                         total_weight=total)
+                         total_weight=_exact_sum(w))
 
 
 def _check_x(n: int, x: Sequence[int]) -> None:
@@ -175,7 +226,8 @@ def _check_x(n: int, x: Sequence[int]) -> None:
 def cut_value(inst: MaxCutInstance, x: Sequence[int]) -> int:
     """Total weight of edges crossing the partition encoded by x."""
     _check_x(inst.n, x)
-    return sum(w for i, j, w in inst.edges if x[i] != x[j])
+    x = np.asarray(x)
+    return _exact_sum(inst.weights[x[inst.heads] != x[inst.tails]])
 
 
 def _field_sums(form: BoltzmannForm, x: Sequence[int]) -> tuple[np.ndarray, ...]:

@@ -633,7 +633,7 @@ def make_state(
         raise InvalidParameter(f"voltage window [{V_MIN}, {V_MAX}] escapes the fitted "
                                f"surface range {surface.v_range}")
     form = inst.form
-    if not form.fits_in_53_bits and sum(abs(w) for _, _, w in inst.edges) > 2 ** 63 - 1:
+    if not form.fits_in_53_bits and np.abs(inst.weights).sum(dtype=object) > 2 ** 63 - 1:
         raise TooLarge("the summed |edge weight|, which bounds every energy, does not fit in int64")
     n = inst.n
     if start is None:
@@ -766,8 +766,10 @@ def paired_runs(
     (run-major) whose arms share one `Start` (see `_group`); otherwise a
     group is one run (arm-major). With jobs == 1, or on the Python loop,
     which holds the interpreter lock (`_kernel_for`), the groups run in
-    this thread; otherwise `jobs` threads run whole groups, at most jobs + 1
-    of them submitted or waiting. Either way the order and runs are equal.
+    this thread; otherwise `jobs` threads run whole groups, at most `jobs`
+    of them submitted and not yet read in full, so the threads never run
+    ahead of the consumer by more than that. Either way the order and runs
+    are equal.
     """
     cfgs = list(cfgs)
     key = _stream(cfgs[0])
@@ -785,14 +787,17 @@ def paired_runs(
     if jobs == 1 or _kernel_for(inst) is None:
         yield from itertools.chain.from_iterable(groups)
         return
-    with ThreadPoolExecutor(jobs, thread_name_prefix="stochanneal-runs") as pool:
+    pool = ThreadPoolExecutor(jobs, thread_name_prefix="stochanneal-runs")
+    try:
         submit = functools.partial(pool.submit, collections.deque)
-        window = collections.deque(map(submit, itertools.islice(groups, jobs + 1)))
+        window = collections.deque(map(submit, itertools.islice(groups, jobs)))
         while window:
             runs = window.popleft().result()
             while runs:  # a run leaves the window as it is yielded
                 yield runs.popleft()
             window.extend(map(submit, itertools.islice(groups, 1)))
+    finally:  # a consumer that stops, or a run that raised, starts no queued group
+        pool.shutdown(cancel_futures=True)
 
 
 def _group(inst: MaxCutInstance, cfgs: list, surface: DeviceSurface, run_index: int,

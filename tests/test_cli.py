@@ -101,6 +101,38 @@ class TestSolve:
                 "does not fit in int64") in r.output
         assert not out.exists()
 
+    def test_a_solve_that_fails_leaves_no_trace_file(self, runner, tmp_path):
+        pairs = [(i, j) for i in range(1, 41) for j in range(i + 1, 41)]
+        inst = tmp_path / "k40.rudy"
+        inst.write_text(f"40 {len(pairs)}\n" + "".join(f"{i} {j} {2**56}\n" for i, j in pairs))
+        r = runner.invoke(main, ["solve", "--instance", str(inst), "--iters", "10", "--out",
+                                 str(tmp_path / "o.csv"), "--trace", str(tmp_path / "t.csv")])
+        assert r.exit_code == 3, r.output
+        assert os.listdir(tmp_path) == ["k40.rudy"]
+
+    def test_a_run_that_raises_midway_leaves_the_old_trace_file(self, runner, tmp_path,
+                                                                monkeypatch):
+        from stochanneal import sampler
+
+        original = sampler.run
+
+        def failing(inst, cfg, surface, run_index=0):
+            if run_index == 2:
+                raise RuntimeError("run 2 failed")
+            return original(inst, cfg, surface, run_index=run_index)
+
+        monkeypatch.setattr(sampler, "run", failing)
+        (tmp_path / "k3.rudy").write_text(K3_TEXT)
+        trace = tmp_path / "t.csv"
+        trace.write_text("an earlier trace\n")
+        r = runner.invoke(main, ["solve", "--instance", str(tmp_path / "k3.rudy"), "--iters",
+                                 "100", "--runs", "4", "--out", str(tmp_path / "o.csv"),
+                                 "--trace", str(trace)])
+        assert r.exit_code == 4, r.output
+        assert "run 2 failed" in r.output
+        assert sorted(os.listdir(tmp_path)) == ["k3.rudy", "t.csv"]
+        assert trace.read_text() == "an earlier trace\n"
+
     @pytest.mark.parametrize("text, v_range, message", [
         ("0 0\n", None, "instance must have at least one node"),
         (K3_TEXT, (1.7, 2.2), "voltage window [1.6, 2.2] escapes the fitted surface range"),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from stochanneal.io_ingest import (
     write_manifest,
     write_results,
 )
-from stochanneal.maxcut import MaxCutInstance, cut_value
+from stochanneal.maxcut import MaxCutInstance, build_form, cut_value
 
 
 class TestParseRudy:
@@ -86,6 +87,72 @@ class TestParseRudy:
         with pytest.raises(Malformed):
             parse_rudy("")
 
+    # each message as the line parser gave it before files were read as arrays
+    @pytest.mark.parametrize("text, kind, message", [
+        ("3 1\n1 two 1\n", Malformed, "line 2: non-integer token in '1 two 1'"),
+        ("3 x\n1 2 1\n", Malformed, "line 1: non-integer header token in '3 x'"),
+        ("3\n1 2 1\n", Malformed, "line 1: expected header 'N M', got '3'"),
+        ("3 -1\n", Malformed, "line 1: negative count in header"),
+        ("3 1\n1 2\n", Malformed, "line 2: expected 'i j w', got '1 2'"),
+        ("3 1\n1 2 1 1\n", Malformed, "line 2: expected 'i j w', got '1 2 1 1'"),
+        ("3 1\n0 2 1\n", Malformed, "line 2: node id outside 1..3"),
+        ("3 1\n1 4 1\n", Malformed, "line 2: node id outside 1..3"),
+        ("3 1\n1 99999999999999999999 1\n", Malformed, "line 2: node id outside 1..3"),
+        ("3 2\n1 2 1\n3 3 1\n", SelfLoop, "line 3: self-loop at node 3"),
+        ("4 5\n2 3 1\n1 4 1\n3 2 1\n1 2 1\n4 1 1\n", DuplicateEdge,
+         "edge (2, 3) listed twice"),
+        ("3 2\n1 2 1\n", Malformed, "edge count mismatch: header says 2, file has 1"),
+        ("", Malformed, "line 1: empty instance file"),
+        ("# a comment\n\n   # another\n", Malformed, "line 1: empty instance file"),
+        ("# c\n3 2\n\n1 2 1 # ok\n1 5 1\n", Malformed, "line 5: node id outside 1..3"),
+        ("3 2\r\n1 2 1\r\n2 2 1\r\n", SelfLoop, "line 3: self-loop at node 2"),
+        ("5 1\n+5 5 1\n", SelfLoop, "line 2: self-loop at node 5"),
+        ("1_000 1\n1_000 1_000 1\n", SelfLoop, "line 2: self-loop at node 1000"),
+    ], ids=["bad-token", "bad-header-token", "one-token-header", "negative-count",
+            "two-token-edge", "four-token-edge", "node-0", "node-n+1", "node-past-int64",
+            "self-loop", "first-duplicate", "count-mismatch", "empty", "comment-only",
+            "comment-and-blank-lines-counted", "crlf", "plus-sign", "underscore"])
+    def test_error_pinned(self, text, kind, message):
+        with pytest.raises(kind) as exc:
+            parse_rudy(text)
+        assert type(exc.value) is kind and str(exc.value) == message
+        if kind is DuplicateEdge:
+            assert exc.value.pair == (1, 2)
+
+    @pytest.mark.parametrize("text", [
+        "3 2\n2 1 5\n2 3 -1\n",
+        "3 2\n1 2 5\n2 3 -1",
+        "3 2\r\n1 2 5\r\n2 3 -1\r\n",
+        "# c\n 3  2\n\n1\t2 +5  # x\n2 3 -1\n",
+        "3 2\n01 2 5\n2 3 -0_1\n",
+        "3 3\n1 2 5\n1 3 0\n2 3 -1\n",
+    ], ids=["turned-round", "no-final-newline", "crlf", "comments-and-spacing",
+            "leading-zeros-and-underscores", "zero-weight"])
+    def test_every_layout_reads_as_the_written_one(self, text):
+        want = MaxCutInstance(3, ((0, 1, 5), (1, 2, -1)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert parse_rudy(text) == want
+        assert [str(w.message) for w in caught] == (
+            ["line 3: zero-weight edge (1, 3) dropped"] if " 0\n" in text else [])
+
+    def test_weights_past_int64_round_trip(self):
+        inst = MaxCutInstance(3, ((0, 1, 2 ** 70), (1, 2, -(2 ** 63) - 1)))
+        text = serialize_rudy(inst)
+        assert text == f"3 2\n1 2 {2 ** 70}\n2 3 {-(2 ** 63) - 1}\n"
+        assert parse_rudy(text) == inst
+
+    def test_reading_peaks_below_80_bytes_per_edge(self):
+        text = serialize_rudy(generate_instance(20_000, 4.0, seed=1))
+        parse_rudy("2 1\n1 2 1\n")
+        tracemalloc.start()
+        try:
+            inst = parse_rudy(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * inst.m, peak / inst.m
+
     def test_round_trip_random_instances(self):
         rng = np.random.default_rng(3)
         for k in range(100):
@@ -136,6 +203,27 @@ def _dense_generate_instance(n, avg_degree, weight_set=(-1, 1), seed=0, name=Non
     return MaxCutInstance(
         n=n, edges=edges, name=name or f"rand_n{n}_d{avg_degree:g}_s{seed}"
     )
+
+
+def _tuple_text(inst):
+    """The instance file written edge by edge from the `edges` tuples."""
+    return f"{inst.n} {inst.m}\n" + "".join(f"{i + 1} {j + 1} {w}\n" for i, j, w in inst.edges)
+
+
+@pytest.mark.parametrize("n, degree, wset, seed", [
+    (2, 1.0, (1,), 0), (7, 6.0, (-1, 1), 3), (125, 4.0, (-3, 0, 2), 17),
+    (500, 12.0, (1, 2, 5), 9), (2000, 4.0, (-1, 1), 1),
+])
+def test_arrays_from_generation_to_form_match_the_tuple_built_reference(n, degree, wset, seed):
+    want = _dense_generate_instance(n, degree, weight_set=wset, seed=seed)
+    text = serialize_rudy(generate_instance(n, degree, weight_set=wset, seed=seed))
+    assert text == _tuple_text(want)
+    got = parse_rudy(text, name=want.name)
+    assert got == want and got.edges == want.edges
+    form, ref = build_form(got), build_form(want)
+    for field in ("b", "indptr", "indices", "weights"):
+        assert np.array_equal(getattr(form, field), getattr(ref, field)), field
+    assert form.total_weight == ref.total_weight == sum(w for _, _, w in want.edges)
 
 
 class TestBlockedGeneration:

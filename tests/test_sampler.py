@@ -713,6 +713,20 @@ class TestPairedRuns:
         assert (arm, got.run_index) == (0, 0)
         _assert_traces_equal(run(inst, self.arms(ref_drift)[0], ref_surface), got)
 
+    def test_a_thread_pool_closed_early_runs_no_group_it_was_not_asked_for(
+            self, ref_surface, ref_drift, monkeypatch):
+        _kernel_or_skip()
+        inst = generate_instance(20, 3.0, seed=30)
+        calls, original = [], sampler.run
+        monkeypatch.setattr(sampler, "run", lambda *a, **k: calls.append(a) or original(*a, **k))
+        for _ in range(5):  # a third group, once submitted, often starts before the close
+            calls.clear()
+            runs = sampler.paired_runs(inst, self.arms(ref_drift, jobs=2), ref_surface)
+            next(runs)
+            runs.close()
+            # the group read from and the one on the other thread
+            assert len(calls) <= 2 * len(self.ARMS), len(calls)
+
     def test_an_exception_in_a_pool_thread_reaches_the_consumer(self, ref_surface, ref_drift,
                                                                 monkeypatch):
         _kernel_or_skip()
