@@ -374,9 +374,6 @@ def max_solvable_sizes(
     arms = [(drift, scheme) for drift in drifts for scheme in schemes]
     rows = [[] for _ in arms]
     for size, instances in ladder:
-        for inst in instances:
-            if inst.best_known is None:
-                raise MissingBestKnown(f"ladder instance {inst.name!r} lacks best_known")
         scaling = convergence_scaling(instances, cfg, surface, loops)
         conv = [c for row in scaling for c in row.converged]
         total_runs = sum(row.runs for row in scaling)

@@ -255,15 +255,9 @@ def read_measurements(path) -> np.ndarray:
 
 # -- generation ------------------------------------------------------------------
 
-# uniform draws per block of rows in generate_instance (512 KiB of doubles)
+# uniform draws per block of node pairs in generate_instance (512 KiB of
+# doubles); a block holds at least n - 1 pairs, so there are at most n blocks
 _GEN_BLOCK = 1 << 16
-
-
-def _grown(a: np.ndarray, used: int, size: int) -> np.ndarray:
-    """A copy of a[:used] in a new array of `size` elements."""
-    out = np.empty(size, dtype=a.dtype)
-    out[:used] = a[:used]
-    return out
 
 
 def generate_instance(
@@ -278,12 +272,11 @@ def generate_instance(
     Node pairs (i, j), i < j, are visited in row-major upper-triangle order
     (the order of `np.triu_indices(n, k=1)`): one uniform draw per pair
     decides the edge, then one `integers` call picks every edge's weight.
-    The draws are taken in blocks of whole rows, _GEN_BLOCK draws at most
-    (a longer row is a block of its own), each into the same reused buffer;
-    this yields the same stream as drawing them all at once. The endpoints
-    collect in two int64 arrays that grow geometrically, so memory is
-    O(block + n + m) rather than O(n^2). Zeros in weight_set are treated as
-    absent edges and ignored.
+    The draws are taken in blocks of max(_GEN_BLOCK, n - 1) pairs, each into
+    the same reused buffer; this yields the same stream as drawing them all
+    at once. Each hit is kept as its flat pair index, and the hits are mapped
+    to their (i, j) once all are drawn, so memory is O(block + n + m) rather
+    than O(n^2). Zeros in weight_set are treated as absent edges and ignored.
     """
     if n < 2:
         raise InvalidDegree(f"need n >= 2, got {n}")
@@ -297,32 +290,20 @@ def generate_instance(
     # row_start[i]: flat index of pair (i, i+1); row_start[n-1] = n(n-1)/2
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2
-    # one block's draws and their comparison with p, reused by every block
-    draws = np.empty(max(min(_GEN_BLOCK, int(row_start[-1])), n - 1))
-    below = np.empty(draws.size, dtype=bool)
-    heads = tails = np.empty(0, dtype=np.int64)
-    m = 0
-    i = 0
-    while i < n - 1:
-        # whole rows i..e-1, at least one, within one block of draws
-        e = int(np.searchsorted(row_start, row_start[i] + _GEN_BLOCK, side="right")) - 1
-        e = max(e, i + 1)
-        k = int(row_start[e] - row_start[i])
-        rng.random(out=draws[:k])
-        hits = np.flatnonzero(np.less(draws[:k], p, out=below[:k]))
-        starts = row_start[i:e] - row_start[i]
-        r = np.searchsorted(starts, hits, side="right") - 1
-        if m + hits.size > heads.size:
-            size = max(2 * heads.size, m + hits.size)
-            heads, tails = _grown(heads, m, size), _grown(tails, m, size)
-        np.add(r, i, out=heads[m:m + hits.size])
-        tails[m:m + hits.size] = i + 1 + r + (hits - starts[r])
-        m += hits.size
-        i = e
-    wi = rng.integers(0, len(weights), size=m)
+    pairs = int(row_start[-1])
+    draws = np.empty(min(max(_GEN_BLOCK, n - 1), pairs))
+    hits = []
+    for k in range(0, pairs, draws.size):
+        block = draws[:pairs - k]
+        rng.random(out=block)
+        hits.append(np.flatnonzero(block < p) + k)
+    hits = np.concatenate(hits)
+    heads = np.searchsorted(row_start, hits, side="right") - 1
+    tails = hits - row_start[heads] + heads + 1
+    wi = rng.integers(0, len(weights), size=hits.size)
     return MaxCutInstance(
         n, name=name or f"rand_n{n}_d{avg_degree:g}_s{seed}",
-        heads=heads[:m], tails=tails[:m], weights=np.array(weights, dtype=np.int64)[wi],
+        heads=heads, tails=tails, weights=np.array(weights, dtype=np.int64)[wi],
     )
 
 
@@ -333,11 +314,14 @@ def brute_force_maxcut(inst: MaxCutInstance) -> tuple[int, np.ndarray]:
     """Exact maximum cut by enumeration; n <= 20.
 
     Complement symmetry lets node n-1 stay in partition 0, so 2^(n-1)
-    configurations are scanned, vectorized per edge.
+    configurations are scanned, vectorized per edge. The cuts are summed in
+    int64, which is exact while the summed |w| fits in it; past that, TooLarge.
     """
     n = inst.n
     if n > 20:
         raise TooLarge(f"brute force capped at 20 nodes, got {n}")
+    if sum(map(abs, inst.weights.tolist())) > 2 ** 63 - 1:
+        raise TooLarge("the summed edge weight |w| does not fit in int64")
     if n == 0:
         return 0, np.zeros(0, dtype=np.uint8)
     count = 1 << max(n - 1, 0)

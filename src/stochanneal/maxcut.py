@@ -41,9 +41,10 @@ class MaxCutInstance:
     Python ints in an object array. Such an instance is legal, and
     `build_form` raises TooLarge for it.
 
-    Pass the edges either as arrays (`heads=`, `tails=`, `weights=`, in any
-    order and orientation) or as a sequence `edges` of `(i, j, w)` tuples,
-    which costs one `np.array` conversion. Either way they are checked once
+    Pass the edges either as three one-dimensional arrays of equal length
+    (`heads=`, `tails=`, `weights=`, in any order and orientation) or as a
+    sequence `edges` of `(i, j, w)` tuples, which costs one `np.array`
+    conversion; anything else is a ValueError. Either way they are checked once
     for self-loops, range and repeated pairs, and a fault names the first
     faulty edge in input order. `edges` is a view: the canonical tuple of
     `(i, j, w)` tuples, built anew on each access. Nothing on the path from
@@ -61,15 +62,25 @@ class MaxCutInstance:
                  best_known: Optional[int] = None, *, heads=None, tails=None, weights=None):
         if n < 0:
             raise ValueError("node count must be >= 0")
-        from_tuples = heads is None
+        from_tuples = heads is None and tails is None and weights is None
         if from_tuples:
-            table = np.array(edges, dtype=object).reshape(-1, 3)
+            table = np.array(edges, dtype=object)
+            if table.shape != (0,) and table.shape[1:] != (3,):
+                raise ValueError(f"edges must be (i, j, w) triples, got an array of "
+                                 f"shape {table.shape}")
+            table = table.reshape(-1, 3)
             # an endpoint past int64 is out of range, and stays so clamped
             heads, tails = np.clip(table[:, :2], -1, _INT64_MAX).astype(np.int64).T
             weights = table[:, 2]
+        elif heads is None or tails is None or weights is None or len(edges):
+            raise ValueError("pass either edges or all of heads, tails and weights")
         heads, tails = np.asarray(heads, dtype=np.int64), np.asarray(tails, dtype=np.int64)
-        lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
         weights = _exact(weights)
+        if not (heads.ndim == tails.ndim == weights.ndim == 1
+                and heads.size == tails.size == weights.size):
+            raise ValueError(f"heads, tails and weights must be one-dimensional and of equal "
+                             f"length, got shapes {heads.shape}, {tails.shape}, {weights.shape}")
+        lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
             order = np.lexsort((hi, lo))  # stable, so a pair's repeats follow its first listing

@@ -456,6 +456,16 @@ class TestGenBrute:
         assert r.exit_code == 3, r.output
         assert "error [io_ingest]:" in r.output
 
+    @pytest.mark.parametrize("w", [2 ** 62, 2 ** 63])
+    def test_brute_summed_weight_past_int64_exits_3(self, runner, tmp_path, w):
+        # K4; at 2**62 brute once printed 0 for the cut 2**64, past int64 it exited 4
+        inst = tmp_path / "k4.rudy"
+        inst.write_text("4 6\n" + "".join(f"{i} {j} {w}\n" for i in range(1, 5)
+                                          for j in range(i + 1, 5)))
+        r = runner.invoke(main, ["brute", "--instance", str(inst)])
+        assert r.exit_code == 3, r.output
+        assert "error [io_ingest]: the summed edge weight |w| does not fit in int64" in r.output
+
     def test_brute_k3(self, runner, tmp_path):
         inst = tmp_path / "k3.rudy"
         inst.write_text(K3_TEXT)

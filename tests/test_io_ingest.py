@@ -231,7 +231,7 @@ class TestBlockedGeneration:
     @pytest.mark.parametrize("n", [2, 3, 7, 125, 2000])
     def test_matches_dense_draw(self, n, block, monkeypatch):
         if block is not None:
-            # blocks end mid-triangle, and rows longer than a block stand alone
+            # blocks of n - 1 pairs, which start and end mid-row
             monkeypatch.setattr(io_ingest, "_GEN_BLOCK", block)
         degrees = {0.5, min(4.0, n - 1)}
         if n <= 125:
@@ -306,6 +306,17 @@ class TestBruteForce:
         inst = MaxCutInstance(n=21, edges=())
         with pytest.raises(TooLarge):
             brute_force_maxcut(inst)
+
+    @pytest.mark.parametrize("w", [2 ** 62, -(2 ** 63), 2 ** 63])
+    def test_summed_weight_past_int64(self, w):
+        # at 2**62 the maximum cut of K4, 2**64, once wrapped to 0 in int64
+        k4 = MaxCutInstance(n=4, edges=[(i, j, w) for i, j in itertools.combinations(range(4), 2)])
+        with pytest.raises(TooLarge, match="summed edge weight"):
+            brute_force_maxcut(k4)
+
+    def test_summed_weight_at_int64_is_exact(self):
+        inst = MaxCutInstance(n=3, edges=((0, 1, 2 ** 62), (1, 2, 2 ** 62 - 1)))
+        assert brute_force_maxcut(inst)[0] == 2 ** 63 - 1
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(9)

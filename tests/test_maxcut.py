@@ -257,6 +257,30 @@ class TestInstanceValidation:
         with pytest.raises(TooLarge):
             build_form(inst)
 
+    @pytest.mark.parametrize("edges", [
+        ((0, 1), (1, 2), (0, 2)),  # pairs, once read as the triples (0, 1, 1), (2, 0, 2)
+        ((0, 1, 1), (1, 2)),
+        ((0, 1, 1, 5),),
+        ((),),
+        (0, 1, 1),
+    ])
+    def test_edges_not_triples(self, edges):
+        with pytest.raises(ValueError, match=r"\(i, j, w\) triples"):
+            MaxCutInstance(3, edges=edges)
+
+    @pytest.mark.parametrize("arrays", [
+        dict(heads=[0, 1], tails=[1, 2], weights=[1]),  # once m == 2 with one weight
+        dict(heads=[0, 1], tails=[1], weights=[1, 1]),
+        dict(heads=[[0, 1]], tails=[[1, 2]], weights=[[1, 1]]),
+        dict(heads=[0, 1]),
+        dict(heads=[0, 1], tails=[1, 2]),
+        dict(tails=[1, 2], weights=[1, 1]),
+        dict(heads=[0], tails=[1], weights=[1], edges=((1, 2, 1),)),
+    ])
+    def test_arrays_not_one_entry_per_edge(self, arrays):
+        with pytest.raises(ValueError, match="heads, tails and weights"):
+            MaxCutInstance(3, **arrays)
+
 
 @st.composite
 def small_instances(draw):
