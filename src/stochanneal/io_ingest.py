@@ -23,6 +23,7 @@ import math
 import os
 import platform
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -258,6 +259,38 @@ def read_measurements(path) -> np.ndarray:
 # uniform draws per block of node pairs in generate_instance (512 KiB of
 # doubles); a block holds at least n - 1 pairs, so there are at most n blocks
 _GEN_BLOCK = 1 << 16
+# generate_instance draws its pairs in at most this many parts at once. Each
+# part past the first is a thread, which reserves a stack and a malloc arena:
+# `gen --nodes 20000` peaked at 116 MB of address space in one part, 250 MB
+# in 2, 337 MB in 4 and 694 MB in 8
+_GEN_PARTS = 4
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _instance_stream(seed: int, skip: int) -> np.random.Generator:
+    """The random stream of generate_instance's seed, past its first skip draws."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(skip))
+
+
+def _pair_hits(seed: int, first: int, stop: int, size: int, p: float) -> np.ndarray:
+    """The flat indices k in [first, stop) of the node pairs whose uniform
+    draw, draw k of the instance stream, is below p; the draws are taken in
+    blocks of at most size, each into the same reused buffer."""
+    rng = _instance_stream(seed, first)
+    draws = np.empty(min(size, stop - first))
+    hits = []
+    for k in range(first, stop, draws.size):
+        block = draws[:stop - k]
+        rng.random(out=block)
+        hits.append(np.flatnonzero(block < p) + k)
+    return np.concatenate(hits)
 
 
 def generate_instance(
@@ -272,10 +305,18 @@ def generate_instance(
     Node pairs (i, j), i < j, are visited in row-major upper-triangle order
     (the order of `np.triu_indices(n, k=1)`): one uniform draw per pair
     decides the edge, then one `integers` call picks every edge's weight.
-    The draws are taken in blocks of max(_GEN_BLOCK, n - 1) pairs, each into
-    the same reused buffer; this yields the same stream as drawing them all
-    at once. Each hit is kept as its flat pair index, and the hits are mapped
-    to their (i, j) once all are drawn, so memory is O(block + n + m) rather
+    Each uniform is one 64-bit output of the seed's PCG64 stream, so pair k
+    is decided by output k, which `PCG64.advance(k)` reaches without drawing
+    those before it. The pairs are split into contiguous parts: one per CPU,
+    but at most _GEN_PARTS and at most one per whole block of _GEN_BLOCK
+    pairs, so an instance of fewer than two blocks starts no thread. The
+    first part is drawn in this thread, each other one in a thread of its
+    own, and the weights on the stream advanced past every pair; so every
+    seed's edges, and its `.rudy` bytes, are those of one draw over the
+    whole triangle, whatever the number of CPUs. A part takes its draws in
+    blocks of max(_GEN_BLOCK, n - 1) pairs, each into one reused buffer, and
+    keeps each hit as its flat pair index; the hits are mapped to their
+    (i, j) once all are drawn, so memory is O(parts * block + n + m) rather
     than O(n^2). Zeros in weight_set are treated as absent edges and ignored.
     """
     if n < 2:
@@ -286,21 +327,22 @@ def generate_instance(
     if not weights:
         raise ValueError("weight_set must contain a nonzero weight")
     p = avg_degree / (n - 1)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     # row_start[i]: flat index of pair (i, i+1); row_start[n-1] = n(n-1)/2
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (2 * n - rows - 1) // 2
     pairs = int(row_start[-1])
-    draws = np.empty(min(max(_GEN_BLOCK, n - 1), pairs))
-    hits = []
-    for k in range(0, pairs, draws.size):
-        block = draws[:pairs - k]
-        rng.random(out=block)
-        hits.append(np.flatnonzero(block < p) + k)
-    hits = np.concatenate(hits)
+    parts = max(1, min(_cpus(), pairs // _GEN_BLOCK, _GEN_PARTS))
+    bounds = [pairs * j // parts for j in range(parts + 1)]
+    size = max(_GEN_BLOCK, n - 1)
+    # threads start as parts are submitted, so a single part starts none
+    with ThreadPoolExecutor(max(parts - 1, 1), thread_name_prefix="stochanneal-gen") as pool:
+        rest = [pool.submit(_pair_hits, seed, first, stop, size, p)
+                for first, stop in zip(bounds[1:], bounds[2:])]
+        hits = np.concatenate([_pair_hits(seed, 0, bounds[1], size, p)]
+                              + [part.result() for part in rest])
     heads = np.searchsorted(row_start, hits, side="right") - 1
     tails = hits - row_start[heads] + heads + 1
-    wi = rng.integers(0, len(weights), size=hits.size)
+    wi = _instance_stream(seed, pairs).integers(0, len(weights), size=hits.size)
     return MaxCutInstance(
         n, name=name or f"rand_n{n}_d{avg_degree:g}_s{seed}",
         heads=heads, tails=tails, weights=np.array(weights, dtype=np.int64)[wi],

@@ -44,11 +44,13 @@ class MaxCutInstance:
     Pass the edges either as three one-dimensional arrays of equal length
     (`heads=`, `tails=`, `weights=`, in any order and orientation) or as a
     sequence `edges` of `(i, j, w)` tuples, which costs one `np.array`
-    conversion; anything else is a ValueError. Either way they are checked once
-    for self-loops, range and repeated pairs, and a fault names the first
-    faulty edge in input order. `edges` is a view: the canonical tuple of
-    `(i, j, w)` tuples, built anew on each access. Nothing on the path from
-    generating or reading an instance to solving it reads it.
+    conversion; anything else is a ValueError. So is an endpoint or weight
+    that is not an integer (1.5, NaN, 'x'; 2.0 is 2). Either way they are
+    checked once for that, self-loops, range and repeated pairs, and a fault
+    names the first faulty edge in input order. `edges` is a view: the
+    canonical tuple of `(i, j, w)` tuples, built anew on each access.
+    Nothing on the path from generating or reading an instance to solving
+    it reads it.
     """
 
     n: int
@@ -62,24 +64,29 @@ class MaxCutInstance:
                  best_known: Optional[int] = None, *, heads=None, tails=None, weights=None):
         if n < 0:
             raise ValueError("node count must be >= 0")
-        from_tuples = heads is None and tails is None and weights is None
-        if from_tuples:
+        if heads is None and tails is None and weights is None:
             table = np.array(edges, dtype=object)
             if table.shape != (0,) and table.shape[1:] != (3,):
                 raise ValueError(f"edges must be (i, j, w) triples, got an array of "
                                  f"shape {table.shape}")
-            table = table.reshape(-1, 3)
-            # an endpoint past int64 is out of range, and stays so clamped
-            heads, tails = np.clip(table[:, :2], -1, _INT64_MAX).astype(np.int64).T
-            weights = table[:, 2]
+            heads, tails, weights = table.reshape(-1, 3).T
         elif heads is None or tails is None or weights is None or len(edges):
             raise ValueError("pass either edges or all of heads, tails and weights")
-        heads, tails = np.asarray(heads, dtype=np.int64), np.asarray(tails, dtype=np.int64)
-        weights = _exact(weights)
-        if not (heads.ndim == tails.ndim == weights.ndim == 1
-                and heads.size == tails.size == weights.size):
+        columns = [_column(c) for c in (heads, tails, weights)]
+        if not (all(c.ndim == 1 for c in columns) and len({c.size for c in columns}) == 1):
             raise ValueError(f"heads, tails and weights must be one-dimensional and of equal "
-                             f"length, got shapes {heads.shape}, {tails.shape}, {weights.shape}")
+                             f"length, got shapes {', '.join(str(c.shape) for c in columns)}")
+        ints = [_integers(c) for c in columns]
+        # only a column rebuilt by _integers holds None
+        fractional = [np.equal(i, None) for i, c in zip(ints, columns) if i is not c]
+        if np.any(fractional):
+            k = int(np.argmax(np.any(fractional, axis=0)))
+            edge = tuple(c[k:k + 1].tolist()[0] for c in columns)
+            raise ValueError(f"edge {edge!r}: endpoints and weights must be integers")
+        # an endpoint past int64 is out of range, and stays so clamped
+        heads, tails = (np.asarray(np.clip(c, -1, _INT64_MAX) if c.dtype == object else c,
+                                   dtype=np.int64) for c in ints[:2])
+        weights = _exact(ints[2])
         lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
@@ -89,7 +96,7 @@ class MaxCutInstance:
         if bad.any():
             # the first faulty edge in input order, named by its own ints
             k = int(np.argmax(bad))
-            i, j = map(int, edges[k][:2] if from_tuples else (heads[k], tails[k]))
+            i, j = (int(c[k]) for c in ints[:2])
             if i == j:
                 raise SelfLoop(f"self-loop at node {i}")
             i, j = min(i, j), max(i, j)
@@ -124,6 +131,34 @@ class MaxCutInstance:
     def form(self) -> "BoltzmannForm":
         """The instance's Boltzmann form, built on first use and freed with it."""
         return build_form(self)
+
+
+def _column(values) -> np.ndarray:
+    """values as an array, each value as given: numpy would turn [0, 'x']
+    into the strings ['0', 'x']."""
+    a = np.asarray(values)
+    return np.array(values, dtype=object) if a.dtype.kind in "SU" else a
+
+
+def _integers(a: np.ndarray) -> np.ndarray:
+    """The values of a as integers: a itself when it holds only integers,
+    else an object array of Python ints, with None for each value that is
+    not an integer (1.5, NaN, 'x'; 2.0 is 2)."""
+    if a.dtype.kind in "biu":
+        return a
+    values = a.tolist()
+    if set(map(type, values)) <= {int}:
+        return a
+    return np.array([_integer(v) for v in values], dtype=object)
+
+
+def _integer(v) -> Optional[int]:
+    """int(v) if it equals v, else None."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == v else None
 
 
 def _exact(w) -> np.ndarray:

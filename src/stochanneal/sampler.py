@@ -61,6 +61,7 @@ from .device import (
     scheme_code,
 )
 from .errors import InvalidParameter, MissingBestKnown, NonMonotone, TooLarge, Unattainable
+from .io_ingest import _cpus
 from .maxcut import BoltzmannForm, MaxCutInstance, init_fields
 from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
 from .maxcut import energy as energy_of
@@ -234,14 +235,6 @@ def _draws(start: Start, n: int, scheme: int, tol: float):
                     a.flags.writeable = False
             blocks.append(block)
         yield block
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
 
 
 def _ahead(draws: Iterator, count: int, inline: int) -> Iterator:

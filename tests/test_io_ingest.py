@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -265,7 +266,71 @@ class TestBlockedGeneration:
             tracemalloc.stop()
         assert peak < 6e6, peak
 
-    def test_gen_in_bounded_address_space(self, tmp_path):
+    @pytest.mark.parametrize("parts", [1, 2, 3, 5])
+    def test_split_does_not_matter(self, parts, monkeypatch):
+        # parts forced past the cap, with blocks of 3 pairs, so that parts
+        # begin mid-row and mid-block
+        monkeypatch.setattr(io_ingest, "_cpus", lambda: parts)
+        monkeypatch.setattr(io_ingest, "_GEN_PARTS", 8)
+        monkeypatch.setattr(io_ingest, "_GEN_BLOCK", 3)
+        spans = []
+        pair_hits = io_ingest._pair_hits
+
+        def spy(seed, first, stop, size, p):
+            spans.append((first, stop))
+            return pair_hits(seed, first, stop, size, p)
+
+        monkeypatch.setattr(io_ingest, "_pair_hits", spy)
+        for n, degree, wset, seed in itertools.product(
+            [7, 125, 2000], [0.5, 4.0], [(-1, 1), (-3, 0, 2)], [0, 17]
+        ):
+            spans.clear()
+            got = generate_instance(n, degree, weight_set=wset, seed=seed)
+            want = _dense_generate_instance(n, degree, weight_set=wset, seed=seed)
+            assert got.edges == want.edges, (n, degree, wset, seed)
+            pairs = n * (n - 1) // 2
+            assert sorted(spans) == [(pairs * k // parts, pairs * (k + 1) // parts)
+                                     for k in range(parts)]
+
+    @pytest.mark.parametrize("n, parts", [(500, 1), (600, 2), (20_000, 4)])
+    def test_parts_and_threads(self, n, parts, monkeypatch):
+        # one part per whole block, up to the CPUs and the cap; the first in
+        # this thread, each other one in a thread of its own
+        monkeypatch.setattr(io_ingest, "_cpus", lambda: 64)
+        threads = []
+        pair_hits = io_ingest._pair_hits
+
+        def spy(*args):
+            threads.append(threading.current_thread())
+            return pair_hits(*args)
+
+        monkeypatch.setattr(io_ingest, "_pair_hits", spy)
+        generate_instance(n, 4.0, seed=1)
+        assert len(threads) == len(set(threads)) == parts
+        assert threading.main_thread() in threads
+
+    def test_part_failure_is_raised(self, monkeypatch):
+        class Failed(Exception):
+            pass
+
+        pair_hits = io_ingest._pair_hits
+
+        def failing_past_first(seed, first, stop, size, p):
+            if first:
+                raise Failed
+            return pair_hits(seed, first, stop, size, p)
+
+        monkeypatch.setattr(io_ingest, "_cpus", lambda: 2)
+        monkeypatch.setattr(io_ingest, "_pair_hits", failing_past_first)
+        before = threading.active_count()
+        with pytest.raises(Failed):
+            generate_instance(600, 4.0, seed=1)
+        assert threading.active_count() == before
+
+    @staticmethod
+    def gen_in_512_mib(tmp_path, prelude=""):
+        """The stdout of `gen --nodes 20000`, run after prelude in a process
+        capped at 512 MiB of address space."""
         resource = pytest.importorskip("resource")
         limit = 512 * 1024 * 1024
 
@@ -277,7 +342,7 @@ class TestBlockedGeneration:
         # BLAS thread buffers would count against the cap on many-core hosts
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
         code = (
-            "from stochanneal import cli; "
+            f"from stochanneal import cli, io_ingest; {prelude}"
             f"cli.main(['gen', '--nodes', '20000', '--seed', '1', '--out', {str(out)!r}])"
         )
         proc = subprocess.run(
@@ -286,6 +351,20 @@ class TestBlockedGeneration:
         )
         assert proc.returncode == 0, proc.stderr
         assert f"wrote {out} (20000 nodes," in proc.stdout
+        return proc.stdout
+
+    def test_gen_in_bounded_address_space(self, tmp_path):
+        self.gen_in_512_mib(tmp_path)
+
+    def test_gen_at_the_part_cap_in_bounded_address_space(self, tmp_path):
+        # as many parts as the cap allows, whatever this host's CPU count
+        cap = io_ingest._GEN_PARTS
+        stdout = self.gen_in_512_mib(tmp_path, (
+            f"io_ingest._cpus = lambda: {cap}; pair_hits = io_ingest._pair_hits; "
+            "import atexit; parts = []; atexit.register(lambda: print(len(parts), 'parts')); "
+            "io_ingest._pair_hits = lambda *a: parts.append(a) or pair_hits(*a); "
+        ))
+        assert stdout.endswith(f"\n{cap} parts\n"), stdout
 
 
 class TestBruteForce:

@@ -268,6 +268,36 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=r"\(i, j, w\) triples"):
             MaxCutInstance(3, edges=edges)
 
+    @pytest.mark.parametrize("value", [1.5, 0.7, float("nan"), float("inf"), "x", "1", None])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_non_integer_named_by_edge(self, value, at):
+        # once truncated: (0, 1, 1.5) was the edge (0, 1, 1), and a head 0.7 node 0
+        edges = [[0, 1, 1], [1, 2, -2], [0, 2, 3]]
+        edges[1][at] = edges[2][at] = value
+        bad = repr(tuple(edges[1])).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ValueError, match=rf"edge {bad}: endpoints and weights must be integers"):
+            MaxCutInstance(3, edges=[tuple(e) for e in edges])
+        heads, tails, weights = zip(*edges)
+        with pytest.raises(ValueError, match=rf"edge {bad}: endpoints and weights must be integers"):
+            MaxCutInstance(3, heads=list(heads), tails=list(tails), weights=list(weights))
+
+    def test_non_integer_arrays(self):
+        with pytest.raises(ValueError, match=r"edge \(0\.7, 1, 1\)"):
+            MaxCutInstance(2, heads=np.array([0.7]), tails=np.array([1]), weights=np.array([1]))
+        with pytest.raises(ValueError, match=r"edge \(0, 1, nan\)"):
+            MaxCutInstance(2, heads=np.array([0]), tails=np.array([1]), weights=np.array([np.nan]))
+
+    @pytest.mark.parametrize("i, j, w", [
+        (2.0, 0, 5), (np.float64(2), np.int32(0), 5.0), (2, False, True),
+        (2, 0, np.float64(2.0 ** 70)),
+    ])
+    def test_integral_values_kept(self, i, j, w):
+        want = ((0, 2, int(w)),)
+        assert MaxCutInstance(3, edges=((i, j, w),)).edges == want
+        assert MaxCutInstance(3, heads=[i], tails=[j], weights=[w]).edges == want
+        assert MaxCutInstance(3, heads=np.array([float(i)]), tails=np.array([float(j)]),
+                              weights=np.array([float(w)])).edges == want
+
     @pytest.mark.parametrize("arrays", [
         dict(heads=[0, 1], tails=[1, 2], weights=[1]),  # once m == 2 with one weight
         dict(heads=[0, 1], tails=[1], weights=[1, 1]),
