@@ -64,8 +64,9 @@ class SelfLoop(Malformed):
 
 
 class TooLarge(StochAnnealError, ValueError):
-    """Instance too big: for exhaustive enumeration, or with edge weights
-    that put a b_i or W_B entry of its Boltzmann form, or an energy, outside int64."""
+    """Instance too big: for exhaustive enumeration, with a weight or a summed
+    |w| past int64, or with a Boltzmann form whose summed |b_i| and |W_B_ij|,
+    which bound every local field and energy, reach 2**53."""
 
 
 class InvalidDegree(StochAnnealError, ValueError):

@@ -23,23 +23,19 @@ import numpy as np
 
 from .errors import DimensionMismatch, DuplicateEdge, IndexOutOfRange, SelfLoop, TooLarge
 
-# local fields and energies below this are exact as doubles, so int64 and
-# Python ints agree, and so does every int/float comparison
+# a form's fields and energies stay below this, so they are exact as doubles
 _EXACT_INT_LIMIT = 2 ** 53
 _INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
-# the edge weights w for which W_B = -2 w fits in int64
-_W_MIN, _W_MAX = -(2 ** 62 - 1), 2 ** 62
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class MaxCutInstance:
     """Undirected weighted graph; one entry per unordered pair, 0-indexed.
 
-    The edges are three read-only arrays in canonical order, by `heads` and
-    then `tails`: the int64 endpoints `heads` < `tails`, and `weights`. The
-    weights are int64 unless one is past int64; then all of them are exact
-    Python ints in an object array. Such an instance is legal, and
-    `build_form` raises TooLarge for it.
+    The edges are three read-only int64 arrays in canonical order, by
+    `heads` and then `tails`: the endpoints `heads` < `tails`, and `weights`.
+    A weight past int64, or a summed |w| past 2**63 - 1, is TooLarge; so
+    every cut, and every sum of weights, is exact in int64.
 
     Pass the edges either as three one-dimensional arrays of equal length
     (`heads=`, `tails=`, `weights=`, in any order and orientation) or as a
@@ -47,8 +43,9 @@ class MaxCutInstance:
     conversion; anything else is a ValueError. So is an endpoint or weight
     that is not an integer (1.5, NaN, 'x'; 2.0 is 2). Either way they are
     checked once for that, self-loops, range and repeated pairs, and a fault
-    names the first faulty edge in input order. `edges` is a view: the
-    canonical tuple of `(i, j, w)` tuples, built anew on each access.
+    names the first faulty edge in input order; the width comes last.
+    `edges` is a view: the canonical tuple of `(i, j, w)` tuples, built anew
+    on each access.
     Nothing on the path from generating or reading an instance to solving
     it reads it.
     """
@@ -86,7 +83,7 @@ class MaxCutInstance:
         # an endpoint past int64 is out of range, and stays so clamped
         heads, tails = (np.asarray(np.clip(c, -1, _INT64_MAX) if c.dtype == object else c,
                                    dtype=np.int64) for c in ints[:2])
-        weights = _exact(ints[2])
+        weights = ints[2]
         lo, hi = np.minimum(heads, tails), np.maximum(heads, tails)
         bad = (lo == hi) | (lo < 0) | (hi >= n)
         if not np.all((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
@@ -103,6 +100,7 @@ class MaxCutInstance:
             if not (0 <= i < j < n):
                 raise IndexOutOfRange(f"edge ({i}, {j}) outside [0, {n})")
             raise DuplicateEdge(f"edge ({i}, {j}) listed twice", pair=(i, j))
+        weights = _int64_weights(weights)
         for a in (lo, hi, weights):
             a.flags.writeable = False
         for field_name, value in (("n", n), ("heads", lo), ("tails", hi), ("weights", weights),
@@ -161,21 +159,17 @@ def _integer(v) -> Optional[int]:
     return i if i == v else None
 
 
-def _exact(w) -> np.ndarray:
-    """A copy of the weights w: int64, or exact Python ints when one is past int64."""
-    try:
-        return np.array(w, dtype=np.int64)
-    except OverflowError:
-        return np.array(w, dtype=object)
-
-
-def _exact_sum(w: np.ndarray) -> int:
-    """sum(w), exact: in int64 where no partial sum can leave it, else in Python ints."""
-    if w.dtype != object:
-        bound = max(-int(w.min(initial=0)), int(w.max(initial=0)))
-        if w.size * bound <= _INT64_MAX:
-            return int(w.sum())
-    return int(w.sum(dtype=object))
+def _int64_weights(w: np.ndarray) -> np.ndarray:
+    """An int64 copy of the weights w; TooLarge if a weight, or the summed |w|,
+    does not fit in int64."""
+    lo, hi = int(w.min(initial=0)), int(w.max(initial=0))
+    if lo < _INT64_MIN or hi > _INT64_MAX:
+        raise TooLarge("an edge weight does not fit in int64")
+    w = np.array(w, dtype=np.int64)
+    # the Python sum only where m max|w| leaves int64, and exact there
+    if w.size * max(-lo, hi) > _INT64_MAX and sum(map(abs, w.tolist())) > _INT64_MAX:
+        raise TooLarge("the summed |edge weight| does not fit in int64")
+    return w
 
 
 @dataclass(frozen=True)
@@ -194,16 +188,6 @@ class BoltzmannForm:
         return self.indices[lo:hi], self.weights[lo:hi]
 
     @functools.cached_property
-    def fits_in_53_bits(self) -> bool:
-        """Whether every local field and energy is below 2**53 in magnitude.
-
-        Only then do `init_fields`, `energy` and the compiled sampling kernel
-        compute in int64: the sums stay exact, and so do doubles of them.
-        """
-        total = sum(map(abs, self.b.tolist())) + sum(map(abs, self.weights.tolist()))
-        return total < _EXACT_INT_LIMIT
-
-    @functools.cached_property
     def csr_lists(self) -> tuple[list, list, list]:
         """indptr, indices and weights as lists, which the Python sampling loop indexes."""
         return self.indptr.tolist(), self.indices.tolist(), self.weights.tolist()
@@ -211,16 +195,14 @@ class BoltzmannForm:
     @functools.cached_property
     def field_bound(self) -> int:
         """max_i (|b_i| + sum_j |W_B_ij|), which bounds every local field |u_i|."""
-        # exact Python ints where an |entry| or a row sum could leave int64
-        dtype = np.int64 if self.fits_in_53_bits else object
-        rows = _row_sums(self.indptr, np.abs(self.weights.astype(dtype)), dtype)
-        return int(np.max(np.abs(self.b.astype(dtype)) + rows, initial=0))
+        return int(np.max(np.abs(self.b) + _row_sums(self.indptr, np.abs(self.weights)),
+                          initial=0))
 
 
-def _row_sums(indptr: np.ndarray, values: np.ndarray, dtype) -> np.ndarray:
-    """The sum of each CSR row of values, computed in dtype."""
-    csum = np.zeros(values.size + 1, dtype=dtype)
-    np.cumsum(values.astype(dtype, copy=False), out=csum[1:])
+def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The sum of each CSR row of values."""
+    csum = np.zeros(values.size + 1, dtype=values.dtype)
+    np.cumsum(values, out=csum[1:])
     return csum[indptr[1:]] - csum[indptr[:-1]]
 
 
@@ -228,14 +210,17 @@ def build_form(inst: MaxCutInstance) -> BoltzmannForm:
     """Assemble b_i = -sum_j w_ij and W_B_ij = -2 w_ij from the edge arrays.
 
     Row i of the CSR lists the neighbours of i in increasing order. The
-    arrays are read-only. Raises TooLarge when a b_i or a W_B_ij would not
-    fit in int64.
+    arrays are read-only. Raises TooLarge unless sum_i |b_i| + sum |W_B_ij|
+    < 2**53, which bounds every local field and energy: they are then exact
+    in int64 and as doubles, in the Python loop and the compiled kernel alike.
     """
     n, w = inst.n, inst.weights
-    if w.dtype == object:
-        raise TooLarge("an edge weight does not fit in int64")
-    if w.size and not (_W_MIN <= int(w.min()) and int(w.max()) <= _W_MAX):
-        raise TooLarge(f"an edge weight outside [{_W_MIN}, {_W_MAX}]: -2 w does not fit in int64")
+    wide = "the summed |b_i| and |W_B_ij| reach 2**53: fields would not be exact as doubles"
+    # sum |W_B_ij| = 4 sum |w| and sum |b_i| <= 2 sum |w|: past this check no
+    # entry or sum below can leave int64 (the instance bounds sum |w| by it)
+    abs_w = int(np.abs(w).sum())
+    if 4 * abs_w >= _EXACT_INT_LIMIT:
+        raise TooLarge(wide)
     # each edge as (tail, head) and then as (head, tail): the edges are in
     # canonical order, so a stable sort by row lists each row's neighbours
     # in increasing order, those below the row before those above it
@@ -249,19 +234,13 @@ def build_form(inst: MaxCutInstance) -> BoltzmannForm:
     indices = dst[order]
     w2 = w2[order]
     weights = -2 * w2
-    # an int64 cumsum may wrap, but each row's difference is exact modulo
-    # 2**64, so exact while no node's summed |w| can leave int64; past that,
-    # b is summed in Python ints and range-checked
-    wide = int(deg.max(initial=0)) * int(np.abs(w).max(initial=0)) > _INT64_MAX
-    b = -_row_sums(indptr, w2, object if wide else np.int64)
-    if wide:
-        if not all(_INT64_MIN <= v <= _INT64_MAX for v in b.tolist()):
-            raise TooLarge("a node's summed edge weight does not fit in int64")
-        b = b.astype(np.int64)
+    b = -_row_sums(indptr, w2)
+    if int(np.abs(b).sum()) + 4 * abs_w >= _EXACT_INT_LIMIT:
+        raise TooLarge(wide)
     for a in (b, indptr, indices, weights):
         a.flags.writeable = False
     return BoltzmannForm(n=n, b=b, indptr=indptr, indices=indices, weights=weights,
-                         total_weight=_exact_sum(w))
+                         total_weight=int(w.sum()))
 
 
 def _check_x(n: int, x: Sequence[int]) -> None:
@@ -273,16 +252,13 @@ def cut_value(inst: MaxCutInstance, x: Sequence[int]) -> int:
     """Total weight of edges crossing the partition encoded by x."""
     _check_x(inst.n, x)
     x = np.asarray(x)
-    return _exact_sum(inst.weights[x[inst.heads] != x[inst.tails]])
+    return int(inst.weights[x[inst.heads] != x[inst.tails]].sum())
 
 
 def _field_sums(form: BoltzmannForm, x: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """(x != 0, b, W_B.x), b and W_B.x exact: int64 when the form fits in
-    53 bits, else Python ints."""
-    dtype = np.int64 if form.fits_in_53_bits else object
+    """(x != 0, b, W_B.x), b and W_B.x in int64, exact."""
     on = np.asarray(x) != 0
-    wx = _row_sums(form.indptr, np.where(on[form.indices], form.weights, 0), dtype)
-    return on, form.b.astype(dtype, copy=False), wx
+    return on, form.b, _row_sums(form.indptr, np.where(on[form.indices], form.weights, 0))
 
 
 def energy(form: BoltzmannForm, x: Sequence[int]) -> int:

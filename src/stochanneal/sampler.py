@@ -60,7 +60,7 @@ from .device import (
     reset_update,
     scheme_code,
 )
-from .errors import InvalidParameter, MissingBestKnown, NonMonotone, TooLarge, Unattainable
+from .errors import InvalidParameter, MissingBestKnown, NonMonotone, Unattainable
 from .io_ingest import _cpus
 from .maxcut import BoltzmannForm, MaxCutInstance, init_fields
 from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
@@ -157,9 +157,9 @@ Params = collections.namedtuple("Params", (
 class State:
     """One run in progress: its parameter record, flat arrays and counters.
 
-    The arrays are the kernel's: x and best_x int8; u int64, or Python ints
-    in an object array when the instance's fields need more than 53 bits;
-    hrs, targets and offs float64; cyc int64. `step` advances the state.
+    The arrays are the kernel's: x and best_x int8; u int64, below 2**53 in
+    magnitude (see `build_form`); hrs, targets and offs float64; cyc int64.
+    `step` advances the state.
     """
 
     params: Params
@@ -197,7 +197,7 @@ def _start(form: BoltzmannForm, seed: int, run_index: int,
     """The start of run `run_index` on `form` under `seed`, keeping `blocks`."""
     children = tuple(np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(5))
     x = np.random.default_rng(children[0]).integers(0, 2, form.n).astype(np.int8)
-    u = np.array(init_fields(form, x), dtype=np.int64 if form.fits_in_53_bits else object)
+    u = np.array(init_fields(form, x), dtype=np.int64)
     x.flags.writeable = u.flags.writeable = False
     u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
     gens = tuple(np.random.default_rng(ss) for ss in children[3:])
@@ -559,7 +559,7 @@ def _kernel_loop(kernel, state: State):
     The state's arrays, its `par` vector and the p_switch table are checked
     and packed once; each call of the loop returned runs `sa_advance` over
     one block slice on the state's arrays in place and writes the counters
-    back. The caller checks the form's `fits_in_53_bits` first. When
+    back; `build_form` keeps every field and energy below 2**53. When
     `_uses_table` allows, the table of p_switch by local field u_i (slot
     u_i + U, U = `form.field_bound`) starts all NaN ("not yet"); the kernel
     fills a slot with the loop's own expression the first time it meets
@@ -626,8 +626,6 @@ def make_state(
         raise InvalidParameter(f"voltage window [{V_MIN}, {V_MAX}] escapes the fitted "
                                f"surface range {surface.v_range}")
     form = inst.form
-    if not form.fits_in_53_bits and np.abs(inst.weights).sum(dtype=object) > 2 ** 63 - 1:
-        raise TooLarge("the summed |edge weight|, which bounds every energy, does not fit in int64")
     n = inst.n
     if start is None:
         start = _start(form, cfg.seed, run_index)
@@ -691,14 +689,6 @@ def make_state(
     )
 
 
-def _kernel_for(inst: MaxCutInstance):
-    """The kernel if it loads and `inst`'s fields fit in 53 bits, else None (the Python loop)."""
-    if inst.form.fits_in_53_bits:
-        return load_kernel()
-    log.debug("instance %r has fields of 2**53 or more; using the Python loop", inst.name)
-    return None
-
-
 def run(
     inst: MaxCutInstance,
     cfg: BoltzmannConfig,
@@ -707,7 +697,7 @@ def run(
 ) -> RunTrace:
     """Execute one seeded run; fully reproducible from (cfg.seed, run_index).
 
-    The loop is `_kernel_for(inst)`, or `_reference_loop` if that is None;
+    The loop is `load_kernel()`, or `_reference_loop` if that is None;
     results are the same. A run on the start that `paired_runs` shares
     (`_kept.run`, read here alone) draws its blocks inline. Otherwise, with
     the kernel, jobs == 1 and more than one CPU, a second thread draws the
@@ -718,7 +708,7 @@ def run(
     """
     start = getattr(_kept, "run", None)
     state = make_state(inst, cfg, surface, run_index, start=start)
-    kernel = _kernel_for(inst)
+    kernel = load_kernel()
     inline = _AHEAD_BLOCKS if cfg.stop_on_convergence else 1
     count = -(-cfg.max_iters // _RNG_BLOCK)
     ahead = (start is None and kernel is not None and cfg.jobs == 1
@@ -758,7 +748,7 @@ def paired_runs(
     index fit in _KEEP_BYTES, the runs come in groups of one run index
     (run-major) whose arms share one `Start` (see `_group`); otherwise a
     group is one run (arm-major). With jobs == 1, or on the Python loop,
-    which holds the interpreter lock (`_kernel_for`), the groups run in
+    which holds the interpreter lock (no kernel loads), the groups run in
     this thread; otherwise `jobs` threads run whole groups, at most `jobs`
     of them submitted and not yet read in full, so the threads never run
     ahead of the consumer by more than that. Either way the order and runs
@@ -777,9 +767,10 @@ def paired_runs(
         groups = ((r, [a]) for a, cfg in enumerate(cfgs) for r in range(cfg.runs))
     groups = (_group(inst, cfgs, surface, r, arms) for r, arms in groups)
     jobs = max(cfg.jobs for cfg in cfgs)
-    if jobs == 1 or _kernel_for(inst) is None:
+    if jobs == 1 or load_kernel() is None:
         yield from itertools.chain.from_iterable(groups)
         return
+    inst.form  # built here, once, not by two threads at once, and TooLarge before any run
     pool = ThreadPoolExecutor(jobs, thread_name_prefix="stochanneal-runs")
     try:
         submit = functools.partial(pool.submit, collections.deque)

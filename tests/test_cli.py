@@ -79,14 +79,14 @@ class TestSolve:
         assert manifest["numpy"] == np.__version__
 
     def test_weights_beyond_int64_exit_3(self, runner, tmp_path):
-        # b_0 = -3 * 2**62 does not fit in int64
+        # b_0 = -3 * 2**62 does not fit in int64, nor does the summed |w|
         inst = tmp_path / "big.rudy"
         inst.write_text(f"4 3\n1 2 {2**62}\n1 3 {2**62}\n1 4 {2**62}\n")
         r = runner.invoke(main, ["solve", "--instance", str(inst), "--iters", "10",
                                  "--out", str(tmp_path / "o.csv")])
         assert r.exit_code == 3, r.output
-        # named after the module that raised it: maxcut.build_form
-        assert "error [maxcut]: a node's summed edge weight does not fit in int64" in r.output
+        # named after the module that raised it: maxcut.MaxCutInstance, as the file is read
+        assert "error [maxcut]: the summed |edge weight| does not fit in int64" in r.output
 
     def test_energies_beyond_int64_exit_3(self, runner, tmp_path):
         # every b_i = -39 * 2**56 fits in int64, but a cut reaches 400 * 2**56
@@ -97,9 +97,18 @@ class TestSolve:
         r = runner.invoke(main, ["solve", "--instance", str(inst), "--iters", "10",
                                  "--out", str(out)])
         assert r.exit_code == 3, r.output
-        assert ("error [sampler]: the summed |edge weight|, which bounds every energy, "
-                "does not fit in int64") in r.output
+        assert "error [maxcut]: the summed |edge weight| does not fit in int64" in r.output
         assert not out.exists()
+
+    def test_fields_at_2_53_exit_3(self, runner, tmp_path):
+        # the weight fits in int64, but the form's fields would reach 2**53
+        inst = tmp_path / "wide.rudy"
+        inst.write_text(f"4 3\n1 2 {2**60}\n2 3 1\n3 4 1\n")
+        r = runner.invoke(main, ["solve", "--instance", str(inst), "--iters", "10", "--out",
+                                 str(tmp_path / "o.csv"), "--trace", str(tmp_path / "t.csv")])
+        assert r.exit_code == 3, r.output
+        assert "error [maxcut]: the summed |b_i| and |W_B_ij| reach 2**53" in r.output
+        assert os.listdir(tmp_path) == ["wide.rudy"]
 
     def test_a_solve_that_fails_leaves_no_trace_file(self, runner, tmp_path):
         pairs = [(i, j) for i in range(1, 41) for j in range(i + 1, 41)]
@@ -464,7 +473,8 @@ class TestGenBrute:
                                           for j in range(i + 1, 5)))
         r = runner.invoke(main, ["brute", "--instance", str(inst)])
         assert r.exit_code == 3, r.output
-        assert "error [io_ingest]: the summed edge weight |w| does not fit in int64" in r.output
+        want = "the summed |edge weight|" if w < 2 ** 63 else "an edge weight"
+        assert f"error [maxcut]: {want} does not fit in int64" in r.output
 
     def test_brute_k3(self, runner, tmp_path):
         inst = tmp_path / "k3.rudy"

@@ -137,11 +137,17 @@ class TestParseRudy:
         assert [str(w.message) for w in caught] == (
             ["line 3: zero-weight edge (1, 3) dropped"] if " 0\n" in text else [])
 
-    def test_weights_past_int64_round_trip(self):
-        inst = MaxCutInstance(3, ((0, 1, 2 ** 70), (1, 2, -(2 ** 63) - 1)))
+    def test_weights_at_int64_round_trip(self):
+        inst = MaxCutInstance(3, ((0, 1, 2 ** 63 - 2), (1, 2, -1)))
         text = serialize_rudy(inst)
-        assert text == f"3 2\n1 2 {2 ** 70}\n2 3 {-(2 ** 63) - 1}\n"
+        assert text == f"3 2\n1 2 {2 ** 63 - 2}\n2 3 -1\n"
         assert parse_rudy(text) == inst
+
+    @pytest.mark.parametrize("w", [2 ** 70, -(2 ** 63) - 1, -(2 ** 63), 2 ** 63 - 1])
+    def test_weights_past_int64_do_not_read(self, w):
+        # once read as exact Python ints; the last two pass int64 in the summed |w|
+        with pytest.raises(TooLarge, match="does not fit in int64"):
+            parse_rudy(f"3 2\n1 2 {w}\n2 3 -1\n")
 
     def test_reading_peaks_below_80_bytes_per_edge(self):
         text = serialize_rudy(generate_instance(20_000, 4.0, seed=1))
@@ -388,14 +394,16 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("w", [2 ** 62, -(2 ** 63), 2 ** 63])
     def test_summed_weight_past_int64(self, w):
-        # at 2**62 the maximum cut of K4, 2**64, once wrapped to 0 in int64
-        k4 = MaxCutInstance(n=4, edges=[(i, j, w) for i, j in itertools.combinations(range(4), 2)])
-        with pytest.raises(TooLarge, match="summed edge weight"):
-            brute_force_maxcut(k4)
+        # at 2**62 the maximum cut of K4, 2**64, once wrapped to 0 in int64;
+        # the instance now refuses such weights before brute force sees them
+        with pytest.raises(TooLarge, match="does not fit in int64"):
+            brute_force_maxcut(MaxCutInstance(
+                n=4, edges=[(i, j, w) for i, j in itertools.combinations(range(4), 2)]))
 
     def test_summed_weight_at_int64_is_exact(self):
         inst = MaxCutInstance(n=3, edges=((0, 1, 2 ** 62), (1, 2, 2 ** 62 - 1)))
         assert brute_force_maxcut(inst)[0] == 2 ** 63 - 1
+        assert cut_value(inst, [0, 1, 0]) == 2 ** 63 - 1
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(9)

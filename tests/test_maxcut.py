@@ -189,7 +189,8 @@ class TestInstanceValidation:
 
     @staticmethod
     def checked_by_loop(n, edges):
-        """The edges' check and canonical order as a loop over tuples and a set."""
+        """The edges' check and canonical order as a loop over tuples and a set,
+        then the int64 width of the weights and of their summed |w|."""
         canon = []
         seen = set()
         for i, j, w in edges:
@@ -204,13 +205,17 @@ class TestInstanceValidation:
                 raise DuplicateEdge(f"edge ({i}, {j}) listed twice")
             seen.add((i, j))
             canon.append((i, j, w))
+        if not all(-2 ** 63 <= w < 2 ** 63 for _, _, w in canon):
+            raise TooLarge("an edge weight does not fit in int64")
+        if sum(abs(w) for _, _, w in canon) >= 2 ** 63:
+            raise TooLarge("the summed |edge weight| does not fit in int64")
         return tuple(sorted(canon))
 
     @staticmethod
     def outcome(check, n, edges):
         try:
             return repr(check(n, edges))
-        except (SelfLoop, IndexOutOfRange, DuplicateEdge) as e:
+        except (SelfLoop, IndexOutOfRange, DuplicateEdge, TooLarge) as e:
             return type(e), str(e)
 
     def random_faulty_edges(self, rng):
@@ -249,13 +254,38 @@ class TestInstanceValidation:
             got = self.outcome(lambda n, e: MaxCutInstance(n, e).edges, n, edges)
             assert got == want, (n, edges)
             kinds.add(want[0] if isinstance(want, tuple) else "ok")
-        assert kinds == {"ok", SelfLoop, IndexOutOfRange, DuplicateEdge}
+        assert kinds == {"ok", SelfLoop, IndexOutOfRange, DuplicateEdge, TooLarge}
 
-    def test_weights_past_int64_kept_exact(self):
-        inst = MaxCutInstance(n=3, edges=((2, 1, 2 ** 70), (1, 0, -(2 ** 63) - 1)))
-        assert inst.edges == ((0, 1, -(2 ** 63) - 1), (1, 2, 2 ** 70))
-        with pytest.raises(TooLarge):
-            build_form(inst)
+    @pytest.mark.parametrize("w", [2 ** 63, 2 ** 70, -(2 ** 63) - 1, np.float64(2.0 ** 70)])
+    def test_weights_past_int64_raise(self, w):
+        # once kept exact as Python ints, until build_form raised
+        with pytest.raises(TooLarge, match="an edge weight does not fit in int64"):
+            MaxCutInstance(n=3, edges=((2, 1, w), (1, 0, 1)))
+        with pytest.raises(TooLarge, match="an edge weight does not fit in int64"):
+            MaxCutInstance(n=3, heads=[2, 1], tails=[1, 0], weights=[w, 1])
+
+    def test_unsigned_weights_past_int64_raise(self):
+        # a uint64 weight of 2**63 was once stored as -2**63
+        ends = np.array([0, 1], dtype=np.uint64)
+        with pytest.raises(TooLarge, match="an edge weight does not fit in int64"):
+            MaxCutInstance(n=3, heads=ends, tails=ends + 1,
+                           weights=np.array([1, 2 ** 63], dtype=np.uint64))
+
+    @pytest.mark.parametrize("weights", [
+        (2 ** 63 - 1,), (-(2 ** 63) + 1,),  # m max|w| fits in int64
+        (2 ** 62, 2 ** 62 - 1), (-(2 ** 62), 1 - 2 ** 62), (2 ** 63 - 2, -1),  # it does not
+    ])
+    def test_summed_weight_at_int64_is_exact(self, weights):
+        inst = MaxCutInstance(n=3, edges=tuple((k, k + 1, w) for k, w in enumerate(weights)))
+        assert cut_value(inst, [0, 1, 0]) == sum(weights)
+        assert inst.weights.tolist() == list(weights)
+
+    @pytest.mark.parametrize("weights", [
+        (-(2 ** 63),), (2 ** 62, 2 ** 62), (-(2 ** 62), -(2 ** 62)), (2 ** 63 - 1, 1),
+    ])
+    def test_summed_weight_past_int64_raises(self, weights):
+        with pytest.raises(TooLarge, match=r"the summed \|edge weight\| does not fit in int64"):
+            MaxCutInstance(n=3, edges=tuple((k, k + 1, w) for k, w in enumerate(weights)))
 
     @pytest.mark.parametrize("edges", [
         ((0, 1), (1, 2), (0, 2)),  # pairs, once read as the triples (0, 1, 1), (2, 0, 2)
@@ -289,7 +319,7 @@ class TestInstanceValidation:
 
     @pytest.mark.parametrize("i, j, w", [
         (2.0, 0, 5), (np.float64(2), np.int32(0), 5.0), (2, False, True),
-        (2, 0, np.float64(2.0 ** 70)),
+        (2, 0, np.float64(2.0 ** 62)),
     ])
     def test_integral_values_kept(self, i, j, w):
         want = ((0, 2, int(w)),)
@@ -385,6 +415,22 @@ def loop_energy(form, x):
 BIG = MaxCutInstance(n=4, edges=((0, 1, 2**60), (1, 2, -1), (2, 3, 1)), best_known=1)
 
 
+def form_sum(inst):
+    """sum_i |b_i| + sum |W_B_ij| of the form of inst, by a loop over its edges."""
+    b = [0] * inst.n
+    for i, j, w in inst.edges:
+        b[i] -= w
+        b[j] -= w
+    return sum(map(abs, b)) + sum(4 * abs(w) for _, _, w in inst.edges)
+
+
+# paths 0-1-2-3 with weights (a, -c, 1), a >= c > 0, whose form_sum is
+# 6a + 4c + 4: 2**53 - 2, the largest below 2**53 (a form_sum is always
+# even), and 2**53
+AT_CEILING = MaxCutInstance(n=4, edges=((0, 1, (2**52 - 7) // 3), (1, 2, -2), (2, 3, 1)))
+PAST_CEILING = MaxCutInstance(n=4, edges=((0, 1, (2**52 - 4) // 3), (1, 2, -1), (2, 3, 1)))
+
+
 def vector_cases():
     rng = np.random.default_rng(7)
     yield MaxCutInstance(n=0, edges=())
@@ -397,9 +443,9 @@ def vector_cases():
         yield random_instance(rng, n=int(rng.integers(2, 30)), p=0.3, wmax=9)
     yield generate_instance(60, 5.0, weight_set=(-3, 2), seed=3)
     yield generate_instance(200, 4.0, seed=9)
-    yield BIG
-    # fields past 2**53 on every row: the exact Python-int path throughout
-    yield random_instance(rng, n=25, p=0.3, wmax=2**58)
+    # the form at its ceiling, and fields near 2**53 on every row
+    yield AT_CEILING
+    yield random_instance(rng, n=25, p=0.3, wmax=2**44)
 
 
 class TestVectorizedForm:
@@ -438,21 +484,24 @@ class TestVectorizedForm:
             assert all(abs(v) <= form.field_bound for v in init_fields(form, x))
 
     def test_big_weights_stay_exact(self):
-        form = build_form(BIG)
-        assert not form.fits_in_53_bits
-        x = [1, 0, 0, 1]
-        assert energy(form, x) == -cut_value(BIG, x) == -(2**60 + 1)
-        assert init_fields(form, x) == loop_init_fields(form, x)
+        # in the instance and its cuts; its form's fields would reach 2**53
+        assert BIG.weights.tolist() == [2**60, -1, 1]
+        assert cut_value(BIG, [1, 0, 0, 1]) == 2**60 + 1
+        with pytest.raises(TooLarge, match=r"reach 2\*\*53"):
+            build_form(BIG)
+        # fields past 2**53 on every row, once run on exact Python ints
+        with pytest.raises(TooLarge):
+            build_form(random_instance(np.random.default_rng(7), n=25, p=0.3, wmax=2**58))
 
 
 class TestFormOverflow:
     def test_wrapping_b_raises(self):
         # b_0 = -3 * 2**62 is below int64; int64 sums would wrap it to +2**62
-        inst = MaxCutInstance(n=4, edges=((0, 1, 2**62), (0, 2, 2**62), (0, 3, 2**62)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TooLarge):
-                build_form(inst)
+                build_form(MaxCutInstance(n=4, edges=((0, 1, 2**62), (0, 2, 2**62),
+                                                      (0, 3, 2**62))))
 
     @pytest.mark.parametrize("w", [2**62 + 1, -(2**62), 2**63, -(2**70)])
     def test_weight_beyond_int64_raises(self, w):
@@ -463,18 +512,25 @@ class TestFormOverflow:
 
     @pytest.mark.parametrize("w", [2**62, -(2**62 - 1)])
     def test_extreme_weights_that_fit(self, w):
-        form = build_form(MaxCutInstance(n=2, edges=((0, 1, w),)))
-        assert form.b.tolist() == [-w, -w]
-        assert form.weights.tolist() == [-2 * w, -2 * w]
+        # in the instance; -2 w fits in int64 too, but the fields reach 2**53
+        inst = MaxCutInstance(n=2, edges=((0, 1, w),))
+        assert inst.weights.tolist() == [w]
+        with pytest.raises(TooLarge):
+            build_form(inst)
 
-    def test_large_partial_sums_that_fit(self):
-        # 3 * 2**62 bounds node 0's partial sums, but its b_0 fits in int64
-        inst = MaxCutInstance(n=4, edges=((0, 1, 2**62), (0, 2, 2**62), (0, 3, 1 - 2**62)))
-        form = build_form(inst)
-        assert form.b.tolist() == [-(2**62) - 1, -(2**62), -(2**62), 2**62 - 1]
-        assert form.weights.tolist() == [-(2**63), -(2**63), 2**63 - 2] + [-(2**63)] * 2 + [2**63 - 2]
-        # |W_B| of -2**63 and the row sums leave int64; the bound stays exact
-        assert form.field_bound == (2**62 + 1) + 2**63 + 2**63 + 2**63 - 2
+    def test_large_partial_sums_raise(self):
+        # b_0 = -(2**62) - 1 fits in int64, but the summed |w| does not
+        with pytest.raises(TooLarge, match=r"summed \|edge weight\|"):
+            MaxCutInstance(n=4, edges=((0, 1, 2**62), (0, 2, 2**62), (0, 3, 1 - 2**62)))
+
+    def test_ceiling(self):
+        assert form_sum(AT_CEILING) == 2**53 - 2 and form_sum(PAST_CEILING) == 2**53
+        form = build_form(AT_CEILING)
+        assert int(np.abs(form.b).sum()) + int(np.abs(form.weights).sum()) == 2**53 - 2
+        with pytest.raises(TooLarge, match=r"reach 2\*\*53"):
+            build_form(PAST_CEILING)
+        # the first check, 4 sum |w| < 2**53, passes here; the exact sum decides
+        assert 4 * sum(abs(w) for _, _, w in PAST_CEILING.edges) < 2**53
 
 
 class TestFormCache:

@@ -35,11 +35,11 @@ from stochanneal.device import (
     p_switch,
     scheme_code,
 )
-from stochanneal.errors import InvalidParameter, MissingBestKnown, Unattainable
+from stochanneal.errors import InvalidParameter, MissingBestKnown, TooLarge, Unattainable
 from stochanneal.experiments import moving_average, settling_energy_of
 from stochanneal.io_ingest import generate_instance
 from stochanneal import experiments, sampler
-from stochanneal.maxcut import MaxCutInstance, cut_value
+from stochanneal.maxcut import MaxCutInstance
 from stochanneal.reference import get_reference
 from stochanneal.sampler import (
     BoltzmannConfig,
@@ -1098,8 +1098,7 @@ def _snapshot(state, trace) -> dict:
     for name in _STATE_FIELDS:
         a = getattr(state, name)
         if isinstance(a, np.ndarray):
-            snap[name] = (str(a.dtype), a.shape,
-                          repr(a.tolist()) if a.dtype == object else a.tobytes())
+            snap[name] = (str(a.dtype), a.shape, a.tobytes())
         else:
             snap[name] = (type(a).__name__, repr(a))
     return snap
@@ -1122,6 +1121,18 @@ def _assert_snapshots_equal(ref, fast):
 # TestSanitizedKernel hands them to its subprocess, which then runs only the
 # kernel side of each case recorded here.
 _REFERENCES = {}
+
+
+def _at_form_sum(base, total):
+    """base and a path on four more nodes with weights (a, -c, 1), a >= c > 0,
+    which adds 6a + 4c + 4 to the summed |b_i| + |W_B_ij| of the form, so that
+    the sum is `total`, an even number (the sum always is)."""
+    form, n = base.form, base.n
+    rest = (total - int(np.abs(form.b).sum()) - int(np.abs(form.weights).sum())) // 2 - 2
+    c = next(c for c in (1, 2, 3) if (rest - 2 * c) % 3 == 0)
+    return MaxCutInstance(n + 4, heads=np.r_[base.heads, n, n + 1, n + 2],
+                          tails=np.r_[base.tails, n + 1, n + 2, n + 3],
+                          weights=np.r_[base.weights, (rest - 2 * c) // 3, -c, 1])
 
 
 def _reference(key, snapshots):
@@ -1199,26 +1210,51 @@ class TestKernel:
         names = re.findall(r"P_(\w+)", body[:body.index("}")])
         assert names == [f.upper() for f in sampler.Params._fields]
 
-    def test_weight_beyond_53_bits_takes_reference_path(self, ref_surface, ref_drift,
+    def test_python_loop_under_jobs_runs_in_this_thread(self, ref_surface, ref_drift,
                                                         monkeypatch):
-        inst = MaxCutInstance(n=4, edges=((0, 1, 2**60), (1, 2, -1), (2, 3, 1)), best_known=1)
-        assert not inst.form.fits_in_53_bits
-        cfg = BoltzmannConfig(max_iters=3000, seed=2, drift=ref_drift, scheme="fixed-input")
-        # the reference keeps exact Python ints for the local fields
-        u = make_state(inst, cfg, ref_surface).u
-        assert u.dtype == object and {type(v) for v in u} == {int}
-        got = run(inst, cfg, ref_surface)
-        # with jobs > 1 too, in this thread: the Python loop holds the interpreter lock
-        one = ensemble(inst, replace(cfg, runs=2), ref_surface)
-        two = ensemble(inst, replace(cfg, runs=2, jobs=2), ref_surface)
+        # without the kernel the Python loop, which holds the interpreter lock,
+        # runs every group in the calling thread, under jobs > 1 too
+        inst = replace(generate_instance(30, 4.0, weight_set=(-3, 2), seed=43), best_known=28)
+        cfg = BoltzmannConfig(max_iters=3000, runs=2, seed=2, drift=ref_drift,
+                              scheme="fixed-input")
+        arms = [cfg, replace(cfg, d2d_cv=0.1, calibrate=True)]  # run-major, one shared start
         monkeypatch.setattr(sampler, "load_kernel", lambda: None)
-        ref = run(inst, cfg, ref_surface)
-        assert got.kernel == ref.kernel == "python"
-        _assert_traces_equal(ref, got)
-        assert got.best_cut == 2**60 + 1
-        assert {t.kernel for t in one + two} == {"python"}
-        for want, trace in zip(one, two):
-            _assert_traces_equal(want, trace)
+        ran_on = []
+        original = sampler.run
+
+        def spy(*args, **kwargs):
+            ran_on.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "run", spy)
+        for cfgs in ([cfg], arms):
+            one = list(sampler.paired_runs(inst, cfgs, ref_surface))
+            jobs2 = [replace(c, jobs=2) for c in cfgs]
+            two = list(sampler.paired_runs(inst, jobs2, ref_surface))
+            assert [a for a, _ in two] == [a for a, _ in one]
+            assert {t.kernel for _, t in one + two} == {"python"}
+            for (_, want), (_, trace) in zip(one, two):
+                _assert_traces_equal(want, trace)
+        assert ran_on == [threading.current_thread()] * 12
+
+    def test_fields_at_the_ceiling_run_on_the_kernel(self, ref_surface, monkeypatch):
+        _kernel_or_skip()
+        base = generate_instance(30, 4.0, weight_set=(-3, 2), seed=43)
+        inst = _at_form_sum(base, 2**53 - 2)
+        form = inst.form
+        assert int(np.abs(form.b).sum()) + int(np.abs(form.weights).sum()) == 2**53 - 2
+        for scheme in ("ideal", "monitored"):
+            cfg = BoltzmannConfig(max_iters=20_000, seed=5, drift=_PINNED_DRIFT, scheme=scheme,
+                                  energy_stride=1)
+            fast = run(inst, cfg, ref_surface)
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "load_kernel", lambda: None)
+                ref = run(inst, cfg, ref_surface)
+            assert (fast.kernel, ref.kernel) == ("c", "python")
+            _assert_traces_equal(ref, fast)
+            assert np.abs(fast.energies).max() > 2**50
+        with pytest.raises(TooLarge, match=r"reach 2\*\*53"):
+            run(_at_form_sum(base, 2**53), cfg, ref_surface)
 
     def test_argtypes_match_the_kernel_signature(self):
         # a changed C signature must not load with stale argtypes
@@ -1304,7 +1340,6 @@ class TestPSwitchTable:
         _kernel_or_skip()
         inst = replace(generate_instance(30, 4.0, weight_set=(-9000, 7000), seed=43),
                        best_known=10**9)
-        assert inst.form.fits_in_53_bits
         assert 2 * inst.form.field_bound + 1 > sampler._TABLE_CAP
         for activation in ("device", "logistic"):
             cfg = BoltzmannConfig(max_iters=20_000, seed=5, activation=activation)
@@ -1676,12 +1711,14 @@ def _differential_case(seed, scheme, activation, kernel):
         return options[rng.integers(len(options))]
 
     n = int(rng.integers(1, 41))
-    # 2**40: fields up to about 2**47; 2**48 and 2**52: past 2**53 from about a
-    # dozen edges on and from one or two, with every energy inside int64
-    top = pick([1, 3, 2**20, 2**40, 2**48, 2**52])
     density = pick([0.0, 0.1, 0.3, 1.0])
-    edges = tuple((i, j, int(rng.integers(-top, top + 1)) or 1)
-                  for i in range(n) for j in range(i + 1, n) if rng.random() < density)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+    # 2**40: fields up to about 2**47. The last two put the form's summed |b_i|
+    # + |W_B_ij|, at most 6 m top, just under 2**53: below it always, and in
+    # most draws (the rest raise TooLarge)
+    m = max(len(pairs), 1)
+    top = pick([1, 3, 2**20, 2**40, (2**53 - 1) // (6 * m), 2**53 // (3 * m)])
+    edges = tuple((i, j, int(rng.integers(-top, top + 1)) or 1) for i, j in pairs)
     vmin, vmax = pick([(1.6, 2.2), (1.7, 1.9), (1.8, 1.8)])
     over = dict(vmin=vmin, vmax=vmax)
     # decades off the centred 1e-5 s: p near 0 and near 1, and off the squeeze grid
@@ -1704,9 +1741,12 @@ def _differential_case(seed, scheme, activation, kernel):
     # the best cut the run itself has reached at a drawn time, so that the
     # threshold is met on the way (a stopping run follows the same path until then)
     inst = MaxCutInstance(n=n, edges=edges)
-    pilot = make_state(inst, replace(cfg, stop_on_convergence=False, energy_stride=1), surface)
-    energies = sampler._advance(set_params(pilot, **over), max_iters,
-                                kernel if inst.form.fits_in_53_bits else None)
+    try:
+        pilot = make_state(inst, replace(cfg, stop_on_convergence=False, energy_stride=1),
+                           surface)
+    except TooLarge:  # fields of 2**53 or more, which the test expects to raise
+        return inst, cfg, surface, over, splits
+    energies = sampler._advance(set_params(pilot, **over), max_iters, kernel)
     best = -int(energies[:rng.integers(max_iters + 1)].min(initial=0))
     return replace(inst, best_known=best), cfg, surface, over, splits
 
@@ -1717,8 +1757,8 @@ class TestDifferential:
     Hypothesis draws one seed per example, and the seed draws every setting
     (the voltage window and the pulse width set on the state's Params), so
     each of the few examples differs from the others in all of them. Some
-    drawn weights put the fields past 2**53, where `run` takes the Python
-    loop and its best cut must be exact.
+    drawn weights put the fields at 2**53 or past it, where `run` must raise
+    TooLarge.
     """
 
     @pytest.mark.parametrize("activation", ["device", "logistic"])
@@ -1728,11 +1768,9 @@ class TestDifferential:
     def test_kernel_equals_reference(self, scheme, activation, seed):
         kernel = _kernel_or_skip()
         inst, cfg, surface, over, splits = _differential_case(seed, scheme, activation, kernel)
-        if not inst.form.fits_in_53_bits:
-            # fields of 2**53 or more: the Python loop runs, on exact ints
-            trace = run(inst, cfg, surface)
-            assert trace.kernel == "python"
-            assert trace.best_cut == cut_value(inst, trace.best_x)
+        if inst.best_known is None:  # the pilot run raised TooLarge
+            with pytest.raises(TooLarge):
+                run(inst, cfg, surface)
             return
         # the whole run in one call, then in pieces, the states compared after each
         for cuts in ([], splits):
