@@ -405,7 +405,8 @@ class BestKnownRegistry:
 
     @classmethod
     def load(cls, path) -> "BestKnownRegistry":
-        """The registry a file holds; Malformed, naming the file, if it holds none."""
+        """The registry a file holds; Malformed, naming the file, if it holds none
+        or an entry whose cut is not a JSON integer."""
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 entries = json.load(fh)
@@ -416,8 +417,11 @@ class BestKnownRegistry:
         reg = cls()
         for name, e in entries.items():
             try:
-                reg.set_entry(name, e["cut"], e["provenance"])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                cut = e["cut"]
+                if isinstance(cut, bool) or not isinstance(cut, int):  # no 7.9, true or "12"
+                    raise ValueError(f"cut {json.dumps(cut)} is not a JSON integer")
+                reg.set_entry(name, cut, e["provenance"])
+            except (KeyError, TypeError, ValueError) as exc:
                 raise Malformed(f"{path}: entry {name!r} needs an integer cut and a "
                                 f"provenance ({exc!r})") from None
         return reg

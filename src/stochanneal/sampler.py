@@ -62,7 +62,7 @@ from .device import (
 )
 from .errors import InvalidParameter, MissingBestKnown, NonMonotone, Unattainable
 from .io_ingest import _cpus
-from .maxcut import BoltzmannForm, MaxCutInstance, init_fields
+from .maxcut import BoltzmannForm, MaxCutInstance, _field_sums
 from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
 from .maxcut import energy as energy_of
 from .surface import DeviceSurface, poly6
@@ -197,7 +197,8 @@ def _start(form: BoltzmannForm, seed: int, run_index: int,
     """The start of run `run_index` on `form` under `seed`, keeping `blocks`."""
     children = tuple(np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(5))
     x = np.random.default_rng(children[0]).integers(0, 2, form.n).astype(np.int8)
-    u = np.array(init_fields(form, x), dtype=np.int64)
+    _, b, wx = _field_sums(form, x)
+    u = wx - b  # the local fields, as maxcut.init_fields gives them
     x.flags.writeable = u.flags.writeable = False
     u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
     gens = tuple(np.random.default_rng(ss) for ss in children[3:])
@@ -238,51 +239,34 @@ def _draws(start: Start, n: int, scheme: int, tol: float):
 
 
 def _ahead(draws: Iterator, count: int, inline: int) -> Iterator:
-    """Blocks 0 to count - 1 of `draws`, of which a second thread draws
+    """Blocks 0 to count - 1 of `draws`, of which a one-thread pool draws
     blocks `inline` to count - 1, at most two ahead of the consumer.
 
-    The consumer draws blocks 0 to inline - 1 itself, and the thread starts
+    The consumer draws blocks 0 to inline - 1 itself, and the pool starts
     as it takes the last of them, so a run that stops before then starts
-    none. From then until the thread ends, only it touches the stream's
-    generators; it hands the blocks over in order, so the consumer sees what
-    drawing inline gives it. An exception in the thread is raised where the
-    consumer takes its next block. When the generator ends or is closed, the
-    thread is stopped, its queue emptied and the thread joined, whether or
-    not the consumer took every block.
+    none. From then on, only the pool's thread touches the stream's
+    generators; it draws the blocks in order, so the consumer sees what
+    drawing inline gives it. An exception in a draw is raised where the
+    consumer takes that block. When the generator ends or is closed, the
+    pool cancels the draws not begun and joins its thread, whether or not
+    the consumer took every block.
     """
-    import queue  # here: only a run that draws ahead needs it
-
     for _ in range(inline - 1):
         yield next(draws)
-    handed, stop = queue.Queue(2), threading.Event()
-
-    def produce():
-        try:
-            for _ in range(count - inline):
-                handed.put((next(draws), None))
-                if stop.is_set():
-                    return
-        except BaseException as exc:  # raised again on the consumer's thread
-            handed.put((None, exc))
-
-    thread = threading.Thread(target=produce, name="stochanneal-draws", daemon=True)
     block = next(draws)
-    thread.start()
+    pool = ThreadPoolExecutor(1, thread_name_prefix="stochanneal-draws")
     try:
+        asks = map(functools.partial(pool.submit, next), itertools.repeat(draws, count - inline))
+        window = collections.deque(itertools.islice(asks, 2))
         yield block
         del block  # hold no block the consumer has taken
-        for _ in range(count - inline):
-            block, exc = handed.get()
-            if exc is not None:
-                raise exc
+        while window:
+            block = window.popleft().result()
+            window.extend(itertools.islice(asks, 1))
             yield block
             del block
     finally:
-        stop.set()
-        with contextlib.suppress(queue.Empty):
-            while True:  # frees a put the thread may be blocked in
-                handed.get_nowait()
-        thread.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def step(state: State) -> None:

@@ -134,12 +134,12 @@ class DeviceSurface:
 
     # -- inverse ------------------------------------------------------------
 
-    def hrs_for_mu(self, mu_target, v_ref: float, tol: float = HRS_SOLVE_TOL):
+    def hrs_for_mu(self, mu_target, v_ref: float):
         """Solve eval_mu(v_ref, r) == mu_target for r by bisection.
 
         mu(v_ref, .) is a quadratic in r; it must be monotone over r_range
         (NonMonotone otherwise) and bracket the target (Unattainable
-        otherwise). Converges to |mu - mu_target| <= tol decades.
+        otherwise). Converges to |mu - mu_target| <= HRS_SOLVE_TOL decades.
 
         mu_target may be an array: one bisection then solves every target
         and returns an array of roots, NaN where a target is unattainable
@@ -180,7 +180,7 @@ class DeviceSurface:
                 break
             mid = 0.5 * (lo + hi)
             f_mid = poly6(self.mu_coeffs, v_ref, mid) - target
-            done = np.abs(f_mid) <= tol
+            done = np.abs(f_mid) <= HRS_SOLVE_TOL
             if np.count_nonzero(done):
                 roots[idx[done]] = mid[done]
                 go = ~done
@@ -195,18 +195,19 @@ class DeviceSurface:
 
     # -- audits ---------------------------------------------------------------
 
-    def mu_monotone_on_grid(self, shape: tuple[int, int] = (50, 50)) -> bool:
-        """True if mu is non-increasing in V and non-decreasing in R on a grid."""
-        vs = np.linspace(*self.v_range, shape[0])
-        rs = np.linspace(*self.r_range, shape[1])
+    def mu_monotone_on_grid(self) -> bool:
+        """True if mu is non-increasing in V and non-decreasing in R on a 50 x 50 grid."""
+        vs = np.linspace(*self.v_range, 50)
+        rs = np.linspace(*self.r_range, 50)
         mu = poly6(self.mu_coeffs, vs[:, None], rs[None, :])
         dec_in_v = bool(np.all(np.diff(mu, axis=0) <= 1e-12))
         inc_in_r = bool(np.all(np.diff(mu, axis=1) >= -1e-12))
         return dec_in_v and inc_in_r
 
-    def sigma_grid_range(self, shape: tuple[int, int] = (50, 50)) -> tuple[float, float]:
-        vs = np.linspace(*self.v_range, shape[0])
-        rs = np.linspace(*self.r_range, shape[1])
+    def sigma_grid_range(self) -> tuple[float, float]:
+        """(min, max) of the floored sigma on a 50 x 50 grid."""
+        vs = np.linspace(*self.v_range, 50)
+        rs = np.linspace(*self.r_range, 50)
         sg = np.maximum(poly6(self.sigma_coeffs, vs[:, None], rs[None, :]), self.sigma_floor)
         return float(sg.min()), float(sg.max())
 

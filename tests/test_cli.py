@@ -438,6 +438,16 @@ class TestGenBrute:
                           "provenance (KeyError('provenance'))"),
         "text-cut": ('{"g": {"cut": "x", "provenance": "exact"}}',
                      "entry 'g' needs an integer cut and a provenance (ValueError("),
+        # once read as 7, 1 and 12
+        "float-cut": ('{"g": {"cut": 7.9, "provenance": "exact"}}',
+                      "entry 'g' needs an integer cut and a provenance "
+                      "(ValueError('cut 7.9 is not a JSON integer'))"),
+        "bool-cut": ('{"g": {"cut": true, "provenance": "exact"}}',
+                     "entry 'g' needs an integer cut and a provenance "
+                     "(ValueError('cut true is not a JSON integer'))"),
+        "numeric-text-cut": ('{"g": {"cut": "12", "provenance": "exact"}}',
+                             "entry 'g' needs an integer cut and a provenance "
+                             """(ValueError('cut "12" is not a JSON integer'))"""),
     }
 
     @pytest.mark.parametrize("broken", list(BROKEN_REGISTRIES))

@@ -40,8 +40,8 @@ def test_bias_point_attainable(ref_surface):
 
 
 def test_monotone_and_sigma_window(ref_surface):
-    assert ref_surface.mu_monotone_on_grid((50, 50))
-    lo, hi = ref_surface.sigma_grid_range((50, 50))
+    assert ref_surface.mu_monotone_on_grid()
+    lo, hi = ref_surface.sigma_grid_range()
     assert 0.1 <= lo <= hi <= 0.7
 
 

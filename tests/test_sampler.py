@@ -446,14 +446,14 @@ class TestPairedRuns:
         inst = generate_instance(20, 3.0, seed=30)
         cfgs = self.arms(ref_drift)
         draws, starts = [], []
-        original, init_fields = sampler.reset_noise, sampler.init_fields
+        original, start = sampler.reset_noise, sampler._start
 
         def spy(*args):
             draws.append(args)
             return original(*args)
 
         monkeypatch.setattr(sampler, "reset_noise", spy)
-        monkeypatch.setattr(sampler, "init_fields", lambda *a: starts.append(a) or init_fields(*a))
+        monkeypatch.setattr(sampler, "_start", lambda *a: starts.append(a) or start(*a))
         got = list(sampler.paired_runs(inst, cfgs, ref_surface))
         assert len(draws) == self.RUNS * self.BLOCKS  # 5 * RUNS * BLOCKS, one per arm
         assert len(starts) == self.RUNS               # 5 * RUNS, one per arm
@@ -954,7 +954,44 @@ class TestDrawAhead:
         with pytest.raises(Failed):
             run(inst, cfg, ref_surface)
         assert threading.active_count() == before
-        assert "stochanneal-draws" not in {t.name for t in threading.enumerate()}
+        # the pool's thread is named stochanneal-draws_0
+        assert not any(t.name.startswith("stochanneal-draws") for t in threading.enumerate())
+
+    def test_the_thread_draws_at_most_two_blocks_ahead(self, ref_surface, ref_drift,
+                                                       monkeypatch):
+        # the loop, slowed, waits at each block until the thread may have
+        # drawn two blocks past it, then long enough for a third
+        _kernel_or_skip()
+        self.cpus(monkeypatch, 2)
+        inst = generate_instance(20, 3.0, seed=30)
+        cfg = BoltzmannConfig(max_iters=self.ITERS, seed=9, scheme="monitored", drift=ref_drift)
+        count = -(-self.ITERS // 8192)
+        drawn, leads = [], []  # a None per block drawn; blocks drawn less blocks taken
+        draws, kernel_loop = sampler._draws, sampler._kernel_loop
+
+        def counted(*args):
+            for block in draws(*args):
+                drawn.append(None)
+                yield block
+
+        def slowed(kernel, state):
+            loop = kernel_loop(kernel, state)
+
+            def slow(*args):  # one call per block
+                taken = len(leads) + 1
+                deadline = time.monotonic() + 10
+                while len(drawn) < min(taken + 2, count) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                time.sleep(0.05)
+                leads.append(len(drawn) - taken)
+                return loop(*args)
+
+            return slow
+
+        monkeypatch.setattr(sampler, "_draws", counted)
+        monkeypatch.setattr(sampler, "_kernel_loop", slowed)
+        assert run(inst, cfg, ref_surface).drawn_ahead
+        assert leads == [2, 2, 2, 1, 0]
 
     @pytest.mark.parametrize("count", [None, 1, 2])
     def test_cpus_without_affinity(self, count, ref_surface, ref_drift, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import stochanneal.surface as surface_mod
 from stochanneal.device import calibrate
 from stochanneal.errors import (
     DegenerateDesign,
@@ -59,7 +60,7 @@ class TestEvalSigma:
         assert s.eval_sigma(1.8, 100.0) == 0.05
 
     def test_reference_range_within_documented_window(self, ref_surface):
-        lo, hi = ref_surface.sigma_grid_range((50, 50))
+        lo, hi = ref_surface.sigma_grid_range()
         assert 0.1 <= lo and hi <= 0.7
 
     def test_out_of_domain(self, ref_surface):
@@ -127,21 +128,22 @@ class TestHrsForMuArray:
 
     V = 1.8
 
-    def scalar_or_none(self, surface, target, **kw):
-        old = loop_hrs_for_mu(surface, float(target), self.V, **kw)
+    def scalar_or_none(self, surface, target):
+        # the old loop at the tolerance hrs_for_mu reads as it runs
+        old = loop_hrs_for_mu(surface, float(target), self.V, tol=surface_mod.HRS_SOLVE_TOL)
         try:
-            new = surface.hrs_for_mu(float(target), self.V, **kw)
+            new = surface.hrs_for_mu(float(target), self.V)
         except Unattainable:
             assert old is None
             return None
         assert type(new) is float and new.hex() == old.hex()
         return new
 
-    def check(self, surface, targets, **kw):
-        got = surface.hrs_for_mu(np.asarray(targets), self.V, **kw)
+    def check(self, surface, targets):
+        got = surface.hrs_for_mu(np.asarray(targets), self.V)
         assert got.shape == np.shape(targets) and got.dtype == np.float64
         for t, r in zip(targets, got.tolist()):
-            want = self.scalar_or_none(surface, t, **kw)
+            want = self.scalar_or_none(surface, t)
             if want is None:
                 assert np.isnan(r), t
             else:
@@ -161,14 +163,13 @@ class TestHrsForMuArray:
         got = self.check(ref_surface, ends + [-5.0])
         assert got[0] == r_lo and got[1] == r_hi
 
-    def test_zero_tolerance(self, ref_surface):
+    def test_zero_tolerance(self, ref_surface, monkeypatch):
         # on this surface tol=0 still stops early: near the root, mu moves by
         # less than one ulp per ulp of r, so f_mid reaches exactly 0
-        self.check(ref_surface, [-5.0, -4.3, -5.7, -5.123456789], tol=0.0)
+        monkeypatch.setattr(surface_mod, "HRS_SOLVE_TOL", 0.0)
+        self.check(ref_surface, [-5.0, -4.3, -5.7, -5.123456789])
 
     def test_zero_tolerance_runs_all_steps(self, monkeypatch):
-        import stochanneal.surface as surface_mod
-
         # mu = r - 105 is steep enough in r that these roots are never hit exactly
         steep = make_surface((-105.0, 0, 1.0, 0, 0, 0))
         calls = []
@@ -178,8 +179,9 @@ class TestHrsForMuArray:
             return poly6(coeffs, v, r)
 
         monkeypatch.setattr(surface_mod, "poly6", counted)
+        monkeypatch.setattr(surface_mod, "HRS_SOLVE_TOL", 0.0)
         targets = [-4.3, -5.7, -5.123456789, 3.3]
-        self.check(steep, targets, tol=0.0)
+        self.check(steep, targets)
         # the array call: 2 end points and 200 steps; then 202 per scalar call
         assert calls == [1, 1] + [4] * 200 + [1] * 202 * 4
 
@@ -215,11 +217,11 @@ class TestHrsForMuArray:
 
 class TestMonotonicityAudit:
     def test_reference_surface_grid(self, ref_surface):
-        assert ref_surface.mu_monotone_on_grid((50, 50))
+        assert ref_surface.mu_monotone_on_grid()
 
     def test_violating_surface_detected(self):
         s = make_surface((-7.0, 0, 0.02, 0, -1e-4, 0))
-        assert not s.mu_monotone_on_grid((50, 50))
+        assert not s.mu_monotone_on_grid()
 
 
 def synthetic_samples(mu_coeffs, n_grid=12, repeats=70, noise=0.0, seed=0,
