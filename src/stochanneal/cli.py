@@ -61,6 +61,26 @@ def _load_device_params(params_path):
     return surface, drift, params_path
 
 
+def _params_input(params_path) -> dict:
+    """The device-parameter file a command reads, under the name that gave it."""
+    if params_path is None and PARAMS_ENV in os.environ:
+        return {f"${PARAMS_ENV}": os.environ[PARAMS_ENV]}
+    return {"--params": params_path}
+
+
+def _check_paths(inputs: dict, outputs: dict) -> None:
+    """InvalidParameter when an output path resolves, by os.path.realpath, to an
+    input path or to another output path; each dict maps a name to a path or None.
+    Commands call it before they run or write anything."""
+    claimed = {os.path.realpath(p): name for name, p in inputs.items() if p is not None}
+    for name, path in outputs.items():
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in claimed:
+                raise InvalidParameter(f"{name} {path} is also the {claimed[real]} file")
+            claimed[real] = name
+
+
 def _fail(code: int, module: str, exc: Exception):
     click.echo(f"error [{module}]: {exc}", err=True)
     sys.exit(code)
@@ -153,6 +173,11 @@ def _comma_list(kind):
 def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
           registry_path, gain, d2d_cv, calibrate, trace_path, out_path, jobs):
     """Run a Boltzmann-machine ensemble on one Max-Cut instance, holding one run at a time."""
+    _check_paths({"--instance": instance_path, "--registry": registry_path,
+                  **_params_input(params_path)},
+                 {"--out": out_path, "--out manifest": out_path + ".manifest.json",
+                  "--trace": trace_path,  # and the file open_staged writes it to first
+                  "--trace staging": None if trace_path is None else trace_path + ".part"})
     surface, drift, params_path = _load_device_params(params_path)
     inst = read_instance(instance_path)
     if best_known is None and registry_path is not None:
@@ -207,6 +232,8 @@ def solve(instance_path, params_path, scheme, iters, runs, seed, best_known,
 @handle_errors("experiments")
 def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, jobs):
     """Max meaningful iterations and solvable size per drift slope."""
+    _check_paths(_params_input(params_path),
+                 {"--out": out_path, "--out manifest": out_path + ".manifest.json"})
     surface, drift, params_path = _load_device_params(params_path)
     click.echo(f"seed = {seed}")
     cfg = BoltzmannConfig(max_iters=iters, runs=runs, seed=seed, jobs=jobs)
@@ -244,6 +271,8 @@ def sweep_drift(sizes, mhrs, params_path, iters, runs, degree, seed, out_path, j
 @handle_errors("experiments")
 def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs):
     """Settling-energy error vs device-to-device variability, cal vs uncal."""
+    _check_paths(_params_input(params_path),
+                 {"--out": out_path, "--out manifest": out_path + ".manifest.json"})
     surface, drift, params_path = _load_device_params(params_path)
     click.echo(f"seed = {seed}")
     inst = generate_instance(nodes, degree, seed=seed)
@@ -273,6 +302,8 @@ def sweep_d2d(cv, nodes, degree, params_path, iters, runs, seed, out_path, jobs)
 @handle_errors("experiments")
 def cycling(scheme, cycles, params_path, vref, seed, out_path):
     """Distribution drift of one device over repeated Reset-Set cycles."""
+    _check_paths(_params_input(params_path),
+                 {"--out": out_path, "--out manifest": out_path + ".manifest.json"})
     surface, drift, params_path = _load_device_params(params_path)
     click.echo(f"seed = {seed}")
     stats = cycling_stats(surface, drift, scheme, cycles, v_ref=vref, seed=seed)
@@ -298,6 +329,8 @@ def cycling(scheme, cycles, params_path, vref, seed, out_path):
 @handle_errors("device")
 def calibrate(mu_target, precision, devices, cv, params_path, vref, seed, out_path):
     """Per-device HRS calibration demo: mu_eff before/after tuning."""
+    _check_paths(_params_input(params_path),
+                 {"--out": out_path, "--out manifest": out_path + ".manifest.json"})
     if devices < 0:
         raise InvalidParameter(f"--devices must be >= 0, got {devices}")
     if not 0 <= cv < math.inf:  # NaN too, as BoltzmannConfig checks d2d_cv
@@ -334,6 +367,7 @@ def calibrate(mu_target, precision, devices, cv, params_path, vref, seed, out_pa
 @handle_errors("surface")
 def fit(data_path, out_path):
     """Fit mu/sigma surfaces from a measurement campaign."""
+    _check_paths({"--data": data_path}, {"--out": out_path})
     samples = read_measurements(data_path)
     surface, r_squared = fit_surface(samples)
     save_params(out_path, surface, DriftModel())
@@ -353,6 +387,8 @@ def fit(data_path, out_path):
 @handle_errors("io_ingest")
 def gen(nodes, degree, weights, seed, out_path, registry_path):
     """Generate a random benchmark instance."""
+    # the registry is read and updated in place: an output only
+    _check_paths({}, {"--out": out_path, "--register": registry_path})
     wset = (-1, 1) if weights == "pm1" else (1,)
     click.echo(f"seed = {seed}")
     # name by the output file stem so registry lookups made on the re-read

@@ -110,85 +110,55 @@ def cycling_stats(
 # the `solve-large` and `d2d` benchmark digests pin both.
 
 
-# points per chunk of the smoother (64 KiB of doubles)
+# the least number of points per chunk of the smoother (64 KiB of doubles);
+# a chunk is also at least a window long
 _SMOOTH_CHUNK = 1 << 13
 
 
-def _running_sum_writer(a: np.ndarray, k: int):
-    """A function that writes the next values of S, from S[k] on, into the
-    array it is given: S[i] = a[0] + ... + a[i-1] summed in order as floats,
-    0 for i <= 0 and the total for i > a.size.
-
-    The sum is carried from call to call into np.cumsum, which adds in order,
-    so every value is that of one cumsum over the whole of `a`.
-    """
-    n = a.size
-    carry = 0.0
-
-    def write(dst: np.ndarray) -> None:
-        nonlocal k, carry
-        zeros = min(max(1 - k, 0), dst.size)
-        dst[:zeros] = 0.0
-        i0, i1 = k + zeros, min(k + dst.size, n + 1)
-        if i1 > i0:
-            part = dst[zeros:zeros + i1 - i0]
-            part[...] = a[i0 - 1:i1 - 1]
-            if i0 > 1:
-                part[0] += carry
-            np.cumsum(part, out=part)
-            carry = part[-1]
-        dst[zeros + max(i1 - i0, 0):] = carry
-        k += dst.size
-
-    return write
-
-
 def _smoothed_chunks(series, window: int) -> Iterator[np.ndarray]:
-    """`moving_average(series, window)` in consecutive chunks.
+    """`moving_average(series, window)` in consecutive chunks of
+    max(_SMOOTH_CHUNK, window) points.
 
-    Point j of the average is (S[j + hi + 1] - S[j - lo]) / count_j, with S
-    the running sum of `_running_sum_writer`, lo and hi the window's reach
-    before and after j, and count_j its size cut to the series. The two sums
-    are two writers, one a window behind the other, so no span of the sum is
-    held. Every chunk is a view of one buffer that the next chunk
-    overwrites, and no buffer is allocated after the first chunk.
+    Point j of the average is (S[hi_j] - S[lo_j]) / (hi_j - lo_j), with S the
+    running sum S[i] = a[0] + ... + a[i-1] summed in order as floats, and
+    lo_j = max(j - (window - 1) // 2, 0), hi_j = min(j + window // 2 + 1, n)
+    the window's reach cut to the series. Only the span of S that a chunk
+    reads is held. It is extended by np.cumsum, which adds in order, from the
+    last value held, so every value is that of one cumsum over the whole
+    series, and each is copied O(1) times, as a chunk is a window long.
     """
     a = np.asarray(series)
     n = a.size
-    if n == 0:
-        return
-    step = _SMOOTH_CHUNK
-    out = np.empty(min(step, n))
+    step = max(_SMOOTH_CHUNK, window)
     if window <= 1:
         for j in range(0, n, step):
-            chunk = out[:min(step, n - j)]
-            chunk[...] = a[j:j + chunk.size]
-            yield chunk
+            yield a[j:j + step].astype(float)
         return
     lo_span, hi_span = (window - 1) // 2, window // 2
-    lead, trail = _running_sum_writer(a, 0), _running_sum_writer(a, -lo_span)
-    behind = np.empty_like(out)
-    for k in range(0, hi_span + 1, behind.size):  # the lead starts at S[hi_span + 1]
-        lead(behind[:hi_span + 1 - k])
-    offsets = np.arange(out.size)
-    lo, count = np.empty_like(offsets), np.empty_like(offsets)
+    start, held = 0, np.zeros(1)  # held is S[start:start + held.size]
     for j in range(0, n, step):
-        size = min(step, n - j)
-        chunk = out[:size]
-        lead(chunk)
-        trail(behind[:size])
-        chunk -= behind[:size]
-        if lo_span <= j and j + size <= n - hi_span:
-            chunk /= window
-        else:
-            # count_j = min(j + hi_span + 1, n) - max(j - lo_span, 0)
-            np.add(offsets[:size], j + hi_span + 1, out=count[:size])
-            np.minimum(count[:size], n, out=count[:size])
-            np.add(offsets[:size], j - lo_span, out=lo[:size])
-            np.maximum(lo[:size], 0, out=lo[:size])
-            np.subtract(count[:size], lo[:size], out=count[:size])
-            chunk /= count[:size]
-        yield chunk
+        stop = min(j + step, n)
+        first, top = max(j - lo_span, 0), start + held.size
+        part = a[top - 1:min(stop + hi_span, n)].astype(float)  # S[top:] from the carry
+        if top > 1 and part.size:
+            part[0] += held[-1]
+        np.cumsum(part, out=part)
+        start, held = first, np.concatenate((held[first - start:], part))
+        out = np.empty(stop - j)
+        # points whose window is not cut: [mid, end) of this chunk
+        mid = min(max(j, lo_span), stop)
+        end = max(min(stop, n - hi_span), mid)
+        if end > mid:
+            inner = out[mid - j:end - j]
+            np.subtract(held[mid + hi_span + 1 - start:end + hi_span + 1 - start],
+                        held[mid - lo_span - start:end - lo_span - start], out=inner)
+            inner /= window
+        for p, q in ((j, mid), (end, stop)):
+            if q > p:
+                k = np.arange(p, q)
+                lo, hi = np.maximum(k - lo_span, 0), np.minimum(k + hi_span + 1, n)
+                out[p - j:q - j] = (held[hi - start] - held[lo - start]) / (hi - lo)
+        yield out
 
 
 def moving_average(series, window: int) -> np.ndarray:

@@ -386,6 +386,10 @@ class BestKnownRegistry:
     entries: dict = field(default_factory=dict)
 
     def set_entry(self, name: str, cut: int, provenance: str) -> None:
+        """ValueError unless cut is an int or a numpy integer (no 7.9, True or
+        "12", once stored as 7, 1 and 12) and provenance one of PROVENANCES."""
+        if isinstance(cut, bool) or not isinstance(cut, (int, np.integer)):
+            raise ValueError(f"cut {json.dumps(cut, default=repr)} is not a JSON integer")
         if provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}")
         self.entries[name] = {"cut": int(cut), "provenance": provenance}
@@ -417,10 +421,7 @@ class BestKnownRegistry:
         reg = cls()
         for name, e in entries.items():
             try:
-                cut = e["cut"]
-                if isinstance(cut, bool) or not isinstance(cut, int):  # no 7.9, true or "12"
-                    raise ValueError(f"cut {json.dumps(cut)} is not a JSON integer")
-                reg.set_entry(name, cut, e["provenance"])
+                reg.set_entry(name, e["cut"], e["provenance"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise Malformed(f"{path}: entry {name!r} needs an integer cut and a "
                                 f"provenance ({exc!r})") from None

@@ -15,7 +15,8 @@ import stochanneal
 from stochanneal.cli import main
 from stochanneal.experiments import settling_energy_of
 from stochanneal.io_ingest import generate_instance, read_results, serialize_rudy
-from stochanneal.surface import poly6
+from stochanneal.reference import get_reference
+from stochanneal.surface import poly6, save_params
 
 K3_TEXT = "3 3\n1 2 1\n1 3 1\n2 3 1\n"
 
@@ -889,6 +890,50 @@ class TestOutputFiles:
         assert r.exit_code == 3, r.output
         assert f"error [{module}]: [Errno 21] Is a directory: 'dir'" in r.output
         assert not (tmp_path / args[-1]).exists()
+
+
+class TestOutputOverInput:
+    """A command whose output path resolves to one of its inputs, or to another
+    of its outputs, exits 3 before it runs or writes anything."""
+
+    @pytest.mark.parametrize("args, message", [
+        (["solve", "--instance", "g.rudy", "--iters", "10", "--out", "g.rudy"],
+         "--out g.rudy is also the --instance file"),
+        (["fit", "--data", "m.csv", "--out", "m.csv"], "--out m.csv is also the --data file"),
+        (["gen", "--nodes", "8", "--out", "x.rudy", "--register", "x.rudy"],
+         "--register x.rudy is also the --out file"),
+        (["solve", "--instance", "g.rudy", "--iters", "10", "--out", "s.csv",
+          "--trace", "s.csv.manifest.json"],
+         "--trace s.csv.manifest.json is also the --out manifest file"),
+        (["solve", "--instance", "t.part", "--iters", "10", "--out", "s.csv", "--trace", "t"],
+         "--trace staging t.part is also the --instance file"),
+        (["solve", "--instance", "g.rudy", "--iters", "10", "--out", "link.csv"],
+         "--out link.csv is also the --instance file"),
+        (["solve", "--instance", "g.rudy", "--registry", "reg.json", "--iters", "10",
+          "--out", "reg.json"], "--out reg.json is also the --registry file"),
+        (["cycling", "--scheme", "ideal", "--cycles", "5", "--params", "p.json",
+          "--out", "p.json"], "--out p.json is also the --params file"),
+        (["sweep-d2d", "--nodes", "8", "--iters", "50", "--out", "p.json"],
+         "--out p.json is also the $STOCHANNEAL_PARAMS file"),
+    ], ids=["solve-instance", "fit-data", "gen-register", "solve-trace-manifest",
+            "solve-trace-staging", "solve-symlink", "solve-registry", "cycling-params",
+            "sweep-d2d-params-env"])
+    def test_exits_3_and_leaves_every_file_as_it_was(self, runner, tmp_path, monkeypatch,
+                                                     args, message):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("STOCHANNEAL_PARAMS", "p.json")
+        (tmp_path / "g.rudy").write_text(K3_TEXT)
+        (tmp_path / "t.part").write_text(K3_TEXT)
+        (tmp_path / "link.csv").symlink_to("g.rudy")
+        (tmp_path / "reg.json").write_text('{"g": {"cut": 2, "provenance": "exact"}}\n')
+        write_campaign(tmp_path / "m.csv", 4)
+        save_params(tmp_path / "p.json", *get_reference())
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        r = runner.invoke(main, args)
+        assert r.exit_code == 3, r.output
+        assert f"error [cli]: {message}\n" in r.output
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert (tmp_path / "link.csv").is_symlink()
 
 
 NO_SCIPY_SCRIPT = """

@@ -224,16 +224,26 @@ class TestChunkedSmoothing:
 
     def test_max_meaningful_iterations_allocates_no_whole_series_but_the_mean(self):
         # the 8 MB mean plus chunk buffers; the whole running sum and smoothed
-        # series would add 16 MB
+        # series would add 16 MB. Its window of 2 * 10^4 points is wider than
+        # _SMOOTH_CHUNK.
         rng = np.random.default_rng(2)
         traces = [fake_trace(np.cumsum(rng.integers(-3, 3, 10**6))) for _ in range(5)]
         tracemalloc.start()
         try:
-            max_meaningful_iterations(traces)
+            got = max_meaningful_iterations(traces)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12e6, peak
+        assert got == whole_max_meaningful_iterations(traces)
+
+    def test_settling_energy_of_a_window_wider_than_a_chunk(self):
+        # a window of 12,000 points at the shipped chunk size of 2^13
+        rng = np.random.default_rng(4)
+        for series in (np.cumsum(rng.integers(-3, 3, 600_000)),
+                       np.cumsum(rng.standard_normal(600_007))):
+            assert series.size // 50 > experiments._SMOOTH_CHUNK
+            assert settling_energy_of(series).hex() == whole_settling_energy_of(series).hex()
 
 
 class TestConvergenceScaling:

@@ -439,6 +439,21 @@ class TestRegistry:
         with pytest.raises(ValueError):
             BestKnownRegistry().set_entry("a", 1, "guess")
 
+    @pytest.mark.parametrize("cut, shown", [(7.9, "7.9"), (True, "true"), ("12", '"12"')],
+                             ids=["float", "bool", "text"])
+    def test_non_integer_cut_rejected(self, cut, shown):
+        # once stored as 7, 1 and 12
+        reg = BestKnownRegistry()
+        with pytest.raises(ValueError, match=f"^cut {shown} is not a JSON integer$"):
+            reg.set_entry("a", cut, "exact")
+        assert reg.entries == {}
+
+    def test_numpy_integer_cut_stored_as_int(self):
+        reg = BestKnownRegistry()
+        reg.set_entry("a", np.int64(12), "proxy")
+        assert reg.entries == {"a": {"cut": 12, "provenance": "proxy"}}
+        assert type(reg.entries["a"]["cut"]) is int
+
 
 class TestResults:
     def row(self, **kw):

@@ -1960,7 +1960,7 @@ class TestMovingAverage:
 
     @pytest.mark.parametrize("chunk", [7, 8])
     def test_same_floats_across_chunk_boundaries(self, chunk, monkeypatch):
-        # the running sums are carried from chunk to chunk; sizes on either
+        # the running sum is carried from chunk to chunk; sizes on either
         # side of chunk multiples, windows shorter and longer than a chunk
         monkeypatch.setattr(experiments, "_SMOOTH_CHUNK", chunk)
         rng = np.random.default_rng(chunk)
@@ -1992,7 +1992,8 @@ class TestLongRun:
         the end, and smoothing it with whole-length index arrays, took the
         process to about 720 MiB; one preallocated trace and a moving average
         that held the whole running sum and output, to about 350 MiB. Chunked
-        smoothing over carried running sums keeps it near 190 MiB.
+        smoothing that holds only the span of one running sum a chunk reads
+        keeps it near 200 MiB.
         """
         resource = pytest.importorskip("resource")
         _kernel_or_skip()  # the Python loop would take minutes here
