@@ -35,8 +35,8 @@
  * errors. So u < T_{j-1} - SQ_MARGIN gives x_i = 1 and u >= T_{j+2} +
  * SQ_MARGIN gives x_i = 0, as u < p would; a u between them, or an a off
  * the grid or NaN, calls erf. sa_squeeze_init fills the table once;
- * sampler.load_kernel calls it and checks the table before it hands out
- * sa_advance, so no call reads a partly filled table.
+ * native.load_kernel calls it and checks the table before it hands out
+ * the library, so no call reads a partly filled table.
  *
  * squeeze() makes both comparisons and returns their decision as a value
  * (one - !(one | zero)) instead of branching on each. The first comparison,
@@ -46,9 +46,14 @@
  * `if (new != old)`, stays a branch: always running the neighbour update
  * (adding delta = 0 when x_i stays) was slower.
  *
- * sampler.load_kernel compiles, loads and self-checks this file; the tests
+ * The file also holds sa_hrs_bisect, the compiled form of the bisection
+ * in surface.DeviceSurface.hrs_for_mu (see there).
+ *
+ * native.load_kernel compiles, loads and self-checks this file; the tests
  * in tests/test_sampler.py (TestKernel, TestBitIdentity, TestDifferential,
- * TestSqueeze) hold it equal to _reference_loop.
+ * TestSqueeze) hold it equal to _reference_loop, and TestHrsForMuArray and
+ * TestCalibrate (tests/test_surface.py, tests/test_device.py) hold
+ * sa_hrs_bisect equal to the numpy bisection.
  */
 #include <math.h>
 #include <stdint.h>
@@ -132,6 +137,8 @@ int64_t sa_advance(
     int64_t t = io[S_T], energy = io[S_ENERGY], best_energy = io[S_BEST];
     int64_t converged_at = io[S_CONVERGED_AT], clamps = io[S_CLAMPS];
     int64_t n_trace = 0;
+    /* iterations until t is next a multiple of the stride */
+    int64_t to_trace = stride - t % stride;
     int64_t k;
 
     for (k = 0; k < steps; k++) {
@@ -196,8 +203,10 @@ int64_t sa_advance(
         }
 
         t += 1;
-        if (t % stride == 0)
+        if (--to_trace == 0) {
             trace[n_trace++] = energy;
+            to_trace = stride;
+        }
         if (stop_on_conv && converged_at >= 0) {
             k += 1;
             break;
@@ -210,4 +219,39 @@ int64_t sa_advance(
     io[S_CONVERGED_AT] = converged_at;
     io[S_CLAMPS] = clamps;
     return k;
+}
+
+/* hrs_for_mu's bisection, one target at a time: for k < m, the r in
+ * [r_lo, r_hi] where mu(v, r) = targets[k], given f_lo[k] = mu(v, r_lo) -
+ * targets[k]. mc[] holds the mu coefficients in COEFF_NAMES order. Each step
+ * evaluates surface.poly6 in its expression order, stops at a mid with
+ * |f_mid| <= tol, and otherwise keeps the half whose ends f changes sign
+ * over (f_lo * f_mid <= 0: the lower); after `steps` steps the root is the
+ * bracket's midpoint. So roots[k] is, bit for bit, the root the numpy
+ * bisection gives. */
+void sa_hrs_bisect(int64_t m, const double *targets, const double *f_lo, const double *mc,
+                   double v, double r_lo, double r_hi, double tol, int64_t steps, double *roots)
+{
+    const double c00 = mc[0], c10 = mc[1], c01 = mc[2], c20 = mc[3], c02 = mc[4], c11 = mc[5];
+    for (int64_t k = 0; k < m; k++) {
+        const double target = targets[k];
+        double lo = r_lo, hi = r_hi, f = f_lo[k], root = NAN;
+        int64_t s;
+        for (s = 0; s < steps; s++) {
+            const double mid = 0.5 * (lo + hi);
+            const double f_mid = c00 + (c10 + c20 * v + c11 * mid) * v + (c01 + c02 * mid) * mid
+                                 - target;
+            if (fabs(f_mid) <= tol) {
+                root = mid;
+                break;
+            }
+            if (f * f_mid <= 0) {
+                hi = mid;
+            } else {
+                lo = mid;
+                f = f_mid;
+            }
+        }
+        roots[k] = s < steps ? root : 0.5 * (lo + hi);
+    }
 }

@@ -175,9 +175,11 @@ def calibrate(surface: DeviceSurface, mu_want, v_ref: float, precision: float,
               rng: np.random.Generator) -> Calibration:
     """Tune each device's HRS so its mu(v_ref) hits mu_want (an array).
 
-    Solves every root with one bisection (`DeviceSurface.hrs_for_mu`), parks
-    unattainable devices at the window end whose mu is closest, then writes
-    each root with the actuator's fractional precision:
+    Solves every root with one `DeviceSurface.hrs_for_mu` call, which
+    bisects in the compiled library when it loads and with numpy otherwise,
+    to the same roots bit for bit. Parks unattainable devices at the window
+    end whose mu is closest, then writes each root with the actuator's
+    fractional precision:
     hrs = r* (1 + e), e ~ U(-precision, precision), clamped into r_range.
     """
     if not 0.0 <= precision < 1.0:

@@ -261,12 +261,16 @@ def _field_sums(form: BoltzmannForm, x: Sequence[int]) -> tuple[np.ndarray, ...]
     return on, form.b, _row_sums(form.indptr, np.where(on[form.indices], form.weights, 0))
 
 
+def _sums_energy(on: np.ndarray, b: np.ndarray, wx: np.ndarray) -> int:
+    """E(x) from the `_field_sums` of x."""
+    # every W_B entry is even, so the quadratic term halves exactly
+    return int(b[on].sum()) - int(wx[on].sum()) // 2
+
+
 def energy(form: BoltzmannForm, x: Sequence[int]) -> int:
     """E(x) = b.x - 1/2 x.W_B.x, exact integer arithmetic."""
     _check_x(form.n, x)
-    on, b, wx = _field_sums(form, x)
-    # every W_B entry is even, so the quadratic term halves exactly
-    return int(b[on].sum()) - int(wx[on].sum()) // 2
+    return _sums_energy(*_field_sums(form, x))
 
 
 def local_field(form: BoltzmannForm, x: Sequence[int], i: int) -> int:

@@ -25,24 +25,14 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import ctypes
 import functools
-import hashlib
 import itertools
 import logging
 import math
 import operator
-import os
-import platform
-import shutil
-import stat
-import subprocess
-import sys
-import tempfile
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -62,9 +52,9 @@ from .device import (
 )
 from .errors import InvalidParameter, MissingBestKnown, NonMonotone, Unattainable
 from .io_ingest import _cpus
-from .maxcut import BoltzmannForm, MaxCutInstance, _field_sums
+from .maxcut import BoltzmannForm, MaxCutInstance, _field_sums, _sums_energy
 from .maxcut import build_form  # noqa: F401  perfbench/tracer.py wraps it at this name
-from .maxcut import energy as energy_of
+from .native import load_kernel
 from .surface import DeviceSurface, poly6
 
 log = logging.getLogger(__name__)
@@ -197,12 +187,12 @@ def _start(form: BoltzmannForm, seed: int, run_index: int,
     """The start of run `run_index` on `form` under `seed`, keeping `blocks`."""
     children = tuple(np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(5))
     x = np.random.default_rng(children[0]).integers(0, 2, form.n).astype(np.int8)
-    _, b, wx = _field_sums(form, x)
+    on, b, wx = _field_sums(form, x)
     u = wx - b  # the local fields, as maxcut.init_fields gives them
     x.flags.writeable = u.flags.writeable = False
     u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
     gens = tuple(np.random.default_rng(ss) for ss in children[3:])
-    return Start(children, x, u, u_scale, energy_of(form, x), gens, blocks)
+    return Start(children, x, u, u_scale, _sums_energy(on, b, wx), gens, blocks)
 
 
 def _stream(cfg: BoltzmannConfig) -> tuple:
@@ -279,11 +269,12 @@ def _advance(state: State, steps: int, kernel=None) -> np.ndarray:
 
     This is the one walk over the pre-drawn RNG blocks. Each block slice is
     run by `_reference_loop`, or by the compiled `sa_advance` through
-    `_kernel_loop(kernel, state)` when a kernel is given; both are called as
-    `loop(state, todo, trace, at)`, write the energies they record into one
-    int64 trace sized for `steps` from index `at` on, and leave the state as
-    it stands after their last iteration. A run that stops on convergence
-    (always after at least one iteration) returns a trimmed copy.
+    `_kernel_loop(kernel, state)` when `kernel`, the library `load_kernel()`
+    gives, is given; both are called as `loop(state, todo, trace, at)`,
+    write the energies they record into one int64 trace sized for `steps`
+    from index `at` on, and leave the state as it stands after their last
+    iteration. A run that stops on convergence (always after at least one
+    iteration) returns a trimmed copy.
     """
     stride, stop_on_conv = state.params.stride, state.params.stop_on_conv
     t0 = state.t
@@ -380,140 +371,8 @@ def _reference_loop(state: State, todo: int, trace: np.ndarray, at: int) -> None
 
 # -- compiled kernel ------------------------------------------------------------------
 
-_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
-_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_COMPILE_TIMEOUT_S = 60
-_P = ctypes.c_void_p
-_KERNEL_ARGTYPES = (ctypes.c_int64, _P, _P, _P, ctypes.c_int64) + (_P,) * 13 + (ctypes.c_int64, _P)
 # the most entries a p_switch table may have (see _uses_table)
 _TABLE_CAP = 2 ** 16
-# the self-check grid: erf over the range the device activation reaches,
-# exp at the integer arguments the logistic activation passes it
-_ERF_GRID = tuple(k * 0.011718 + 1e-9 * k * k for k in range(-700, 701))
-_EXP_GRID = tuple(float(k) for k in range(-800, 500)) + _ERF_GRID
-# the squeeze table's grid in _kernel.c: (SQ_LO, SQ_INV_STEP, SQ_CELLS)
-_SQUEEZE_GRID = (-16.0, 256.0, 8192)
-
-_kernel = None  # the loaded sa_advance; False once loading has failed
-_kernel_lock = threading.Lock()
-
-
-def load_kernel():
-    """The compiled sampling kernel, or None when `run` must use the Python loop.
-
-    The first call compiles `_kernel.c` with the system `cc` into a private
-    per-user cache (a temporary directory if that cache is not private),
-    loads it with ctypes and checks that its `erf` and `exp` equal
-    `math.erf` and `math.exp` bit for bit. It then fills the kernel's squeeze
-    table and checks that the table is nondecreasing and equal to Python's
-    `0.5 * (1.0 + math.erf(g))` at every grid point, bit for bit. Any failure
-    (no compiler, a compile error, a failed self-check) is logged once and
-    gives None. One thread loads at a time, and `sa_advance` is handed out
-    only after the check, so no call reads a partly filled table.
-    """
-    global _kernel
-    with _kernel_lock:
-        if _kernel is None:
-            try:
-                _kernel = _build_kernel().sa_advance
-            except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
-                log.warning("compiled sampling kernel unavailable, using the Python loop: %s", exc)
-                _kernel = False
-    return _kernel or None
-
-
-def _build_kernel():
-    """Compile (or find in the cache), load and self-check the kernel library."""
-    cc = shutil.which("cc")
-    if cc is None:
-        raise RuntimeError("no C compiler `cc` on PATH")
-    source = _KERNEL_SOURCE.read_bytes()
-    key = hashlib.sha256(b"\0".join(
-        [source, " ".join(_KERNEL_FLAGS).encode(), sys.platform.encode(),
-         platform.machine().encode()]
-    )).hexdigest()[:24]
-    so_name = f"_kernel-{key}.so"
-    cache = _private_cache_dir()
-    if cache is not None:
-        lib = _compile_and_load(cc, source, cache / so_name)
-    else:
-        # the loaded library stays mapped after its file is removed
-        with tempfile.TemporaryDirectory(prefix="stochanneal-") as tmp:
-            lib = _compile_and_load(cc, source, Path(tmp) / so_name)
-    for fn in (lib.sa_erf, lib.sa_exp):
-        fn.restype = ctypes.c_double
-        fn.argtypes = (ctypes.c_double,)
-    checks = (("erf", lib.sa_erf, math.erf, _ERF_GRID), ("exp", lib.sa_exp, math.exp, _EXP_GRID))
-    for name, ours, ref, grid in checks:
-        for z in grid:
-            if ours(z).hex() != ref(z).hex():
-                raise RuntimeError(f"self-check failed: C {name}({z!r}) = {ours(z)!r}, "
-                                   f"Python gives {ref(z)!r}")
-    _check_squeeze_table(lib)
-    lib.sa_advance.restype = ctypes.c_int64
-    lib.sa_advance.argtypes = _KERNEL_ARGTYPES
-    return lib
-
-
-def _check_squeeze_table(lib) -> None:
-    """Fill the kernel's squeeze table and check it against `math.erf`, or raise."""
-    lo, inv_step, cells = _SQUEEZE_GRID
-    lib.sa_squeeze_init.restype = ctypes.c_int64
-    lib.sa_squeeze_init.argtypes = ()
-    got = lib.sa_squeeze_init()
-    if got != cells:
-        raise RuntimeError(f"self-check failed: the squeeze table has {got} cells, "
-                           f"expected {cells}")
-    table = np.ctypeslib.as_array((ctypes.c_double * (cells + 1)).in_dll(lib, "sa_squeeze_table"))
-    falls = np.flatnonzero(~(table[:-1] <= table[1:]))
-    if falls.size:
-        raise RuntimeError(f"self-check failed: the squeeze table decreases at cell {falls[0] + 1}")
-    want = np.array([0.5 * (1.0 + math.erf(lo + j / inv_step)) for j in range(cells + 1)])
-    wrong = np.flatnonzero(table.view(np.uint64) != want.view(np.uint64))
-    if wrong.size:
-        j = int(wrong[0])
-        raise RuntimeError(f"self-check failed: squeeze table cell {j} = {float(table[j])!r}, "
-                           f"Python gives {float(want[j])!r}")
-
-
-def _private_cache_dir() -> Optional[Path]:
-    """`${XDG_CACHE_HOME:-~/.cache}/stochanneal` if it is private to this user."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    path = Path(base, "stochanneal")
-    try:
-        path.mkdir(mode=0o700, parents=True, exist_ok=True)
-        st = path.lstat()
-    except OSError as exc:
-        log.warning("kernel cache %s unusable (%s); compiling into a temporary directory",
-                    path, exc)
-        return None
-    if not (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
-            and stat.S_IMODE(st.st_mode) == 0o700):
-        log.warning("kernel cache %s is not a directory of mode 0700 owned by this user; "
-                    "compiling into a temporary directory", path)
-        return None
-    return path
-
-
-def _compile_and_load(cc: str, source: bytes, so: Path):
-    if not so.exists():
-        # compile beside the target and rename, so concurrent workers never
-        # load a half-written library
-        fd, tmp = tempfile.mkstemp(dir=so.parent, prefix=".build-", suffix=".so")
-        os.close(fd)
-        try:
-            proc = subprocess.run(
-                [cc, *_KERNEL_FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                input=source, capture_output=True, timeout=_COMPILE_TIMEOUT_S,
-            )
-            if proc.returncode != 0:
-                err = proc.stderr.decode(errors="replace").strip()
-                raise RuntimeError(f"{cc} exited with {proc.returncode}: {err[:500]}")
-            os.replace(tmp, so)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-    return ctypes.CDLL(str(so))
 
 
 def _same_bits(a: np.ndarray) -> bool:
@@ -569,13 +428,14 @@ def _kernel_loop(kernel, state: State):
     table = np.full(2 * form.field_bound + 1, np.nan) if _uses_table(state) else None
     tab = (None, 0) if table is None else (table.ctypes.data, form.field_bound)
     args = (n, *(a.ctypes.data for a, _, _ in arrays), par.ctypes.data, io.ctypes.data, *tab)
+    advance = kernel.sa_advance
 
     def loop(state: State, todo: int, trace: np.ndarray, at: int) -> None:
         k = state.cursor
         nodes, unifs, noise = state.block
-        kernel(todo, nodes.ctypes.data + 8 * k, unifs.ctypes.data + 8 * k,
-               None if noise is None else noise.ctypes.data + 8 * k, *args,
-               trace.ctypes.data + 8 * at)
+        advance(todo, nodes.ctypes.data + 8 * k, unifs.ctypes.data + 8 * k,
+                None if noise is None else noise.ctypes.data + 8 * k, *args,
+                trace.ctypes.data + 8 * at)
         state.t, state.energy, state.best_energy, converged_at, state.clamps = io.tolist()
         state.converged_at = None if converged_at < 0 else converged_at
 
@@ -584,14 +444,22 @@ def _kernel_loop(kernel, state: State):
 
 
 @functools.lru_cache
-def _nominal_hrs(surface: DeviceSurface) -> float:
-    """The HRS that puts a device's mu at MU_TARGET at V_CENTER; solved once."""
+def _operating_point(surface: DeviceSurface) -> tuple[float, float, float]:
+    """(nominal HRS, mu there, t_pw) at V_CENTER on `surface`; solved once.
+
+    The nominal HRS puts a device's mu at MU_TARGET, clamped into r_range;
+    t_pw is `DeviceSurface.center_pulse_width` there, which raises
+    NonPositivePulse (and then nothing is cached).
+    """
     try:
-        return surface.hrs_for_mu(MU_TARGET, V_CENTER)
+        hrs = surface.hrs_for_mu(MU_TARGET, V_CENTER)
     except (Unattainable, NonMonotone):
         # toy surfaces (constant mu etc.) have no -5 decade point; run at
         # the middle of the fitted window instead
-        return 0.5 * (surface.r_range[0] + surface.r_range[1])
+        hrs = 0.5 * (surface.r_range[0] + surface.r_range[1])
+    nominal = surface.clamp_hrs(hrs)
+    return (nominal, float(surface.eval_mu(V_CENTER, nominal)),
+            surface.center_pulse_width(V_CENTER, nominal))
 
 
 def make_state(
@@ -616,7 +484,6 @@ def make_state(
     _, ss_dev, ss_cal, _, _ = start.children
     x, u = start.x.copy(), start.u.copy()
 
-    nominal = surface.clamp_hrs(_nominal_hrs(surface))
     rng_dev = np.random.default_rng(ss_dev)
     if cfg.d2d_cv > 0:
         offs = rng_dev.standard_normal(n) * (cfg.d2d_cv * abs(MU_TARGET))
@@ -638,13 +505,13 @@ def make_state(
         pop = ~cal.missed if calib_failures < n else np.ones(n, dtype=bool)
         spread_pop = poly6(surface.mu_coeffs, V_CENTER, cal.hrs[pop]) + offs[pop]
         hrs, targets = cal.hrs, cal.hrs.copy()
-    else:
+    # after calibration, whose NonMonotone comes before NonPositivePulse
+    nominal, mu_nominal, t_pw = _operating_point(surface)
+    if not cfg.calibrate:
         # every device sits at the nominal HRS
-        spread_pop = float(surface.eval_mu(V_CENTER, nominal)) + offs
+        spread_pop = mu_nominal + offs
         hrs, targets = np.full(n, nominal), np.full(n, nominal)
     mu_eff_spread = float(np.std(spread_pop)) if len(spread_pop) > 1 else 0.0
-
-    t_pw = surface.center_pulse_width(V_CENTER, nominal)
 
     if inst.best_known is not None:
         threshold = CONVERGENCE_FRACTION * inst.best_known
@@ -681,9 +548,10 @@ def run(
 ) -> RunTrace:
     """Execute one seeded run; fully reproducible from (cfg.seed, run_index).
 
-    The loop is `load_kernel()`, or `_reference_loop` if that is None;
-    results are the same. A run on the start that `paired_runs` shares
-    (`_kept.run`, read here alone) draws its blocks inline. Otherwise, with
+    The loop is `sa_advance` in the library `load_kernel()` gives, or
+    `_reference_loop` if that is None; results are the same. A run on the
+    start that `paired_runs` shares (`_kept.run`, read here alone) draws its
+    blocks inline. Otherwise, with
     the kernel, jobs == 1 and more than one CPU, a second thread draws the
     blocks after the first while the kernel runs (`_ahead`), and ends before
     this returns. It starts only with _AHEAD_BLOCKS blocks or more to draw

@@ -33,11 +33,14 @@ from .errors import (
     Unattainable,
 )
 from .io_ingest import open_output
+from .native import load_kernel
 
 COEFF_NAMES = ("c00", "c10", "c01", "c20", "c02", "c11")
 
-# Tolerance of the HRS bisection solve, in decades of log10(t_set).
+# Tolerance of the HRS bisection solve, in decades of log10(t_set), and its
+# most steps
 HRS_SOLVE_TOL = 1e-6
+HRS_SOLVE_STEPS = 200
 # fit_surface bins the mu-fit residuals on this (V, R) grid for the sigma fit
 # and skips cells holding fewer samples than SIGMA_MIN_CELL_COUNT
 SIGMA_GRID = (5, 5)
@@ -139,13 +142,20 @@ class DeviceSurface:
 
         mu(v_ref, .) is a quadratic in r; it must be monotone over r_range
         (NonMonotone otherwise) and bracket the target (Unattainable
-        otherwise). Converges to |mu - mu_target| <= HRS_SOLVE_TOL decades.
+        otherwise). Converges to |mu - mu_target| <= HRS_SOLVE_TOL decades,
+        or stops after HRS_SOLVE_STEPS steps at the bracket's midpoint.
 
-        mu_target may be an array: one bisection then solves every target
-        and returns an array of roots, NaN where a target is unattainable
+        mu_target may be an array: one call then solves every target and
+        returns an array of roots, NaN where a target is unattainable
         instead of raising. Each root equals, bit for bit, what a scalar call
         returns; a scalar target gives a Python float. A target that is not
         finite is unattainable.
+
+        The targets on a window end or missed are settled here; the others
+        are bisected by `sa_hrs_bisect` in the compiled library when
+        `load_kernel()` gives one, and otherwise by numpy, all targets a
+        step at a time. Both evaluate `poly6` in its expression order and
+        give the same roots, bit for bit.
         """
         r_lo, r_hi = self.r_range
         self.check_domain(v_ref, r_lo)
@@ -174,23 +184,31 @@ class DeviceSurface:
         # the targets still bisecting, with their brackets
         idx = np.flatnonzero(~(at_lo | at_hi | missed))
         target, f_lo = target.ravel()[idx], f_lo.ravel()[idx]
-        lo, hi = np.full(idx.size, r_lo), np.full(idx.size, r_hi)
-        for _ in range(200):
-            if not idx.size:
-                break
-            mid = 0.5 * (lo + hi)
-            f_mid = poly6(self.mu_coeffs, v_ref, mid) - target
-            done = np.abs(f_mid) <= HRS_SOLVE_TOL
-            if np.count_nonzero(done):
-                roots[idx[done]] = mid[done]
-                go = ~done
-                idx, target, f_lo, lo, hi, mid, f_mid = (
-                    a[go] for a in (idx, target, f_lo, lo, hi, mid, f_mid))
-            left = f_lo * f_mid <= 0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            f_lo = np.where(left, f_lo, f_mid)
-        roots[idx] = 0.5 * (lo + hi)
+        lib = load_kernel()
+        if lib is not None:
+            got, coeffs = np.empty(idx.size), np.array(self.mu_coeffs)
+            lib.sa_hrs_bisect(idx.size, target.ctypes.data, f_lo.ctypes.data, coeffs.ctypes.data,
+                              float(v_ref), r_lo, r_hi, float(HRS_SOLVE_TOL), HRS_SOLVE_STEPS,
+                              got.ctypes.data)
+            roots[idx] = got
+        else:
+            lo, hi = np.full(idx.size, r_lo), np.full(idx.size, r_hi)
+            for _ in range(HRS_SOLVE_STEPS):
+                if not idx.size:
+                    break
+                mid = 0.5 * (lo + hi)
+                f_mid = poly6(self.mu_coeffs, v_ref, mid) - target
+                done = np.abs(f_mid) <= HRS_SOLVE_TOL
+                if np.count_nonzero(done):
+                    roots[idx[done]] = mid[done]
+                    go = ~done
+                    idx, target, f_lo, lo, hi, mid, f_mid = (
+                        a[go] for a in (idx, target, f_lo, lo, hi, mid, f_mid))
+                left = f_lo * f_mid <= 0
+                hi = np.where(left, mid, hi)
+                lo = np.where(left, lo, mid)
+                f_lo = np.where(left, f_lo, f_mid)
+            roots[idx] = 0.5 * (lo + hi)
         return roots.reshape(shape) if shape else float(roots[0])
 
     # -- audits ---------------------------------------------------------------

@@ -1,8 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
+from test_surface import PATHS, loop_hrs_for_mu
 
 from stochanneal.device import (
     DriftModel,
@@ -177,16 +179,37 @@ class TestApplyCycle:
 
 
 class TestCalibrate:
-    def linear_surface(self):
+    """Calibration on both bisection paths, each root against the scalar loop by float.hex."""
+
+    def linear_surface(self, c01=0.02, c00=-7.0):
         return DeviceSurface(
-            mu_coeffs=(-7.0, 0, 0.02, 0, 0, 0),
+            mu_coeffs=(c00, 0, c01, 0, 0, 0),
             sigma_coeffs=(0.3, 0, 0, 0, 0, 0),
             v_range=(1.6, 2.2),
             r_range=(10.0, 500.0),
         )
 
+    def calibrate(self, surface, mu_want, v_ref, precision, rng):
+        """`calibrate` on each path from a copy of rng; the calibrations are
+        equal bit for bit, and each root is the scalar loop's."""
+        cals = []
+        for path in PATHS:
+            with path():
+                cals.append(calibrate(surface, mu_want, v_ref, precision, copy.deepcopy(rng)))
+        cal = cals[0]
+        for other in cals[1:]:
+            for a, b in zip(cal, other):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        for want, r, missed in zip(np.asarray(mu_want).tolist(), cal.r_star.tolist(),
+                                   cal.missed.tolist()):
+            loop = loop_hrs_for_mu(surface, want, v_ref)
+            assert (loop is None) == missed
+            if not missed:
+                assert r.hex() == loop.hex(), want
+        return cal
+
     def test_linear_root(self, rng):
-        cal = calibrate(self.linear_surface(), np.array([-5.0]), 1.8, 0.0, rng)
+        cal = self.calibrate(self.linear_surface(), np.array([-5.0]), 1.8, 0.0, rng)
         assert cal.r_star[0] == pytest.approx(100.0, abs=1e-4)
         assert cal.hrs[0] == cal.r_star[0]
         assert not cal.missed[0] and cal.clamps == 0
@@ -195,7 +218,7 @@ class TestCalibrate:
         rng = np.random.default_rng(42)
         surface = self.linear_surface()
         offs = np.array([+0.2, -0.2])
-        cal = calibrate(surface, -5.0 - offs, 1.8, 0.05, rng)
+        cal = self.calibrate(surface, -5.0 - offs, 1.8, 0.05, rng)
         mus = surface.eval_mu(1.8, cal.hrs) + offs
         # residual miss is the local slope times the realized HRS error
         slope = 0.02
@@ -206,14 +229,25 @@ class TestCalibrate:
 
     def test_unattainable(self, rng):
         # below the window's lowest mu: parked at the low end, flagged
-        cal = calibrate(self.linear_surface(), np.array([-8.0, -5.0]), 1.8, 0.1, rng)
+        cal = self.calibrate(self.linear_surface(), np.array([-8.0, -5.0]), 1.8, 0.1, rng)
         assert cal.missed.tolist() == [True, False]
         assert cal.r_star[0] == 10.0
 
+    def test_mu_falling_with_r(self, rng):
+        # mu = -3 - 0.02 r: -3.2 at 10 kOhm down to -13 at 500 kOhm; a target
+        # above the window parks at the low end, one below it at the high end
+        surface = self.linear_surface(c01=-0.02, c00=-3.0)
+        want = np.array([-2.0, -5.0, -8.123, -12.9, -14.0])
+        cal = self.calibrate(surface, want, 1.8, 0.1, rng)
+        assert cal.missed.tolist() == [True, False, False, False, True]
+        assert cal.r_star[[0, 4]].tolist() == [10.0, 500.0]
+        assert cal.r_star[1] == pytest.approx(100.0, abs=1e-4)
+
     @pytest.mark.parametrize("precision", [-0.1, 1.0, 1.5])
     def test_precision_outside_unit_interval(self, rng, precision):
-        with pytest.raises(InvalidParameter, match="precision"):
-            calibrate(self.linear_surface(), np.array([-5.0]), 1.8, precision, rng)
+        for path in PATHS:
+            with path(), pytest.raises(InvalidParameter, match="precision"):
+                calibrate(self.linear_surface(), np.array([-5.0]), 1.8, precision, rng)
 
 
 class TestDriftModelValidation:

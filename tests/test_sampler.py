@@ -38,7 +38,7 @@ from stochanneal.device import (
 from stochanneal.errors import InvalidParameter, MissingBestKnown, TooLarge, Unattainable
 from stochanneal.experiments import moving_average, settling_energy_of
 from stochanneal.io_ingest import generate_instance
-from stochanneal import experiments, sampler
+from stochanneal import experiments, native, sampler
 from stochanneal.maxcut import MaxCutInstance
 from stochanneal.reference import get_reference
 from stochanneal.sampler import (
@@ -368,7 +368,7 @@ class TestEnsemble:
             return solve(surface, *args, **kwargs)
 
         monkeypatch.setattr(DeviceSurface, "hrs_for_mu", counting)
-        sampler._nominal_hrs.cache_clear()
+        sampler._operating_point.cache_clear()
         inst = generate_instance(20, 3.0, seed=30)
         cfg = BoltzmannConfig(max_iters=100, runs=10, seed=6, drift=ref_drift)
         traces = ensemble(inst, cfg, ref_surface)
@@ -684,7 +684,7 @@ class TestPairedRuns:
         one = list(sampler.paired_runs(generate_instance(20, 3.0, seed=30),
                                        self.arms(ref_drift), ref_surface))
         inst = generate_instance(20, 3.0, seed=30)
-        sampler._nominal_hrs.cache_clear()
+        sampler._operating_point.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -1242,7 +1242,7 @@ class TestKernel:
         _assert_snapshots_equal(ref, snapshots(kernel))
 
     def test_params_order_is_the_kernel_par_enum(self):
-        source = sampler._KERNEL_SOURCE.read_text()
+        source = native._KERNEL_SOURCE.read_text()
         body = source[source.index("enum {"):]
         names = re.findall(r"P_(\w+)", body[:body.index("}")])
         assert names == [f.upper() for f in sampler.Params._fields]
@@ -1295,15 +1295,19 @@ class TestKernel:
 
     def test_argtypes_match_the_kernel_signature(self):
         # a changed C signature must not load with stale argtypes
-        source = sampler._KERNEL_SOURCE.read_text()
-        head = source[source.index("int64_t sa_advance("):]
-        params = [p.strip() for p in head[head.index("(") + 1:head.index(")")].split(",")]
-        assert len(sampler._KERNEL_ARGTYPES) == len(params)
-        for param, argtype in zip(params, sampler._KERNEL_ARGTYPES):
-            if "*" in param:
-                assert argtype is ctypes.c_void_p, param
-            else:
-                assert param.startswith("int64_t ") and argtype is ctypes.c_int64, param
+        source = native._KERNEL_SOURCE.read_text()
+        scalars = {"int64_t ": ctypes.c_int64, "double ": ctypes.c_double}
+        for head, argtypes in (("int64_t sa_advance(", native._KERNEL_ARGTYPES),
+                               ("void sa_hrs_bisect(", native._BISECT_ARGTYPES)):
+            head = source[source.index(head):]
+            params = [p.strip() for p in head[head.index("(") + 1:head.index(")")].split(",")]
+            assert len(argtypes) == len(params)
+            for param, argtype in zip(params, argtypes):
+                if "*" in param:
+                    assert argtype is ctypes.c_void_p, param
+                else:
+                    assert any(param.startswith(c) and argtype is t
+                               for c, t in scalars.items()), param
 
 
 # the two instances of the kernel tests; the second has weights -3 and 2
@@ -1424,7 +1428,7 @@ class TestPSwitchTable:
         assert not np.array_equal(forced.energies, ref.energies)
 
 
-_SQ_LO, _SQ_INV_STEP, _SQ_CELLS = sampler._SQUEEZE_GRID
+_SQ_LO, _SQ_INV_STEP, _SQ_CELLS = native._SQUEEZE_GRID
 _SQ_STEP = 1.0 / _SQ_INV_STEP
 _SQ_MARGIN = 1e-12  # SQ_MARGIN in _kernel.c
 
@@ -1437,7 +1441,7 @@ def _squeeze_table(lib):
 class TestKernelLoader:
     @pytest.fixture(autouse=True)
     def fresh_loader(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(sampler, "_kernel", None)
+        monkeypatch.setattr(native, "_kernel", None)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
 
     def test_compiles_into_private_cache(self, tmp_path):
@@ -1446,28 +1450,38 @@ class TestKernelLoader:
         assert stat.S_IMODE(cache.stat().st_mode) == 0o700
         built = sorted(os.listdir(cache))
         assert len(built) == 1 and built[0].startswith("_kernel-") and built[0].endswith(".so")
-        sampler._kernel = None
+        native._kernel = None
         assert sampler.load_kernel() is not None
         assert sorted(os.listdir(cache)) == built
+
+    def test_importing_the_package_compiles_and_loads_nothing(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(sampler.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import stochanneal, stochanneal.cli;"
+             " from stochanneal import native; assert native._kernel is None"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert not (tmp_path / "cache").exists()
 
     def test_unsafe_cache_dir_uses_temp_dir(self, tmp_path, caplog):
         cache = tmp_path / "cache" / "stochanneal"
         cache.mkdir(parents=True)
         cache.chmod(0o755)
-        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+        with caplog.at_level(logging.WARNING, logger="stochanneal.native"):
             _kernel_or_skip()
         assert "not a directory of mode 0700" in caplog.text
         assert os.listdir(cache) == []
 
     def test_no_compiler_falls_back_and_logs_once(self, k3, ref_surface, ref_drift,
                                                   monkeypatch, caplog):
-        monkeypatch.setattr(sampler.shutil, "which", lambda name: None)
-        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+        monkeypatch.setattr(native.shutil, "which", lambda name: None)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.native"):
             assert sampler.load_kernel() is None
             trace = run(k3, BoltzmannConfig(max_iters=50, drift=ref_drift), ref_surface)
         assert trace.kernel == "python"
         assert [r.getMessage() for r in caplog.records] == [
-            "compiled sampling kernel unavailable, using the Python loop: "
+            "compiled kernel unavailable, using the Python loop and the numpy bisection: "
             "no C compiler `cc` on PATH"
         ]
 
@@ -1476,8 +1490,8 @@ class TestKernelLoader:
             pytest.skip("no C compiler")
         bad = tmp_path / "_kernel.c"
         bad.write_text("this is not C\n")
-        monkeypatch.setattr(sampler, "_KERNEL_SOURCE", bad)
-        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+        monkeypatch.setattr(native, "_KERNEL_SOURCE", bad)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.native"):
             assert sampler.load_kernel() is None
         assert "exited with" in caplog.text
         assert os.listdir(tmp_path / "cache" / "stochanneal") == []
@@ -1487,7 +1501,7 @@ class TestKernelLoader:
             pytest.skip("no C compiler")
         erf = math.erf
         monkeypatch.setattr(math, "erf", lambda z: erf(z) + 1e-12)
-        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+        with caplog.at_level(logging.WARNING, logger="stochanneal.native"):
             assert sampler.load_kernel() is None
         assert "self-check failed: C erf" in caplog.text
 
@@ -1495,10 +1509,10 @@ class TestKernelLoader:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         # g = -1.0 is a grid point of the table and not of the erf self-check
-        assert -1.0 not in sampler._ERF_GRID
+        assert -1.0 not in native._ERF_GRID
         erf = math.erf
         monkeypatch.setattr(math, "erf", lambda z: erf(z) + 1e-12 if z == -1.0 else erf(z))
-        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+        with caplog.at_level(logging.WARNING, logger="stochanneal.native"):
             assert sampler.load_kernel() is None
         assert "self-check failed: squeeze table cell 3840 = " in caplog.text
 
@@ -1507,20 +1521,20 @@ class TestKernelLoader:
             pytest.skip("no C compiler")
         # the filled table with its middle cell, T = 0.5, lowered to 0.25
         done = "    return SQ_CELLS;\n"
-        source = sampler._KERNEL_SOURCE.read_text()
+        source = native._KERNEL_SOURCE.read_text()
         assert source.count(done) == 1
         bad = tmp_path / "_kernel.c"
         bad.write_text(source.replace(done, "    sa_squeeze_table[SQ_CELLS / 2] -= 0.25;\n" + done))
-        monkeypatch.setattr(sampler, "_KERNEL_SOURCE", bad)
-        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+        monkeypatch.setattr(native, "_KERNEL_SOURCE", bad)
+        with caplog.at_level(logging.WARNING, logger="stochanneal.native"):
             assert sampler.load_kernel() is None
         assert f"the squeeze table decreases at cell {_SQ_CELLS // 2}" in caplog.text
 
     def test_squeeze_grid_disagreeing_with_the_source_falls_back(self, monkeypatch, caplog):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
-        monkeypatch.setattr(sampler, "_SQUEEZE_GRID", (_SQ_LO, _SQ_INV_STEP, 2 * _SQ_CELLS))
-        with caplog.at_level(logging.WARNING, logger="stochanneal.sampler"):
+        monkeypatch.setattr(native, "_SQUEEZE_GRID", (_SQ_LO, _SQ_INV_STEP, 2 * _SQ_CELLS))
+        with caplog.at_level(logging.WARNING, logger="stochanneal.native"):
             assert sampler.load_kernel() is None
         assert f"the squeeze table has {_SQ_CELLS} cells, expected {2 * _SQ_CELLS}" in caplog.text
 
@@ -1528,7 +1542,7 @@ class TestKernelLoader:
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         seen = {}
-        compile_and_load, check = sampler._compile_and_load, sampler._check_squeeze_table
+        compile_and_load, check = native._compile_and_load, native._check_squeeze_table
 
         def loading(*args):
             lib = compile_and_load(*args)
@@ -1536,12 +1550,12 @@ class TestKernelLoader:
             return lib
 
         def checking(lib):
-            seen["published_during_check"] = sampler._kernel
+            seen["published_during_check"] = native._kernel
             check(lib)
             seen["lib"] = lib
 
-        monkeypatch.setattr(sampler, "_compile_and_load", loading)
-        monkeypatch.setattr(sampler, "_check_squeeze_table", checking)
+        monkeypatch.setattr(native, "_compile_and_load", loading)
+        monkeypatch.setattr(native, "_check_squeeze_table", checking)
         kernel = sampler.load_kernel()
         if kernel is None:
             pytest.skip("the compiled kernel did not load here (see the logged reason)")
@@ -1549,20 +1563,20 @@ class TestKernelLoader:
         assert seen["published_during_check"] is None
         want = [0.5 * (1.0 + math.erf(_SQ_LO + j / _SQ_INV_STEP)) for j in range(_SQ_CELLS + 1)]
         assert [t.hex() for t in _squeeze_table(seen["lib"])] == [w.hex() for w in want]
-        assert kernel is seen["lib"].sa_advance
+        assert kernel is seen["lib"]
 
     def test_one_thread_loads_and_every_thread_gets_its_kernel(self, monkeypatch):
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
         builds = []
-        build = sampler._build_kernel
+        build = native._build_kernel
 
         def slow_build():
             builds.append(threading.get_ident())
             time.sleep(0.05)  # the other threads arrive while this one loads
             return build()
 
-        monkeypatch.setattr(sampler, "_build_kernel", slow_build)
+        monkeypatch.setattr(native, "_build_kernel", slow_build)
         got = []
         threads = [threading.Thread(target=lambda: got.append(sampler.load_kernel()))
                    for _ in range(4)]
@@ -1600,7 +1614,7 @@ def kernel_lib():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     try:
-        lib = sampler._build_kernel()
+        lib = native._build_kernel()
     except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
         pytest.skip(f"the compiled kernel did not load here: {exc}")
     lib.sa_squeeze.restype = ctypes.c_int
@@ -1696,7 +1710,7 @@ class TestSqueeze:
         # at p, one ulp beside it, or at its bracket's edges
         cfg = BoltzmannConfig(seed=1)
         par = make_state(MaxCutInstance(n=1, edges=()), cfg, ref_surface).params
-        hrs = ref_surface.clamp_hrs(sampler._nominal_hrs(ref_surface))
+        hrs = sampler._operating_point(ref_surface)[0]
 
         def mu_sg(off):  # par[6:12] and par[12:18]: the mu and sigma coefficients
             return mu_sigma(par.vc, hrs, off, par[6:12], par[12:18], par.floor)
@@ -1726,7 +1740,7 @@ class TestSqueeze:
             state.draws = iter([(nodes, draws, None)])
         assert not sampler._uses_table(fast) and fast.hrs.tolist() == [hrs] * n
         sampler._advance(ref, n)
-        sampler._advance(fast, n, kernel_lib.sa_advance)
+        sampler._advance(fast, n, kernel_lib)
         _assert_states_equal(ref, fast)
         assert fast.x.tolist() == [int(u < p_switch(par.log_tpw, *mu_sg(o)))
                                    for u, o in zip(unifs, offs)]
@@ -1825,15 +1839,17 @@ class TestDifferential:
 # squeeze's cell index), each fatal at its first report
 _UBSAN_FLAGS = ("-fsanitize=undefined,bounds,float-cast-overflow", "-fno-sanitize-recover=all")
 # kernel tests that cover every scheme x activation x d2d cell, the squeeze
-# and the drawn settings, at a fraction of the cost of all of them
+# and the drawn settings, at a fraction of the cost of all of them, and the
+# bisection's tests, in this file and the two that _KERNEL_FILES adds
 _KERNEL_CELLS = ("(TestBitIdentity and results_pinned) or (TestKernel and mid_block)"
                  " or (TestPSwitchTable and continued) or TestSqueeze or TestDifferential"
-                 " or TestDrawAhead")
+                 " or TestDrawAhead or TestHrsForMuArray or TestCalibrate")
+_KERNEL_FILES = ("test_surface.py", "test_device.py")
 
 
 class TestSanitizedKernel:
     def test_kernel_cells_under_ubsan(self, tmp_path):
-        """The kernel-vs-reference tests, run on a kernel built with UBSan.
+        """The kernel-vs-reference and bisection tests, run on a kernel built with UBSan.
 
         They run in a subprocess, so that a sanitizer abort fails this test
         alone; the build goes to a private cache of its own. The reference
@@ -1848,16 +1864,17 @@ class TestSanitizedKernel:
         (tmp_path / "ubsan_kernel.py").write_text(
             "import pickle\n\n"
             "import pytest\n"
-            "from stochanneal import sampler\n\n\n"
+            "from stochanneal import native\n\n\n"
             "def pytest_configure(config):\n"
-            f"    sampler._KERNEL_FLAGS += {_UBSAN_FLAGS!r}\n"
-            "    if sampler.load_kernel() is None:\n"
+            f"    native._KERNEL_FLAGS += {_UBSAN_FLAGS!r}\n"
+            "    if native.load_kernel() is None:\n"
             "        pytest.exit('no UBSan build of the kernel loads here', returncode=77)\n\n\n"
             "def pytest_collection_modifyitems(items):\n"
             f"    with open({str(references)!r}, 'rb') as fh:\n"
             "        references = pickle.load(fh)\n"
             "    for module in {item.module for item in items}:\n"
-            "        module._REFERENCES.update(references)\n"
+            "        if hasattr(module, '_REFERENCES'):\n"
+            "            module._REFERENCES.update(references)\n"
         )
         src = os.path.dirname(os.path.dirname(sampler.__file__))
         env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
@@ -1865,7 +1882,9 @@ class TestSanitizedKernel:
         proc = subprocess.run(
             # -s: a sanitizer report is written as the process exits, past capture
             [sys.executable, "-m", "pytest", "-q", "-s", "-p", "ubsan_kernel",
-             "-p", "no:cacheprovider", __file__, "-k", _KERNEL_CELLS],
+             "-p", "no:cacheprovider", __file__,
+             *(os.path.join(os.path.dirname(__file__), f) for f in _KERNEL_FILES),
+             "-k", _KERNEL_CELLS],
             cwd=os.path.dirname(os.path.dirname(__file__)), env=env,
             capture_output=True, text=True, timeout=600,
         )

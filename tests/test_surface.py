@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 import stochanneal.surface as surface_mod
+from stochanneal import sampler
 from stochanneal.device import calibrate
 from stochanneal.errors import (
     DegenerateDesign,
@@ -123,8 +126,23 @@ def loop_hrs_for_mu(surface, mu_target, v_ref, tol=1e-6):
     return 0.5 * (lo + hi)
 
 
+@contextlib.contextmanager
+def numpy_path():
+    """The callers of the compiled library without it: `hrs_for_mu` bisects
+    with numpy (and `sampler.run` takes the Python loop)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(surface_mod, "load_kernel", lambda: None)
+        m.setattr(sampler, "load_kernel", lambda: None)
+        yield
+
+
+# the bisection with the compiled library when it loads, and with numpy
+PATHS = (contextlib.nullcontext, numpy_path)
+
+
 class TestHrsForMuArray:
-    """Array targets against scalar calls and the old scalar loop, by float.hex."""
+    """Array targets against scalar calls and the old scalar loop, by float.hex,
+    on both bisection paths."""
 
     V = 1.8
 
@@ -139,15 +157,17 @@ class TestHrsForMuArray:
         assert type(new) is float and new.hex() == old.hex()
         return new
 
-    def check(self, surface, targets):
-        got = surface.hrs_for_mu(np.asarray(targets), self.V)
-        assert got.shape == np.shape(targets) and got.dtype == np.float64
-        for t, r in zip(targets, got.tolist()):
-            want = self.scalar_or_none(surface, t)
-            if want is None:
-                assert np.isnan(r), t
-            else:
-                assert type(want) is float and r.hex() == want.hex(), t
+    def check(self, surface, targets, paths=PATHS):
+        for path in paths:
+            with path():
+                got = surface.hrs_for_mu(np.asarray(targets), self.V)
+                assert got.shape == np.shape(targets) and got.dtype == np.float64
+                for t, r in zip(targets, got.tolist()):
+                    want = self.scalar_or_none(surface, t)
+                    if want is None:
+                        assert np.isnan(r), t
+                    else:
+                        assert type(want) is float and r.hex() == want.hex(), t
         return got
 
     def test_matches_scalar_over_window_and_beyond(self, ref_surface):
@@ -181,38 +201,84 @@ class TestHrsForMuArray:
         monkeypatch.setattr(surface_mod, "poly6", counted)
         monkeypatch.setattr(surface_mod, "HRS_SOLVE_TOL", 0.0)
         targets = [-4.3, -5.7, -5.123456789, 3.3]
-        self.check(steep, targets)
+        self.check(steep, targets, paths=[numpy_path])
         # the array call: 2 end points and 200 steps; then 202 per scalar call
         assert calls == [1, 1] + [4] * 200 + [1] * 202 * 4
 
+    def test_zero_tolerance_runs_all_steps_compiled(self, monkeypatch):
+        # the steep surface again, on the compiled bisection: poly6 runs only
+        # for the end points, and no root is an exact zero, which at tol=0 is
+        # the only early stop, so every target ran all 200 steps
+        if surface_mod.load_kernel() is None:
+            pytest.skip("the compiled library did not load here (see the logged reason)")
+        steep = make_surface((-105.0, 0, 1.0, 0, 0, 0))
+        calls = []
+
+        def counted(coeffs, v, r):
+            calls.append(np.size(r))
+            return poly6(coeffs, v, r)
+
+        monkeypatch.setattr(surface_mod, "poly6", counted)
+        monkeypatch.setattr(surface_mod, "HRS_SOLVE_TOL", 0.0)
+        targets = [-4.3, -5.7, -5.123456789, 3.3]
+        got = self.check(steep, targets, paths=[contextlib.nullcontext])
+        assert calls == [1, 1] * 5
+        assert all(poly6(steep.mu_coeffs, self.V, r) - t != 0.0 for r, t in zip(got, targets))
+
+    def test_mu_falling_with_r(self):
+        # mu = -3 - 0.02 r falls over the window, from -3.2 at 10 kOhm to -13
+        falling = make_surface((-3.0, 0, -0.02, 0, 0, 0))
+        got = self.check(falling, np.linspace(-14.0, -2.0, 97).tolist() + [-3.2, -13.0])
+        assert got[-2:].tolist() == [10.0, 500.0]
+
     def test_scalar_in_scalar_out(self, ref_surface):
-        r = ref_surface.hrs_for_mu(-5.0, self.V)
-        assert type(r) is float
-        assert ref_surface.hrs_for_mu(np.float64(-5.0), self.V) == r
-        with pytest.raises(Unattainable):
-            ref_surface.hrs_for_mu(-20.0, self.V)
+        for path in PATHS:
+            with path():
+                r = ref_surface.hrs_for_mu(-5.0, self.V)
+                assert type(r) is float
+                assert ref_surface.hrs_for_mu(np.float64(-5.0), self.V) == r
+                with pytest.raises(Unattainable):
+                    ref_surface.hrs_for_mu(-20.0, self.V)
 
     def test_array_of_unattainable_targets(self, ref_surface):
-        got = ref_surface.hrs_for_mu(np.array([-20.0, 20.0]), self.V)
-        assert np.isnan(got).all()
-        assert ref_surface.hrs_for_mu(np.empty(0), self.V).shape == (0,)
+        for path in PATHS:
+            with path():
+                got = ref_surface.hrs_for_mu(np.array([-20.0, 20.0]), self.V)
+                assert np.isnan(got).all()
+                assert ref_surface.hrs_for_mu(np.empty(0), self.V).shape == (0,)
 
     def test_non_finite_targets_are_unattainable(self, ref_surface):
-        for target in (np.nan, np.inf, -np.inf):
-            with pytest.raises(Unattainable):
-                ref_surface.hrs_for_mu(target, self.V)
-        got = ref_surface.hrs_for_mu(np.array([np.nan, -5.0, np.inf, -np.inf]), self.V)
-        assert np.isnan(got[[0, 2, 3]]).all()
-        assert got[1] == ref_surface.hrs_for_mu(-5.0, self.V)
-        # so calibration marks a device with a NaN target as missed
-        cal = calibrate(ref_surface, np.array([np.nan, -5.0]), self.V, 0.01,
-                        np.random.default_rng(0))
-        assert cal.missed.tolist() == [True, False]
+        for path in PATHS:
+            with path():
+                for target in (np.nan, np.inf, -np.inf):
+                    with pytest.raises(Unattainable):
+                        ref_surface.hrs_for_mu(target, self.V)
+                got = ref_surface.hrs_for_mu(np.array([np.nan, -5.0, np.inf, -np.inf]), self.V)
+                assert np.isnan(got[[0, 2, 3]]).all()
+                assert got[1] == ref_surface.hrs_for_mu(-5.0, self.V)
+                # so calibration marks a device with a NaN target as missed
+                cal = calibrate(ref_surface, np.array([np.nan, -5.0]), self.V, 0.01,
+                                np.random.default_rng(0))
+                assert cal.missed.tolist() == [True, False]
 
     def test_non_monotone_array_rejected(self):
         s = make_surface((-7.0, 0, 0.02, 0, -1e-4, 0))
-        with pytest.raises(NonMonotone):
-            s.hrs_for_mu(np.array([-5.0, -6.0]), 1.8)
+        for path in PATHS:
+            with path(), pytest.raises(NonMonotone):
+                s.hrs_for_mu(np.array([-5.0, -6.0]), 1.8)
+
+    def test_paths_agree_on_random_targets(self, ref_surface):
+        # 10^5 targets over the window and past both ends, NaN and +-inf
+        # among them, by bit pattern
+        rng = np.random.default_rng(7)
+        lo_mu, hi_mu = (float(ref_surface.eval_mu(self.V, r)) for r in ref_surface.r_range)
+        targets = rng.uniform(lo_mu - 0.5, hi_mu + 0.5, 10**5)
+        targets[rng.integers(0, targets.size, 300)] = rng.choice([np.nan, np.inf, -np.inf], 300)
+        fast = ref_surface.hrs_for_mu(targets, self.V)
+        with numpy_path():
+            slow = ref_surface.hrs_for_mu(targets, self.V)
+        assert np.isnan(fast).any() and not np.isnan(fast).all()
+        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
 
 
 class TestMonotonicityAudit:
