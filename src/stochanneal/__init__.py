@@ -21,9 +21,6 @@ from .maxcut import (
     build_form,
     cut_value,
     energy,
-    init_fields,
-    local_field,
-    update_fields_after_assign,
 )
 from .reference import get_reference
 from .sampler import (
@@ -56,9 +53,7 @@ __all__ = [
     "field_to_voltage",
     "fit_surface",
     "get_reference",
-    "init_fields",
     "load_params",
-    "local_field",
     "mu_sigma",
     "p_logistic",
     "p_switch",
@@ -66,5 +61,4 @@ __all__ = [
     "run",
     "sample_tset",
     "save_params",
-    "update_fields_after_assign",
 ]

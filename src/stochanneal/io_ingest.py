@@ -494,6 +494,7 @@ def write_manifest(path, command: str, config: dict, seed: int, params_path=None
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "libc": list(platform.libc_ver()),  # the kernel's erf comes from its libm
         "kernel": None if loops is None else ",".join(sorted({k for k, _ in loops})) or None,
         "drawn_ahead": None if loops is None else sum(n for (_, a), n in loops.items() if a),
         "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -16,12 +16,13 @@ bookkeeping never sees float drift.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DuplicateEdge, IndexOutOfRange, SelfLoop, TooLarge
+from .errors import (DimensionMismatch, DuplicateEdge, IndexOutOfRange, InvalidParameter,
+                     SelfLoop, TooLarge)
 
 # a form's fields and energies stay below this, so they are exact as doubles
 _EXACT_INT_LIMIT = 2 ** 53
@@ -181,11 +182,6 @@ class BoltzmannForm:
     indptr: np.ndarray                # int64, length n+1
     indices: np.ndarray               # int64, neighbor node ids
     weights: np.ndarray               # int64, W_B values (-2 w_ij)
-    total_weight: int = field(default=0)  # sum of w_ij, for identities
-
-    def neighbors(self, i: int):
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.weights[lo:hi]
 
     @functools.cached_property
     def csr_lists(self) -> tuple[list, list, list]:
@@ -239,19 +235,23 @@ def build_form(inst: MaxCutInstance) -> BoltzmannForm:
         raise TooLarge(wide)
     for a in (b, indptr, indices, weights):
         a.flags.writeable = False
-    return BoltzmannForm(n=n, b=b, indptr=indptr, indices=indices, weights=weights,
-                         total_weight=int(w.sum()))
+    return BoltzmannForm(n=n, b=b, indptr=indptr, indices=indices, weights=weights)
 
 
-def _check_x(n: int, x: Sequence[int]) -> None:
+def _check_x(n: int, x: Sequence[int]) -> np.ndarray:
+    """x as an array; DimensionMismatch unless it has n entries, and
+    InvalidParameter unless each is 0 or 1 (False and True too)."""
     if len(x) != n:
         raise DimensionMismatch(f"configuration length {len(x)} != n = {n}")
+    x = np.asarray(x)
+    if not ((x == 0) | (x == 1)).all():
+        raise InvalidParameter("a configuration's entries must be 0 or 1")
+    return x
 
 
 def cut_value(inst: MaxCutInstance, x: Sequence[int]) -> int:
     """Total weight of edges crossing the partition encoded by x."""
-    _check_x(inst.n, x)
-    x = np.asarray(x)
+    x = _check_x(inst.n, x)
     return int(inst.weights[x[inst.heads] != x[inst.tails]].sum())
 
 
@@ -269,44 +269,5 @@ def _sums_energy(on: np.ndarray, b: np.ndarray, wx: np.ndarray) -> int:
 
 def energy(form: BoltzmannForm, x: Sequence[int]) -> int:
     """E(x) = b.x - 1/2 x.W_B.x, exact integer arithmetic."""
-    _check_x(form.n, x)
-    return _sums_energy(*_field_sums(form, x))
+    return _sums_energy(*_field_sums(form, _check_x(form.n, x)))
 
-
-def local_field(form: BoltzmannForm, x: Sequence[int], i: int) -> int:
-    """u_i = sum_j W_B_ij x_j - b_i, the energy drop of setting x_i to 1."""
-    if not 0 <= i < form.n:
-        raise IndexOutOfRange(f"node {i} outside [0, {form.n})")
-    _check_x(form.n, x)
-    idx, wts = form.neighbors(i)
-    acc = 0
-    for k in range(idx.size):
-        if x[idx[k]]:
-            acc += int(wts[k])
-    return acc - int(form.b[i])
-
-
-def init_fields(form: BoltzmannForm, x: Sequence[int]) -> list[int]:
-    """All local fields for configuration x (scratch O(n + E) build)."""
-    _check_x(form.n, x)
-    _, b, wx = _field_sums(form, x)
-    return (wx - b).tolist()
-
-
-def update_fields_after_assign(
-    form: BoltzmannForm, u: list, x: list, i: int, new_xi: int
-) -> None:
-    """Apply x_i <- new_xi and repair every neighbor field in O(deg(i)).
-
-    No-op when new_xi equals the current value. u must be consistent with x
-    on entry; it is consistent with the updated x on exit.
-    """
-    if not 0 <= i < form.n:
-        raise IndexOutOfRange(f"node {i} outside [0, {form.n})")
-    delta = int(new_xi) - int(x[i])
-    if delta == 0:
-        return
-    x[i] = int(new_xi)
-    indptr, indices, weights = form.indptr, form.indices, form.weights
-    for k in range(indptr[i], indptr[i + 1]):
-        u[indices[k]] += int(weights[k]) * delta

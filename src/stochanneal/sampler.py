@@ -149,7 +149,7 @@ class State:
 
     The arrays are the kernel's: x and best_x int8; u int64, below 2**53 in
     magnitude (see `build_form`); hrs, targets and offs float64; cyc int64.
-    `step` advances the state.
+    `_advance` advances the state.
     """
 
     params: Params
@@ -188,7 +188,7 @@ def _start(form: BoltzmannForm, seed: int, run_index: int,
     children = tuple(np.random.SeedSequence(seed, spawn_key=(run_index,)).spawn(5))
     x = np.random.default_rng(children[0]).integers(0, 2, form.n).astype(np.int8)
     on, b, wx = _field_sums(form, x)
-    u = wx - b  # the local fields, as maxcut.init_fields gives them
+    u = wx - b  # u_i = sum_j W_B_ij x_j - b_i, the energy drop of setting x_i to 1
     x.flags.writeable = u.flags.writeable = False
     u_scale = float(np.percentile(np.abs(u.astype(float)), 95)) or 1.0  # 1 where it is 0
     gens = tuple(np.random.default_rng(ss) for ss in children[3:])
@@ -257,11 +257,6 @@ def _ahead(draws: Iterator, count: int, inline: int) -> Iterator:
             del block
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def step(state: State) -> None:
-    """Advance one iteration: sample one neuron, cycle its device."""
-    _advance(state, 1)
 
 
 def _advance(state: State, steps: int, kernel=None) -> np.ndarray:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as scistats
 
+from stochanneal import sampler
 from stochanneal.device import DriftModel, mu_sigma, p_switch, sample_tset
 from stochanneal.experiments import (
     build_size_ladder,
@@ -23,15 +24,10 @@ from stochanneal.experiments import (
     max_solvable_sizes,
 )
 from stochanneal.io_ingest import brute_force_maxcut, generate_instance
-from stochanneal.maxcut import (
-    MaxCutInstance,
-    build_form,
-    cut_value,
-    energy,
-    local_field,
-)
-from stochanneal.sampler import BoltzmannConfig, ensemble, make_state, run, step
+from stochanneal.maxcut import MaxCutInstance, _field_sums, build_form, cut_value, energy
+from stochanneal.sampler import BoltzmannConfig, ensemble, make_state, run
 from stochanneal.surface import fit_surface, poly6
+from test_sampler import energy_level_tv
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -72,18 +68,34 @@ def test_c01_energy_identity_exhaustive():
     )
 
 
-def test_c02_local_field_energy_delta():
+def test_c02_local_field_energy_delta(ref_surface, ref_drift):
+    # the fields a run starts from
     rng = np.random.default_rng(102)
-    for _ in range(1000):
+    for trial in range(1000):
         inst = random_small_instance(rng, 12)
         form = build_form(inst)
-        x = rng.integers(0, 2, inst.n).tolist()
+        start = sampler._start(form, 102, trial)
         i = int(rng.integers(inst.n))
-        x1, x0 = list(x), list(x)
+        x1, x0 = start.x.tolist(), start.x.tolist()
         x1[i], x0[i] = 1, 0
-        delta_e = energy(form, x1) - energy(form, x0)
-        assert local_field(form, x, i) == -delta_e
-    report("C02 field-identity", True, "u_i == -dE_i exact on 1000 random triples")
+        assert start.u[i] == energy(form, x0) - energy(form, x1)
+    # and the fields the loop keeps, after each stretch of it
+    kernel = sampler.load_kernel()
+    stretches = 0
+    for seed, scheme in enumerate(("ideal", "fixed-input", "monitored")):
+        inst = generate_instance(40, 4.0, weight_set=(-3, 2), seed=seed)
+        cfg = BoltzmannConfig(seed=seed, scheme=scheme, drift=ref_drift)
+        state = make_state(inst, cfg, ref_surface)
+        for k in (1, 10, 100, 1000, 10_000):
+            sampler._advance(state, k, kernel)
+            _, b, wx = _field_sums(state.form, state.x)
+            assert np.array_equal(state.u, wx - b)
+            assert state.energy == energy(state.form, state.x)
+            stretches += 1
+    loop = "python" if kernel is None else "c"
+    report("C02 field-identity", True,
+           f"u_i == -dE_i exact on 1000 random triples, and the {loop} loop's fields and "
+           f"energy equal their rebuild from x after each of {stretches} stretches")
 
 
 def device_moments(surface, v, hrs):
@@ -150,29 +162,25 @@ def test_c05_surface_fit_recovery():
     )
 
 
-def test_c06_gibbs_loop_validation(ref_surface, ref_drift):
-    t0 = time.perf_counter()
+def test_c06_gibbs_loop_validation(ref_surface, ref_drift, monkeypatch):
     inst = MaxCutInstance(
         n=4, edges=((0, 1, 1), (0, 2, -1), (1, 2, 1), (2, 3, 1), (0, 3, -1)), name="g4"
     )
-    form = build_form(inst)
-    weights = np.array(
-        [math.exp(-energy(form, [(c >> k) & 1 for k in range(4)])) for c in range(16)]
-    )
-    exact = weights / weights.sum()
-    cfg = BoltzmannConfig(max_iters=1, seed=106, activation="logistic", drift=ref_drift)
-    state = make_state(inst, cfg, ref_surface)
-    counts = np.zeros(16)
-    for _ in range(1_000_000):
-        step(state)
-        counts[state.x[0] | (state.x[1] << 1) | (state.x[2] << 2) | (state.x[3] << 3)] += 1
-    tv = 0.5 * float(np.abs(counts / counts.sum() - exact).sum())
+    cfg = BoltzmannConfig(max_iters=1_000_000, seed=106, activation="logistic",
+                          energy_stride=1, drift=ref_drift)
+    t0 = time.perf_counter()
+    fast = run(inst, cfg, ref_surface)
     elapsed = time.perf_counter() - t0
+    monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+    ref = run(inst, cfg, ref_surface)
+    equal = ref.kernel == "python" and np.array_equal(fast.energies, ref.energies)
+    tv = energy_level_tv(inst, fast.energies)
     report(
         "C06 gibbs-loop",
-        tv <= 0.05 and elapsed < 60.0,
-        f"total variation vs exact Boltzmann = {tv:.4f} (<= 0.05) over 1e6 "
-        f"iterations in {elapsed:.1f}s (< 60s)",
+        equal and tv <= 0.05 and elapsed < 60.0,
+        f"total variation vs exact Boltzmann over energy levels = {tv:.5f} (<= 0.05) over "
+        f"1e6 iterations in {elapsed:.2f}s on the {fast.kernel} loop (< 60s); the python "
+        f"loop's trace {'equals' if equal else 'differs from'} it",
     )
 
 

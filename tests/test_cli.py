@@ -78,6 +78,7 @@ class TestSolve:
         assert manifest["kernel"] in ("c", "python")
         assert manifest["python"] == platform.python_version()
         assert manifest["numpy"] == np.__version__
+        assert manifest["libc"] == list(platform.libc_ver())
 
     def test_weights_beyond_int64_exit_3(self, runner, tmp_path):
         # b_0 = -3 * 2**62 does not fit in int64, nor does the summed |w|

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 from test_surface import PATHS, loop_hrs_for_mu
 
+from stochanneal import sampler
 from stochanneal.device import (
     DriftModel,
     calibrate,
@@ -19,7 +20,7 @@ from stochanneal.device import (
 from stochanneal.errors import InvalidParameter, NonPositivePulse, OutOfDomain
 from stochanneal.experiments import cycling_stats
 from stochanneal.maxcut import MaxCutInstance
-from stochanneal.sampler import BoltzmannConfig, make_state, step
+from stochanneal.sampler import BoltzmannConfig, make_state
 from stochanneal.surface import DeviceSurface
 
 FIXED, MONITORED = scheme_code("fixed-input"), scheme_code("monitored")
@@ -172,7 +173,7 @@ class TestApplyCycle:
                            ref_surface)
         last = state.cyc.copy()
         for _ in range(50):
-            step(state)
+            sampler._advance(state, 1)
             grew = state.cyc - last
             assert grew.min() == 0 and grew.sum() == 1
             last = state.cyc.copy()

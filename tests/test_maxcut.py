@@ -13,19 +13,12 @@ from stochanneal.errors import (
     DimensionMismatch,
     DuplicateEdge,
     IndexOutOfRange,
+    InvalidParameter,
     SelfLoop,
     TooLarge,
 )
 from stochanneal.io_ingest import generate_instance
-from stochanneal.maxcut import (
-    MaxCutInstance,
-    build_form,
-    cut_value,
-    energy,
-    init_fields,
-    local_field,
-    update_fields_after_assign,
-)
+from stochanneal.maxcut import MaxCutInstance, _field_sums, build_form, cut_value, energy
 
 
 def random_instance(rng, n=None, p=0.5, wmax=3):
@@ -41,12 +34,24 @@ def random_instance(rng, n=None, p=0.5, wmax=3):
     return MaxCutInstance(n=n, edges=tuple(edges))
 
 
+def row(form, i):
+    """The neighbours of node i in the form's CSR, and their W_B entries."""
+    lo, hi = form.indptr[i], form.indptr[i + 1]
+    return form.indices[lo:hi], form.weights[lo:hi]
+
+
+def fields(form, x):
+    """The local fields u_i = sum_j W_B_ij x_j - b_i, as the sampler starts from them."""
+    _, b, wx = _field_sums(form, x)
+    return (wx - b).tolist()
+
+
 class TestBuildForm:
     def test_triangle(self, k3):
         form = build_form(k3)
         assert form.b.tolist() == [-2, -2, -2]
         for i in range(3):
-            idx, wts = form.neighbors(i)
+            idx, wts = row(form, i)
             assert sorted(idx.tolist()) == sorted(set(range(3)) - {i})
             assert wts.tolist() == [-2, -2]
 
@@ -58,7 +63,7 @@ class TestBuildForm:
     def test_single_negative_edge(self):
         form = build_form(MaxCutInstance(n=3, edges=((0, 1, -1),)))
         assert form.b.tolist() == [1, 1, 0]
-        idx, wts = form.neighbors(0)
+        idx, wts = row(form, 0)
         assert idx.tolist() == [1] and wts.tolist() == [2]
 
 
@@ -105,6 +110,19 @@ class TestEnergy:
             for x in itertools.product((0, 1), repeat=inst.n):
                 assert energy(form, list(x)) == -cut_value(inst, list(x))
 
+    @pytest.mark.parametrize("x", [[2, 1], [-1, 1], [0.5, 0]])
+    def test_entries_other_than_0_and_1_raise(self, x):
+        # on one edge E(x) would read 0 and M(x) 1, breaking E = -M
+        inst = MaxCutInstance(n=2, edges=((0, 1, 1),))
+        with pytest.raises(InvalidParameter, match="0 or 1"):
+            cut_value(inst, x)
+        with pytest.raises(InvalidParameter, match="0 or 1"):
+            energy(build_form(inst), x)
+
+    def test_bools_are_0_and_1(self, k3):
+        x = [True, False, False]
+        assert energy(build_form(k3), x) == -cut_value(k3, x) == -2
+
     def test_complement_symmetry(self, rng):
         for _ in range(25):
             inst = random_instance(rng)
@@ -115,18 +133,12 @@ class TestEnergy:
 
 class TestLocalField:
     def test_triangle_from_zero(self, k3):
-        form = build_form(k3)
-        assert local_field(form, [0, 0, 0], 0) == 2
+        assert fields(build_form(k3), [0, 0, 0])[0] == 2
 
     def test_isolated_node(self):
-        inst = MaxCutInstance(n=3, edges=((0, 1, 1),))
-        form = build_form(inst)
-        assert local_field(form, [1, 0, 1], 2) == 0
-        assert local_field(form, [0, 1, 0], 2) == 0
-
-    def test_index_out_of_range(self, k3):
-        with pytest.raises(IndexOutOfRange):
-            local_field(build_form(k3), [0, 0, 0], 3)
+        form = build_form(MaxCutInstance(n=3, edges=((0, 1, 1),)))
+        assert fields(form, [1, 0, 1])[2] == 0
+        assert fields(form, [0, 1, 0])[2] == 0
 
     def test_field_is_energy_drop(self, rng):
         for _ in range(1000):
@@ -138,36 +150,17 @@ class TestLocalField:
             x0[i] = 0
             x1 = list(x)
             x1[i] = 1
-            assert local_field(form, x, i) == energy(form, x0) - energy(form, x1)
+            assert fields(form, x)[i] == energy(form, x0) - energy(form, x1)
 
 
 class TestIncrementalFields:
-    def test_matches_scratch_after_many_assignments(self, rng):
-        inst = random_instance(rng, n=12)
-        form = build_form(inst)
-        x = rng.integers(0, 2, inst.n).tolist()
-        u = init_fields(form, x)
-        for _ in range(10_000):
-            i = int(rng.integers(inst.n))
-            update_fields_after_assign(form, u, x, i, int(rng.integers(2)))
-        assert u == init_fields(form, x)
-
-    def test_noop_when_value_unchanged(self, k3):
-        form = build_form(k3)
-        x = [1, 0, 1]
-        u = init_fields(form, x)
-        before = list(u)
-        update_fields_after_assign(form, u, x, 1, 0)
-        assert u == before and x == [1, 0, 1]
-
-    def test_triangle_hand_arithmetic(self, k3):
-        form = build_form(k3)
-        x = [0, 0, 0]
-        u = init_fields(form, x)
-        assert u == [2, 2, 2]
-        update_fields_after_assign(form, u, x, 0, 1)
-        assert x == [1, 0, 0]
-        assert u[1] == 0 and u[2] == 0
+    def test_matches_scratch_after_many_assignments(self, rng, ref_surface):
+        # the fields the Python loop repairs over 10^4 iterations, against a rebuild
+        state = sampler.make_state(random_instance(rng, n=12), sampler.BoltzmannConfig(),
+                                   ref_surface)
+        sampler._advance(state, 10_000)
+        assert state.u.tolist() == fields(state.form, state.x)
+        assert state.energy == energy(state.form, state.x)
 
 
 class TestInstanceValidation:
@@ -457,7 +450,6 @@ class TestVectorizedForm:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
         assert form.n == inst.n
-        assert form.total_weight == sum(w for _, _, w in inst.edges)
 
     @pytest.mark.parametrize("inst", list(vector_cases()), ids=lambda i: f"n{i.n}m{i.m}")
     def test_fields_and_energy_equal_loops(self, inst):
@@ -466,7 +458,7 @@ class TestVectorizedForm:
         xs = [[0] * inst.n, [1] * inst.n] + [rng.integers(0, 2, inst.n).tolist()
                                              for _ in range(5)]
         for x in xs:
-            u = init_fields(form, x)
+            u = fields(form, x)
             assert u == loop_init_fields(form, x)
             assert all(type(v) is int for v in u)
             e = energy(form, x)
@@ -475,13 +467,13 @@ class TestVectorizedForm:
     @pytest.mark.parametrize("inst", list(vector_cases()), ids=lambda i: f"n{i.n}m{i.m}")
     def test_field_bound_equals_loop_and_bounds_fields(self, inst):
         form = build_form(inst)
-        rows = [abs(int(form.b[i])) + sum(abs(int(w)) for w in form.neighbors(i)[1])
+        rows = [abs(int(form.b[i])) + sum(abs(int(w)) for w in row(form, i)[1])
                 for i in range(inst.n)]
         assert type(form.field_bound) is int and form.field_bound == max(rows, default=0)
         rng = np.random.default_rng(inst.n)
         for x in [[0] * inst.n, [1] * inst.n] + [rng.integers(0, 2, inst.n).tolist()
                                                  for _ in range(5)]:
-            assert all(abs(v) <= form.field_bound for v in init_fields(form, x))
+            assert all(abs(v) <= form.field_bound for v in fields(form, x))
 
     def test_big_weights_stay_exact(self):
         # in the instance and its cuts; its form's fields would reach 2**53

@@ -39,7 +39,7 @@ from stochanneal.errors import InvalidParameter, MissingBestKnown, TooLarge, Una
 from stochanneal.experiments import moving_average, settling_energy_of
 from stochanneal.io_ingest import generate_instance
 from stochanneal import experiments, native, sampler
-from stochanneal.maxcut import MaxCutInstance
+from stochanneal.maxcut import MaxCutInstance, build_form, energy
 from stochanneal.reference import get_reference
 from stochanneal.sampler import (
     BoltzmannConfig,
@@ -47,7 +47,6 @@ from stochanneal.sampler import (
     ensemble,
     make_state,
     run,
-    step,
 )
 from stochanneal.surface import DeviceSurface
 
@@ -91,8 +90,7 @@ class TestStep:
     def test_certain_switch_when_pulse_huge(self, k3, flat_surface):
         cfg = BoltzmannConfig(max_iters=10, seed=1)
         state = set_params(make_state(k3, cfg, flat_surface), log_tpw=20.0)
-        for _ in range(30):
-            step(state)
+        sampler._advance(state, 30)
         assert state.x.tolist() == [1, 1, 1]
 
     def test_thresholded_first_step_on_k3(self, k3, steep_surface):
@@ -104,7 +102,7 @@ class TestStep:
             state.x[:] = 0
             state.u[:] = 2
             state.energy = 0
-            step(state)
+            sampler._advance(state, 1)
             assert state.x.sum() == 1
 
     def test_empirical_frequency_matches_p_switch(self, ref_surface, ref_drift):
@@ -120,15 +118,14 @@ class TestStep:
         hits = 0
         trials = 100_000
         for _ in range(trials):
-            step(state)
+            sampler._advance(state, 1)
             hits += int(state.x[0])
         assert hits / trials == pytest.approx(p_switch(log_tpw, mu, sg), abs=0.01)
 
     def test_one_cycle_per_step(self, k3, ref_surface, ref_drift):
         cfg = BoltzmannConfig(max_iters=500, seed=9, drift=ref_drift)
         state = make_state(k3, cfg, ref_surface)
-        for _ in range(500):
-            step(state)
+        sampler._advance(state, 500)
         assert int(state.cyc.sum()) == 500
 
 
@@ -191,8 +188,7 @@ class TestRun:
         cfg = BoltzmannConfig(max_iters=3000, seed=5, scheme="ideal", drift=ref_drift)
         state = make_state(inst, cfg, ref_surface)
         initial = state.hrs.copy()
-        for _ in range(3000):
-            step(state)
+        sampler._advance(state, 3000)
         assert np.array_equal(state.hrs, initial)
 
     def test_monitored_and_fixed_mutate_hrs(self, ref_surface, ref_drift):
@@ -201,8 +197,7 @@ class TestRun:
             cfg = BoltzmannConfig(max_iters=200, seed=5, scheme=scheme, drift=ref_drift)
             state = make_state(inst, cfg, ref_surface)
             initial = state.hrs.copy()
-            for _ in range(200):
-                step(state)
+            sampler._advance(state, 200)
             assert not np.array_equal(state.hrs, initial)
 
     def test_best_cut_is_max_visited(self, ref_surface, ref_drift, k3):
@@ -1009,8 +1004,7 @@ class TestDrawAhead:
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         cfg = BoltzmannConfig(max_iters=self.ITERS, seed=9, scheme="monitored", drift=ref_drift)
         state = make_state(generate_instance(20, 3.0, seed=30), cfg, ref_surface)
-        for _ in range(8192 + 10):  # into the second block
-            step(state)
+        sampler._advance(state, 8192 + 10)  # into the second block
         assert started == [] and state.t == 8192 + 10
 
     def test_a_thread_starts_only_with_enough_blocks_to_draw(self, ref_surface, ref_drift,
@@ -1894,26 +1888,31 @@ class TestSanitizedKernel:
         assert " passed" in proc.stdout and "skipped" not in proc.stdout, proc.stdout[-2000:]
 
 
-class TestGibbsConsistency:
-    def test_logistic_activation_small_instance(self, ref_surface, ref_drift):
-        # quick version of the acceptance check: 3-node chain, 2e5 sweeps
-        inst = MaxCutInstance(n=3, edges=((0, 1, 1), (1, 2, -1)))
-        from stochanneal.maxcut import build_form, energy
+def energy_level_tv(inst, energies) -> float:
+    """The total variation distance from the law of the visited `energies`
+    to the exact Boltzmann law of `inst` over its energy levels."""
+    form = build_form(inst)
+    exact = collections.Counter()
+    for c in range(2 ** inst.n):
+        e = energy(form, [(c >> k) & 1 for k in range(inst.n)])
+        exact[e] += math.exp(-e)
+    z = sum(exact.values())
+    seen = collections.Counter(energies.tolist())
+    return 0.5 * sum(abs(seen[e] / energies.size - exact[e] / z)
+                     for e in exact.keys() | seen.keys())
 
-        form = build_form(inst)
-        exact = np.array(
-            [math.exp(-energy(form, [(c >> k) & 1 for k in range(3)])) for c in range(8)]
-        )
-        exact /= exact.sum()
-        cfg = BoltzmannConfig(max_iters=1, seed=8, activation="logistic", drift=ref_drift)
-        state = make_state(inst, cfg, ref_surface)
-        counts = np.zeros(8)
-        for _ in range(200_000):
-            step(state)
-            counts[state.x[0] | (state.x[1] << 1) | (state.x[2] << 2)] += 1
-        emp = counts / counts.sum()
-        tv = 0.5 * np.abs(emp - exact).sum()
-        assert tv < 0.05
+
+class TestGibbsConsistency:
+    def test_logistic_activation_small_instance(self, ref_surface, ref_drift, monkeypatch):
+        # quick version of the acceptance check: 3-node chain, 2e5 iterations on each loop
+        inst = MaxCutInstance(n=3, edges=((0, 1, 1), (1, 2, -1)))
+        cfg = BoltzmannConfig(max_iters=200_000, seed=8, activation="logistic",
+                              energy_stride=1, drift=ref_drift)
+        fast = run(inst, cfg, ref_surface)
+        monkeypatch.setattr(sampler, "load_kernel", lambda: None)
+        ref = run(inst, cfg, ref_surface)
+        assert ref.kernel == "python" and np.array_equal(fast.energies, ref.energies)
+        assert energy_level_tv(inst, fast.energies) < 0.05
 
 
 class TestMonotoneActivation:
